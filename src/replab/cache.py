@@ -5,7 +5,8 @@ Records live under a cache root (the REPLAB_CACHE environment variable, or
 index.json mapping canonical keys to file names.  The cache is append-only:
 putting a record under an existing key returns the stored record unchanged,
 so earlier results are never silently overwritten; rechecking is the
-caller's job via verifiers.
+caller's job via verifiers.  A cache file that does not parse as JSON
+raises SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -15,10 +16,20 @@ import json
 import os
 from pathlib import Path
 
+from .errors import SchemaError
+
 
 def canonical_key(kind: str, params: dict) -> str:
     """Stable string key for a query: kind plus sorted parameters."""
     return json.dumps([kind, params], sort_keys=True, separators=(",", ":"))
+
+
+def _read_json(path: Path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaError(f"corrupt cache file {path}: {exc}") from exc
 
 
 class ResultsCache:
@@ -32,8 +43,7 @@ class ResultsCache:
     def _load_index(self) -> dict:
         if not self.index_path.exists():
             return {}
-        with open(self.index_path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(self.index_path)
 
     def _store_index(self, index: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -47,9 +57,7 @@ class ResultsCache:
         name = index.get(key)
         if name is None:
             return None
-        path = self.records_dir / name
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(self.records_dir / name)
 
     def put(self, key: str, record: dict) -> tuple[dict, bool]:
         """Store a record unless the key already exists.

@@ -22,9 +22,8 @@ Results are cached append-only under $REPLAB_CACHE (or .replab-cache);
 --recheck re-verifies a cached record against a fresh recomputation of its
 cheap certificate instead of trusting the file.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input, 3 budget
-exceeded, 4 fuzz precondition not met.  --threads is accepted for interface
-stability but execution is always sequential.
+Exit codes: 0 success, 1 verification failure, 2 malformed input (a corrupt
+cache file included), 3 budget exceeded, 4 fuzz precondition not met.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from . import forbidden, structures
 from .cache import ResultsCache, canonical_key
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
-from .games import (DEFAULT_STRATEGY_BUDGET, Game, evaluate, exact_value,
-                    game_from_json, preset_game, strategy_from_json,
-                    strategy_to_json, unit_tuples)
+from .games import (DEFAULT_STRATEGY_BUDGET, Game, _from_jsonable, evaluate,
+                    exact_value, game_from_json, preset_game,
+                    strategy_from_json, strategy_to_json, unit_tuples)
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
@@ -145,13 +144,9 @@ def _with_cache(args, kind: str, params: dict, compute, verify) -> tuple[dict, s
     return record, "computed"
 
 
-def _strip_timestamp(doc: dict) -> dict:
-    return {k: v for k, v in doc.items() if k != "timestamp"}
-
-
 def _emit(args, record: dict, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(_strip_timestamp(record), sort_keys=True, indent=2))
+        print(json.dumps(record, sort_keys=True, indent=2))
     else:
         print("\n".join(lines))
 
@@ -164,12 +159,6 @@ def _parse_range(text: str) -> list[int]:
             raise SchemaError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
-
-
-def _tuplify(obj):
-    if isinstance(obj, list):
-        return tuple(_tuplify(v) for v in obj)
-    return obj
 
 
 # -- value -------------------------------------------------------------------
@@ -198,8 +187,7 @@ def cmd_value(args) -> int:
 
     doc, status = _with_cache(args, "value", dict(params, game=label), compute, verify)
     record = ValueRecord.from_json(doc)
-    lines = record.report_lines() + [f"status:        {status}"]
-    _emit(args, doc, lines)
+    _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
 
@@ -241,7 +229,7 @@ def _density_verify(args, doc: dict) -> bool:
         return record.value == fresh.value
     family = _density_family(args)
     try:
-        indices = [family.index(_tuplify(p)) for p in record.witness]
+        indices = [family.index(_from_jsonable(p)) for p in record.witness]
     except KeyError:
         return False
     from .search import verify_free
@@ -269,7 +257,7 @@ def cmd_density(args) -> int:
     doc, status = _with_cache(args, "density", dict(params, family=args.family),
                               compute, lambda d: _density_verify(args, d))
     record = DensityRecord.from_json(doc)
-    _emit(args, doc, record.report_lines() + [f"status:        {status}"])
+    _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
 
@@ -278,7 +266,7 @@ def cmd_density(args) -> int:
 
 def _eqn_verify(support, n, doc: dict) -> bool:
     record = DensityRecord.from_json(doc)
-    witness = [_tuplify(w) for w in (record.witness or [])]
+    witness = [_from_jsonable(w) for w in (record.witness or [])]
     if len(witness) != record.witness_size:
         return False
     if record.value != Fraction(record.witness_size, len(support) ** n):
@@ -317,7 +305,7 @@ def cmd_eqn(args) -> int:
         }
         with open(args.emit_witness, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
-    _emit(args, doc, record.report_lines() + [f"status:        {status}"])
+    _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
 
@@ -368,38 +356,32 @@ def _verify_report(args, name: str, rows: list[tuple[str, bool]]) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _equivalence_case(args):
+    """Support, r-function, case prefix and family word of verify dhj,
+    square or grid."""
     if args.check == "dhj":
-        rows = []
-        for n in _parse_range(args.n):
-            eq = forbidden.compute_eq(list(unit_tuples(args.q)), n)
-            rl = structures.r_line(args.q, n)
-            rows.append((
-                f"dhj q={args.q} n={n}: density {fraction_str(eq.value)} "
-                f"vs line bound {fraction_str(rl.value)}",
-                eq.value == rl.value))
-        return _verify_report(args, "dhj", rows)
+        return (unit_tuples(args.q), lambda n: structures.r_line(args.q, n),
+                f"dhj q={args.q}", "line")
     if args.check == "square":
+        return ghz_support(), structures.r_square, "square", "square"
+    field = FiniteField(args.p, args.r)
+    return (grid_question_set(field, args.k),
+            lambda n: structures.r_grid(field, args.k, n),
+            f"grid p={args.p} r={args.r} k={args.k}", "grid")
+
+
+def cmd_verify(args) -> int:
+    if args.check in ("dhj", "square", "grid"):
+        support, r_value, prefix, word = _equivalence_case(args)
         rows = []
         for n in _parse_range(args.n):
-            eq = forbidden.compute_eq(list(ghz_support()), n)
-            rs = structures.r_square(n)
+            eq = forbidden.compute_eq(list(support), n)
+            bound = r_value(n)
             rows.append((
-                f"square n={n}: density {fraction_str(eq.value)} "
-                f"vs square bound {fraction_str(rs.value)}",
-                eq.value == rs.value))
-        return _verify_report(args, "square", rows)
-    if args.check == "grid":
-        field = FiniteField(args.p, args.r)
-        rows = []
-        for n in _parse_range(args.n):
-            eq = forbidden.compute_eq(list(grid_question_set(field, args.k)), n)
-            rg = structures.r_grid(field, args.k, n)
-            rows.append((
-                f"grid p={args.p} r={args.r} k={args.k} n={n}: "
-                f"density {fraction_str(eq.value)} vs grid bound {fraction_str(rg.value)}",
-                eq.value == rg.value))
-        return _verify_report(args, "grid", rows)
+                f"{prefix} n={n}: density {fraction_str(eq.value)} "
+                f"vs {word} bound {fraction_str(bound.value)}",
+                eq.value == bound.value))
+        return _verify_report(args, args.check, rows)
     if args.check == "val-bound":
         game, label, _ = _load_game(args)
         weights = list(game.weights)
@@ -521,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="replab",
         description="exact game values, parallel repetition, and "
                     "forbidden-configuration densities")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; runs sequentially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("value", help="exact value of a (repeated) game")

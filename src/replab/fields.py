@@ -203,17 +203,6 @@ class FiniteField:
 
     # -- vectors over the field --------------------------------------------------
 
-    def vectors(self, length: int) -> list[tuple[int, ...]]:
-        """All vectors of the given length, ordered so that coordinate 0 is the
-        least significant digit of the position index."""
-        out = []
-        for code in range(self.order**length):
-            out.append(tuple((code // self.order**i) % self.order for i in range(length)))
-        return out
-
-    def vector_code(self, vec: Sequence[int]) -> int:
-        return sum(v * self.order**i for i, v in enumerate(vec))
-
     def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         return tuple(self._add[a][b] for a, b in zip(u, v, strict=True))
 

@@ -3,8 +3,8 @@
 Fix a question support Q (an ordered list of distinct k-tuples) and a
 repetition count n.  Points of the n-fold support are index vectors
 w = (w_0, .., w_{n-1}) with w_m in range(len(Q)); index vectors are ordered
-by the little-endian code sum(w_m * q**m), matching the round order of
-repeated games.
+by the little-endian code sum(w_m * q**m) of ProductTuples(range(q), n),
+matching the round order of repeated games.
 
 A forbidden configuration at coordinate i is a list of q points e(0), ..,
 e(q-1) such that e(s)_i = s for every s, and such that each player's view is
@@ -23,6 +23,10 @@ The search below walks coordinates i ascending and assigns to each cell
 symbol for player j is v.  Cells are visited player-major with symbols in
 sorted order, and candidate rows are enumerated in little-endian code order
 over the free coordinates, so enumeration order is deterministic.
+
+compute_eq has one path: it materialises every configuration as an edge of
+a hypergraph on the point codes and hands that to the exact solver, within
+a point budget and a configuration budget.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
-from .repetition import ProductTuples, RepeatedGame
+from .repetition import ProductTuples, RepeatedGame, TupleCodec
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free
 
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -52,19 +56,6 @@ class ForbiddenWitness:
 
     def point_set(self) -> frozenset:
         return frozenset(self.edges)
-
-
-def all_points(q: int, n: int) -> list[tuple[int, ...]]:
-    """Every index vector of the n-fold support, in code order."""
-    return [point_from_code(c, q, n) for c in range(q**n)]
-
-
-def point_code(w: Sequence[int], q: int) -> int:
-    return sum(v * q**m for m, v in enumerate(w))
-
-
-def point_from_code(c: int, q: int, n: int) -> tuple[int, ...]:
-    return tuple((c // q**m) % q for m in range(n))
 
 
 def player_symbols(support: Sequence[tuple]) -> list[list]:
@@ -197,7 +188,7 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
         if q**n > point_budget:
             raise BudgetExceededError(
                 f"{q}**{n} points exceed the budget {point_budget}")
-        points = all_points(q, n)
+        points = ProductTuples(range(q), n)
     return _search_witnesses(support, n, points)
 
 
@@ -208,9 +199,10 @@ def forbidden_hypergraph(support: Sequence[tuple], n: int,
     configurations; free sets of this hypergraph are exactly the
     configuration-free subsets."""
     q = len(support)
+    code = TupleCodec(range(q), n).encode
     edges = []
     for witness in enumerate_forbidden(support, n, point_budget=point_budget):
-        edges.append(tuple(sorted(point_code(e, q) for e in witness.edges)))
+        edges.append(tuple(sorted(code(e) for e in witness.edges)))
         if len(edges) > config_budget:
             raise BudgetExceededError(
                 f"more than {config_budget} forbidden configurations")
@@ -219,17 +211,15 @@ def forbidden_hypergraph(support: Sequence[tuple], n: int,
 
 def compute_eq(support: Sequence[tuple], n: int, *,
                point_budget: int = DEFAULT_POINT_BUDGET,
-               config_budget: int = DEFAULT_CONFIG_BUDGET,
-               method: str = "auto") -> DensityRecord:
+               config_budget: int = DEFAULT_CONFIG_BUDGET) -> DensityRecord:
     """Maximum density of a forbidden-configuration-free subset of the
     n-fold support, with an extremal witness.
 
-    method "materialize" enumerates all configurations into a hypergraph and
-    runs the exact solver; "incremental" branches over points directly,
-    querying find_forbidden on each partial set, and never holds the
-    configuration family in memory; "auto" materialises while the
-    configuration count stays within config_budget and falls back to the
-    incremental search beyond it.  Both paths return identical records.
+    All configurations are enumerated into a hypergraph on the q**n points,
+    and the exact solver returns the lexicographically first maximum free
+    set.  Raises BudgetExceededError when the points exceed point_budget or
+    the configurations exceed config_budget; such instances can still be
+    exported as WCNF for an external solver.
 
     The witness is re-verified by an independent find_forbidden call before
     the record is returned.
@@ -245,26 +235,15 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     if q == 1:
         # the single point is itself a forbidden configuration, so only the
         # empty set is free
-        return _eq_record(support, n, 0, [], "exact-bb")
-    if method not in ("auto", "materialize", "incremental"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "materialize"):
-        try:
-            hyper = forbidden_hypergraph(support, n, point_budget, config_budget)
-        except BudgetExceededError:
-            if method == "materialize":
-                raise
-            hyper = None
-        if hyper is not None:
-            size, chosen = max_free(hyper, budget=point_budget)
-            witness = [point_from_code(c, q, n) for c in chosen]
-            return _eq_record(support, n, size, witness, "exact-bb")
-    size, witness = _incremental_max_free(support, n)
-    return _eq_record(support, n, size, witness, "exact-bb")
+        return _eq_record(support, n, 0, [])
+    hyper = forbidden_hypergraph(support, n, point_budget, config_budget)
+    size, chosen = max_free(hyper, budget=point_budget)
+    points = ProductTuples(range(q), n)
+    return _eq_record(support, n, size, [points[c] for c in chosen])
 
 
 def _eq_record(support: Sequence[tuple], n: int, size: int,
-               witness: list, method: str) -> DensityRecord:
+               witness: list) -> DensityRecord:
     q = len(support)
     witness = sorted(tuple(w) for w in witness)
     if find_forbidden(support, n, witness) is not None:
@@ -276,36 +255,8 @@ def _eq_record(support: Sequence[tuple], n: int, size: int,
         witness_size=size,
         universe_size=q**n,
         witness=witness,
-        method=method,
+        method="exact-bb",
     )
-
-
-def _incremental_max_free(support: Sequence[tuple], n: int) -> tuple[int, list]:
-    """Include-first branch and bound over points in code order, feasibility
-    checked by find_forbidden on the partial set.  The first set of maximum
-    size found along the include-first walk is the lexicographically first
-    maximum witness, matching the materialised path."""
-    q = len(support)
-    pts = all_points(q, n)
-    best_size = 0
-    best: list = []
-
-    def bb(idx: int, chosen: list) -> None:
-        nonlocal best_size, best
-        if len(chosen) + (len(pts) - idx) <= best_size:
-            return
-        if idx == len(pts):
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = list(chosen)
-            return
-        trial = chosen + [pts[idx]]
-        if find_forbidden(support, n, trial) is None:
-            bb(idx + 1, trial)
-        bb(idx + 1, chosen)
-
-    bb(0, [])
-    return best_size, best
 
 
 # -- projected graphs ---------------------------------------------------------

@@ -412,10 +412,6 @@ def _from_jsonable(obj):
     return obj
 
 
-def _fraction_to_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -461,7 +457,7 @@ def game_to_json(game: Game) -> dict:
         "question_alphabets": [_to_jsonable(tuple(a)) for a in game.question_alphabets],
         "answer_alphabets": [_to_jsonable(tuple(a)) for a in game.answer_alphabets],
         "support": [
-            {"x": _to_jsonable(x), "weight": _fraction_to_str(w)}
+            {"x": _to_jsonable(x), "weight": str(w)}
             for x, w in zip(game.support, game.weights)
         ],
     }

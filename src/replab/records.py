@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 
 def fraction_str(f: Fraction) -> str:
     """Lowest-terms num/den rendering; integers keep an explicit /1."""
     return f"{f.numerator}/{f.denominator}"
-
-
-def now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass
@@ -37,7 +31,6 @@ class DensityRecord:
     universe_size: int
     witness: list | None
     method: str
-    timestamp: str = field(default_factory=now_iso)
 
     def to_json(self) -> dict:
         return {
@@ -48,7 +41,6 @@ class DensityRecord:
             "universe_size": self.universe_size,
             "witness": self.witness,
             "method": self.method,
-            "timestamp": self.timestamp,
         }
 
     @staticmethod
@@ -61,12 +53,11 @@ class DensityRecord:
             universe_size=int(doc["universe_size"]),
             witness=doc["witness"],
             method=doc["method"],
-            timestamp=doc.get("timestamp", ""),
         )
 
     def report_lines(self) -> list[str]:
-        """Human-readable summary, timestamp deliberately excluded so that
-        identical queries print identical reports."""
+        """Human-readable summary; identical records print identical
+        reports."""
         lines = [
             f"family:        {self.family}",
             f"params:        {_stable_params(self.params)}",
@@ -92,7 +83,6 @@ class ValueRecord:
     value: Fraction
     strategy: dict | None
     method: str
-    timestamp: str = field(default_factory=now_iso)
 
     def to_json(self) -> dict:
         return {
@@ -101,7 +91,6 @@ class ValueRecord:
             "value": fraction_str(self.value),
             "strategy": self.strategy,
             "method": self.method,
-            "timestamp": self.timestamp,
         }
 
     @staticmethod
@@ -112,7 +101,6 @@ class ValueRecord:
             value=Fraction(doc["value"]),
             strategy=doc.get("strategy"),
             method=doc["method"],
-            timestamp=doc.get("timestamp", ""),
         )
 
     def report_lines(self) -> list[str]:

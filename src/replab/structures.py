@@ -14,7 +14,8 @@ a configuration-free set:
 
 Vector universes index points little-endian: a k-tuple of vectors has index
 sum(code(v_j) * (order**n)**j) with player 0 least significant, and vector
-codes put coordinate 0 in the least significant digit.
+codes put coordinate 0 in the least significant digit; that is the order of
+ProductTuples(ProductTuples(range(order), n), k).
 
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
@@ -35,6 +36,7 @@ from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import unit_tuples
 from .records import DensityRecord
+from .repetition import ProductTuples, TupleCodec
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
                      verify_free)
 
@@ -82,21 +84,15 @@ class StructureFamily:
 _STAR = object()
 
 
-def _digit_tuples(q: int, n: int) -> list[tuple[int, ...]]:
-    return [tuple((c // q**m) % q for m in range(n)) for c in range(q**n)]
-
-
-def _digit_code(w: Sequence[int], q: int) -> int:
-    return sum(v * q**m for m, v in enumerate(w))
-
-
 def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
     """Combinatorial lines in range(q)**n."""
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
     if q**n > point_budget:
         raise BudgetExceededError(f"{q}**{n} points exceed the budget {point_budget}")
-    universe = tuple(_digit_tuples(q, n))
+    tuples = ProductTuples(range(q), n)
+    universe = tuple(tuples)
+    code = tuples.codec.encode
 
     def enumerate_lines() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
@@ -107,7 +103,7 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
             points = []
             for v in range(q):
                 points.append(tuple(v if sym is _STAR else sym for sym in template))
-            edge = tuple(sorted(_digit_code(p, q) for p in points))
+            edge = tuple(sorted(code(p) for p in points))
             if edge not in seen:
                 seen.add(edge)
                 yield edge
@@ -116,10 +112,9 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     if q >= 2:
         cycle = {v: (v + 1) % q for v in range(q)}
         generators.append(tuple(
-            _digit_code(tuple(cycle[v] for v in w), q) for w in universe))
+            code(tuple(cycle[v] for v in w)) for w in universe))
     if n >= 2:
-        generators.append(tuple(
-            _digit_code(w[1:] + w[:1], q) for w in universe))
+        generators.append(tuple(code(w[1:] + w[:1]) for w in universe))
     return StructureFamily(
         name="line",
         params={"q": q, "n": n},
@@ -136,15 +131,7 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
 def _vector_universe(order: int, k: int, n: int) -> tuple[tuple, ...]:
     """All k-tuples of length-n vectors over range(order), player 0 least
     significant in the point index."""
-    vectors = [tuple((c // order**m) % order for m in range(n)) for c in range(order**n)]
-    out = []
-    for code in range(order ** (k * n)):
-        point = []
-        for j in range(k):
-            vcode = (code // (order**n) ** j) % order**n
-            point.append(vectors[vcode])
-        out.append(tuple(point))
-    return tuple(out)
+    return tuple(ProductTuples(ProductTuples(range(order), n), k))
 
 
 def _xor_vec(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -177,15 +164,16 @@ def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
     universe = _vector_universe(2, 2, n)
     index = {p: i for i, p in enumerate(universe)}
-    vectors = [tuple((c // 2**m) % 2 for m in range(n)) for c in range(2**n)]
+    code = TupleCodec(range(2), n).encode
+    vectors = tuple(ProductTuples(range(2), n))
 
     def enumerate_squares() -> Iterator[tuple[int, ...]]:
         for d in vectors[1:]:
             for x in vectors:
-                if _digit_code(x, 2) > _digit_code(_xor_vec(x, d), 2):
+                if code(x) > code(_xor_vec(x, d)):
                     continue
                 for y in vectors:
-                    if _digit_code(y, 2) > _digit_code(_xor_vec(y, d), 2):
+                    if code(y) > code(_xor_vec(y, d)):
                         continue
                     xs = (x, _xor_vec(x, d))
                     ys = (y, _xor_vec(y, d))
@@ -209,7 +197,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
     universe = _vector_universe(2, 2, n)
     index = {p: i for i, p in enumerate(universe)}
-    vectors = [tuple((c // 2**m) % 2 for m in range(n)) for c in range(2**n)]
+    vectors = tuple(ProductTuples(range(2), n))
 
     def enumerate_corners() -> Iterator[tuple[int, ...]]:
         # (x, y, d) -> corner is injective: the apex (x, y) is the unique
@@ -250,9 +238,8 @@ def grids(field: FiniteField, k: int, n: int,
             f"{order}**{k * n} points exceed the budget {point_budget}")
     universe = _vector_universe(order, k, n)
     index = {p: i for i, p in enumerate(universe)}
-    vectors = field.vectors(n)
     monic = []
-    for d in vectors:
+    for d in ProductTuples(field.elements, n):
         lead = next((v for v in d if v != 0), None)
         if lead == 1:
             monic.append(d)
@@ -324,7 +311,7 @@ def r_line(q: int, n: int, method: str = "auto",
         if 2**n <= WITNESS_MATERIALISE_LIMIT:
             # the middle layer: no two points of equal weight are comparable,
             # so no line fits inside it
-            witness = [w for w in _digit_tuples(2, n) if sum(w) == n // 2]
+            witness = [w for w in ProductTuples(range(2), n) if sum(w) == n // 2]
             assert len(witness) == size
         return DensityRecord(
             family="line",
@@ -421,8 +408,9 @@ def _square_sides(points) -> tuple[tuple, tuple, tuple[int, ...]]:
     pts = [tuple(p) for p in points]
     if len(set(pts)) != 4:
         raise ValueError("a square has 4 distinct points")
-    xs = sorted({p[0] for p in pts}, key=lambda v: _digit_code(v, 2))
-    ys = sorted({p[1] for p in pts}, key=lambda v: _digit_code(v, 2))
+    code = TupleCodec(range(2), len(pts[0][0])).encode
+    xs = sorted({p[0] for p in pts}, key=code)
+    ys = sorted({p[1] for p in pts}, key=code)
     if len(xs) != 2 or len(ys) != 2:
         raise ValueError("a square projects onto two columns and two rows")
     dx = _xor_vec(xs[0], xs[1])
@@ -494,8 +482,8 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
     order = field.order
     if len(set(pts)) != order**k:
         raise ValueError(f"a grid over this field has {order**k} distinct points")
-    base = min(pts, key=lambda p: sum(
-        field.vector_code(p[j]) * (order**n) ** j for j in range(k)))
+    vectors = ProductTuples(field.elements, n)
+    base = min(pts, key=TupleCodec(vectors, k).encode)
     diffs = set()
     for p in pts:
         for j in range(k):
@@ -504,7 +492,7 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
                 diffs.add(delta)
     if not diffs:
         raise ValueError("grid points cannot all coincide")
-    some = next(iter(sorted(diffs, key=lambda v: field.vector_code(v))))
+    some = min(diffs, key=vectors.codec.encode)
     lead_pos = next(m for m in range(n) if some[m] != 0)
     d = field.vec_scale(field.inv(some[lead_pos]), some)
     lookup = {}

@@ -83,6 +83,37 @@ def test_value_recheck_catches_corrupted_record(tmp_path, capsys):
     assert err.startswith("error: cached record failed recheck")
 
 
+def test_legacy_timestamp_is_not_served(tmp_path, capsys):
+    # records written before timestamps were dropped still carry one
+    cache = tmp_path / "cache"
+    argv = ["value", "--preset", "anticorr", "--cache-dir", str(cache), "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    record_path, = (cache / "records").glob("*.json")
+    doc = json.loads(record_path.read_text())
+    assert "timestamp" not in doc
+    doc["timestamp"] = "2001-01-01T00:00:00+00:00"
+    record_path.write_text(json.dumps(doc))
+
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "timestamp" not in json.loads(out)
+    _, fresh, _ = run(capsys, ["value", "--preset", "anticorr", "--no-cache", "--json"])
+    assert out == fresh
+
+
+@pytest.mark.parametrize("corrupt", ["index.json", "records/*.json"])
+def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, corrupt):
+    cache = tmp_path / "cache"
+    argv = ["value", "--preset", "anticorr", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, = cache.glob(corrupt)
+    path.write_text("{bad")
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: corrupt cache file {path}")
+
+
 def test_value_from_game_file(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_json(preset_game("anticorr", q=3))))
@@ -237,6 +268,20 @@ def test_eqn_wcnf_matches_brute_force(tmp_path, capsys):
     assert oracles.wcnf_optimum(header, clauses) == 9 - 6
 
 
+def test_eqn_record_files_are_deterministic(tmp_path, capsys):
+    files = []
+    for name in ("a", "b"):
+        cache = tmp_path / name
+        assert main(["eqn", "--preset", "unitvec", "--q", "3", "--n", "2",
+                     "--cache-dir", str(cache)]) == 0
+        files.append({p.relative_to(cache): p.read_bytes()
+                      for p in cache.rglob("*") if p.is_file()})
+    capsys.readouterr()
+    assert len(files[0]) == 2
+    assert files[0] == files[1]
+    assert not any(b"timestamp" in data for data in files[0].values())
+
+
 def test_eqn_point_budget(capsys):
     code, _, err = run(capsys, ["eqn", "--preset", "unitvec", "--q", "3",
                                 "--n", "5", "--no-cache"])
@@ -367,12 +412,6 @@ def test_fuzz_refuses_perfect_base_game(capsys):
 
 
 # -- parser ---------------------------------------------------------------------
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, ["--threads", "4", "value", "--preset",
-                                "anticorr", "--no-cache"])
-    assert code == 0 and "value:         2/3" in out
 
 
 def test_missing_command_is_usage_error():

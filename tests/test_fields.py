@@ -102,17 +102,6 @@ def test_arithmetic_relations(pr, x, y):
         assert f.mul(f.mul(a, b), f.inv(b)) == a
 
 
-def test_vectors_are_little_endian():
-    f = FiniteField(3)
-    vecs = f.vectors(2)
-    assert len(vecs) == 9
-    assert vecs[0] == (0, 0)
-    assert vecs[1] == (1, 0)
-    assert vecs[5] == (2, 1)
-    for i, v in enumerate(vecs):
-        assert f.vector_code(v) == i
-
-
 def test_vector_arithmetic():
     f = FiniteField(2, 2)
     u, v = (1, 2), (3, 2)

@@ -9,36 +9,22 @@ import pytest
 
 import oracles
 from replab.errors import BudgetExceededError
-from replab.forbidden import (ForbiddenWitness, all_points, build_answer_game,
+from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               check_winning_set_free, compute_eq,
                               enumerate_forbidden, find_forbidden,
                               forbidden_hypergraph, is_connected,
-                              player_symbols, point_code, point_from_code,
-                              projected_graph, strategy_from_witness,
-                              winning_points, witness_is_valid)
+                              player_symbols, projected_graph,
+                              strategy_from_witness, winning_points,
+                              witness_is_valid)
 from replab.games import Strategy, evaluate, exact_value, unit_tuples
-from replab.repetition import ProductTuples, repeat
+from replab.repetition import ProductTuples, TupleCodec, repeat
 from replab.structures import ghz_support
 
 UNIT3 = list(unit_tuples(3))
 GHZ = list(ghz_support())
 
 
-# -- codecs and helpers -----------------------------------------------------------
-
-
-@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10**6))
-def test_point_code_round_trip(q, n, raw):
-    c = raw % q**n
-    assert point_code(point_from_code(c, q, n), q) == c
-
-
-def test_all_points_in_code_order():
-    pts = all_points(3, 2)
-    assert pts[0] == (0, 0)
-    assert pts[1] == (1, 0)
-    assert pts[5] == (2, 1)
-    assert len(pts) == 9
+# -- helpers ----------------------------------------------------------------------
 
 
 def test_player_symbols():
@@ -89,7 +75,7 @@ def test_witness_is_valid_rejects_defects():
 ])
 def test_enumerate_matches_naive_on_full_support(support, n):
     engine = {w.point_set() for w in enumerate_forbidden(support, n)}
-    naive = oracles.naive_forbidden(support, n, all_points(len(support), n))
+    naive = oracles.naive_forbidden(support, n, ProductTuples(range(len(support)), n))
     assert engine == naive
 
 
@@ -108,7 +94,7 @@ def support_and_points(draw):
     support = draw(st.lists(st.sampled_from(tuples), unique=True,
                             min_size=q, max_size=q))
     n = draw(st.integers(1, 2))
-    universe = all_points(q, n)
+    universe = list(ProductTuples(range(q), n))
     points = draw(st.lists(st.sampled_from(universe), unique=True,
                            min_size=0, max_size=len(universe)))
     return support, n, points
@@ -159,32 +145,29 @@ def test_compute_eq_single_point_support():
     assert rec.value == 0
     assert rec.witness == []
     # consistent with the naive oracle: the lone point forms a configuration
-    assert oracles.naive_forbidden([(0, 0, 0)], 2, all_points(1, 2))
+    assert oracles.naive_forbidden([(0, 0, 0)], 2, ProductTuples(range(1), 2))
 
 
-def test_compute_eq_methods_agree():
+def test_compute_eq_matches_naive_oracle():
+    # exhaustive subset search over the naive configuration sets: the same
+    # value and the same lexicographically first witness
     for support, n in ((UNIT3, 2), (GHZ, 2)):
-        a = compute_eq(support, n, method="materialize")
-        b = compute_eq(support, n, method="incremental")
-        c = compute_eq(support, n, method="auto")
-        assert a.value == b.value == c.value
-        assert a.witness == b.witness == c.witness
+        universe = list(ProductTuples(range(len(support)), n))
+        configs = oracles.naive_forbidden(support, n, universe)
+        density, chosen = oracles.naive_free_density(universe, configs)
+        rec = compute_eq(support, n)
+        assert rec.value == density
+        assert rec.witness == sorted(universe[i] for i in chosen)
 
 
-def test_compute_eq_auto_falls_back_when_config_budget_is_tiny():
-    full = compute_eq(UNIT3, 2)
-    squeezed = compute_eq(UNIT3, 2, config_budget=1, method="auto")
-    assert squeezed.value == full.value
-    assert squeezed.witness == full.witness
+def test_compute_eq_refuses_when_config_budget_is_tiny():
     with pytest.raises(BudgetExceededError):
-        compute_eq(UNIT3, 2, config_budget=1, method="materialize")
+        compute_eq(UNIT3, 2, config_budget=1)
 
 
 def test_compute_eq_validation():
     with pytest.raises(ValueError):
         compute_eq(UNIT3, 0)
-    with pytest.raises(ValueError):
-        compute_eq(UNIT3, 1, method="guess")
     with pytest.raises(BudgetExceededError):
         compute_eq(UNIT3, 2, point_budget=4)
 
@@ -193,7 +176,8 @@ def test_forbidden_hypergraph_edges():
     hyper = forbidden_hypergraph(UNIT3, 2)
     assert hyper.size == 9
     assert len(hyper.edges) == 7
-    codes = {tuple(sorted(point_code(e, 3) for e in w.edges))
+    code = TupleCodec(range(3), 2).encode
+    codes = {tuple(sorted(code(e) for e in w.edges))
              for w in enumerate_forbidden(UNIT3, 2)}
     assert set(hyper.edges) == codes
     with pytest.raises(BudgetExceededError):

@@ -24,7 +24,7 @@ def test_codec_is_little_endian():
     assert codec.size == 9
 
 
-@given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 10**6))
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
 def test_codec_round_trip(radix, n, raw):
     codec = TupleCodec(tuple(range(radix)), n)
     code = raw % codec.size
@@ -49,6 +49,11 @@ def test_product_tuples_order_and_lookup():
     assert ("a",) not in seq
     with pytest.raises(IndexError):
         seq[4]
+    # the order of repeated-support points and of field vectors
+    pts = ProductTuples(range(3), 2)
+    assert len(pts) == 9
+    assert (pts[0], pts[1], pts[5]) == ((0, 0), (1, 0), (2, 1))
+    assert [pts.codec.encode(v) for v in pts] == list(range(9))
 
 
 # -- repeated games ----------------------------------------------------------------
