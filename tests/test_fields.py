@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import pytest
 
 from replab.fields import AffineSubspace, FiniteField
+from replab.repetition import ProductTuples
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (13, 1), (2, 4)]
 
@@ -100,6 +101,17 @@ def test_arithmetic_relations(pr, x, y):
     assert f.mul(a, b) == f.mul(b, a)
     if b != 0:
         assert f.mul(f.mul(a, b), f.inv(b)) == a
+
+
+def test_vectors_are_little_endian():
+    f = FiniteField(3)
+    vecs = ProductTuples(f.elements, 2)
+    assert len(vecs) == 9
+    assert vecs[0] == (0, 0)
+    assert vecs[1] == (1, 0)
+    assert vecs[5] == (2, 1)
+    for i, v in enumerate(vecs):
+        assert vecs.codec.encode(v) == i
 
 
 def test_vector_arithmetic():

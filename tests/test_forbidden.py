@@ -24,7 +24,22 @@ UNIT3 = list(unit_tuples(3))
 GHZ = list(ghz_support())
 
 
-# -- helpers ----------------------------------------------------------------------
+# -- codecs and helpers -----------------------------------------------------------
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10**6))
+def test_point_code_round_trip(q, n, raw):
+    codec = TupleCodec(range(q), n)
+    c = raw % q**n
+    assert codec.encode(codec.decode(c)) == c
+
+
+def test_all_points_in_code_order():
+    pts = ProductTuples(range(3), 2)
+    assert pts[0] == (0, 0)
+    assert pts[1] == (1, 0)
+    assert pts[5] == (2, 1)
+    assert len(pts) == 9
 
 
 def test_player_symbols():

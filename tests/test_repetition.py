@@ -49,11 +49,6 @@ def test_product_tuples_order_and_lookup():
     assert ("a",) not in seq
     with pytest.raises(IndexError):
         seq[4]
-    # the order of repeated-support points and of field vectors
-    pts = ProductTuples(range(3), 2)
-    assert len(pts) == 9
-    assert (pts[0], pts[1], pts[5]) == ((0, 0), (1, 0), (2, 1))
-    assert [pts.codec.encode(v) for v in pts] == list(range(9))
 
 
 # -- repeated games ----------------------------------------------------------------
