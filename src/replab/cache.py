@@ -1,12 +1,15 @@
 """Append-only JSON results cache.
 
 Records live under a cache root (the REPLAB_CACHE environment variable, or
-.replab-cache in the working directory) as one JSON file per record plus an
-index.json mapping canonical keys to file names.  The cache is append-only:
-putting a record under an existing key returns the stored record unchanged,
-so earlier results are never silently overwritten; rechecking is the
-caller's job via verifiers.  A cache file that does not parse as JSON
-raises SchemaError naming the file.
+.replab-cache in the working directory), one file per key and no index:
+records/<sha256(key)[:20]>.json holds {"key": key, "record": record}.  Each
+write goes to a per-process temporary file renamed into place, so readers
+never see a partial file and concurrent writers each leave a complete one;
+records are deterministic functions of their key, so the last writer wins
+harmlessly.  Putting a record under an existing key returns the stored
+record unchanged; rechecking is the caller's job via verifiers.  A cache
+file that is not JSON, or not the record of the key looked up, raises
+SchemaError naming the file.
 """
 
 from __future__ import annotations
@@ -18,18 +21,30 @@ from pathlib import Path
 
 from .errors import SchemaError
 
+# Part of every key: bumping it retires all records written before.
+SCHEMA_VERSION = 1
+
 
 def canonical_key(kind: str, params: dict) -> str:
-    """Stable string key for a query: kind plus sorted parameters."""
-    return json.dumps([kind, params], sort_keys=True, separators=(",", ":"))
+    """Stable string key for a query: schema version, kind and sorted
+    parameters."""
+    return json.dumps([SCHEMA_VERSION, kind, params], sort_keys=True,
+                      separators=(",", ":"))
 
 
-def _read_json(path: Path):
+def _read_record(path: Path, key: str) -> dict | None:
+    """The record stored in path under key, or None if there is no file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+    except FileNotFoundError:
+        return None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"corrupt cache file {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and doc.get("key") == key
+            and isinstance(doc.get("record"), dict)):
+        raise SchemaError(f"corrupt cache file {path}: not a record of {key}")
+    return doc["record"]
 
 
 class ResultsCache:
@@ -37,27 +52,14 @@ class ResultsCache:
         if root is None:
             root = os.environ.get("REPLAB_CACHE") or ".replab-cache"
         self.root = Path(root)
-        self.index_path = self.root / "index.json"
         self.records_dir = self.root / "records"
 
-    def _load_index(self) -> dict:
-        if not self.index_path.exists():
-            return {}
-        return _read_json(self.index_path)
-
-    def _store_index(self, index: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(index, fh, sort_keys=True, indent=1)
-        tmp.replace(self.index_path)
+    def _path(self, key: str) -> Path:
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:20]
+        return self.records_dir / f"{digest}.json"
 
     def get(self, key: str) -> dict | None:
-        index = self._load_index()
-        name = index.get(key)
-        if name is None:
-            return None
-        return _read_json(self.records_dir / name)
+        return _read_record(self._path(key), key)
 
     def put(self, key: str, record: dict) -> tuple[dict, bool]:
         """Store a record unless the key already exists.
@@ -65,18 +67,14 @@ class ResultsCache:
         Returns (stored record, True) on a fresh write and (existing record,
         False) when the key was already present; the new record is discarded
         in that case."""
-        index = self._load_index()
-        if key in index:
-            existing = self.get(key)
-            assert existing is not None
+        path = self._path(key)
+        existing = _read_record(path, key)
+        if existing is not None:
             return existing, False
-        name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:20] + ".json"
         self.records_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.records_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True, indent=1)
-        index[key] = name
-        self._store_index(index)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"key": key, "record": record}, fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
         return record, True
 
-    def keys(self) -> list[str]:
-        return sorted(self._load_index())

@@ -18,12 +18,15 @@ Every command is deterministic given its arguments and seed: reports never
 include timestamps, rationals print as num/den in lowest terms, and all
 randomness flows from an explicit --seed through a splitmix64 stream.
 
-Results are cached append-only under $REPLAB_CACHE (or .replab-cache);
---recheck re-verifies a cached record against a fresh recomputation of its
-cheap certificate instead of trusting the file.
+value, density and eqn cache their records append-only under
+$REPLAB_CACHE (or .replab-cache, or --cache-dir), one file per query;
+--no-cache bypasses the cache and --recheck re-verifies a cached record
+against a fresh recomputation of its cheap certificate instead of trusting
+the file.  The other commands never cache and take none of these flags.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input (a corrupt
-cache file included), 3 budget exceeded, 4 fuzz precondition not met.
+Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
+parameters, or a cache file that is not JSON or not a record), 3 budget
+exceeded, 4 fuzz precondition not met.
 """
 
 from __future__ import annotations
@@ -62,8 +65,12 @@ class PreconditionFailure(ReplabError):
 # -- shared helpers ----------------------------------------------------------
 
 
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+def _add_json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print the record as JSON")
+
+
+def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+    _add_json_flag(p)
     p.add_argument("--cache-dir", default=None,
                    help="cache root (default: $REPLAB_CACHE or .replab-cache)")
     p.add_argument("--no-cache", action="store_true", help="skip the results cache")
@@ -98,49 +105,32 @@ def _load_game(args) -> tuple[Game, str, dict]:
         return game, "file", {"sha": digest}
     if not args.preset:
         raise SchemaError("a game is required: --game FILE or --preset NAME")
-    if args.preset in ("anticorr", "unitvec"):
-        return preset_game(args.preset, q=args.q), args.preset, {"q": args.q}
-    if args.preset == "ghz":
-        return preset_game("ghz"), "ghz", {}
-    return (preset_game("grid", p=args.p, r=args.r, k=args.k), "grid",
-            {"p": args.p, "r": args.r, "k": args.k})
+    return _preset_game(args)
 
 
-def _preset_support(args) -> tuple[tuple, tuple, str, dict]:
-    """Question support and alphabets of a preset, for eqn and verify."""
-    name = args.preset
-    if name in ("anticorr", "unitvec"):
-        q = args.q
-        return unit_tuples(q), ((0, 1),) * q, name, {"q": q}
-    if name == "ghz":
-        return ghz_support(), ((0, 1),) * 3, "ghz", {}
-    if name == "grid":
-        field = FiniteField(args.p, args.r)
-        support = grid_question_set(field, args.k)
-        alphabets = (tuple(field.elements),) * (args.k + args.r)
-        return support, alphabets, "grid", {"p": args.p, "r": args.r, "k": args.k}
-    raise SchemaError(f"unknown preset {name!r}")
+def _preset_game(args) -> tuple[Game, str, dict]:
+    """The --preset game built from the parameters it takes."""
+    params = {"anticorr": {"q": args.q}, "unitvec": {"q": args.q}, "ghz": {},
+              "grid": {"p": args.p, "r": args.r, "k": args.k}}[args.preset]
+    return preset_game(args.preset, **params), args.preset, params
 
 
-def _cache(args) -> ResultsCache | None:
-    if args.no_cache:
-        return None
-    return ResultsCache(args.cache_dir)
-
-
-def _with_cache(args, kind: str, params: dict, compute, verify) -> tuple[dict, str]:
-    """Fetch or compute a record.  verify(record) guards --recheck hits."""
-    cache = _cache(args)
+def _with_cache(args, kind: str, params: dict, record_type, compute, verify):
+    """Fetch or compute a record_type record plus its status.  verify(record)
+    guards --recheck hits."""
+    cache = None if args.no_cache else ResultsCache(args.cache_dir)
     key = canonical_key(kind, params)
     if cache is not None:
         existing = cache.get(key)
         if existing is not None:
-            if args.recheck and not verify(existing):
+            record = record_type.from_json(existing)
+            if args.recheck and not verify(record):
                 raise VerifyFailure(f"cached record failed recheck: {key}")
-            return existing, "cached"
+            return record, "cached"
     record = compute()
     if cache is not None:
-        record, _ = cache.put(key, record)
+        doc, _ = cache.put(key, record.to_json())
+        record = record_type.from_json(doc)
     return record, "computed"
 
 
@@ -171,7 +161,7 @@ def cmd_value(args) -> int:
         game = repeat(base, args.repeat)
     params = dict(params, repeat=args.repeat)
 
-    def compute() -> dict:
+    def compute() -> ValueRecord:
         result = exact_value(game, budget=args.budget)
         return ValueRecord(
             game=label,
@@ -179,14 +169,13 @@ def cmd_value(args) -> int:
             value=result.value,
             strategy=strategy_to_json(game, result.strategy),
             method="exact-bb",
-        ).to_json()
+        )
 
-    def verify(doc: dict) -> bool:
-        strategy = strategy_from_json(doc["strategy"])
-        return evaluate(game, strategy) == Fraction(doc["value"])
+    def verify(record: ValueRecord) -> bool:
+        return evaluate(game, strategy_from_json(record.strategy)) == record.value
 
-    doc, status = _with_cache(args, "value", dict(params, game=label), compute, verify)
-    record = ValueRecord.from_json(doc)
+    record, status = _with_cache(args, "value", dict(params, game=label),
+                                 ValueRecord, compute, verify)
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
@@ -222,8 +211,7 @@ def _density_compute(args) -> DensityRecord:
     return structures.r_grid(FiniteField(args.p, args.r), args.k, args.n)
 
 
-def _density_verify(args, doc: dict) -> bool:
-    record = DensityRecord.from_json(doc)
+def _density_verify(args, record: DensityRecord) -> bool:
     if record.witness is None:
         fresh = _density_compute(args)
         return record.value == fresh.value
@@ -249,14 +237,10 @@ def cmd_density(args) -> int:
         print(f"wrote WCNF: {len(family.universe)} points, "
               f"{len(hyper.edges)} hard clauses -> {args.wcnf}")
         return 0
-    params = _density_params(args)
-
-    def compute() -> dict:
-        return _density_compute(args).to_json()
-
-    doc, status = _with_cache(args, "density", dict(params, family=args.family),
-                              compute, lambda d: _density_verify(args, d))
-    record = DensityRecord.from_json(doc)
+    params = dict(_density_params(args), family=args.family)
+    record, status = _with_cache(args, "density", params, DensityRecord,
+                                 lambda: _density_compute(args),
+                                 lambda r: _density_verify(args, r))
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
@@ -264,8 +248,7 @@ def cmd_density(args) -> int:
 # -- eqn -----------------------------------------------------------------------
 
 
-def _eqn_verify(support, n, doc: dict) -> bool:
-    record = DensityRecord.from_json(doc)
+def _eqn_verify(support, n, record: DensityRecord) -> bool:
     witness = [_from_jsonable(w) for w in (record.witness or [])]
     if len(witness) != record.witness_size:
         return False
@@ -275,7 +258,8 @@ def _eqn_verify(support, n, doc: dict) -> bool:
 
 
 def cmd_eqn(args) -> int:
-    support, _, label, params = _preset_support(args)
+    game, label, params = _preset_game(args)
+    support = game.support
     n = args.n
     if args.wcnf:
         hyper = forbidden.forbidden_hypergraph(list(support), n,
@@ -288,14 +272,11 @@ def cmd_eqn(args) -> int:
         return 0
     params = dict(params, preset=label, n=n)
 
-    def compute() -> dict:
-        record = forbidden.compute_eq(list(support), n,
-                                      point_budget=args.point_budget)
-        return record.to_json()
+    def compute() -> DensityRecord:
+        return forbidden.compute_eq(list(support), n, point_budget=args.point_budget)
 
-    doc, status = _with_cache(args, "eqn", params, compute,
-                              lambda d: _eqn_verify(support, n, d))
-    record = DensityRecord.from_json(doc)
+    record, status = _with_cache(args, "eqn", params, DensityRecord, compute,
+                                 lambda r: _eqn_verify(support, n, r))
     if args.emit_witness:
         payload = {
             "support": [list(x) for x in support],
@@ -401,7 +382,8 @@ def cmd_verify(args) -> int:
                 ok))
         return _verify_report(args, "val-bound", rows)
     if args.check == "thm-answer-game":
-        support, alphabets, label, _ = _preset_support(args)
+        game, label, _ = _load_game(args)
+        support, alphabets = game.support, game.question_alphabets
         span = _parse_range(args.n)
         if len(span) != 1:
             raise SchemaError("thm-answer-game verifies one round count at a time")
@@ -545,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--solve", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    _add_cache_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_repeat)
 
     p = sub.add_parser("verify", help="re-derive density/value equivalences")
@@ -554,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_source(p)
     p.add_argument("--n", default="1", help="round count or range like 1..2")
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    _add_cache_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz-prop34",
@@ -565,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    _add_cache_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_fuzz)
 
     return parser
@@ -576,7 +558,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

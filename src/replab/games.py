@@ -316,6 +316,10 @@ def unit_tuples(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if j == s else 0 for j in range(q)) for s in range(q))
 
 
+# The even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0).
+GHZ_SUPPORT = tuple((x, y, x ^ y) for x in (0, 1) for y in (0, 1))
+
+
 def preset_game(name: str, **params) -> Game:
     """Built-in game families.
 
@@ -360,11 +364,10 @@ def preset_game(name: str, **params) -> Game:
         )
     if name == "ghz":
         _reject_unknown(params)
-        support = tuple((x, y, x ^ y) for x in (0, 1) for y in (0, 1))
         return Game(
             question_alphabets=((0, 1),) * 3,
             answer_alphabets=((0,),) * 3,
-            support=support,
+            support=GHZ_SUPPORT,
             weights=(Fraction(1, 4),) * 4,
             predicate=_always_reject,
             predicate_spec={"type": "preset", "name": "allreject"},

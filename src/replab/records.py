@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import SchemaError
 
 
 def fraction_str(f: Fraction) -> str:
     """Lowest-terms num/den rendering; integers keep an explicit /1."""
     return f"{f.numerator}/{f.denominator}"
+
+
+@contextmanager
+def _parsing(kind: str):
+    """Report a stored record's missing field or unparsable value as
+    SchemaError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{kind} record lacks field {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{kind} record has an unparsable field: {exc}") from exc
 
 
 @dataclass
@@ -45,15 +60,16 @@ class DensityRecord:
 
     @staticmethod
     def from_json(doc: dict) -> "DensityRecord":
-        return DensityRecord(
-            family=doc["family"],
-            params=doc["params"],
-            value=Fraction(doc["value"]),
-            witness_size=int(doc["witness_size"]),
-            universe_size=int(doc["universe_size"]),
-            witness=doc["witness"],
-            method=doc["method"],
-        )
+        with _parsing("density"):
+            return DensityRecord(
+                family=doc["family"],
+                params=doc["params"],
+                value=Fraction(doc["value"]),
+                witness_size=int(doc["witness_size"]),
+                universe_size=int(doc["universe_size"]),
+                witness=doc["witness"],
+                method=doc["method"],
+            )
 
     def report_lines(self) -> list[str]:
         """Human-readable summary; identical records print identical
@@ -95,13 +111,14 @@ class ValueRecord:
 
     @staticmethod
     def from_json(doc: dict) -> "ValueRecord":
-        return ValueRecord(
-            game=doc["game"],
-            params=doc["params"],
-            value=Fraction(doc["value"]),
-            strategy=doc.get("strategy"),
-            method=doc["method"],
-        )
+        with _parsing("value"):
+            return ValueRecord(
+                game=doc["game"],
+                params=doc["params"],
+                value=Fraction(doc["value"]),
+                strategy=doc.get("strategy"),
+                method=doc["method"],
+            )
 
     def report_lines(self) -> list[str]:
         return [

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import BudgetExceededError
 from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
-from .games import unit_tuples
+from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
 from .repetition import ProductTuples, TupleCodec
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
@@ -396,12 +396,9 @@ def witness_to_line(q: int, n: int, witness: ForbiddenWitness) -> tuple[tuple[in
     return tuple(order)
 
 
-_GHZ_SUPPORT = tuple((x, y, x ^ y) for x in (0, 1) for y in (0, 1))
-
-
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
     """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0)."""
-    return _GHZ_SUPPORT
+    return GHZ_SUPPORT
 
 
 def _square_sides(points) -> tuple[tuple, tuple, tuple[int, ...]]:
@@ -427,26 +424,26 @@ def square_to_witness(n: int, points) -> ForbiddenWitness:
     even-parity support: the point (x, y) becomes the index vector whose
     round-m entry names the support element (x_m, y_m, x_m + y_m)."""
     xs, ys, d = _square_sides(points)
-    support_pos = {t: s for s, t in enumerate(_GHZ_SUPPORT)}
+    support_pos = {t: s for s, t in enumerate(GHZ_SUPPORT)}
     i = next(m for m in range(len(d)) if d[m] != 0)
     edges = []
     for x, y in itertools.product(xs, ys):
         edges.append(tuple(support_pos[(x[m], y[m], x[m] ^ y[m])] for m in range(n)))
     edges.sort(key=lambda e: e[i])
     witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-    if not witness_is_valid(_GHZ_SUPPORT, n, witness):
+    if not witness_is_valid(GHZ_SUPPORT, n, witness):
         raise AssertionError("square did not map to a valid forbidden configuration")
     return witness
 
 
 def witness_to_square(n: int, witness: ForbiddenWitness):
     """Inverse of square_to_witness."""
-    if not witness_is_valid(_GHZ_SUPPORT, n, witness):
+    if not witness_is_valid(GHZ_SUPPORT, n, witness):
         raise ValueError("not a forbidden configuration of the even-parity support")
     points = []
     for e in witness.edges:
-        x = tuple(_GHZ_SUPPORT[v][0] for v in e)
-        y = tuple(_GHZ_SUPPORT[v][1] for v in e)
+        x = tuple(GHZ_SUPPORT[v][0] for v in e)
+        y = tuple(GHZ_SUPPORT[v][1] for v in e)
         points.append((x, y))
     _square_sides(points)
     return tuple(points)

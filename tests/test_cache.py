@@ -1,6 +1,8 @@
 """Append-only results cache behaviour."""
 
+import hashlib
 import json
+import multiprocessing
 
 from replab.cache import ResultsCache, canonical_key
 
@@ -18,7 +20,6 @@ def test_put_get_round_trip(tmp_path):
     stored, fresh = cache.put(key, {"value": "2/3"})
     assert fresh and stored == {"value": "2/3"}
     assert cache.get(key) == {"value": "2/3"}
-    assert cache.keys() == [key]
 
 
 def test_put_is_append_only(tmp_path):
@@ -36,11 +37,10 @@ def test_layout_on_disk(tmp_path):
     cache = ResultsCache(root)
     key = canonical_key("density", {"n": 1})
     cache.put(key, {"value": "3/4"})
-    index = json.loads((root / "index.json").read_text())
-    assert list(index) == [key]
-    name = index[key]
-    assert name.endswith(".json") and len(name) == 25
-    assert json.loads((root / "records" / name).read_text()) == {"value": "3/4"}
+    path, = (p for p in root.rglob("*") if p.is_file())
+    assert path.parent == root / "records"
+    assert path.name == hashlib.sha256(key.encode()).hexdigest()[:20] + ".json"
+    assert json.loads(path.read_text()) == {"key": key, "record": {"value": "3/4"}}
 
 
 def test_root_from_environment(tmp_path, monkeypatch):
@@ -49,3 +49,37 @@ def test_root_from_environment(tmp_path, monkeypatch):
     assert cache.root == tmp_path / "envcache"
     monkeypatch.delenv("REPLAB_CACHE")
     assert str(ResultsCache().root) == ".replab-cache"
+
+
+def _put_keys(root, keys):
+    cache = ResultsCache(root)
+    for key in keys:
+        cache.put(key, {"key": key})
+
+
+def _run_workers(root, key_lists):
+    ctx = multiprocessing.get_context("spawn")
+    workers = [ctx.Process(target=_put_keys, args=(root, keys), daemon=True)
+               for keys in key_lists]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    return [w.exitcode for w in workers]
+
+
+def test_concurrent_writers_keep_every_key(tmp_path):
+    keys = [[canonical_key("value", {"worker": w, "i": i}) for i in range(40)]
+            for w in range(4)]
+    assert _run_workers(tmp_path / "cache", keys) == [0] * 4
+    cache = ResultsCache(tmp_path / "cache")
+    assert all(cache.get(k) == {"key": k} for ks in keys for k in ks)
+
+
+def test_concurrent_writers_of_one_key(tmp_path):
+    key = canonical_key("value", {"q": 3})
+    assert _run_workers(tmp_path / "cache", [[key]] * 4) == [0] * 4
+    cache = ResultsCache(tmp_path / "cache")
+    assert cache.get(key) == {"key": key}
+    assert [p.name for p in (tmp_path / "cache").rglob("*") if p.is_file()] == \
+        [hashlib.sha256(key.encode()).hexdigest()[:20] + ".json"]

@@ -71,7 +71,7 @@ def test_value_recheck_catches_corrupted_record(tmp_path, capsys):
     capsys.readouterr()
     record_path, = (cache / "records").glob("*.json")
     doc = json.loads(record_path.read_text())
-    doc["value"] = "1/3"
+    doc["record"]["value"] = "1/3"
     record_path.write_text(json.dumps(doc))
 
     # without --recheck the cached record is trusted as-is
@@ -91,8 +91,8 @@ def test_legacy_timestamp_is_not_served(tmp_path, capsys):
     capsys.readouterr()
     record_path, = (cache / "records").glob("*.json")
     doc = json.loads(record_path.read_text())
-    assert "timestamp" not in doc
-    doc["timestamp"] = "2001-01-01T00:00:00+00:00"
+    assert "timestamp" not in doc["record"]
+    doc["record"]["timestamp"] = "2001-01-01T00:00:00+00:00"
     record_path.write_text(json.dumps(doc))
 
     code, out, _ = run(capsys, argv)
@@ -101,17 +101,27 @@ def test_legacy_timestamp_is_not_served(tmp_path, capsys):
     assert out == fresh
 
 
-@pytest.mark.parametrize("corrupt", ["index.json", "records/*.json"])
-def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("rewrite, recheck, message", [
+    pytest.param(lambda doc: "{bad", False, "corrupt cache file {path}",
+                 id="records/*.json"),
+    pytest.param(lambda doc: json.dumps(dict(doc, record={})), False,
+                 "value record lacks field", id="wrong-shape"),
+    pytest.param(lambda doc: json.dumps(dict(doc, record={})), True,
+                 "value record lacks field", id="wrong-shape-recheck"),
+    pytest.param(lambda doc: json.dumps(dict(doc, key="other")), False,
+                 "corrupt cache file {path}: not a record of", id="other-key"),
+])
+def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, rewrite, recheck,
+                                             message):
     cache = tmp_path / "cache"
     argv = ["value", "--preset", "anticorr", "--cache-dir", str(cache)]
     assert main(argv) == 0
     capsys.readouterr()
-    path, = cache.glob(corrupt)
-    path.write_text("{bad")
-    code, out, err = run(capsys, argv)
+    path, = cache.glob("records/*.json")
+    path.write_text(rewrite(json.loads(path.read_text())))
+    code, out, err = run(capsys, argv + ["--recheck"] * recheck)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: corrupt cache file {path}")
+    assert err.startswith("error: " + message.format(path=path))
 
 
 def test_value_from_game_file(tmp_path, capsys):
@@ -277,7 +287,7 @@ def test_eqn_record_files_are_deterministic(tmp_path, capsys):
         files.append({p.relative_to(cache): p.read_bytes()
                       for p in cache.rglob("*") if p.is_file()})
     capsys.readouterr()
-    assert len(files[0]) == 2
+    assert len(files[0]) == 1
     assert files[0] == files[1]
     assert not any(b"timestamp" in data for data in files[0].values())
 
@@ -293,7 +303,7 @@ def test_eqn_point_budget(capsys):
 
 def test_repeat_summary(capsys):
     code, out, _ = run(capsys, ["repeat", "--preset", "anticorr", "--q", "3",
-                                "--n", "2", "--no-cache"])
+                                "--n", "2"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "game:              anticorr {'q': 3}"
@@ -306,14 +316,14 @@ def test_repeat_summary(capsys):
 
 def test_repeat_solve(capsys):
     code, out, _ = run(capsys, ["repeat", "--preset", "unitvec", "--q", "3",
-                                "--n", "2", "--solve", "--no-cache"])
+                                "--n", "2", "--solve"])
     assert code == 0
     assert "value:             0/1" in out
 
 
 def test_repeat_json(capsys):
     code, out, _ = run(capsys, ["repeat", "--preset", "anticorr", "--q", "3",
-                                "--n", "2", "--no-cache", "--json"])
+                                "--n", "2", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["support"] == 9
@@ -325,8 +335,7 @@ def test_repeat_json(capsys):
 
 
 def test_verify_dhj_range(capsys):
-    code, out, _ = run(capsys, ["verify", "dhj", "--q", "3", "--n", "1..2",
-                                "--no-cache"])
+    code, out, _ = run(capsys, ["verify", "dhj", "--q", "3", "--n", "1..2"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 2
@@ -334,21 +343,21 @@ def test_verify_dhj_range(capsys):
 
 
 def test_verify_square_range(capsys):
-    code, out, _ = run(capsys, ["verify", "square", "--n", "1..2", "--no-cache"])
+    code, out, _ = run(capsys, ["verify", "square", "--n", "1..2"])
     assert code == 0
     assert all(line.startswith("PASS square") for line in out.splitlines())
 
 
 def test_verify_grid(capsys):
     code, out, _ = run(capsys, ["verify", "grid", "--p", "3", "--k", "2",
-                                "--n", "1", "--no-cache"])
+                                "--n", "1"])
     assert code == 0
     assert "8/9" in out and out.startswith("PASS grid")
 
 
 def test_verify_val_bound(capsys):
     code, out, _ = run(capsys, ["verify", "val-bound", "--preset", "anticorr",
-                                "--q", "3", "--n", "1", "--no-cache"])
+                                "--q", "3", "--n", "1"])
     assert code == 0
     assert out.startswith("PASS val-bound anticorr n=1")
 
@@ -364,13 +373,13 @@ def test_verify_val_bound_rejects_nonuniform_weights(tmp_path, capsys):
     path = tmp_path / "lopsided.json"
     path.write_text(json.dumps(game_to_json(game)))
     code, _, err = run(capsys, ["verify", "val-bound", "--game", str(path),
-                                "--n", "1", "--no-cache"])
+                                "--n", "1"])
     assert code == 2 and "uniformly weighted" in err
 
 
 def test_verify_thm_answer_game_full_search(capsys):
     code, out, _ = run(capsys, ["verify", "thm-answer-game", "--preset",
-                                "unitvec", "--q", "3", "--n", "1", "--no-cache"])
+                                "unitvec", "--q", "3", "--n", "1"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 4
@@ -380,7 +389,7 @@ def test_verify_thm_answer_game_full_search(capsys):
 
 def test_verify_thm_answer_game_budget_skip(capsys):
     code, out, _ = run(capsys, ["verify", "thm-answer-game", "--preset", "ghz",
-                                "--n", "2", "--no-cache"])
+                                "--n", "2"])
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
     assert "full search skipped (budget)" in out
@@ -388,7 +397,7 @@ def test_verify_thm_answer_game_budget_skip(capsys):
 
 def test_verify_thm_answer_game_single_round_only(capsys):
     code, _, err = run(capsys, ["verify", "thm-answer-game", "--preset",
-                                "unitvec", "--n", "1..2", "--no-cache"])
+                                "unitvec", "--n", "1..2"])
     assert code == 2 and "one round count" in err
 
 
@@ -398,7 +407,7 @@ def test_verify_thm_answer_game_single_round_only(capsys):
 def test_fuzz_reports_zero_violations(capsys):
     code, out, _ = run(capsys, ["fuzz-prop34", "--preset", "anticorr",
                                 "--q", "3", "--n", "2", "--trials", "50",
-                                "--seed", "7", "--no-cache"])
+                                "--seed", "7"])
     assert code == 0
     assert "violations:  0" in out
     assert "trials:      50" in out
@@ -406,12 +415,37 @@ def test_fuzz_reports_zero_violations(capsys):
 
 def test_fuzz_refuses_perfect_base_game(capsys):
     code, _, err = run(capsys, ["fuzz-prop34", "--preset", "anticorr",
-                                "--q", "2", "--no-cache"])
+                                "--q", "2"])
     assert code == 4
     assert "below 1" in err
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["repeat", "verify", "fuzz-prop34"])
+def test_uncached_commands_take_no_cache_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--json" in out
+    assert not any(flag in out for flag in ("--cache-dir", "--no-cache", "--recheck"))
+
+
+@pytest.mark.parametrize("argv", [
+    "verify grid --p 4 --n 1",
+    "eqn --preset grid --p 4 --n 1 --no-cache",
+    "value --preset anticorr --q 1 --no-cache",
+    "eqn --preset anticorr --q 1 --n 1 --no-cache",
+    "eqn --preset unitvec --q 3 --n 0 --no-cache",
+    "eqn --preset unitvec --q 0 --n 1 --no-cache",
+    "density line --q 3 --n 0 --no-cache",
+    "repeat --preset anticorr --n 0",
+])
+def test_invalid_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_missing_command_is_usage_error():
