@@ -50,14 +50,20 @@ def answer_game_pipeline(budget: int) -> None:
             eq = forbidden.compute_eq(support, n)
             game = forbidden.build_answer_game(
                 ((0, 1),) * 3, support, n, [tuple(w) for w in eq.witness])
-            single = exact_value(game, budget=budget)
+            try:
+                single = exact_value(game, budget=budget).value
+            except BudgetExceededError:
+                single_text = "skipped (budget)"
+            else:
+                assert single < 1
+                single_text = fraction_str(single)
             rep = repeat(game, n)
             strat = forbidden.strategy_from_witness(support, n)
             lower = evaluate(rep, strat)
-            assert lower == eq.value and single.value < 1
+            assert lower == eq.value
             assert forbidden.check_winning_set_free(rep, strat)
             print(f"  {label:11s} n={n}  density {fraction_str(eq.value):5s}"
-                  f"  single-shot {fraction_str(single.value):5s}"
+                  f"  single-shot {single_text:5s}"
                   f"  witness strategy {fraction_str(lower)}")
 
 

@@ -32,8 +32,7 @@ from .search import (ForbiddenHypergraph, export_wcnf, max_free,
                      symmetry_orbit_prune, verify_free)
 from .structures import (affine_embed, corners, ghz_support, grid_question_set,
                          grid_to_witness, grids, line_to_witness, lines,
-                         r_corner, r_grid, r_line, r_square, square_to_witness,
-                         squares, witness_to_grid, witness_to_line,
-                         witness_to_square)
+                         r_corner, r_grid, r_line, r_square, squares,
+                         witness_to_grid, witness_to_line)
 
 __version__ = "0.1.0"

@@ -218,7 +218,7 @@ def _density_verify(args, record: DensityRecord) -> bool:
     family = _density_family(args)
     try:
         indices = [family.index(_from_jsonable(p)) for p in record.witness]
-    except KeyError:
+    except (KeyError, TypeError):
         return False
     from .search import verify_free
 
@@ -230,7 +230,7 @@ def _density_verify(args, record: DensityRecord) -> bool:
 def cmd_density(args) -> int:
     if args.wcnf:
         family = _density_family(args)
-        hyper = family.to_hypergraph(with_generators=False)
+        hyper = family.to_hypergraph()
         text = export_wcnf(hyper)
         with open(args.wcnf, "w", encoding="utf-8") as fh:
             fh.write(text)

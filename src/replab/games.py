@@ -26,6 +26,9 @@ from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 
 DEFAULT_STRATEGY_BUDGET = 10**8
 _ACCEPT_TABLE_LIMIT = 1 << 16
+# the search recurses one frame per cell, so the cell count must stay below
+# Python's default recursion limit of 1000
+MAX_SEARCH_CELLS = 800
 
 
 @dataclass(frozen=True, eq=True)
@@ -37,7 +40,7 @@ class Strategy:
     def answer(self, player: int, question):
         try:
             return self.tables[player][question]
-        except KeyError:
+        except (KeyError, IndexError):
             raise IncompleteStrategyError(
                 f"player {player} has no answer for question {question!r}") from None
 
@@ -163,6 +166,10 @@ class _StrategySearch:
         self.weights = list(game.weights)
         self.total_weight = sum(self.weights, Fraction(0))
         self.domains = [game.question_domain(j) for j in range(self.k)]
+        cells = sum(len(d) for d in self.domains)
+        if cells > MAX_SEARCH_CELLS:
+            raise BudgetExceededError(
+                f"{cells} strategy cells exceed the search limit {MAX_SEARCH_CELLS}")
         self.answers = [list(a) for a in game.answer_alphabets]
         self.sizes = [len(a) for a in self.answers]
         space = 1
@@ -573,9 +580,12 @@ def strategy_from_json(doc: dict) -> Strategy:
     if not isinstance(doc, dict) or "players" not in doc:
         raise SchemaError("strategy document must contain 'players'")
     tables = []
-    for entries in doc["players"]:
-        table = {}
-        for item in entries:
-            table[_from_jsonable(item["question"])] = _from_jsonable(item["answer"])
-        tables.append(table)
+    try:
+        for entries in doc["players"]:
+            table = {}
+            for item in entries:
+                table[_from_jsonable(item["question"])] = _from_jsonable(item["answer"])
+            tables.append(table)
+    except (TypeError, KeyError) as exc:
+        raise SchemaError(f"malformed strategy 'players' entry: {exc!r}") from exc
     return Strategy.from_tables(tables)

@@ -35,8 +35,7 @@ class DensityRecord:
     family's native point representation, or None when it was deliberately
     not materialised (closed-form evaluations at large n).  method records
     how the value was obtained: "exact-bb" for the internal branch and
-    bound, "closed-form" for formula evaluations, "wcnf-external" for
-    optima imported from an external MaxSAT solver.
+    bound, "closed-form" for formula evaluations.
     """
 
     family: str
@@ -61,13 +60,19 @@ class DensityRecord:
     @staticmethod
     def from_json(doc: dict) -> "DensityRecord":
         with _parsing("density"):
+            witness = doc["witness"]
+            if witness is not None and not (
+                    isinstance(witness, list)
+                    and all(isinstance(p, (list, tuple)) for p in witness)):
+                raise SchemaError(
+                    f"density record witness is neither null nor a list of lists: {witness!r}")
             return DensityRecord(
                 family=doc["family"],
-                params=doc["params"],
+                params=dict(doc["params"]),
                 value=Fraction(doc["value"]),
                 witness_size=int(doc["witness_size"]),
                 universe_size=int(doc["universe_size"]),
-                witness=doc["witness"],
+                witness=witness,
                 method=doc["method"],
             )
 
@@ -114,7 +119,7 @@ class ValueRecord:
         with _parsing("value"):
             return ValueRecord(
                 game=doc["game"],
-                params=doc["params"],
+                params=dict(doc["params"]),
                 value=Fraction(doc["value"]),
                 strategy=doc.get("strategy"),
                 method=doc["method"],

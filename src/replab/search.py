@@ -34,8 +34,8 @@ class ForbiddenHypergraph:
     """Edges are stored sorted per edge, deduplicated, in first-seen order.
 
     generators, when given, are point permutations (images as tuples) that
-    must map the edge family to itself; they feed the optional symmetry
-    reduction of max_free.
+    must map the edge family to itself; max_free restricts its optimum
+    search to one root branch per point orbit under them.
     """
 
     size: int
@@ -177,15 +177,15 @@ def _lex_witness(size: int, edge_masks: list[int], target: int) -> tuple[int, ..
     return found[0]
 
 
-def max_free(h: ForbiddenHypergraph, budget: int = DEFAULT_POINT_BUDGET,
-             use_symmetry: bool = False) -> tuple[int, tuple[int, ...]]:
+def max_free(h: ForbiddenHypergraph,
+             budget: int = DEFAULT_POINT_BUDGET) -> tuple[int, tuple[int, ...]]:
     """Exact maximum free-set size and its lexicographically first witness.
 
     Instances with more than budget points are refused with
-    BudgetExceededError; export them with export_wcnf instead.  use_symmetry
-    applies the orbit reduction from the hypergraph's generators to the
-    optimum computation only; the witness phase is symmetry-free, so the
-    returned witness is identical either way.
+    BudgetExceededError; export them with export_wcnf instead.  When the
+    hypergraph has generators, the optimum search branches at the root only
+    on orbit representatives; the witness phase is symmetry-free, so the
+    witness does not depend on the generators.
     """
     if h.size > budget:
         raise BudgetExceededError(
@@ -194,7 +194,7 @@ def max_free(h: ForbiddenHypergraph, budget: int = DEFAULT_POINT_BUDGET,
     edge_masks = [_mask(e) for e in h.edges]
     if any(m == 0 for m in edge_masks):
         raise ValueError("empty edge")
-    root = symmetry_orbit_prune(h) if use_symmetry and h.generators else None
+    root = symmetry_orbit_prune(h) if h.generators else None
     optimum = _optimum_size(h.size, edge_masks, root)
     if optimum == 0:
         return 0, ()
@@ -210,18 +210,13 @@ def _mask(edge: Sequence[int]) -> int:
     return m
 
 
-def symmetry_orbit_prune(h: ForbiddenHypergraph,
-                         generators: Iterable[Sequence[int]] | None = None) -> tuple[int, ...]:
-    """Minimal representative of each point orbit under the generators.
+def symmetry_orbit_prune(h: ForbiddenHypergraph) -> tuple[int, ...]:
+    """Minimal representative of each point orbit under h's generators.
 
     Restricting the root branching of the optimum search to these
     representatives is sound: any maximum free set can be relabelled by a
     symmetry so that its minimal point is an orbit representative.
     """
-    gens = tuple(tuple(int(v) for v in g) for g in generators) if generators is not None else h.generators
-    if generators is not None:
-        probe = ForbiddenHypergraph(h.size, h.edges, gens)
-        gens = probe.generators
     reps = []
     seen: set[int] = set()
     for start in range(h.size):
@@ -231,7 +226,7 @@ def symmetry_orbit_prune(h: ForbiddenHypergraph,
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for g in gens:
+            for g in h.generators:
                 w = g[v]
                 if w not in orbit:
                     orbit.add(w)

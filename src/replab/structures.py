@@ -6,11 +6,11 @@ a configuration-free set:
   lines(q, n)        combinatorial lines in range(q)**n; a line is a template
                      with at least one active coordinate, instantiated by
                      running the active coordinates through 0..q-1 together.
-  squares(n)         {x, x+d} x {y, y+d} in pairs of F_2**n vectors, d != 0.
+  squares(n)         {x, x+d} x {y, y+d} in pairs of F_2**n vectors, d != 0;
+                     built as the grids of GF(2) with k = 2.
   corners(n)         {(x,y), (x+d,y), (x,y+d)} in the same universe, d != 0.
   grids(field, k, n) {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} in k-tuples
-                     of F**n vectors, d != 0; squares are exactly the grids
-                     of GF(2) with k = 2.
+                     of F**n vectors, d != 0.
 
 Vector universes index points little-endian: a k-tuple of vectors has index
 sum(code(v_j) * (order**n)**j) with player 0 least significant, and vector
@@ -20,14 +20,14 @@ ProductTuples(ProductTuples(range(order), n), k).
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
 which is what ties the densities r_line, r_square, r_grid to exact values of
-repeated games.
+repeated games; a square's map is grid_to_witness over GF(2) with k = 2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -49,8 +49,8 @@ class StructureFamily:
 
     configurations() returns a fresh iterator of sorted point-index tuples on
     every call, so verification can re-walk the family independently of any
-    solver state.  generators are index permutations preserving the family,
-    available for the solver's symmetry reduction.
+    solver state.  generators are index permutations preserving the family;
+    the solver uses them for its symmetry reduction.
     """
 
     name: str
@@ -70,9 +70,9 @@ class StructureFamily:
     def index(self, point) -> int:
         return self._index[point]
 
-    def to_hypergraph(self, with_generators: bool = True) -> ForbiddenHypergraph:
-        gens = self.generators if with_generators else ()
-        return ForbiddenHypergraph(len(self.universe), list(self.configurations()), gens)
+    def to_hypergraph(self) -> ForbiddenHypergraph:
+        return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
+                                   self.generators)
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -157,36 +157,10 @@ def _unit_translations(order: int, k: int, n: int, add_vec) -> tuple[tuple[int, 
 
 
 def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
-    """Axis-aligned squares with a common side vector in F_2**n x F_2**n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if 4**n > point_budget:
-        raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
-    universe = _vector_universe(2, 2, n)
-    index = {p: i for i, p in enumerate(universe)}
-    code = TupleCodec(range(2), n).encode
-    vectors = tuple(ProductTuples(range(2), n))
-
-    def enumerate_squares() -> Iterator[tuple[int, ...]]:
-        for d in vectors[1:]:
-            for x in vectors:
-                if code(x) > code(_xor_vec(x, d)):
-                    continue
-                for y in vectors:
-                    if code(y) > code(_xor_vec(y, d)):
-                        continue
-                    xs = (x, _xor_vec(x, d))
-                    ys = (y, _xor_vec(y, d))
-                    yield tuple(sorted(index[(a, b)] for a in xs for b in ys))
-
-    return StructureFamily(
-        name="square",
-        params={"n": n},
-        universe=universe,
-        arity=4,
-        _enumerate=enumerate_squares,
-        generators=_unit_translations(2, 2, n, _xor_vec),
-    )
+    """Axis-aligned squares with a common side vector in F_2**n x F_2**n,
+    which are exactly the grids of GF(2) with k = 2."""
+    return replace(grids(FiniteField(2), 2, n, point_budget),
+                   name="square", params={"n": n})
 
 
 def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
@@ -274,7 +248,7 @@ def grids(field: FiniteField, k: int, n: int,
 
 def _density_record(family: StructureFamily, method: str,
                     solver_budget: int) -> DensityRecord:
-    hyper = family.to_hypergraph(with_generators=False)
+    hyper = family.to_hypergraph()
     size, chosen = max_free(hyper, budget=solver_budget)
     if not verify_free(chosen, family.configurations()):
         raise AssertionError("density witness failed independent re-enumeration check")
@@ -399,54 +373,6 @@ def witness_to_line(q: int, n: int, witness: ForbiddenWitness) -> tuple[tuple[in
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
     """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0)."""
     return GHZ_SUPPORT
-
-
-def _square_sides(points) -> tuple[tuple, tuple, tuple[int, ...]]:
-    pts = [tuple(p) for p in points]
-    if len(set(pts)) != 4:
-        raise ValueError("a square has 4 distinct points")
-    code = TupleCodec(range(2), len(pts[0][0])).encode
-    xs = sorted({p[0] for p in pts}, key=code)
-    ys = sorted({p[1] for p in pts}, key=code)
-    if len(xs) != 2 or len(ys) != 2:
-        raise ValueError("a square projects onto two columns and two rows")
-    dx = _xor_vec(xs[0], xs[1])
-    dy = _xor_vec(ys[0], ys[1])
-    if dx != dy:
-        raise ValueError("rows and columns must share one side vector")
-    if set(pts) != {(a, b) for a in xs for b in ys}:
-        raise ValueError("points do not fill the 2 x 2 grid")
-    return tuple(xs), tuple(ys), dx
-
-
-def square_to_witness(n: int, points) -> ForbiddenWitness:
-    """A square, read as a forbidden configuration (a bow tie) of the
-    even-parity support: the point (x, y) becomes the index vector whose
-    round-m entry names the support element (x_m, y_m, x_m + y_m)."""
-    xs, ys, d = _square_sides(points)
-    support_pos = {t: s for s, t in enumerate(GHZ_SUPPORT)}
-    i = next(m for m in range(len(d)) if d[m] != 0)
-    edges = []
-    for x, y in itertools.product(xs, ys):
-        edges.append(tuple(support_pos[(x[m], y[m], x[m] ^ y[m])] for m in range(n)))
-    edges.sort(key=lambda e: e[i])
-    witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-    if not witness_is_valid(GHZ_SUPPORT, n, witness):
-        raise AssertionError("square did not map to a valid forbidden configuration")
-    return witness
-
-
-def witness_to_square(n: int, witness: ForbiddenWitness):
-    """Inverse of square_to_witness."""
-    if not witness_is_valid(GHZ_SUPPORT, n, witness):
-        raise ValueError("not a forbidden configuration of the even-parity support")
-    points = []
-    for e in witness.edges:
-        x = tuple(GHZ_SUPPORT[v][0] for v in e)
-        y = tuple(GHZ_SUPPORT[v][1] for v in e)
-        points.append((x, y))
-    _square_sides(points)
-    return tuple(points)
 
 
 def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]:

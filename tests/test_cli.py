@@ -82,6 +82,13 @@ def test_value_recheck_catches_corrupted_record(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: cached record failed recheck")
 
+    # a strategy with no table for some player fails its recheck cleanly
+    doc["record"]["strategy"] = {"players": []}
+    record_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, argv + ["--recheck"])
+    assert code == 1
+    assert err.startswith("error: player 0 has no answer")
+
 
 def test_legacy_timestamp_is_not_served(tmp_path, capsys):
     # records written before timestamps were dropped still carry one
@@ -101,20 +108,45 @@ def test_legacy_timestamp_is_not_served(tmp_path, capsys):
     assert out == fresh
 
 
-@pytest.mark.parametrize("rewrite, recheck, message", [
-    pytest.param(lambda doc: "{bad", False, "corrupt cache file {path}",
+VALUE_ARGV = ["value", "--preset", "anticorr"]
+DENSITY_ARGV = ["density", "square", "--n", "1"]
+EQN_ARGV = ["eqn", "--preset", "ghz", "--n", "1"]
+
+
+def _set_field(name, value):
+    """Rewrite of a cache file that replaces one field of its record."""
+    return lambda doc: json.dumps(dict(doc, record=dict(doc["record"], **{name: value})))
+
+
+@pytest.mark.parametrize("argv, rewrite, recheck, message", [
+    pytest.param(VALUE_ARGV, lambda doc: "{bad", False, "corrupt cache file {path}",
                  id="records/*.json"),
-    pytest.param(lambda doc: json.dumps(dict(doc, record={})), False,
+    pytest.param(VALUE_ARGV, lambda doc: json.dumps(dict(doc, record={})), False,
                  "value record lacks field", id="wrong-shape"),
-    pytest.param(lambda doc: json.dumps(dict(doc, record={})), True,
+    pytest.param(VALUE_ARGV, lambda doc: json.dumps(dict(doc, record={})), True,
                  "value record lacks field", id="wrong-shape-recheck"),
-    pytest.param(lambda doc: json.dumps(dict(doc, key="other")), False,
+    pytest.param(VALUE_ARGV, lambda doc: json.dumps(dict(doc, key="other")), False,
                  "corrupt cache file {path}: not a record of", id="other-key"),
+    pytest.param(DENSITY_ARGV, _set_field("witness", 5), False,
+                 "density record witness is neither null nor a list of lists",
+                 id="density-witness-int"),
+    pytest.param(DENSITY_ARGV, _set_field("witness", 5), True,
+                 "density record witness is neither null nor a list of lists",
+                 id="density-witness-int-recheck"),
+    pytest.param(EQN_ARGV, _set_field("witness", [5]), True,
+                 "density record witness is neither null nor a list of lists",
+                 id="eqn-witness-flat-recheck"),
+    pytest.param(VALUE_ARGV, _set_field("strategy", {"players": 5}), True,
+                 "malformed strategy 'players' entry", id="value-strategy-int-recheck"),
+    pytest.param(VALUE_ARGV, _set_field("params", 5), False,
+                 "value record has an unparsable field", id="value-params-int"),
+    pytest.param(DENSITY_ARGV, _set_field("params", 5), False,
+                 "density record has an unparsable field", id="density-params-int"),
 ])
-def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, rewrite, recheck,
+def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, argv, rewrite, recheck,
                                              message):
     cache = tmp_path / "cache"
-    argv = ["value", "--preset", "anticorr", "--cache-dir", str(cache)]
+    argv = argv + ["--cache-dir", str(cache)]
     assert main(argv) == 0
     capsys.readouterr()
     path, = cache.glob("records/*.json")
@@ -166,6 +198,21 @@ def test_value_budget_exceeded(capsys):
     code, _, err = run(capsys, ["value", "--preset", "anticorr",
                                 "--budget", "10", "--no-cache"])
     assert code == 3 and err.startswith("error:")
+
+
+def test_value_refuses_more_cells_than_the_search_can_recurse(tmp_path, capsys):
+    # one player, 2000 questions, one answer: a strategy space of size 1,
+    # but one search frame per question
+    questions = list(range(2000))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "k": 1, "question_alphabets": [questions], "answer_alphabets": [[0]],
+        "support": [{"x": [q], "weight": "1/2000"} for q in questions],
+        "predicate": {"type": "table", "accepts": [[q, 0] for q in questions]},
+    }))
+    code, out, err = run(capsys, ["value", "--game", str(path), "--no-cache"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: 2000 strategy cells exceed the search limit")
 
 
 # -- density ------------------------------------------------------------------
@@ -221,12 +268,25 @@ def test_density_recheck_passes_on_good_records(tmp_path, capsys):
     assert code == 0 and "status:        cached" in out
 
 
+def test_density_recheck_fails_on_a_foreign_witness_point(tmp_path, capsys):
+    argv = ["density", "square", "--n", "1", "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, = (tmp_path / "c").glob("records/*.json")
+    doc = json.loads(path.read_text())
+    doc["record"]["witness"] = [[{}]]
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, argv + ["--recheck"])
+    assert code == 1
+    assert err.startswith("error: cached record failed recheck")
+
+
 def test_density_wcnf_export(tmp_path, capsys):
     out_path = tmp_path / "line.wcnf"
     code, out, _ = run(capsys, ["density", "line", "--q", "2", "--n", "3",
                                 "--wcnf", str(out_path)])
     assert code == 0
-    hyper = structures.lines(2, 3).to_hypergraph(with_generators=False)
+    hyper = structures.lines(2, 3).to_hypergraph()
     assert out_path.read_text() == export_wcnf(hyper)
     assert out.strip() == (f"wrote WCNF: 8 points, {len(hyper.edges)} "
                            f"hard clauses -> {out_path}")

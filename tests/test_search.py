@@ -6,9 +6,10 @@ import pytest
 
 import oracles
 from replab.errors import BudgetExceededError
+from replab.fields import FiniteField
 from replab.search import (ForbiddenHypergraph, export_wcnf, max_free,
                            symmetry_orbit_prune, verify_free)
-from replab.structures import lines, squares
+from replab.structures import corners, grids, lines, squares
 
 
 # -- hypergraph construction -----------------------------------------------------
@@ -120,27 +121,22 @@ def test_orbit_representatives():
     assert symmetry_orbit_prune(h) == (0,)
     fixed = ForbiddenHypergraph(3, [(0, 1)], generators=[(0, 1, 2)])
     assert symmetry_orbit_prune(fixed) == (0, 1, 2)
-
-
-def test_orbit_prune_with_explicit_generators():
-    h = ForbiddenHypergraph(4, [(0, 1), (2, 3)])
-    reps = symmetry_orbit_prune(h, generators=[(1, 0, 3, 2)])
-    assert reps == (0, 2)
-    with pytest.raises(ValueError):
-        symmetry_orbit_prune(h, generators=[(1, 0, 0, 2)])
+    swaps = ForbiddenHypergraph(4, [(0, 1), (2, 3)], generators=[(1, 0, 3, 2)])
+    assert symmetry_orbit_prune(swaps) == (0, 2)
 
 
 @pytest.mark.parametrize("family", [
     lambda: lines(3, 2), lambda: squares(1), lambda: squares(2),
+    lambda: corners(2), lambda: grids(FiniteField(3), 1, 2),
+    lambda: grids(FiniteField(2), 1, 4), lambda: lines(2, 4),
 ])
 def test_symmetry_reduction_is_lossless(family):
-    h = family().to_hypergraph(with_generators=True)
+    h = family().to_hypergraph()
     assert h.generators
-    plain = max_free(h, use_symmetry=False)
-    pruned = max_free(h, use_symmetry=True)
-    assert plain == pruned
+    plain = ForbiddenHypergraph(h.size, h.edges)
+    assert max_free(h) == max_free(plain)
 
 
 def test_translation_symmetric_universe_has_one_orbit():
-    h = squares(2).to_hypergraph(with_generators=True)
+    h = squares(2).to_hypergraph()
     assert symmetry_orbit_prune(h) == (0,)

@@ -15,9 +15,8 @@ from replab.games import unit_tuples
 from replab.structures import (affine_embed, corners, ghz_support,
                                grid_question_set, grid_to_witness, grids,
                                line_to_witness, lines, r_corner, r_grid,
-                               r_line, r_square, square_to_witness, squares,
-                               witness_to_grid, witness_to_line,
-                               witness_to_square)
+                               r_line, r_square, squares, witness_to_grid,
+                               witness_to_line)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -76,8 +75,10 @@ def test_grids_match_naive(field, k, n):
 def test_grids_of_gf2_are_squares():
     for n in (1, 2):
         g, s = grids(F2, 2, n), squares(n)
+        assert (s.name, s.params) == ("square", {"n": n})
         assert g.universe == s.universe
         assert set(g.configurations()) == set(s.configurations())
+        assert g.generators == s.generators
 
 
 def test_family_budgets():
@@ -102,7 +103,7 @@ def test_family_generators_validate():
     # constructing the hypergraph checks that every generator permutes the
     # edge family
     for family in (lines(3, 2), squares(2), corners(2), grids(F3, 2, 1)):
-        h = family.to_hypergraph(with_generators=True)
+        h = family.to_hypergraph()
         assert h.generators
 
 
@@ -234,27 +235,13 @@ def test_witness_to_line_needs_three_symbols():
         witness_to_line(2, 2, witness)
 
 
-def test_square_witness_bijection():
-    support = list(ghz_support())
-    family = squares(2)
-    mapped = set()
-    for cfg in family.configurations():
-        pts = [family.universe[i] for i in cfg]
-        witness = square_to_witness(2, pts)
-        assert witness_is_valid(support, 2, witness)
-        assert set(witness_to_square(2, witness)) == set(pts)
-        mapped.add(witness.point_set())
-    engine = {w.point_set() for w in enumerate_forbidden(support, 2)}
-    assert mapped == engine
-
-
 def test_square_witness_rejects_non_squares():
     with pytest.raises(ValueError):
-        square_to_witness(1, [((0,), (0,)), ((0,), (1,)), ((1,), (0,)),
-                              ((1,), (0,))])
+        grid_to_witness(F2, 2, 1, [((0,), (0,)), ((0,), (1,)), ((1,), (0,)),
+                                   ((1,), (0,))])
     with pytest.raises(ValueError):
-        square_to_witness(2, [((0, 0), (0, 0)), ((1, 0), (0, 0)),
-                              ((0, 0), (1, 0)), ((1, 1), (1, 1))])
+        grid_to_witness(F2, 2, 2, [((0, 0), (0, 0)), ((1, 0), (0, 0)),
+                                   ((0, 0), (1, 0)), ((1, 1), (1, 1))])
 
 
 @pytest.mark.parametrize("field,k,n", [(F3, 2, 1), (F2, 2, 2), (F4, 2, 1)])
