@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaError
+from .games import strategy_from_json
 
 
 def fraction_str(f: Fraction) -> str:
@@ -117,11 +118,14 @@ class ValueRecord:
     @staticmethod
     def from_json(doc: dict) -> "ValueRecord":
         with _parsing("value"):
+            strategy = doc.get("strategy")
+            if strategy is not None:
+                strategy_from_json(strategy)  # raises SchemaError on a wrong shape
             return ValueRecord(
                 game=doc["game"],
                 params=dict(doc["params"]),
                 value=Fraction(doc["value"]),
-                strategy=doc.get("strategy"),
+                strategy=strategy,
                 method=doc["method"],
             )
 

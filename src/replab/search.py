@@ -3,16 +3,26 @@
 A ForbiddenHypergraph has points 0..size-1 and a family of edges (point
 subsets).  A set of points is free when it contains no edge entirely.
 max_free computes the exact maximum size of a free set together with the
-lexicographically first maximum witness, by branch and bound over point
-bitmask states.
+lexicographically first maximum witness, by one branch and bound over
+bitmask states (selected points, undecided points, alive edges); an edge is
+alive while none of its points is excluded, and inc[v] is the mask of the
+edges through point v.
 
-The bound is |selected| + |undecided| - p where p is the size of a greedily
-packed family of pairwise disjoint still-active edges: every packed edge
-forces at least one exclusion among the undecided points.  Phase one branches
-on a point of maximum active degree to find the optimum fast; phase two
-re-walks points in index order, include-first, and stops at the first free
-set of optimum size, which is the witness whose characteristic vector is
-lexicographically largest, i.e. the smallest sorted index list.
+Including v is unit propagation: every alive edge through v whose only
+undecided point is u forces u out, and the branch fails when such an edge
+has no undecided point left.  Excluding v kills the edges in inc[v].  The
+bound is |selected| + |undecided| minus a greedy packing of pairwise
+disjoint undecided edge parts, taken smallest first: each packed part must
+lose a point.  The search branches on the undecided point of maximum alive
+degree, include first.
+
+The optimum phase stops as soon as it finds a free set as large as the root
+bound; with generators it branches at the root on orbit representatives
+only.  The witness phase walks the points in index order, include-first,
+and keeps a maximum free set extending its choices: a point in that set is
+taken at once, any other is taken only when the branch and bound finds a
+free extension of optimum size, which becomes the new set.  The result is
+the maximum free set with the smallest sorted index list.
 
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
@@ -22,7 +32,8 @@ the WCNF equals size - max_free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress, count
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -79,102 +90,69 @@ def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
     return True
 
 
-def _greedy_packing(edge_masks: list[int]) -> int:
-    packed = 0
-    used = 0
-    for e in edge_masks:
-        if e & used == 0:
-            packed += 1
-            used |= e
-    return packed
+class _BranchAndBound:
+    """The search over (selected, undecided, alive) states described in the
+    module docstring; every alive edge keeps an undecided point.  found is
+    the largest free set seen and best its size; a search ends once best
+    reaches stop.  nodes counts search calls."""
 
+    def __init__(self, size: int, edge_masks: list[int]):
+        self.edge_masks = edge_masks
+        self.inc = [0] * size
+        for i, m in enumerate(edge_masks):
+            for v in _select(m, count()):
+                self.inc[v] |= 1 << i
+        self.nodes = 0
+        self.best = 0
+        self.found = 0
+        self.stop = 0
 
-def _max_degree_bit(edge_masks: list[int]) -> int:
-    degree: dict[int, int] = {}
-    for e in edge_masks:
-        while e:
-            bit = e & -e
-            degree[bit] = degree.get(bit, 0) + 1
-            e ^= bit
-    best_bit, best_deg = 0, -1
-    for bit, deg in degree.items():
-        if deg > best_deg or (deg == best_deg and bit < best_bit):
-            best_bit, best_deg = bit, deg
-    return best_bit
-
-
-def _shrink_include(edge_masks: list[int], bit: int) -> list[int] | None:
-    """Edge state after including bit; None when some edge becomes fully
-    selected."""
-    out = []
-    for e in edge_masks:
-        if e & bit:
-            e2 = e & ~bit
-            if e2 == 0:
+    def include(self, v: int, selected: int, undecided: int,
+                alive: int) -> tuple[int, int, int] | None:
+        """State after including v and propagating; None when an edge
+        through v is fully selected."""
+        bit = 1 << v
+        undecided &= ~bit
+        through = alive & self.inc[v]
+        while through:
+            low = through & -through
+            rest = self.edge_masks[low.bit_length() - 1] & undecided
+            if not rest:
                 return None
-            out.append(e2)
-        else:
-            out.append(e)
-    return out
+            if not rest & (rest - 1):
+                undecided &= ~rest
+                alive &= ~self.inc[rest.bit_length() - 1]
+            through &= alive & ~low
+        return selected | bit, undecided, alive
 
+    def bound(self, selected: int, undecided: int, alive: int) -> int:
+        """Upper bound on the size of any free extension of the state."""
+        parts = sorted(map(undecided.__and__, _select(alive, self.edge_masks)),
+                       key=int.bit_count)
+        free = selected.bit_count() + undecided.bit_count()
+        used = 0
+        for part in parts:
+            if not part & used:
+                used |= part
+                free -= 1
+        return free
 
-def _drop_exclude(edge_masks: list[int], bit: int) -> list[int]:
-    return [e for e in edge_masks if not (e & bit)]
-
-
-def _optimum_size(size: int, edge_masks: list[int], root_orbits: Sequence[int] | None) -> int:
-    best = 0
-
-    def bb(selected: int, undecided: int, active: list[int]) -> None:
-        nonlocal best
-        free_count = undecided.bit_count()
-        if selected + free_count - _greedy_packing(active) <= best:
-            return
-        if not active:
-            best = selected + free_count
-            return
-        bit = _max_degree_bit(active)
-        shrunk = _shrink_include(active, bit)
-        if shrunk is not None:
-            bb(selected + 1, undecided & ~bit, shrunk)
-        bb(selected, undecided & ~bit, _drop_exclude(active, bit))
-
-    all_points = (1 << size) - 1
-    if root_orbits is None:
-        bb(0, all_points, edge_masks)
-    else:
-        # each maximum free set, taken with minimal first point, lies in the
-        # branch that includes the orbit representative of that first point
-        # and excludes everything before it; the empty set is the fallback
-        for rep in sorted(root_orbits):
-            bit = 1 << rep
-            below = bit - 1
-            active = [e for e in edge_masks if not (e & below)]
-            shrunk = _shrink_include(active, bit)
-            if shrunk is None:
-                continue
-            bb(1, all_points & ~(below | bit), shrunk)
-    return best
-
-
-def _lex_witness(size: int, edge_masks: list[int], target: int) -> tuple[int, ...]:
-    found: list[tuple[int, ...]] = []
-
-    def dfs(idx: int, chosen: tuple[int, ...], active: list[int]) -> bool:
-        if len(chosen) + (size - idx) - _greedy_packing(active) < target:
+    def search(self, selected: int, undecided: int, alive: int) -> bool:
+        """Raise best/found to the largest free extension of the state above
+        best; True once a free set of stop points is found."""
+        self.nodes += 1
+        if self.bound(selected, undecided, alive) <= self.best:
             return False
-        if idx == size:
-            found.append(chosen)
+        if not alive:
+            self.found = selected | undecided
+            self.best = self.found.bit_count()
+            return self.best >= self.stop
+        degrees = list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
+        v = list(_select(undecided, count()))[degrees.index(max(degrees))]
+        child = self.include(v, selected, undecided, alive)
+        if child is not None and self.search(*child):
             return True
-        bit = 1 << idx
-        shrunk = _shrink_include(active, bit)
-        if shrunk is not None and dfs(idx + 1, chosen + (idx,), shrunk):
-            return True
-        return dfs(idx + 1, chosen, _drop_exclude(active, bit))
-
-    ok = dfs(0, (), edge_masks)
-    assert ok, "witness reconstruction must reach the optimum"
-    return found[0]
+        return self.search(selected, undecided & ~(1 << v), alive & ~self.inc[v])
 
 
 def max_free(h: ForbiddenHypergraph,
@@ -191,23 +169,58 @@ def max_free(h: ForbiddenHypergraph,
         raise BudgetExceededError(
             f"{h.size} points exceed the solver budget {budget}; "
             "use export_wcnf and an external MaxSAT solver")
-    edge_masks = [_mask(e) for e in h.edges]
+    edge_masks = [sum(1 << v for v in e) for e in h.edges]
     if any(m == 0 for m in edge_masks):
         raise ValueError("empty edge")
-    root = symmetry_orbit_prune(h) if h.generators else None
-    optimum = _optimum_size(h.size, edge_masks, root)
+    bb = _BranchAndBound(h.size, edge_masks)
+    root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
+    bb.stop = bb.bound(*root)
+    if not h.generators:
+        bb.search(*root)
+    else:
+        # each maximum free set, taken with minimal first point, lies in the
+        # branch that includes the orbit representative of that first point
+        # and excludes everything before it; the empty set is the fallback
+        for rep in symmetry_orbit_prune(h):
+            below = (1 << rep) - 1
+            alive = root[2]
+            for v in range(rep):
+                alive &= ~bb.inc[v]
+            child = bb.include(rep, 0, root[1] & ~below, alive)
+            if child is not None and bb.search(*child):
+                break
+    optimum = bb.best
     if optimum == 0:
         return 0, ()
-    witness = _lex_witness(h.size, edge_masks, optimum)
-    assert verify_free(witness, h.edges), "solver witness failed independent check"
+    # found is a maximum free set extending the choices so far
+    selected, undecided, alive = root
+    bb.stop = optimum
+    for v in range(h.size):
+        bit = 1 << v
+        if not undecided & bit:
+            continue
+        child = bb.include(v, selected, undecided, alive)
+        if child is not None and not bb.found & bit:
+            bb.best = optimum - 1
+            if not bb.search(*child):
+                child = None
+        if child is None:
+            undecided &= ~bit
+            alive &= ~bb.inc[v]
+        else:
+            selected, undecided, alive = child
+    witness = tuple(_select(selected, count()))
+    if not verify_free(witness, h.edges):
+        raise AssertionError("solver witness failed independent check")
     return optimum, witness
 
 
-def _mask(edge: Sequence[int]) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(mask: int, items: Iterable) -> Iterator:
+    """The items at the set bit positions of mask, in order."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def symmetry_orbit_prune(h: ForbiddenHypergraph) -> tuple[int, ...]:

@@ -136,6 +136,8 @@ def _set_field(name, value):
     pytest.param(EQN_ARGV, _set_field("witness", [5]), True,
                  "density record witness is neither null nor a list of lists",
                  id="eqn-witness-flat-recheck"),
+    pytest.param(VALUE_ARGV, _set_field("strategy", 5), False,
+                 "strategy document must contain 'players'", id="value-strategy-int"),
     pytest.param(VALUE_ARGV, _set_field("strategy", {"players": 5}), True,
                  "malformed strategy 'players' entry", id="value-strategy-int-recheck"),
     pytest.param(VALUE_ARGV, _set_field("params", 5), False,

@@ -1,5 +1,10 @@
 """Exact free-set solver, symmetry reduction, and the WCNF export."""
 
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -91,6 +96,20 @@ def test_max_free_matches_naive(h):
     assert verify_free(witness, h.edges)
 
 
+def test_witness_check_is_kept_under_python_O():
+    # the independent check must not be an assert, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import replab.search as s\n"
+            "s.verify_free = lambda points, edges: False\n"
+            "print(s.max_free(s.ForbiddenHypergraph(3, [(0, 1)])))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "AssertionError: solver witness failed independent check" in proc.stderr
+
+
 @given(random_hypergraphs())
 def test_wcnf_round_trip_matches_solver(h):
     header, clauses = oracles.parse_wcnf(export_wcnf(h))
@@ -135,6 +154,26 @@ def test_symmetry_reduction_is_lossless(family):
     assert h.generators
     plain = ForbiddenHypergraph(h.size, h.edges)
     assert max_free(h) == max_free(plain)
+
+
+@st.composite
+def cyclic_hypergraphs(draw):
+    """Random edges closed under the shift v -> v + 1 mod size, with that
+    shift as the generator."""
+    size = draw(st.integers(3, 12))
+    edges = set()
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(4, size)))
+        edges |= {tuple(sorted((v + s) % size for v in base)) for s in range(size)}
+    shift = tuple((v + 1) % size for v in range(size))
+    return ForbiddenHypergraph(size, sorted(edges), generators=[shift])
+
+
+@given(cyclic_hypergraphs())
+def test_orbit_path_matches_naive(h):
+    assert symmetry_orbit_prune(h) == (0,)
+    size, witness = max_free(h)
+    assert (size, witness) == oracles.naive_max_free(h.size, h.edges)
 
 
 def test_translation_symmetric_universe_has_one_orbit():

@@ -12,6 +12,7 @@ from replab.fields import AffineSubspace, FiniteField
 from replab.forbidden import (compute_eq, enumerate_forbidden, find_forbidden,
                               witness_is_valid)
 from replab.games import unit_tuples
+from replab.search import verify_free
 from replab.structures import (affine_embed, corners, ghz_support,
                                grid_question_set, grid_to_witness, grids,
                                line_to_witness, lines, r_corner, r_grid,
@@ -166,6 +167,19 @@ def test_r_line_dhj_values():
     rec = r_line(3, 2)
     assert rec.value == Fraction(6, 9)
     assert rec.witness_size == 6
+
+
+def test_polymath_c4_line_and_unit_vector_densities():
+    # c_4 = 52 (Polymath, Density Hales-Jewett and Moser numbers)
+    family = lines(3, 4)
+    line = r_line(3, 4)
+    eq = compute_eq(list(unit_tuples(3)), 4)
+    for rec in (line, eq):
+        assert rec.value == Fraction(52, 81)
+        assert rec.witness_size == len(rec.witness) == 52
+        assert verify_free([family.index(p) for p in rec.witness],
+                           family.configurations())
+        assert find_forbidden(unit_tuples(3), 4, rec.witness) is None
 
 
 def test_r_square_values():
