@@ -13,11 +13,24 @@ the weight already lost makes the incumbent unbeatable; phase two re-walks
 the space in canonical order (players ascending, questions in alphabet
 order, answers in alphabet order) and returns the first strategy attaining
 the optimum, which is therefore the lexicographically first maximiser.
+
+The search adds and compares ints: the weights scaled by the LCM of their
+denominators, turned back into a Fraction only for the result.  It checks
+forward: from each support tuple's table of accepted answer combinations it
+precomputes, for each of the tuple's cells in search order, which answers
+so far no accepted combination starts with, and counts the tuple's weight as
+lost at the first cell where that happens.  A lost prefix loses under every
+completion, so the optimum and the lex-first strategy are those of scoring
+each tuple at its last cell.  Tuples whose answer combinations are too many
+to tabulate are scored by the predicate at their last cell.  The strategy
+found is re-evaluated with Fractions, independently of the search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -152,8 +165,10 @@ class _StrategySearch:
     """Shared machinery for the two exact_value phases.
 
     A cell is a pair (player, question); a joint strategy is an assignment of
-    an answer index to every cell.  Support tuples are scored the moment
-    their last cell is assigned, so losses accumulate as early as possible.
+    an answer index to every cell.  Weights are ints: the game's weights
+    times the LCM of their denominators.  A support tuple's weight counts as
+    lost at the first of its cells whose assigned answers no accepted answer
+    combination starts with; nodes counts search calls.
     """
 
     def __init__(self, game: Game, budget: int):
@@ -163,8 +178,11 @@ class _StrategySearch:
         self.game = game
         self.k = game.k
         self.support = support
-        self.weights = list(game.weights)
-        self.total_weight = sum(self.weights, Fraction(0))
+        weights = list(game.weights)
+        self.scale = math.lcm(*(w.denominator for w in weights))
+        self.weights = [w.numerator * (self.scale // w.denominator) for w in weights]
+        self.total = sum(self.weights)
+        self.nodes = 0
         self.domains = [game.question_domain(j) for j in range(self.k)]
         cells = sum(len(d) for d in self.domains)
         if cells > MAX_SEARCH_CELLS:
@@ -181,7 +199,6 @@ class _StrategySearch:
                 raise BudgetExceededError(
                     f"strategy space exceeds budget {budget}; "
                     "raise the budget to force the search")
-        self.space = space
         # acceptance tables: per support tuple, the set of accepted answer
         # index combinations, when the combination count is small enough
         combos = 1
@@ -213,12 +230,59 @@ class _StrategySearch:
                     out.append(cell)
         return out
 
-    def _accepts(self, t: int, combo: tuple[int, ...]) -> bool:
-        acc = self._accept[t]
-        if acc is not None:
-            return combo in acc
-        a = tuple(self.answers[j][combo[j]] for j in range(self.k))
-        return self.game.predicate(self.support[t], a)
+    def _losses(self, cells: list[tuple[int, object]]):
+        """Where each support tuple's weight is lost, for one cell order.
+
+        Returns three per-cell lists.  static[c][pos] is the weight lost by
+        answering pos at cell c whatever was answered before: tuples whose
+        first cell is c and that accept no combination starting with pos.
+        checks[c] lists, per set of earlier cells of tuples with a later cell
+        at c, a getter of the answers at those cells and a table {answers:
+        weight lost by each pos at c}; a table holds only answers that some
+        accepted combination starts with and that leave some pos with none.
+        untabled[c] holds the tuples without an acceptance table whose last
+        cell is c, scored by the predicate there.
+        """
+        cell_index = {c: i for i, c in enumerate(cells)}
+        sizes_at = [self.sizes[j] for j, _ in cells]
+        static = [[0] * s for s in sizes_at]
+        checks: list[dict] = [{} for _ in cells]
+        untabled: list[list] = [[] for _ in cells]
+        for x, w, acc in zip(self.support, self.weights, self._accept):
+            by_player = [cell_index[(j, x[j])] for j in range(self.k)]
+            if acc is None:
+                untabled[max(by_player)].append((w, x, by_player))
+                continue
+            if not acc:
+                # lost whatever is answered: one entry, at its first cell
+                c = min(by_player)
+                static[c] = [lost + w for lost in static[c]]
+                continue
+            order = sorted(range(self.k), key=by_player.__getitem__)
+            at = [by_player[j] for j in order]
+            first = {combo[order[0]] for combo in acc}
+            for pos, lost in enumerate(static[at[0]]):
+                if pos not in first:
+                    static[at[0]][pos] = lost + w
+            for s in range(1, self.k):
+                # answers at the earlier cells (a scalar for one cell, as
+                # itemgetter returns) -> the answers at cell at[s] that
+                # some accepted combination continues with
+                earlier = operator.itemgetter(*order[:s])
+                allowed: dict = {}
+                for combo in acc:
+                    allowed.setdefault(earlier(combo), set()).add(combo[order[s]])
+                size = sizes_at[at[s]]
+                tables = checks[at[s]].setdefault(tuple(at[:s]), {})
+                for key, ok in allowed.items():
+                    if len(ok) < size:
+                        vec = tables.setdefault(key, [0] * size)
+                        for pos in range(size):
+                            if pos not in ok:
+                                vec[pos] += w
+        checks = [[(operator.itemgetter(*prev), tables)
+                   for prev, tables in groups.items() if tables] for groups in checks]
+        return static, checks, untabled
 
     def run(self, cells: list[tuple[int, object]], cutoff: Fraction,
             stop_at_cutoff: bool) -> tuple[Fraction, list[int] | None]:
@@ -227,55 +291,51 @@ class _StrategySearch:
         Prunes any branch whose lost weight exceeds total - cutoff.  With
         stop_at_cutoff the first surviving leaf is returned (its value is
         then exactly cutoff when cutoff is the optimum); otherwise the
-        incumbent is raised as better leaves appear and the final best value
-        is returned.
+        incumbent is raised as better leaves appear, branches that cannot
+        beat it are pruned, and the final best value is returned.
         """
         ncells = len(cells)
-        cell_index = {c: i for i, c in enumerate(cells)}
-        tuple_cells = [tuple(cell_index[(j, x[j])] for j in range(self.k)) for x in self.support]
-        touching: list[list[int]] = [[] for _ in range(ncells)]
-        for t, tc in enumerate(tuple_cells):
-            for c in set(tc):
-                touching[c].append(t)
-        remaining = [len(set(tc)) for tc in tuple_cells]
-        assign = [-1] * ncells
-        sizes_at = [self.sizes[cells[c][0]] for c in range(ncells)]
+        static, checks, untabled = self._losses(cells)
+        answers, predicate = self.answers, self.game.predicate
+        assign = [0] * ncells
+        # the most weight a branch may lose and still be searched
+        slack = self.total - int(cutoff * self.scale)
         best = cutoff
         best_assign: list[int] | None = None
-        done = False
+        nodes = 0
 
-        def dfs(ci: int, lost: Fraction) -> None:
-            nonlocal best, best_assign, done
-            if done or lost > self.total_weight - best:
-                return
+        def dfs(ci: int, lost: int) -> bool:
+            nonlocal slack, best, best_assign, nodes
+            nodes += 1
             if ci == ncells:
-                value = self.total_weight - lost
+                best_assign = assign.copy()
                 if stop_at_cutoff:
-                    best_assign = assign.copy()
-                    done = True
-                elif value > best or best_assign is None:
-                    best = max(best, value)
-                    best_assign = assign.copy()
-                return
-            for pos in range(sizes_at[ci]):
-                assign[ci] = pos
-                extra = Fraction(0)
-                completed = []
-                for t in touching[ci]:
-                    remaining[t] -= 1
-                    completed.append(t)
-                    if remaining[t] == 0:
-                        combo = tuple(assign[c] for c in tuple_cells[t])
-                        if not self._accepts(t, combo):
-                            extra += self.weights[t]
-                dfs(ci + 1, lost + extra)
-                for t in completed:
-                    remaining[t] += 1
-                assign[ci] = -1
-                if done:
-                    return
+                    return True
+                best = Fraction(self.total - lost, self.scale)
+                slack = lost - 1
+                return False
+            extra = static[ci]
+            for earlier, tables in checks[ci]:
+                vec = tables.get(earlier(assign))
+                if vec is not None:
+                    extra = list(map(operator.add, extra, vec))
+            if untabled[ci]:
+                extra = extra.copy()
+                for w, x, by_player in untabled[ci]:
+                    for pos in range(len(extra)):
+                        assign[ci] = pos
+                        a = tuple(answers[j][assign[c]] for j, c in enumerate(by_player))
+                        if not predicate(x, a):
+                            extra[pos] += w
+            for pos, more in enumerate(extra):
+                if lost + more <= slack:
+                    assign[ci] = pos
+                    if dfs(ci + 1, lost + more):
+                        return True
+            return False
 
-        dfs(0, Fraction(0))
+        dfs(0, 0)
+        self.nodes += nodes
         return best, best_assign
 
     def strategy_from(self, cells: list[tuple[int, object]], assign: list[int]) -> Strategy:
@@ -299,10 +359,12 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
     # phase two: first leaf in canonical order reaching the optimum
     cells = search.cells_lex()
     _, assign = search.run(cells, optimum, stop_at_cutoff=True)
-    assert assign is not None, "phase two must rediscover the optimum"
+    # explicit raises, not asserts, so that python -O keeps the check
+    if assign is None:
+        raise AssertionError("phase two must rediscover the optimum")
     strategy = search.strategy_from(cells, assign)
-    value = evaluate(game, strategy)
-    assert value == optimum, "reconstructed strategy must attain the optimum"
+    if evaluate(game, strategy) != optimum:
+        raise AssertionError("reconstructed strategy must attain the optimum")
     return GameValue(value=optimum, strategy=strategy)
 
 

@@ -148,7 +148,7 @@ def test_08_random_strategies_win_on_free_sets():
 
 
 def test_09_two_round_repetition_value():
-    with criterion(9, 600.0, "repeat(anticorr(3),2) value 2/3 >= (2/3)^2"):
+    with criterion(9, 60.0, "repeat(anticorr(3),2) value 2/3 >= (2/3)^2"):
         base = preset_game("anticorr", q=3)
         base_val = exact_value(base)
         rep = repeat(base, 2)

@@ -1,19 +1,26 @@
 """Game construction, evaluation, exact values, presets, and JSON I/O."""
 
 from fractions import Fraction
+import itertools
+import os
+from pathlib import Path
+import subprocess
+import sys
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 import oracles
+from replab import games
 from replab.errors import (BudgetExceededError, IncompleteStrategyError,
                            SchemaError)
 from replab.games import (Game, Strategy, answer_at, answer_index, evaluate,
                           exact_value, game_from_json, game_to_json,
-                          mixture_value, parse_fraction, preset_game,
-                          strategy_from_json, strategy_to_json, unit_tuples,
-                          winning_set)
+                          mixture_value, parse_fraction, predicate_from_spec,
+                          preset_game, strategy_from_json, strategy_to_json,
+                          unit_tuples, winning_set)
+from replab.repetition import repeat
 
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -44,6 +51,31 @@ def random_games(draw):
 
     return Game(((0, 1), (0, 1)), ((0, 1), second_alphabet),
                 support, weights, predicate)
+
+
+@st.composite
+def random_three_player_games(draw):
+    """Small 3-player games with a JSON table predicate.  Questions are bits,
+    so support tuples share question cells; weights are proportional to
+    r/d with d in {1, 2, 3, 5, 6}, so their denominators are mixed; each
+    tuple accepts nothing, everything or a random set of answers."""
+    triples = list(itertools.product((0, 1), repeat=3))
+    support = draw(st.lists(st.sampled_from(triples), unique=True,
+                            min_size=1, max_size=8))
+    raw = [Fraction(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 5, 6])))
+           for _ in support]
+    weights = [w / sum(raw) for w in raw]
+    answer_alphabets = [draw(st.sampled_from([(0,), (0, 1), (0, 1, 2)])) for _ in range(3)]
+    combos = len(answer_alphabets[0]) * len(answer_alphabets[1]) * len(answer_alphabets[2])
+    full = (1 << combos) - 1
+    accepts = []
+    for xi in range(len(support)):
+        mask = draw(st.sampled_from([0, full]) | st.integers(0, full))
+        accepts += [[xi, ai] for ai in range(combos) if mask >> ai & 1]
+    spec = {"type": "table", "accepts": accepts}
+    alphabets = [(0, 1)] * 3
+    return Game(alphabets, answer_alphabets, support, weights,
+                predicate_from_spec(spec, alphabets, answer_alphabets, support), spec)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -120,6 +152,69 @@ def test_exact_value_matches_brute_force(game):
     # same canonical enumeration order, so the witness must agree exactly
     assert tuple(result.strategy.tables) == tables
     assert evaluate(game, result.strategy) == value
+
+
+@settings(max_examples=300)
+@given(random_three_player_games())
+def test_three_player_exact_value_matches_brute_force(game):
+    result = exact_value(game)
+    value, tables = oracles.brute_force_value(game)
+    assert result.value == value
+    assert tuple(result.strategy.tables) == tables
+
+
+def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
+    searches = []
+
+    class CountedSearch(games._StrategySearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(games, "_StrategySearch", CountedSearch)
+    result = exact_value(repeat(preset_game("anticorr", q=3), 2))
+    assert result.value == Fraction(2, 3)
+    # the lex-first optimal strategy: only players 1 and 2 answer (1, 1),
+    # and only to the question (0, 0)
+    first = {(0, 0): (0, 0), (1, 0): (0, 0), (0, 1): (0, 0), (1, 1): (0, 0)}
+    second = dict(first)
+    second[(0, 0)] = (1, 1)
+    assert result.strategy.tables == (first, second, second)
+    # search calls over both phases; a change to this count is a change to
+    # the search, not noise
+    assert [s.nodes for s in searches] == [20265]
+
+
+def test_untabled_game_value():
+    # 257 * 256 answer combinations exceed the acceptance table limit, so the
+    # search checks the predicate itself on the tuple's last cell
+    assert 257 * 256 > games._ACCEPT_TABLE_LIMIT
+    g = Game(((0,), (0,)), (range(257), range(256)), ((0, 0),), (Fraction(1),),
+             lambda x, a: a == (200, 100))
+    result = exact_value(g)
+    assert result.value == 1
+    assert result.strategy.tables == ({0: 200}, {0: 100})
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("orig = g._StrategySearch.run\n"
+     "g._StrategySearch.run = lambda self, cells, cutoff, stop_at_cutoff: "
+     "(orig(self, cells, cutoff, stop_at_cutoff)[0], None)\n",
+     "phase two must rediscover the optimum"),
+    ("g.evaluate = lambda game, strategy: -1\n",
+     "reconstructed strategy must attain the optimum"),
+], ids=["phase-two", "re-evaluation"])
+def test_value_checks_are_kept_under_python_O(patch, message):
+    # the independent checks must not be asserts, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import replab.games as g\n" + patch
+            + "print(g.exact_value(g.preset_game('anticorr', q=3)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"AssertionError: {message}" in proc.stderr
 
 
 @given(random_games(), st.integers(0, 2**32 - 1))
