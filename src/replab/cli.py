@@ -567,9 +567,6 @@ def main(argv=None) -> int:
     except PreconditionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except VerifyFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ReplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -142,18 +142,21 @@ class FiniteField:
         raise AssertionError(f"no multiplicative inverse for {a}")
 
     def _verify_axioms(self) -> None:
-        n = self.order
-        rng = range(n)
+        # explicit raises, not asserts, so that python -O keeps the check
+        add, mul = self._add, self._mul
+        rng = range(self.order)
         for a in rng:
-            assert self._add[a][0] == a and self._mul[a][1] == a
-            assert self._mul[a][0] == 0
+            if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
+                raise AssertionError(f"identity axioms fail at {a}")
             for b in rng:
-                assert self._add[a][b] == self._add[b][a]
-                assert self._mul[a][b] == self._mul[b][a]
-                for c in rng:
-                    assert self._add[self._add[a][b]][c] == self._add[a][self._add[b][c]]
-                    assert self._mul[self._mul[a][b]][c] == self._mul[a][self._mul[b][c]]
-                    assert self._mul[a][self._add[b][c]] == self._add[self._mul[a][b]][self._mul[a][c]]
+                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                    raise AssertionError(f"commutativity fails at {a}, {b}")
+        for a, b, c in itertools.product(rng, repeat=3):
+            if (add[add[a][b]][c] != add[a][add[b][c]]
+                    or mul[mul[a][b]][c] != mul[a][mul[b][c]]
+                    or mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]):
+                raise AssertionError(
+                    f"associativity or distributivity fails at {a}, {b}, {c}")
 
     def _verify_generators(self) -> None:
         # every element must be the field-sum of digit-many copies of each p**i
@@ -163,7 +166,8 @@ class FiniteField:
                 g = self.p**i
                 for _ in range(d):
                     acc = self._add[acc][g]
-            assert acc == a, f"additive generators do not span element {a}"
+            if acc != a:
+                raise AssertionError(f"additive generators do not span element {a}")
 
     # -- public arithmetic -----------------------------------------------------
 

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
-from .repetition import ProductTuples, RepeatedGame, TupleCodec
+from .repetition import ProductTuples, RepeatedGame, TupleCodec, power_exceeds
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free
 
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -128,8 +128,7 @@ def _search_witnesses(support: Sequence[tuple], n: int,
         options = {}
         for j, v in cells:
             opts = []
-            for combo in itertools.product(symbols[j], repeat=n - 1):
-                free = combo[::-1]  # little-endian: first free coordinate fastest
+            for free in ProductTuples(symbols[j], n - 1):
                 row = free[:i] + (v,) + free[i:]
                 if row in rowindex[j]:
                     opts.append(row)
@@ -140,13 +139,15 @@ def _search_witnesses(support: Sequence[tuple], n: int,
             if ci == len(cells):
                 edges = []
                 for s in range(q):
-                    assert len(candidates[s]) == 1, "complete assignment must pin each edge"
+                    if len(candidates[s]) != 1:
+                        raise AssertionError("complete assignment must pin each edge")
                     edges.append(pts[next(iter(candidates[s]))])
                 witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
                 key = witness.point_set()
                 if key not in seen:
                     seen.add(key)
-                    assert witness_is_valid(support, n, witness, pts)
+                    if not witness_is_valid(support, n, witness, pts):
+                        raise AssertionError("found configuration failed witness_is_valid")
                     yield witness
                 return
             j, v = cells[ci]
@@ -185,7 +186,7 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
     (default: the whole n-fold support), deduplicated as point sets."""
     q = len(support)
     if points is None:
-        if q**n > point_budget:
+        if power_exceeds(q, n, point_budget):
             raise BudgetExceededError(
                 f"{q}**{n} points exceed the budget {point_budget}")
         points = ProductTuples(range(q), n)
@@ -199,9 +200,11 @@ def forbidden_hypergraph(support: Sequence[tuple], n: int,
     configurations; free sets of this hypergraph are exactly the
     configuration-free subsets."""
     q = len(support)
+    # enumerate_forbidden checks the point budget before the codec builds q**n
+    witnesses = enumerate_forbidden(support, n, point_budget=point_budget)
     code = TupleCodec(range(q), n).encode
     edges = []
-    for witness in enumerate_forbidden(support, n, point_budget=point_budget):
+    for witness in witnesses:
         edges.append(tuple(sorted(code(e) for e in witness.edges)))
         if len(edges) > config_budget:
             raise BudgetExceededError(
@@ -228,7 +231,7 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    if q**n > point_budget:
+    if power_exceeds(q, n, point_budget):
         raise BudgetExceededError(
             f"{q}**{n} points exceed the budget {point_budget}; "
             "export the instance with a WCNF dump instead")
@@ -383,12 +386,8 @@ def strategy_from_witness(support: Sequence[tuple], n: int) -> Strategy:
 def winning_points(game: RepeatedGame, strategy: Strategy) -> list[tuple[int, ...]]:
     """Index vectors of the repeated support tuples on which the strategy
     wins."""
-    out = []
-    for c in range(len(game.support)):
-        x = game.support[c]
-        if game.predicate(x, strategy.answers(x)):
-            out.append(game.round_index(c))
-    return out
+    return [w for w, x in zip(game.rounds, game.support)
+            if game.predicate(x, strategy.answers(x))]
 
 
 def check_winning_set_free(game: RepeatedGame, strategy: Strategy) -> bool:

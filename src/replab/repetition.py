@@ -8,21 +8,37 @@ players win only if every round's predicate accepts.
 Round tuples are indexed little-endian: the repeated support element with
 index c plays base round c % q first (coordinate 0), then (c // q) % q, and
 so on.  Per-player question and answer tuples use the same convention, so a
-tuple's index is sum(position_i * radix**i).  Support, weights and alphabets
-of the repeated game are lazy sequences; nothing of size alphabet**n is
-materialised until something iterates it.
+tuple's index is sum(position_i * radix**i).  ProductTuples is the one lazy
+sequence of such tuples.  A repeated game's rounds are ProductTuples(range(q),
+n), the index vectors of its base rounds, and its support, weights and
+round_index are maps over them; nothing of size alphabet**n is materialised
+until something iterates it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 
 DEFAULT_REPEAT_BUDGET = 1 << 22
+
+
+def power_exceeds(base: int, exp: int, budget: int) -> bool:
+    """Whether base**exp > budget, for base, exp >= 0.  The product stops
+    growing once it passes the budget, so a huge exp costs no more than a
+    small one."""
+    if base <= 1:
+        return int(base == 1 or exp == 0) > budget
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > budget:
+            return True
+    return value > budget
 
 
 class TupleCodec:
@@ -76,6 +92,10 @@ class ProductTuples(Sequence):
             raise IndexError(i)
         return self.codec.decode(i)
 
+    def __iter__(self):
+        # itertools.product varies its last coordinate fastest
+        return (t[::-1] for t in itertools.product(self.codec.alphabet, repeat=self.codec.n))
+
     def __contains__(self, item) -> bool:
         try:
             self.codec.encode(item)
@@ -84,54 +104,21 @@ class ProductTuples(Sequence):
             return False
 
 
-class _RepeatedSupport(Sequence):
-    """Support of the repeated game: element c is the per-player transpose of
-    base support tuples (Q[c % q], Q[(c // q) % q], ..)."""
+class _RoundMap(Sequence):
+    """Lazy sequence whose element c is f(rounds[c])."""
 
-    def __init__(self, base_support: Sequence, k: int, n: int):
-        self.base = base_support
-        self.k = k
-        self.n = n
-        self.q = len(base_support)
+    def __init__(self, f, rounds: ProductTuples):
+        self.f = f
+        self.rounds = rounds
 
     def __len__(self) -> int:
-        return self.q**self.n
+        return len(self.rounds)
 
     def __getitem__(self, c):
-        if isinstance(c, slice):
-            return [self[j] for j in range(*c.indices(len(self)))]
-        if c < 0:
-            c += len(self)
-        if not 0 <= c < len(self):
-            raise IndexError(c)
-        rounds = []
-        for _ in range(self.n):
-            rounds.append(self.base[c % self.q])
-            c //= self.q
-        return tuple(tuple(x[j] for x in rounds) for j in range(self.k))
+        return self.f(self.rounds[c])
 
-
-class _RepeatedWeights(Sequence):
-    def __init__(self, base_weights: Sequence, n: int):
-        self.base = [Fraction(w) for w in base_weights]
-        self.n = n
-        self.q = len(self.base)
-
-    def __len__(self) -> int:
-        return self.q**self.n
-
-    def __getitem__(self, c):
-        if isinstance(c, slice):
-            return [self[j] for j in range(*c.indices(len(self)))]
-        if c < 0:
-            c += len(self)
-        if not 0 <= c < len(self):
-            raise IndexError(c)
-        w = Fraction(1)
-        for _ in range(self.n):
-            w *= self.base[c % self.q]
-            c //= self.q
-        return w
+    def __iter__(self):
+        return map(self.f, self.rounds)
 
 
 class RepeatedGame(Game):
@@ -140,14 +127,18 @@ class RepeatedGame(Game):
     def __init__(self, base: Game, n: int):
         self.base = base
         self.n = n
-        k = base.k
-        predicate = self._build_predicate(base, n, k)
+        self.rounds = ProductTuples(range(len(base.support)), n)
+        support = base.support
+        weights = list(base.weights)
         super().__init__(
             question_alphabets=[ProductTuples(a, n) for a in base.question_alphabets],
             answer_alphabets=[ProductTuples(a, n) for a in base.answer_alphabets],
-            support=_RepeatedSupport(base.support, k, n),
-            weights=_RepeatedWeights(base.weights, n),
-            predicate=predicate,
+            # per player, the transpose of the rounds' base support tuples
+            support=_RoundMap(lambda w: tuple(zip(*map(support.__getitem__, w))),
+                              self.rounds),
+            weights=_RoundMap(lambda w: math.prod(map(weights.__getitem__, w)),
+                              self.rounds),
+            predicate=self._build_predicate(base, n, base.k),
             predicate_spec=None,
             validate=False,
         )
@@ -166,12 +157,12 @@ class RepeatedGame(Game):
 
     def round_index(self, c: int) -> tuple[int, ...]:
         """Base support indices of repeated support element c, round 0 first."""
-        out = []
-        q = len(self.base.support)
-        for _ in range(self.n):
-            out.append(c % q)
-            c //= q
-        return tuple(out)
+        return self.rounds[c]
+
+    def question_domain(self, player: int) -> list:
+        """The n-fold product of the base domain: the repeated support is the
+        full product of base rounds, so every such tuple occurs."""
+        return list(ProductTuples(self.base.question_domain(player), self.n))
 
     def __repr__(self) -> str:
         return f"RepeatedGame(base={self.base!r}, n={self.n})"
@@ -186,10 +177,10 @@ def repeat(game: Game, n: int, budget: int = DEFAULT_REPEAT_BUDGET) -> RepeatedG
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    if len(game.support) ** n > budget:
+    if power_exceeds(len(game.support), n, budget):
         raise BudgetExceededError(f"repeated support exceeds budget {budget}")
     for alphabet in (*game.question_alphabets, *game.answer_alphabets):
-        if len(alphabet) ** n > budget:
+        if power_exceeds(len(alphabet), n, budget):
             raise BudgetExceededError(f"repeated alphabet exceeds budget {budget}")
     return RepeatedGame(game, n)
 

@@ -36,7 +36,7 @@ from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .repetition import ProductTuples, TupleCodec
+from .repetition import ProductTuples, TupleCodec, power_exceeds
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
                      verify_free)
 
@@ -88,7 +88,7 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     """Combinatorial lines in range(q)**n."""
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
-    if q**n > point_budget:
+    if power_exceeds(q, n, point_budget):
         raise BudgetExceededError(f"{q}**{n} points exceed the budget {point_budget}")
     tuples = ProductTuples(range(q), n)
     universe = tuple(tuples)
@@ -167,7 +167,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
     """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if 4**n > point_budget:
+    if power_exceeds(4, n, point_budget):
         raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
     universe = _vector_universe(2, 2, n)
     index = {p: i for i, p in enumerate(universe)}
@@ -207,7 +207,7 @@ def grids(field: FiniteField, k: int, n: int,
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     order = field.order
-    if order ** (k * n) > point_budget:
+    if power_exceeds(order, k * n, point_budget):
         raise BudgetExceededError(
             f"{order}**{k * n} points exceed the budget {point_budget}")
     universe = _vector_universe(order, k, n)
@@ -286,7 +286,8 @@ def r_line(q: int, n: int, method: str = "auto",
             # the middle layer: no two points of equal weight are comparable,
             # so no line fits inside it
             witness = [w for w in ProductTuples(range(2), n) if sum(w) == n // 2]
-            assert len(witness) == size
+            if len(witness) != size:
+                raise AssertionError("middle layer does not match the closed-form size")
         return DensityRecord(
             family="line",
             params={"q": q, "n": n},

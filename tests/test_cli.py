@@ -20,6 +20,16 @@ from replab.games import Game, game_to_json, preset_game, unit_tuples
 from replab.search import export_wcnf
 
 
+def _child_env():
+    # A child process may run in another directory, where a relative
+    # PYTHONPATH entry such as "src" no longer resolves, so put this
+    # checkout's src/ first by its absolute path; the child then imports the
+    # tree the other tests import.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -360,6 +370,24 @@ def test_eqn_point_budget(capsys):
     assert code == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["repeat", "--preset", "anticorr"],
+    ["eqn", "--preset", "unitvec", "--no-cache"],
+    ["eqn", "--preset", "unitvec", "--wcnf", "out.wcnf"],
+    ["density", "line", "--q", "3", "--no-cache"],
+    ["density", "square", "--no-cache"],
+    ["density", "grid", "--no-cache"],
+], ids=["repeat", "eqn", "eqn-wcnf", "line", "square", "grid"])
+def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
+    # the budget checks must not build q**n first: at n = 10**9 that alone
+    # takes longer than any timeout here
+    proc = subprocess.run(
+        [sys.executable, "-m", "replab", *argv, "--n", "1000000000"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=10)
+    assert proc.returncode == 3 and proc.stderr.startswith("error:")
+    assert not (tmp_path / "out.wcnf").exists()
+
+
 # -- repeat ---------------------------------------------------------------------
 
 
@@ -517,15 +545,9 @@ def test_missing_command_is_usage_error():
 
 
 def test_module_entry_point(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such as
-    # "src" no longer resolves, so put this checkout's src/ first by its
-    # absolute path; the child then imports the tree the other tests import.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "replab", "value", "--preset", "anticorr",
          "--no-cache"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "value:         2/3" in proc.stdout

@@ -1,6 +1,10 @@
 """Finite field tables, vector helpers, and affine subspaces."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +26,23 @@ def test_construction_and_inverses(p, r):
         assert f.add(a, f.neg(a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
+
+
+def test_axiom_check_is_kept_under_python_O():
+    # GF(3) with 1 * 2 = 0: every element keeps an inverse, so only the
+    # axiom check, which must not be an assert that -O strips, can object
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import replab.fields as f\n"
+            "mul = f.FiniteField._poly_elem_mul\n"
+            "f.FiniteField._poly_elem_mul = "
+            "lambda self, a, b: 0 if (a, b) == (1, 2) else mul(self, a, b)\n"
+            "print(f.FiniteField(3)._mul)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "AssertionError: commutativity fails at 1, 2" in proc.stderr
 
 
 def test_zero_has_no_inverse():

@@ -1,7 +1,11 @@
 """Forbidden-configuration search, extremal densities, and the answer game."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,6 +177,21 @@ def test_compute_eq_matches_naive_oracle():
         rec = compute_eq(support, n)
         assert rec.value == density
         assert rec.witness == sorted(universe[i] for i in chosen)
+
+
+def test_witness_checks_are_kept_under_python_O():
+    # the search's own witness check must not be an assert, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import replab.forbidden as f\n"
+            "from replab.games import unit_tuples\n"
+            "f.witness_is_valid = lambda *args: False\n"
+            "print(f.compute_eq(list(unit_tuples(3)), 2))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "AssertionError: found configuration failed witness_is_valid" in proc.stderr
 
 
 def test_compute_eq_refuses_when_config_budget_is_tiny():

@@ -1,6 +1,7 @@
 """Tuple codecs, lazy repeated games, and independent strategies."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given
@@ -10,7 +11,7 @@ import pytest
 from replab.errors import BudgetExceededError
 from replab.games import Game, Strategy, evaluate, exact_value, preset_game
 from replab.repetition import (ProductTuples, TupleCodec, independent_strategy,
-                               repeat)
+                               power_exceeds, repeat)
 
 
 # -- codecs ---------------------------------------------------------------------
@@ -51,6 +52,22 @@ def test_product_tuples_order_and_lookup():
         seq[4]
 
 
+@given(st.integers(0, 4), st.integers(0, 4))
+def test_product_tuples_iteration_matches_indexing(size, n):
+    pt = ProductTuples("abcd"[:size], n)
+    assert list(pt) == [pt[i] for i in range(len(pt))]
+
+
+def test_power_exceeds():
+    for base, exp in itertools.product(range(5), range(5)):
+        for budget in (-1, 0, 1, 15, 16, 17):
+            assert power_exceeds(base, exp, budget) == (base**exp > budget)
+    # the product stops at the budget, so a huge exponent answers at once
+    assert power_exceeds(2, 10**18, 10**6)
+    assert not power_exceeds(1, 10**18, 1)
+    assert not power_exceeds(0, 10**18, 0)
+
+
 # -- repeated games ----------------------------------------------------------------
 
 
@@ -79,14 +96,43 @@ def test_repeated_game_shape():
     assert sum(game.weights) == 1
 
 
-def test_repeated_support_matches_transpose():
-    base = _base_game()
-    game = repeat(base, 2)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("make_base", [_base_game, lambda: preset_game("anticorr", q=3)],
+                         ids=["base", "anticorr3"])
+def test_repeated_support_matches_transpose(make_base, n):
+    base = make_base()
+    game = repeat(base, n)
     q = len(base.support)
-    for c in range(len(game.support)):
-        rounds = [base.support[(c // q**m) % q] for m in range(2)]
-        expected = tuple(tuple(r[j] for r in rounds) for j in range(base.k))
-        assert game.support[c] == expected
+    rounds, support, weights = list(game.rounds), list(game.support), list(game.weights)
+    assert len(rounds) == len(support) == len(weights) == len(game.support) == q**n
+    # the materialised product, in the little-endian order of the rounds
+    assert weights == [math.prod(ws) for ws in itertools.product(base.weights, repeat=n)]
+    for c in range(q**n):
+        w = tuple((c // q**m) % q for m in range(n))
+        assert rounds[c] == game.rounds[c] == game.round_index(c) == w
+        expected = tuple(tuple(base.support[v][j] for v in w) for j in range(base.k))
+        assert support[c] == game.support[c] == expected
+        assert weights[c] == game.weights[c]
+
+
+def _sparse_domain_game():
+    # player 0 is never asked 2, and its alphabet is not in sorted order
+    return Game(((2, 1, 0), (0, 1)), ((0, 1), (0, 1)),
+                ((1, 0), (0, 1), (0, 0)),
+                (Fraction(1, 3),) * 3, lambda x, a: a[0] == a[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("make_base", [
+    lambda: preset_game("anticorr", q=3),
+    lambda: preset_game("ghz"),
+    lambda: preset_game("grid", p=3, k=2),
+    _sparse_domain_game,
+], ids=["anticorr3", "ghz", "grid3", "sparse"])
+def test_repeated_question_domain_matches_generic_walk(make_base, n):
+    game = repeat(make_base(), n)
+    for j in range(game.k):
+        assert game.question_domain(j) == Game.question_domain(game, j)
 
 
 def test_repeated_predicate_requires_all_rounds():
