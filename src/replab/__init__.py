@@ -14,6 +14,7 @@ The package computes, with exact rational arithmetic throughout:
     instances beyond the built-in solver budget (search).
 """
 
+from .codec import TupleCodec
 from .errors import (BudgetExceededError, IncompleteStrategyError, ReplabError,
                      SchemaError)
 from .fields import AffineSubspace, FiniteField
@@ -26,7 +27,7 @@ from .games import (Game, GameValue, Strategy, evaluate, exact_value,
                     game_from_json, game_to_json, mixture_value, preset_game,
                     winning_set)
 from .records import DensityRecord, ValueRecord
-from .repetition import RepeatedGame, TupleCodec, independent_strategy, repeat
+from .repetition import RepeatedGame, independent_strategy, repeat
 from .rng import SplitMix64
 from .search import (ForbiddenHypergraph, export_wcnf, max_free,
                      symmetry_orbit_prune, verify_free)

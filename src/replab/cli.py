@@ -41,13 +41,13 @@ from . import forbidden, structures
 from .cache import ResultsCache, canonical_key
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
-from .games import (DEFAULT_STRATEGY_BUDGET, Game, _from_jsonable, evaluate,
-                    exact_value, game_from_json, preset_game,
+from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, _from_jsonable,
+                    evaluate, exact_value, game_from_json, preset_game,
                     strategy_from_json, strategy_to_json, unit_tuples)
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
-from .search import export_wcnf
+from .search import ForbiddenHypergraph, export_wcnf, verify_free
 from .structures import ghz_support, grid_question_set
 
 PRESETS = ("anticorr", "unitvec", "ghz", "grid")
@@ -141,6 +141,14 @@ def _emit(args, record: dict, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+def _write_wcnf(path: str, hyper: ForbiddenHypergraph) -> int:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(export_wcnf(hyper))
+    print(f"wrote WCNF: {hyper.size} points, "
+          f"{len(hyper.edges)} hard clauses -> {path}")
+    return 0
+
+
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -218,10 +226,8 @@ def _density_verify(args, record: DensityRecord) -> bool:
     family = _density_family(args)
     try:
         indices = [family.index(_from_jsonable(p)) for p in record.witness]
-    except (KeyError, TypeError):
+    except (ValueError, TypeError):
         return False
-    from .search import verify_free
-
     return (len(indices) == record.witness_size
             and record.value == Fraction(record.witness_size, len(family.universe))
             and verify_free(indices, family.configurations()))
@@ -229,14 +235,7 @@ def _density_verify(args, record: DensityRecord) -> bool:
 
 def cmd_density(args) -> int:
     if args.wcnf:
-        family = _density_family(args)
-        hyper = family.to_hypergraph()
-        text = export_wcnf(hyper)
-        with open(args.wcnf, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote WCNF: {len(family.universe)} points, "
-              f"{len(hyper.edges)} hard clauses -> {args.wcnf}")
-        return 0
+        return _write_wcnf(args.wcnf, _density_family(args).to_hypergraph())
     params = dict(_density_params(args), family=args.family)
     record, status = _with_cache(args, "density", params, DensityRecord,
                                  lambda: _density_compute(args),
@@ -262,14 +261,8 @@ def cmd_eqn(args) -> int:
     support = game.support
     n = args.n
     if args.wcnf:
-        hyper = forbidden.forbidden_hypergraph(list(support), n,
-                                               point_budget=args.point_budget)
-        text = export_wcnf(hyper)
-        with open(args.wcnf, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote WCNF: {hyper.size} points, "
-              f"{len(hyper.edges)} hard clauses -> {args.wcnf}")
-        return 0
+        return _write_wcnf(args.wcnf, forbidden.forbidden_hypergraph(
+            list(support), n, point_budget=args.point_budget))
     params = dict(params, preset=label, n=n)
 
     def compute() -> DensityRecord:
@@ -425,8 +418,6 @@ def cmd_verify(args) -> int:
 
 
 def _random_strategy(game: Game, rng: SplitMix64):
-    from .games import Strategy
-
     tables = []
     for j in range(game.k):
         answers = list(game.answer_alphabets[j])

@@ -1,10 +1,14 @@
 """Small finite fields GF(p^r) and affine subspaces of their vector spaces.
 
 Elements of GF(p^r) are the integers 0 .. p**r - 1, read as base-p digit
-vectors with the least significant digit first.  Digit vector (c0, .., c_{r-1})
-stands for the residue c0 + c1*t + ... + c_{r-1}*t**(r-1) modulo a fixed monic
-irreducible polynomial of degree r.  The reduction polynomial is the monic
-irreducible whose digit encoding is smallest, so tables are reproducible.
+vectors with the least significant digit first: the codes of
+ProductTuples(range(p), r).  Digit vector (c0, .., c_{r-1}) stands for the
+residue c0 + c1*t + ... + c_{r-1}*t**(r-1) modulo a fixed monic irreducible
+polynomial of degree r.  The reduction polynomial is the monic irreducible
+whose low coefficients (c0, .., c_{r-1}) come first in lexicographic order,
+c0 most significant (itertools.product order, not the digit code): t**3 +
+t**2 + 1 for GF(8) and t**4 + t**3 + 1 for GF(16), so tables are
+reproducible.
 
 Fields are this small on purpose: every arithmetic table is built eagerly and
 the field axioms are checked exhaustively at construction time, which keeps
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Sequence
+
+from .codec import ProductTuples
 
 DEFAULT_ORDER_CAP = 16
 
@@ -100,6 +106,7 @@ class FiniteField:
         self.r = r
         self.order = order
         self.reduction = self._find_reduction()
+        self._digits = ProductTuples(range(p), r).codec
         self._add = [[(self._digit_add(a, b)) for b in range(order)] for a in range(order)]
         self._mul = [[self._poly_elem_mul(a, b) for b in range(order)] for a in range(order)]
         self._neg = [self._find_neg(a) for a in range(order)]
@@ -115,19 +122,15 @@ class FiniteField:
                 return poly
         raise AssertionError("no irreducible polynomial found")
 
-    def _digits(self, a: int) -> tuple[int, ...]:
-        return tuple((a // self.p**i) % self.p for i in range(self.r))
-
-    def _from_digits(self, digits: Sequence[int]) -> int:
-        return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
-
     def _digit_add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._from_digits((x + y) % self.p for x, y in zip(da, db))
+        da, db = self._digits.decode(a), self._digits.decode(b)
+        return self._digits.encode(tuple((x + y) % self.p for x, y in zip(da, db)))
 
     def _poly_elem_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(_poly_trim(self._digits(a)), _poly_trim(self._digits(b)), self.p)
-        return self._from_digits(_poly_mod(prod, self.reduction, self.p) + (0,) * self.r)
+        da, db = self._digits.decode(a), self._digits.decode(b)
+        rem = _poly_mod(_poly_mul(_poly_trim(da), _poly_trim(db), self.p),
+                        self.reduction, self.p)
+        return self._digits.encode(rem + (0,) * (self.r - len(rem)))
 
     def _find_neg(self, a: int) -> int:
         for b in range(self.order):
@@ -162,7 +165,7 @@ class FiniteField:
         # every element must be the field-sum of digit-many copies of each p**i
         for a in range(self.order):
             acc = 0
-            for i, d in enumerate(self._digits(a)):
+            for i, d in enumerate(self._digits.decode(a)):
                 g = self.p**i
                 for _ in range(d):
                     acc = self._add[acc][g]

@@ -37,10 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .codec import ProductTuples
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
-from .repetition import ProductTuples, RepeatedGame, TupleCodec, power_exceeds
+from .repetition import RepeatedGame, power_exceeds
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free
 
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -202,7 +203,7 @@ def forbidden_hypergraph(support: Sequence[tuple], n: int,
     q = len(support)
     # enumerate_forbidden checks the point budget before the codec builds q**n
     witnesses = enumerate_forbidden(support, n, point_budget=point_budget)
-    code = TupleCodec(range(q), n).encode
+    code = ProductTuples(range(q), n).codec.encode
     edges = []
     for witness in witnesses:
         edges.append(tuple(sorted(code(e) for e in witness.edges)))

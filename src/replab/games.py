@@ -28,13 +28,13 @@ found is re-evaluated with Fractions, independently of the search.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from .codec import TupleCodec
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 
 DEFAULT_STRATEGY_BUDGET = 10**8
@@ -201,21 +201,12 @@ class _StrategySearch:
                     "raise the budget to force the search")
         # acceptance tables: per support tuple, the set of accepted answer
         # index combinations, when the combination count is small enough
-        combos = 1
-        for s in self.sizes:
-            combos *= s
-        self._accept: list[set | None] = []
-        if combos <= _ACCEPT_TABLE_LIMIT:
-            index_ranges = [range(s) for s in self.sizes]
-            for x in support:
-                acc = set()
-                for combo in itertools.product(*index_ranges):
-                    a = tuple(self.answers[j][combo[j]] for j in range(self.k))
-                    if game.predicate(x, a):
-                        acc.add(combo)
-                self._accept.append(acc)
-        else:
-            self._accept = [None] * len(support)
+        self._accept: list[set | None] = [None] * len(support)
+        if math.prod(self.sizes) <= _ACCEPT_TABLE_LIMIT:
+            positions = TupleCodec([range(s) for s in self.sizes])
+            answers = TupleCodec(self.answers)
+            self._accept = [{combo for combo, a in zip(positions, answers)
+                             if game.predicate(x, a)} for x in support]
 
     def cells_lex(self) -> list[tuple[int, object]]:
         return [(j, q) for j in range(self.k) for q in self.domains[j]]
@@ -491,29 +482,6 @@ def parse_fraction(text: str) -> Fraction:
         raise SchemaError(f"bad rational literal {text!r}") from exc
 
 
-def answer_index(game: Game, a: Sequence) -> int:
-    """Mixed-radix index of an answer tuple, player 0 least significant."""
-    idx, scale = 0, 1
-    for j in range(game.k):
-        alphabet = game.answer_alphabets[j]
-        try:
-            pos = alphabet.index(a[j])
-        except ValueError:
-            raise SchemaError(f"answer {a[j]!r} not in player {j} alphabet") from None
-        idx += pos * scale
-        scale *= len(alphabet)
-    return idx
-
-
-def answer_at(game: Game, idx: int) -> tuple:
-    out = []
-    for j in range(game.k):
-        alphabet = game.answer_alphabets[j]
-        out.append(alphabet[idx % len(alphabet)])
-        idx //= len(alphabet)
-    return tuple(out)
-
-
 _TABLE_EXPORT_LIMIT = 1 << 24
 
 
@@ -536,16 +504,11 @@ def game_to_json(game: Game) -> dict:
     if game.predicate_spec is not None:
         doc["predicate"] = game.predicate_spec
     else:
-        combos = 1
-        for a in game.answer_alphabets:
-            combos *= len(a)
-        if combos * len(game.support) > _TABLE_EXPORT_LIMIT:
+        answers = TupleCodec(game.answer_alphabets)
+        if answers.size * len(game.support) > _TABLE_EXPORT_LIMIT:
             raise SchemaError("predicate has no spec and is too large to tabulate")
-        accepts = []
-        for xi, x in enumerate(game.support):
-            for ai in range(combos):
-                if game.predicate(x, answer_at(game, ai)):
-                    accepts.append([xi, ai])
+        accepts = [[xi, ai] for xi, x in enumerate(game.support)
+                   for ai, a in enumerate(answers) if game.predicate(x, a)]
         doc["predicate"] = {"type": "table", "accepts": accepts}
     return doc
 
@@ -558,8 +521,7 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
     ptype = spec["type"]
     if ptype == "table":
         support_pos = {x: i for i, x in enumerate(support)}
-        radices = [len(a) for a in answer_alphabets]
-        positions = [{sym: p for p, sym in enumerate(a)} for a in answer_alphabets]
+        encode = TupleCodec(answer_alphabets).encode
         accepts = set()
         for item in spec.get("accepts", []):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
@@ -570,14 +532,10 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
             xi = support_pos.get(tuple(x))
             if xi is None:
                 return False
-            idx, scale = 0, 1
-            for j, sym in enumerate(a):
-                pos = positions[j].get(sym)
-                if pos is None:
-                    return False
-                idx += pos * scale
-                scale *= radices[j]
-            return (xi, idx) in accepts
+            try:
+                return (xi, encode(a)) in accepts
+            except ValueError:
+                return False
 
         return table_predicate
     if ptype == "preset":

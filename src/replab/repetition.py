@@ -7,20 +7,19 @@ players win only if every round's predicate accepts.
 
 Round tuples are indexed little-endian: the repeated support element with
 index c plays base round c % q first (coordinate 0), then (c // q) % q, and
-so on.  Per-player question and answer tuples use the same convention, so a
-tuple's index is sum(position_i * radix**i).  ProductTuples is the one lazy
-sequence of such tuples.  A repeated game's rounds are ProductTuples(range(q),
-n), the index vectors of its base rounds, and its support, weights and
-round_index are maps over them; nothing of size alphabet**n is materialised
-until something iterates it.
+so on.  Per-player question and answer tuples use the same convention, the
+little-endian code of the codec module.  A repeated game's rounds are
+ProductTuples(range(q), n), the index vectors of its base rounds, and its
+support, weights and round_index are maps over them; nothing of size
+alphabet**n is materialised until something iterates it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 
+from .codec import ProductTuples
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 
@@ -39,69 +38,6 @@ def power_exceeds(base: int, exp: int, budget: int) -> bool:
         if value > budget:
             return True
     return value > budget
-
-
-class TupleCodec:
-    """Bijection between tuples over an alphabet and integers.
-
-    Coordinate 0 is the least significant digit: encode((a, b)) with radix q
-    is index(a) + q * index(b).
-    """
-
-    def __init__(self, alphabet: Sequence, n: int):
-        self.alphabet = tuple(alphabet)
-        self.n = n
-        self._pos = {sym: i for i, sym in enumerate(self.alphabet)}
-        self.size = len(self.alphabet) ** n
-
-    def encode(self, items: Sequence) -> int:
-        if len(items) != self.n:
-            raise ValueError(f"expected a {self.n}-tuple")
-        code, scale = 0, 1
-        for sym in items:
-            code += self._pos[sym] * scale
-            scale *= len(self.alphabet)
-        return code
-
-    def decode(self, code: int) -> tuple:
-        if not 0 <= code < self.size:
-            raise ValueError(f"code {code} out of range")
-        out = []
-        radix = len(self.alphabet)
-        for _ in range(self.n):
-            out.append(self.alphabet[code % radix])
-            code //= radix
-        return tuple(out)
-
-
-class ProductTuples(Sequence):
-    """Lazy sequence of all n-tuples over an alphabet, in codec order."""
-
-    def __init__(self, alphabet: Sequence, n: int):
-        self.codec = TupleCodec(alphabet, n)
-
-    def __len__(self) -> int:
-        return self.codec.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self.codec.decode(i)
-
-    def __iter__(self):
-        # itertools.product varies its last coordinate fastest
-        return (t[::-1] for t in itertools.product(self.codec.alphabet, repeat=self.codec.n))
-
-    def __contains__(self, item) -> bool:
-        try:
-            self.codec.encode(item)
-            return True
-        except (KeyError, ValueError, TypeError):
-            return False
 
 
 class _RoundMap(Sequence):
@@ -173,10 +109,14 @@ def repeat(game: Game, n: int, budget: int = DEFAULT_REPEAT_BUDGET) -> RepeatedG
 
     Construction is lazy, but refuses instances whose support or any single
     alphabet would exceed budget if enumerated, since every consumer of the
-    result eventually walks those sequences.
+    result eventually walks those sequences.  The round count itself must
+    stay within budget too: each of the n rounds holds a slot in every
+    repeated alphabet's codec.
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
+    if n > budget:
+        raise BudgetExceededError(f"{n} rounds exceed budget {budget}")
     if power_exceeds(len(game.support), n, budget):
         raise BudgetExceededError(f"repeated support exceeds budget {budget}")
     for alphabet in (*game.question_alphabets, *game.answer_alphabets):

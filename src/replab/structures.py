@@ -12,10 +12,10 @@ a configuration-free set:
   grids(field, k, n) {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} in k-tuples
                      of F**n vectors, d != 0.
 
-Vector universes index points little-endian: a k-tuple of vectors has index
-sum(code(v_j) * (order**n)**j) with player 0 least significant, and vector
-codes put coordinate 0 in the least significant digit; that is the order of
-ProductTuples(ProductTuples(range(order), n), k).
+A family's universe is a ProductTuples and a point's index is its code:
+range(q)**n for lines, and for the vector families
+ProductTuples(ProductTuples(range(order), n), k), so a k-tuple of vectors
+has index sum(code(v_j) * (order**n)**j) with player 0 least significant.
 
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
@@ -27,16 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from .codec import ProductTuples
 from .errors import BudgetExceededError
 from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .repetition import ProductTuples, TupleCodec, power_exceeds
+from .repetition import power_exceeds
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
                      verify_free)
 
@@ -49,26 +51,23 @@ class StructureFamily:
 
     configurations() returns a fresh iterator of sorted point-index tuples on
     every call, so verification can re-walk the family independently of any
-    solver state.  generators are index permutations preserving the family;
-    the solver uses them for its symmetry reduction.
+    solver state.  A point's index is its code in the universe, and index()
+    raises ValueError for a point outside it.  generators are index
+    permutations preserving the family; the solver uses them for its
+    symmetry reduction.
     """
 
     name: str
     params: dict
-    universe: tuple
-    arity: int
+    universe: ProductTuples
     _enumerate: Callable[[], Iterator[tuple[int, ...]]]
     generators: tuple = ()
-    _index: dict = dataclass_field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {p: i for i, p in enumerate(self.universe)}
 
     def configurations(self) -> Iterator[tuple[int, ...]]:
         return self._enumerate()
 
     def index(self, point) -> int:
-        return self._index[point]
+        return self.universe.codec.encode(point)
 
     def to_hypergraph(self) -> ForbiddenHypergraph:
         return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
@@ -90,9 +89,8 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
         raise ValueError("need q >= 1 and n >= 1")
     if power_exceeds(q, n, point_budget):
         raise BudgetExceededError(f"{q}**{n} points exceed the budget {point_budget}")
-    tuples = ProductTuples(range(q), n)
-    universe = tuple(tuples)
-    code = tuples.codec.encode
+    universe = ProductTuples(range(q), n)
+    code = universe.codec.encode
 
     def enumerate_lines() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
@@ -119,7 +117,6 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
         name="line",
         params={"q": q, "n": n},
         universe=universe,
-        arity=q,
         _enumerate=enumerate_lines,
         generators=tuple(generators),
     )
@@ -128,30 +125,30 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
 # -- vector universes (squares, corners, grids) --------------------------------
 
 
-def _vector_universe(order: int, k: int, n: int) -> tuple[tuple, ...]:
+def _vector_universe(order: int, k: int, n: int) -> ProductTuples:
     """All k-tuples of length-n vectors over range(order), player 0 least
     significant in the point index."""
-    return tuple(ProductTuples(ProductTuples(range(order), n), k))
+    return ProductTuples(ProductTuples(range(order), n), k)
 
 
 def _xor_vec(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(u, v, strict=True))
 
 
-def _unit_translations(order: int, k: int, n: int, add_vec) -> tuple[tuple[int, ...], ...]:
+def _unit_translations(universe: ProductTuples, n: int,
+                       add_vec) -> tuple[tuple[int, ...], ...]:
     """Index permutations translating one player's vector by one unit vector;
     these generate the full translation group of the universe."""
-    universe = _vector_universe(order, k, n)
-    index = {p: i for i, p in enumerate(universe)}
+    code = universe.codec.encode
     gens = []
-    for j in range(k):
+    for j in range(universe.codec.n):
         for m in range(n):
             unit = tuple(1 if mm == m else 0 for mm in range(n))
             image = []
             for point in universe:
                 moved = list(point)
                 moved[j] = add_vec(point[j], unit)
-                image.append(index[tuple(moved)])
+                image.append(code(moved))
             gens.append(tuple(image))
     return tuple(gens)
 
@@ -170,8 +167,8 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
     if power_exceeds(4, n, point_budget):
         raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
     universe = _vector_universe(2, 2, n)
-    index = {p: i for i, p in enumerate(universe)}
-    vectors = tuple(ProductTuples(range(2), n))
+    code = universe.codec.encode
+    vectors = universe.codec.alphabets[0]
 
     def enumerate_corners() -> Iterator[tuple[int, ...]]:
         # (x, y, d) -> corner is injective: the apex (x, y) is the unique
@@ -181,18 +178,17 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
             for x in vectors:
                 for y in vectors:
                     yield tuple(sorted((
-                        index[(x, y)],
-                        index[(_xor_vec(x, d), y)],
-                        index[(x, _xor_vec(y, d))],
+                        code((x, y)),
+                        code((_xor_vec(x, d), y)),
+                        code((x, _xor_vec(y, d))),
                     )))
 
     return StructureFamily(
         name="corner",
         params={"n": n},
         universe=universe,
-        arity=3,
         _enumerate=enumerate_corners,
-        generators=_unit_translations(2, 2, n, _xor_vec),
+        generators=_unit_translations(universe, n, _xor_vec),
     )
 
 
@@ -211,9 +207,9 @@ def grids(field: FiniteField, k: int, n: int,
         raise BudgetExceededError(
             f"{order}**{k * n} points exceed the budget {point_budget}")
     universe = _vector_universe(order, k, n)
-    index = {p: i for i, p in enumerate(universe)}
+    code = universe.codec.encode
     monic = []
-    for d in ProductTuples(field.elements, n):
+    for d in universe.codec.alphabets[0]:
         lead = next((v for v in d if v != 0), None)
         if lead == 1:
             monic.append(d)
@@ -223,7 +219,7 @@ def grids(field: FiniteField, k: int, n: int,
         for alpha in itertools.product(field.elements, repeat=k):
             point = tuple(field.vec_add(x[j], field.vec_scale(alpha[j], d))
                           for j in range(k))
-            out.append(index[point])
+            out.append(code(point))
         return out
 
     def enumerate_grids() -> Iterator[tuple[int, ...]]:
@@ -237,19 +233,17 @@ def grids(field: FiniteField, k: int, n: int,
         name="grid",
         params={"p": field.p, "r": field.r, "k": k, "n": n},
         universe=universe,
-        arity=order**k,
         _enumerate=enumerate_grids,
-        generators=_unit_translations(order, k, n, field.vec_add),
+        generators=_unit_translations(universe, n, field.vec_add),
     )
 
 
 # -- exact densities -------------------------------------------------------------
 
 
-def _density_record(family: StructureFamily, method: str,
-                    solver_budget: int) -> DensityRecord:
+def _density_record(family: StructureFamily) -> DensityRecord:
     hyper = family.to_hypergraph()
-    size, chosen = max_free(hyper, budget=solver_budget)
+    size, chosen = max_free(hyper)
     if not verify_free(chosen, family.configurations()):
         raise AssertionError("density witness failed independent re-enumeration check")
     return DensityRecord(
@@ -259,12 +253,11 @@ def _density_record(family: StructureFamily, method: str,
         witness_size=size,
         universe_size=len(family.universe),
         witness=[family.universe[i] for i in chosen],
-        method=method,
+        method="exact-bb",
     )
 
 
-def r_line(q: int, n: int, method: str = "auto",
-           solver_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
     """Maximum density of a line-free subset of range(q)**n.
 
     For q = 2 the density has a closed form: lines are pairs of distinct
@@ -272,14 +265,22 @@ def r_line(q: int, n: int, method: str = "auto",
     antichains in the Boolean lattice and the maximum is the middle binomial
     layer, C(n, floor(n/2)) / 2**n.  method "closed-form" evaluates the
     formula directly (witness materialised only for small n); "search" runs
-    the exact solver; "auto" searches within the solver budget and falls
-    back to the closed form for larger q = 2 instances.
+    the exact solver; "auto" searches within the solver's point budget and
+    falls back to the closed form for larger q = 2 instances.  The closed
+    form raises BudgetExceededError when 2**n has more decimal digits than
+    sys.get_int_max_str_digits() allows, since the value could not be
+    printed.
     """
     if method not in ("auto", "search", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed-form" or (method == "auto" and q == 2 and 2**n > solver_budget):
+    if method == "closed-form" or (
+            method == "auto" and q == 2 and power_exceeds(2, n, DEFAULT_POINT_BUDGET)):
         if q != 2:
             raise ValueError("the closed form is only available for q = 2")
+        digits = sys.get_int_max_str_digits()
+        if digits and power_exceeds(2, n, 10**digits - 1):
+            raise BudgetExceededError(
+                f"2**{n} has more than {digits} digits, the integer string limit")
         size = math.comb(n, n // 2)
         witness = None
         if 2**n <= WITNESS_MATERIALISE_LIMIT:
@@ -297,25 +298,22 @@ def r_line(q: int, n: int, method: str = "auto",
             witness=witness,
             method="closed-form",
         )
-    family = lines(q, n, point_budget=solver_budget)
-    return _density_record(family, "exact-bb", solver_budget)
+    return _density_record(lines(q, n, point_budget=DEFAULT_POINT_BUDGET))
 
 
-def r_square(n: int, solver_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+def r_square(n: int) -> DensityRecord:
     """Maximum density of a square-free subset of F_2**n x F_2**n."""
-    return _density_record(squares(n, point_budget=solver_budget), "exact-bb", solver_budget)
+    return _density_record(squares(n, point_budget=DEFAULT_POINT_BUDGET))
 
 
-def r_corner(n: int, solver_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+def r_corner(n: int) -> DensityRecord:
     """Maximum density of a corner-free subset of F_2**n x F_2**n."""
-    return _density_record(corners(n, point_budget=solver_budget), "exact-bb", solver_budget)
+    return _density_record(corners(n, point_budget=DEFAULT_POINT_BUDGET))
 
 
-def r_grid(field: FiniteField, k: int, n: int,
-           solver_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+def r_grid(field: FiniteField, k: int, n: int) -> DensityRecord:
     """Maximum density of a grid-free subset of (F**n)**k."""
-    return _density_record(grids(field, k, n, point_budget=solver_budget),
-                           "exact-bb", solver_budget)
+    return _density_record(grids(field, k, n, point_budget=DEFAULT_POINT_BUDGET))
 
 
 # -- bijections with forbidden configurations -----------------------------------
@@ -406,8 +404,8 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
     order = field.order
     if len(set(pts)) != order**k:
         raise ValueError(f"a grid over this field has {order**k} distinct points")
-    vectors = ProductTuples(field.elements, n)
-    base = min(pts, key=TupleCodec(vectors, k).encode)
+    universe = _vector_universe(order, k, n)
+    base = min(pts, key=universe.codec.encode)
     diffs = set()
     for p in pts:
         for j in range(k):
@@ -416,7 +414,7 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
                 diffs.add(delta)
     if not diffs:
         raise ValueError("grid points cannot all coincide")
-    some = min(diffs, key=vectors.codec.encode)
+    some = min(diffs, key=ProductTuples(field.elements, n).codec.encode)
     lead_pos = next(m for m in range(n) if some[m] != 0)
     d = field.vec_scale(field.inv(some[lead_pos]), some)
     lookup = {}
@@ -429,23 +427,30 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
     return lookup, d
 
 
+def _grid_witness(field: FiniteField, k: int, n: int, points, support,
+                  round_key: dict) -> ForbiddenWitness:
+    """A grid, read as a forbidden configuration of support**n: the point
+    (z_1, .., z_k) becomes the index vector whose round-m entry is
+    round_key[(z_1[m], .., z_k[m])], pinned at the step's first non-zero
+    coordinate."""
+    lookup, d = _grid_base_and_step(field, k, n, points)
+    i = next(m for m in range(n) if d[m] != 0)
+    edges = sorted((tuple(round_key[tuple(point[j][m] for j in range(k))]
+                          for m in range(n)) for point in lookup.values()),
+                   key=lambda e: e[i])
+    witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
+    if not witness_is_valid(support, n, witness):
+        raise AssertionError("grid did not map to a valid forbidden configuration")
+    return witness
+
+
 def grid_to_witness(field: FiniteField, k: int, n: int, points) -> ForbiddenWitness:
     """A grid, read as a forbidden configuration of the grid question set:
     the point (z_1, .., z_k) becomes the index vector whose round-m entry
     names the support element determined by (z_1[m], .., z_k[m])."""
     support = grid_question_set(field, k)
-    support_pos = {x[:k]: s for s, x in enumerate(support)}
-    lookup, d = _grid_base_and_step(field, k, n, points)
-    i = next(m for m in range(n) if d[m] != 0)
-    edges = []
-    for point in lookup.values():
-        edges.append(tuple(support_pos[tuple(point[j][m] for j in range(k))]
-                           for m in range(n)))
-    edges.sort(key=lambda e: e[i])
-    witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-    if not witness_is_valid(support, n, witness):
-        raise AssertionError("grid did not map to a valid forbidden configuration")
-    return witness
+    return _grid_witness(field, k, n, points, support,
+                         {x[:k]: s for s, x in enumerate(support)})
 
 
 def witness_to_grid(field: FiniteField, k: int, n: int, witness: ForbiddenWitness):
@@ -472,17 +477,6 @@ def affine_embed(subspace: AffineSubspace, n: int, points) -> ForbiddenWitness:
     density of Q**n is at most r_grid(F, dim, n)."""
     field = subspace.field
     k = subspace.dimension
-    support = tuple(subspace.points())
     coeff_pos = {coeffs: s for s, coeffs in
                  enumerate(itertools.product(field.elements, repeat=k))}
-    lookup, d = _grid_base_and_step(field, k, n, points)
-    i = next(m for m in range(n) if d[m] != 0)
-    edges = []
-    for point in lookup.values():
-        edges.append(tuple(coeff_pos[tuple(point[j][m] for j in range(k))]
-                           for m in range(n)))
-    edges.sort(key=lambda e: e[i])
-    witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-    if not witness_is_valid(support, n, witness):
-        raise AssertionError("grid did not embed to a valid forbidden configuration")
-    return witness
+    return _grid_witness(field, k, n, points, tuple(subspace.points()), coeff_pos)

@@ -375,9 +375,10 @@ def test_eqn_point_budget(capsys):
     ["eqn", "--preset", "unitvec", "--no-cache"],
     ["eqn", "--preset", "unitvec", "--wcnf", "out.wcnf"],
     ["density", "line", "--q", "3", "--no-cache"],
+    ["density", "line", "--q", "2", "--no-cache"],
     ["density", "square", "--no-cache"],
     ["density", "grid", "--no-cache"],
-], ids=["repeat", "eqn", "eqn-wcnf", "line", "square", "grid"])
+], ids=["repeat", "eqn", "eqn-wcnf", "line", "line-closed-form", "square", "grid"])
 def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
     # the budget checks must not build q**n first: at n = 10**9 that alone
     # takes longer than any timeout here
@@ -386,6 +387,16 @@ def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=10)
     assert proc.returncode == 3 and proc.stderr.startswith("error:")
     assert not (tmp_path / "out.wcnf").exists()
+
+
+def test_closed_form_line_density_stops_at_the_int_string_limit(capsys):
+    # 2**14000 has 4,215 digits, 2**20000 has 6,021; the default limit is 4,300
+    code, out, _ = run(capsys, ["density", "line", "--q", "2", "--n", "14000",
+                                "--no-cache"])
+    assert code == 0 and "closed-form" in out
+    code, _, err = run(capsys, ["density", "line", "--q", "2", "--n", "20000",
+                                "--no-cache"])
+    assert code == 3 and err.startswith("error:")
 
 
 # -- repeat ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pytest
 
 from replab.fields import AffineSubspace, FiniteField
-from replab.repetition import ProductTuples
+from replab.codec import ProductTuples
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (13, 1), (2, 4)]
 
@@ -77,10 +77,15 @@ def test_gf4_tables():
 
 
 def test_gf8_and_gf9_reductions():
-    # the smallest monic irreducibles in digit encoding: low coefficients
-    # compare first, so x**3 + x**2 + 1 beats x**3 + x + 1 over GF(2)
-    assert FiniteField(2, 3).reduction == (1, 0, 1, 1)  # x**3 + x**2 + 1
-    assert FiniteField(3, 2).reduction == (1, 0, 1)     # x**2 + 1
+    # the first monic irreducibles in itertools.product order of the low
+    # coefficients (c0 slowest), not the smallest digit codes: over GF(2),
+    # x**3 + x**2 + 1 comes before x**3 + x + 1
+    assert FiniteField(2, 3).reduction == (1, 0, 1, 1)     # x**3 + x**2 + 1
+    assert FiniteField(2, 4).reduction == (1, 0, 0, 1, 1)  # x**4 + x**3 + 1
+    assert FiniteField(3, 2).reduction == (1, 0, 1)        # x**2 + 1
+    # element 2 is t: t * t**2 = t**2 + 1 in GF(8), t * t**3 = t**3 + 1 in GF(16)
+    assert FiniteField(2, 3).mul(2, 4) == 5
+    assert FiniteField(2, 4).mul(2, 8) == 9
 
 
 def test_prime_field_is_mod_arithmetic():

@@ -21,7 +21,8 @@ from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               strategy_from_witness, winning_points,
                               witness_is_valid)
 from replab.games import Strategy, evaluate, exact_value, unit_tuples
-from replab.repetition import ProductTuples, TupleCodec, repeat
+from replab.codec import ProductTuples, TupleCodec
+from replab.repetition import repeat
 from replab.structures import ghz_support
 
 UNIT3 = list(unit_tuples(3))
@@ -33,7 +34,7 @@ GHZ = list(ghz_support())
 
 @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10**6))
 def test_point_code_round_trip(q, n, raw):
-    codec = TupleCodec(range(q), n)
+    codec = TupleCodec([range(q)] * n)
     c = raw % q**n
     assert codec.encode(codec.decode(c)) == c
 
@@ -210,7 +211,7 @@ def test_forbidden_hypergraph_edges():
     hyper = forbidden_hypergraph(UNIT3, 2)
     assert hyper.size == 9
     assert len(hyper.edges) == 7
-    code = TupleCodec(range(3), 2).encode
+    code = TupleCodec([range(3)] * 2).encode
     codes = {tuple(sorted(code(e) for e in w.edges))
              for w in enumerate_forbidden(UNIT3, 2)}
     assert set(hyper.edges) == codes

@@ -13,12 +13,13 @@ import pytest
 
 import oracles
 from replab import games
+from replab.codec import TupleCodec
 from replab.errors import (BudgetExceededError, IncompleteStrategyError,
                            SchemaError)
-from replab.games import (Game, Strategy, answer_at, answer_index, evaluate,
-                          exact_value, game_from_json, game_to_json,
-                          mixture_value, parse_fraction, predicate_from_spec,
-                          preset_game, strategy_from_json, strategy_to_json,
+from replab.games import (Game, Strategy, evaluate, exact_value,
+                          game_from_json, game_to_json, mixture_value,
+                          parse_fraction, predicate_from_spec, preset_game,
+                          strategy_from_json, strategy_to_json,
                           unit_tuples, winning_set)
 from replab.repetition import repeat
 
@@ -294,22 +295,6 @@ def test_preset_rejects_bad_input():
 # -- JSON round trips -------------------------------------------------------------
 
 
-def test_answer_index_round_trip():
-    g = Game(((0,), (0,)), ((0, 1), (0, 1, 2)), ((0, 0),), (Fraction(1),),
-             lambda x, a: True)
-    seen = set()
-    for idx in range(6):
-        a = answer_at(g, idx)
-        assert answer_index(g, a) == idx
-        seen.add(a)
-    assert len(seen) == 6
-    # player 0 is the least significant digit
-    assert answer_at(g, 1) == (1, 0)
-    assert answer_at(g, 2) == (0, 1)
-    with pytest.raises(SchemaError):
-        answer_index(g, (5, 0))
-
-
 @given(random_games())
 def test_game_json_round_trip(game):
     doc = game_to_json(game)
@@ -317,12 +302,8 @@ def test_game_json_round_trip(game):
     assert back.k == game.k
     assert tuple(back.support) == tuple(game.support)
     assert tuple(back.weights) == tuple(game.weights)
-    combos = 1
-    for a in game.answer_alphabets:
-        combos *= len(a)
     for x in game.support:
-        for idx in range(combos):
-            a = answer_at(game, idx)
+        for a in TupleCodec(game.answer_alphabets):
             assert back.predicate(x, a) == game.predicate(x, a)
 
 

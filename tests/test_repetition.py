@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,15 +13,15 @@ import pytest
 
 from replab.errors import BudgetExceededError
 from replab.games import Game, Strategy, evaluate, exact_value, preset_game
-from replab.repetition import (ProductTuples, TupleCodec, independent_strategy,
-                               power_exceeds, repeat)
+from replab.codec import ProductTuples, TupleCodec
+from replab.repetition import independent_strategy, power_exceeds, repeat
 
 
 # -- codecs ---------------------------------------------------------------------
 
 
 def test_codec_is_little_endian():
-    codec = TupleCodec((0, 1, 2), 2)
+    codec = TupleCodec([(0, 1, 2)] * 2)
     assert codec.encode((1, 0)) == 1
     assert codec.encode((0, 1)) == 3
     assert codec.decode(5) == (2, 1)
@@ -27,17 +30,46 @@ def test_codec_is_little_endian():
 
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
 def test_codec_round_trip(radix, n, raw):
-    codec = TupleCodec(tuple(range(radix)), n)
+    codec = TupleCodec([range(radix)] * n)
     code = raw % codec.size
     assert codec.encode(codec.decode(code)) == code
 
 
 def test_codec_errors():
-    codec = TupleCodec((0, 1), 2)
+    codec = TupleCodec([(0, 1)] * 2)
     with pytest.raises(ValueError):
         codec.encode((0, 1, 0))
     with pytest.raises(ValueError):
+        codec.encode((0, 2))
+    with pytest.raises(ValueError):
         codec.decode(4)
+
+
+def test_codec_mixed_radix_answer_tuples():
+    # per-player answer alphabets of sizes 2 and 3, player 0 least significant
+    codec = TupleCodec([(0, 1), (0, 1, 2)])
+    assert codec.size == 6
+    assert [codec.decode(c) for c in range(6)] == list(codec)
+    assert len(set(codec)) == 6
+    for code, a in enumerate(codec):
+        assert codec.encode(a) == code
+    assert codec.decode(1) == (1, 0)
+    assert codec.decode(2) == (0, 1)
+    with pytest.raises(ValueError):
+        codec.encode((5, 0))
+
+
+def test_codec_module_imports_no_other_replab_module():
+    # load the file alone, outside the package, in a fresh interpreter: a
+    # relative import would fail there and an absolute one would show up
+    path = Path(__file__).resolve().parents[1] / "src" / "replab" / "codec.py"
+    code = ("import importlib.util, sys; "
+            f"spec = importlib.util.spec_from_file_location('codec', {str(path)!r}); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'replab'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_product_tuples_order_and_lookup():
@@ -159,6 +191,11 @@ def test_repeat_validation():
     with pytest.raises(BudgetExceededError):
         repeat(base, 50)
     assert repeat(base, 1).n == 1
+    # one question, one answer: only the round count can exceed the budget
+    trivial = Game(((0,),), ((0,),), ((0,),), (Fraction(1),), lambda x, a: True)
+    assert len(repeat(trivial, 8, budget=8).support) == 1
+    with pytest.raises(BudgetExceededError):
+        repeat(trivial, 9, budget=8)
 
 
 def test_repeat_value_matches_materialised_product():

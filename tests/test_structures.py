@@ -42,7 +42,7 @@ def test_lines_match_naive(q, n):
 
 def test_lines_q1_collapse_to_the_single_point():
     family = lines(1, 2)
-    assert family.universe == ((0, 0),)
+    assert list(family.universe) == [(0, 0)]
     assert list(family.configurations()) == [(0,)]
 
 
@@ -77,7 +77,7 @@ def test_grids_of_gf2_are_squares():
     for n in (1, 2):
         g, s = grids(F2, 2, n), squares(n)
         assert (s.name, s.params) == ("square", {"n": n})
-        assert g.universe == s.universe
+        assert list(g.universe) == list(s.universe)
         assert set(g.configurations()) == set(s.configurations())
         assert g.generators == s.generators
 
@@ -98,6 +98,10 @@ def test_family_index_round_trip():
     for i, p in enumerate(family.universe):
         assert family.index(p) == i
     assert len(family) == 4
+    with pytest.raises(ValueError):
+        family.index(((0,),))
+    with pytest.raises(ValueError):
+        family.index(((0,), (2,)))
 
 
 def test_family_generators_validate():
@@ -141,8 +145,9 @@ def test_r_line_closed_form_witness_omitted_when_large():
 
 
 def test_r_line_auto_falls_back_beyond_the_solver_budget():
-    assert r_line(2, 4, solver_budget=16).method == "exact-bb"
-    assert r_line(2, 5, solver_budget=16).method == "closed-form"
+    # the solver's point budget is 128 = 2**7
+    assert r_line(2, 7).method == "exact-bb"
+    assert r_line(2, 8).method == "closed-form"
     assert r_line(2, 20).value == Fraction(math.comb(20, 10), 2**20)
 
 
