@@ -73,7 +73,8 @@ def main(argv=None) -> int:
                         help="solve the repeated anti-correlation game up to "
                              "this round count (default 2)")
     parser.add_argument("--budget", type=int, default=10**8,
-                        help="strategy-space budget for exact solves")
+                        help="search budget for exact solves: strategy space, and "
+                             "support tuples x answer combinations")
     args = parser.parse_args(argv)
 
     print("== repetition of the anti-correlation game ==")

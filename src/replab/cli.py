@@ -193,7 +193,7 @@ def cmd_value(args) -> int:
 
 def _density_params(args) -> dict:
     if args.family == "line":
-        return {"q": args.q, "n": args.n}
+        return {"q": args.q, "n": args.n, "method": args.method}
     if args.family in ("square", "corner"):
         return {"n": args.n}
     return {"p": args.p, "r": args.r, "k": args.k, "n": args.n}

@@ -187,6 +187,9 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
     (default: the whole n-fold support), deduplicated as point sets."""
     q = len(support)
     if points is None:
+        # the point codec holds one slot per coordinate, even when q = 1
+        if n > point_budget:
+            raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
         if power_exceeds(q, n, point_budget):
             raise BudgetExceededError(
                 f"{q}**{n} points exceed the budget {point_budget}")

@@ -21,9 +21,11 @@ precomputes, for each of the tuple's cells in search order, which answers
 so far no accepted combination starts with, and counts the tuple's weight as
 lost at the first cell where that happens.  A lost prefix loses under every
 completion, so the optimum and the lex-first strategy are those of scoring
-each tuple at its last cell.  Tuples whose answer combinations are too many
-to tabulate are scored by the predicate at their last cell.  The strategy
-found is re-evaluated with Fractions, independently of the search.
+each tuple at its last cell.  Building the tables walks support x answer
+combinations, which counts against the same budget as the strategy space.
+The search is a loop over per-depth arrays, so its depth is bounded by
+memory, not by Python's recursion limit.  The strategy found is
+re-evaluated with Fractions, independently of the search.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .codec import TupleCodec
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 
 DEFAULT_STRATEGY_BUDGET = 10**8
-_ACCEPT_TABLE_LIMIT = 1 << 16
-# the search recurses one frame per cell, so the cell count must stay below
-# Python's default recursion limit of 1000
-MAX_SEARCH_CELLS = 800
 
 
 @dataclass(frozen=True, eq=True)
@@ -168,7 +166,8 @@ class _StrategySearch:
     an answer index to every cell.  Weights are ints: the game's weights
     times the LCM of their denominators.  A support tuple's weight counts as
     lost at the first of its cells whose assigned answers no accepted answer
-    combination starts with; nodes counts search calls.
+    combination starts with; nodes counts the depths the search visits,
+    leaves included.
     """
 
     def __init__(self, game: Game, budget: int):
@@ -184,10 +183,6 @@ class _StrategySearch:
         self.total = sum(self.weights)
         self.nodes = 0
         self.domains = [game.question_domain(j) for j in range(self.k)]
-        cells = sum(len(d) for d in self.domains)
-        if cells > MAX_SEARCH_CELLS:
-            raise BudgetExceededError(
-                f"{cells} strategy cells exceed the search limit {MAX_SEARCH_CELLS}")
         self.answers = [list(a) for a in game.answer_alphabets]
         self.sizes = [len(a) for a in self.answers]
         space = 1
@@ -199,14 +194,16 @@ class _StrategySearch:
                 raise BudgetExceededError(
                     f"strategy space exceeds budget {budget}; "
                     "raise the budget to force the search")
-        # acceptance tables: per support tuple, the set of accepted answer
-        # index combinations, when the combination count is small enough
-        self._accept: list[set | None] = [None] * len(support)
-        if math.prod(self.sizes) <= _ACCEPT_TABLE_LIMIT:
-            positions = TupleCodec([range(s) for s in self.sizes])
-            answers = TupleCodec(self.answers)
-            self._accept = [{combo for combo, a in zip(positions, answers)
-                             if game.predicate(x, a)} for x in support]
+        combos = math.prod(self.sizes)
+        if len(support) * combos > budget:
+            raise BudgetExceededError(
+                f"{len(support)} support tuples x {combos} answer combinations "
+                f"exceed budget {budget}; raise the budget to force the search")
+        # acceptance tables: per support tuple, its accepted answer index combinations
+        positions = TupleCodec([range(s) for s in self.sizes])
+        answers = TupleCodec(self.answers)
+        self._accept = [{combo for combo, a in zip(positions, answers)
+                         if game.predicate(x, a)} for x in support]
 
     def cells_lex(self) -> list[tuple[int, object]]:
         return [(j, q) for j in range(self.k) for q in self.domains[j]]
@@ -224,26 +221,20 @@ class _StrategySearch:
     def _losses(self, cells: list[tuple[int, object]]):
         """Where each support tuple's weight is lost, for one cell order.
 
-        Returns three per-cell lists.  static[c][pos] is the weight lost by
+        Returns two per-cell lists.  static[c][pos] is the weight lost by
         answering pos at cell c whatever was answered before: tuples whose
         first cell is c and that accept no combination starting with pos.
         checks[c] lists, per set of earlier cells of tuples with a later cell
         at c, a getter of the answers at those cells and a table {answers:
         weight lost by each pos at c}; a table holds only answers that some
         accepted combination starts with and that leave some pos with none.
-        untabled[c] holds the tuples without an acceptance table whose last
-        cell is c, scored by the predicate there.
         """
         cell_index = {c: i for i, c in enumerate(cells)}
         sizes_at = [self.sizes[j] for j, _ in cells]
         static = [[0] * s for s in sizes_at]
         checks: list[dict] = [{} for _ in cells]
-        untabled: list[list] = [[] for _ in cells]
         for x, w, acc in zip(self.support, self.weights, self._accept):
             by_player = [cell_index[(j, x[j])] for j in range(self.k)]
-            if acc is None:
-                untabled[max(by_player)].append((w, x, by_player))
-                continue
             if not acc:
                 # lost whatever is answered: one entry, at its first cell
                 c = min(by_player)
@@ -273,7 +264,7 @@ class _StrategySearch:
                                 vec[pos] += w
         checks = [[(operator.itemgetter(*prev), tables)
                    for prev, tables in groups.items() if tables] for groups in checks]
-        return static, checks, untabled
+        return static, checks
 
     def run(self, cells: list[tuple[int, object]], cutoff: Fraction,
             stop_at_cutoff: bool) -> tuple[Fraction, list[int] | None]:
@@ -286,46 +277,51 @@ class _StrategySearch:
         beat it are pruned, and the final best value is returned.
         """
         ncells = len(cells)
-        static, checks, untabled = self._losses(cells)
-        answers, predicate = self.answers, self.game.predicate
+        static, checks = self._losses(cells)
+        # per depth: the answer chosen, the weight lost before it, and its
+        # loss vector's (answer, loss) pairs not yet tried
         assign = [0] * ncells
+        lost = [0] * ncells
+        untried: list = [None] * ncells
         # the most weight a branch may lose and still be searched
         slack = self.total - int(cutoff * self.scale)
         best = cutoff
         best_assign: list[int] | None = None
         nodes = 0
-
-        def dfs(ci: int, lost: int) -> bool:
-            nonlocal slack, best, best_assign, nodes
+        ci = so_far = 0
+        while True:
+            # enter depth ci, having lost so_far
             nodes += 1
             if ci == ncells:
                 best_assign = assign.copy()
                 if stop_at_cutoff:
-                    return True
-                best = Fraction(self.total - lost, self.scale)
-                slack = lost - 1
-                return False
-            extra = static[ci]
-            for earlier, tables in checks[ci]:
-                vec = tables.get(earlier(assign))
-                if vec is not None:
-                    extra = list(map(operator.add, extra, vec))
-            if untabled[ci]:
-                extra = extra.copy()
-                for w, x, by_player in untabled[ci]:
-                    for pos in range(len(extra)):
-                        assign[ci] = pos
-                        a = tuple(answers[j][assign[c]] for j, c in enumerate(by_player))
-                        if not predicate(x, a):
-                            extra[pos] += w
-            for pos, more in enumerate(extra):
-                if lost + more <= slack:
-                    assign[ci] = pos
-                    if dfs(ci + 1, lost + more):
-                        return True
-            return False
-
-        dfs(0, 0)
+                    break
+                best = Fraction(self.total - so_far, self.scale)
+                slack = so_far - 1
+            else:
+                extra = static[ci]
+                for earlier, tables in checks[ci]:
+                    vec = tables.get(earlier(assign))
+                    if vec is not None:
+                        extra = list(map(operator.add, extra, vec))
+                lost[ci] = so_far
+                untried[ci] = enumerate(extra)
+                ci += 1
+            # back up to the deepest depth with an answer left within slack
+            while ci:
+                ci -= 1
+                so_far = lost[ci]
+                for pos, more in untried[ci]:
+                    if so_far + more <= slack:
+                        break
+                else:
+                    continue
+                assign[ci] = pos
+                so_far += more
+                ci += 1
+                break
+            else:
+                break
         self.nodes += nodes
         return best, best_assign
 
@@ -341,7 +337,8 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
 
     The strategy order is: players ascending, each player's questions in
     alphabet order, answers compared by alphabet position.  Raises
-    BudgetExceededError when the joint strategy space is larger than budget.
+    BudgetExceededError when the joint strategy space, or the support size
+    times the number of answer combinations, is larger than budget.
     """
     search = _StrategySearch(game, budget)
     # phase one: optimum value, over a cell order that completes support

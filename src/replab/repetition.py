@@ -10,7 +10,7 @@ index c plays base round c % q first (coordinate 0), then (c // q) % q, and
 so on.  Per-player question and answer tuples use the same convention, the
 little-endian code of the codec module.  A repeated game's rounds are
 ProductTuples(range(q), n), the index vectors of its base rounds, and its
-support, weights and round_index are maps over them; nothing of size
+support and weights are maps over them; nothing of size
 alphabet**n is materialised until something iterates it.
 """
 
@@ -90,10 +90,6 @@ class RepeatedGame(Game):
             return True
 
         return predicate
-
-    def round_index(self, c: int) -> tuple[int, ...]:
-        """Base support indices of repeated support element c, round 0 first."""
-        return self.rounds[c]
 
     def question_domain(self, player: int) -> list:
         """The n-fold product of the base domain: the repeated support is the

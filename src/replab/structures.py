@@ -87,24 +87,26 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     """Combinatorial lines in range(q)**n."""
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
+    # the universe codec holds one slot per coordinate, even when q = 1
+    if n > point_budget:
+        raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
     if power_exceeds(q, n, point_budget):
         raise BudgetExceededError(f"{q}**{n} points exceed the budget {point_budget}")
     universe = ProductTuples(range(q), n)
     code = universe.codec.encode
 
     def enumerate_lines() -> Iterator[tuple[int, ...]]:
-        seen: set[tuple[int, ...]] = set()
+        if q == 1:  # every template names the single point
+            yield (0,)
+            return
+        # with q >= 2 a line's varying coordinates are its template's stars,
+        # so distinct templates give distinct lines
         alphabet = list(range(q)) + [_STAR]
         for template in itertools.product(alphabet, repeat=n):
             if _STAR not in template:
                 continue
-            points = []
-            for v in range(q):
-                points.append(tuple(v if sym is _STAR else sym for sym in template))
-            edge = tuple(sorted(code(p) for p in points))
-            if edge not in seen:
-                seen.add(edge)
-                yield edge
+            yield tuple(sorted(code(tuple(v if sym is _STAR else sym for sym in template))
+                               for v in range(q)))
 
     generators = []
     if q >= 2:

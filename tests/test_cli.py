@@ -212,9 +212,18 @@ def test_value_budget_exceeded(capsys):
     assert code == 3 and err.startswith("error:")
 
 
-def test_value_refuses_more_cells_than_the_search_can_recurse(tmp_path, capsys):
+def test_value_table_work_over_budget_exits_3(capsys):
+    argv = ["value", "--preset", "grid", "--p", "3", "--k", "2", "--no-cache"]
+    code, out, _ = run(capsys, argv + ["--budget", "9"])
+    assert code == 0 and "value:         0/1" in out
+    code, out, err = run(capsys, argv + ["--budget", "8"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: 9 support tuples x 1 answer combinations")
+
+
+def test_value_searches_more_cells_than_python_can_recurse(tmp_path, capsys):
     # one player, 2000 questions, one answer: a strategy space of size 1,
-    # but one search frame per question
+    # but a search 2000 cells deep, past the default recursion limit of 1000
     questions = list(range(2000))
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({
@@ -222,9 +231,8 @@ def test_value_refuses_more_cells_than_the_search_can_recurse(tmp_path, capsys):
         "support": [{"x": [q], "weight": "1/2000"} for q in questions],
         "predicate": {"type": "table", "accepts": [[q, 0] for q in questions]},
     }))
-    code, out, err = run(capsys, ["value", "--game", str(path), "--no-cache"])
-    assert code == 3 and out == ""
-    assert err.startswith("error: 2000 strategy cells exceed the search limit")
+    code, out, _ = run(capsys, ["value", "--game", str(path), "--no-cache"])
+    assert code == 0 and "value:         1/1" in out
 
 
 # -- density ------------------------------------------------------------------
@@ -246,6 +254,20 @@ def test_density_line_closed_form(capsys):
     assert code == 0
     assert "value:         5/16" in out
     assert "method:        closed-form" in out
+
+
+def test_density_line_method_is_part_of_the_cache_key(tmp_path, capsys):
+    argv = ["density", "line", "--q", "2", "--n", "5", "--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, argv + ["--method", "closed-form"])
+    assert code == 0 and "method:        closed-form" in out
+    code, out, _ = run(capsys, argv + ["--method", "search"])
+    assert code == 0
+    assert "method:        exact-bb" in out and "status:        computed" in out
+    _, fresh, _ = run(capsys, ["density", "line", "--q", "2", "--n", "5",
+                               "--method", "search", "--no-cache"])
+    assert fresh == out
+    code, out, _ = run(capsys, argv + ["--method", "closed-form"])
+    assert "method:        closed-form" in out and "status:        cached" in out
 
 
 def test_density_square_and_corner(capsys):
@@ -378,7 +400,11 @@ def test_eqn_point_budget(capsys):
     ["density", "line", "--q", "2", "--no-cache"],
     ["density", "square", "--no-cache"],
     ["density", "grid", "--no-cache"],
-], ids=["repeat", "eqn", "eqn-wcnf", "line", "line-closed-form", "square", "grid"])
+    # one symbol: q**n is 1, so only the coordinate count can trip the budget
+    ["density", "line", "--q", "1", "--no-cache"],
+    ["eqn", "--preset", "unitvec", "--q", "1", "--wcnf", "out.wcnf"],
+], ids=["repeat", "eqn", "eqn-wcnf", "line", "line-closed-form", "square", "grid",
+        "line-q1", "eqn-wcnf-q1"])
 def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
     # the budget checks must not build q**n first: at n = 10**9 that alone
     # takes longer than any timeout here
@@ -387,6 +413,16 @@ def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=10)
     assert proc.returncode == 3 and proc.stderr.startswith("error:")
     assert not (tmp_path / "out.wcnf").exists()
+
+
+def test_one_symbol_lines_do_not_walk_the_templates(tmp_path):
+    # 2**64 templates over {0, *} all name the one point, which is itself a
+    # line, so only the empty set is line-free
+    proc = subprocess.run(
+        [sys.executable, "-m", "replab", "density", "line", "--q", "1", "--n", "64",
+         "--no-cache"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=10)
+    assert proc.returncode == 0 and "value:         0/1" in proc.stdout
 
 
 def test_closed_form_line_density_stops_at_the_int_string_limit(capsys):

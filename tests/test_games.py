@@ -187,9 +187,8 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
 
 
 def test_untabled_game_value():
-    # 257 * 256 answer combinations exceed the acceptance table limit, so the
-    # search checks the predicate itself on the tuple's last cell
-    assert 257 * 256 > games._ACCEPT_TABLE_LIMIT
+    # 257 * 256 answer combinations: one large acceptance table, well within
+    # the default budget
     g = Game(((0,), (0,)), (range(257), range(256)), ((0, 0),), (Fraction(1),),
              lambda x, a: a == (200, 100))
     result = exact_value(g)
@@ -248,6 +247,17 @@ def test_mixture_value_validation():
 def test_exact_value_budget():
     with pytest.raises(BudgetExceededError):
         exact_value(preset_game("anticorr", q=3), budget=10)
+
+
+def test_exact_value_counts_table_work_against_the_budget():
+    # one answer per player: a strategy space of size 1, but each of the 9
+    # support tuples gets an acceptance table over one answer combination
+    g = preset_game("grid", p=3, k=2)
+    assert len(g.support) == 9
+    assert exact_value(g, budget=9).value == 0
+    with pytest.raises(BudgetExceededError,
+                       match="9 support tuples x 1 answer combinations exceed budget 8"):
+        exact_value(g, budget=8)
 
 
 # -- presets --------------------------------------------------------------------

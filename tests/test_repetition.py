@@ -123,7 +123,7 @@ def test_repeated_game_shape():
     assert game.support[0] == ((1, 1), (0, 0), (0, 0))
     # c = 5 is rounds (2, 1): base tuples (0,0,1) then (0,1,0), transposed
     assert game.support[5] == ((0, 0), (0, 1), (1, 0))
-    assert game.round_index(5) == (2, 1)
+    assert game.rounds[5] == (2, 1)
     assert all(w == Fraction(1, 9) for w in game.weights)
     assert sum(game.weights) == 1
 
@@ -141,7 +141,7 @@ def test_repeated_support_matches_transpose(make_base, n):
     assert weights == [math.prod(ws) for ws in itertools.product(base.weights, repeat=n)]
     for c in range(q**n):
         w = tuple((c // q**m) % q for m in range(n))
-        assert rounds[c] == game.rounds[c] == game.round_index(c) == w
+        assert rounds[c] == game.rounds[c] == w
         expected = tuple(tuple(base.support[v][j] for v in w) for j in range(base.k))
         assert support[c] == game.support[c] == expected
         assert weights[c] == game.weights[c]
