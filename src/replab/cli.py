@@ -180,7 +180,12 @@ def cmd_value(args) -> int:
         )
 
     def verify(record: ValueRecord) -> bool:
-        return evaluate(game, strategy_from_json(record.strategy)) == record.value
+        strategy = strategy_from_json(record.strategy)
+        # an answer outside its alphabet, such as a repeated answer with the
+        # wrong number of rounds, is no strategy of this game
+        fits = all(a in alphabet for table, alphabet in
+                   zip(strategy.tables, game.answer_alphabets) for a in table.values())
+        return fits and evaluate(game, strategy) == record.value
 
     record, status = _with_cache(args, "value", dict(params, game=label),
                                  ValueRecord, compute, verify)

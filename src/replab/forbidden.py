@@ -224,9 +224,9 @@ def compute_eq(support: Sequence[tuple], n: int, *,
 
     All configurations are enumerated into a hypergraph on the q**n points,
     and the exact solver returns the lexicographically first maximum free
-    set.  Raises BudgetExceededError when the points exceed point_budget or
-    the configurations exceed config_budget; such instances can still be
-    exported as WCNF for an external solver.
+    set.  Raises BudgetExceededError when the points or the coordinates
+    exceed point_budget or the configurations exceed config_budget; such
+    instances can still be exported as WCNF for an external solver.
 
     The witness is re-verified by an independent find_forbidden call before
     the record is returned.
@@ -235,6 +235,8 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
+    if n > point_budget:
+        raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
     if power_exceeds(q, n, point_budget):
         raise BudgetExceededError(
             f"{q}**{n} points exceed the budget {point_budget}; "

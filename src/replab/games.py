@@ -14,18 +14,20 @@ the space in canonical order (players ascending, questions in alphabet
 order, answers in alphabet order) and returns the first strategy attaining
 the optimum, which is therefore the lexicographically first maximiser.
 
-The search adds and compares ints: the weights scaled by the LCM of their
-denominators, turned back into a Fraction only for the result.  It checks
-forward: from each support tuple's table of accepted answer combinations it
-precomputes, for each of the tuple's cells in search order, which answers
-so far no accepted combination starts with, and counts the tuple's weight as
-lost at the first cell where that happens.  A lost prefix loses under every
-completion, so the optimum and the lex-first strategy are those of scoring
-each tuple at its last cell.  Building the tables walks support x answer
-combinations, which counts against the same budget as the strategy space.
-The search is a loop over per-depth arrays, so its depth is bounded by
-memory, not by Python's recursion limit.  The strategy found is
-re-evaluated with Fractions, independently of the search.
+The search adds and compares ints: the weights over one common
+denominator (Game.scaled_weights), turned back into a Fraction only for the
+result.  It checks forward: from each support tuple's table of accepted
+answer combinations it precomputes, for each of the tuple's cells in search
+order, which answers so far no accepted combination starts with, and counts
+the tuple's weight as lost at the first cell where that happens.  A lost
+prefix loses under every completion, so the optimum and the lex-first
+strategy are those of scoring each tuple at its last cell.  Building the
+tables walks support x answer combinations, which counts against the same
+budget as the strategy space.  The search is a loop over per-depth arrays,
+so its depth is bounded by memory, not by Python's recursion limit.  The
+strategy found is re-checked by evaluate, an int sum over the same scaled
+weights that calls the predicate on every support tuple, independently of
+the tables.
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ class Game:
         if sum(self.weights) != 1:
             raise SchemaError("support weights must sum to 1")
 
+    def scaled_weights(self) -> tuple[int, Sequence[int]]:
+        """The weights over one common denominator: (scale, ints) with
+        weights[i] == Fraction(ints[i], scale)."""
+        weights = list(self.weights)
+        scale = math.lcm(*(w.denominator for w in weights))
+        return scale, [w.numerator * (scale // w.denominator) for w in weights]
+
     def question_domain(self, player: int) -> list:
         """Questions player may receive, in alphabet order."""
         seen = {x[player] for x in self.support}
@@ -131,12 +140,13 @@ class GameValue:
 
 
 def evaluate(game: Game, strategy: Strategy) -> Fraction:
-    """Exact winning probability of a product strategy."""
-    total = Fraction(0)
-    for x, w in zip(game.support, game.weights):
-        if game.predicate(x, strategy.answers(x)):
-            total += w
-    return total
+    """Exact winning probability of a product strategy: the game's scaled
+    int weights summed over the support tuples its predicate accepts, as one
+    Fraction.  It calls the predicate, never the search's acceptance tables."""
+    scale, ints = game.scaled_weights()
+    won = sum(w for x, w in zip(game.support, ints)
+              if game.predicate(x, strategy.answers(x)))
+    return Fraction(won, scale)
 
 
 def winning_set(game: Game, strategy: Strategy) -> tuple:
@@ -163,11 +173,10 @@ class _StrategySearch:
     """Shared machinery for the two exact_value phases.
 
     A cell is a pair (player, question); a joint strategy is an assignment of
-    an answer index to every cell.  Weights are ints: the game's weights
-    times the LCM of their denominators.  A support tuple's weight counts as
-    lost at the first of its cells whose assigned answers no accepted answer
-    combination starts with; nodes counts the depths the search visits,
-    leaves included.
+    an answer index to every cell.  Weights are the ints of
+    game.scaled_weights().  A support tuple's weight counts as lost at the
+    first of its cells whose assigned answers no accepted answer combination
+    starts with; nodes counts the depths the search visits, leaves included.
     """
 
     def __init__(self, game: Game, budget: int):
@@ -177,9 +186,8 @@ class _StrategySearch:
         self.game = game
         self.k = game.k
         self.support = support
-        weights = list(game.weights)
-        self.scale = math.lcm(*(w.denominator for w in weights))
-        self.weights = [w.numerator * (self.scale // w.denominator) for w in weights]
+        self.scale, weights = game.scaled_weights()
+        self.weights = list(weights)
         self.total = sum(self.weights)
         self.nodes = 0
         self.domains = [game.question_domain(j) for j in range(self.k)]

@@ -10,14 +10,17 @@ index c plays base round c % q first (coordinate 0), then (c // q) % q, and
 so on.  Per-player question and answer tuples use the same convention, the
 little-endian code of the codec module.  A repeated game's rounds are
 ProductTuples(range(q), n), the index vectors of its base rounds, and its
-support and weights are maps over them; nothing of size
-alphabet**n is materialised until something iterates it.
+support and weights are maps over them; nothing of size alphabet**n is
+materialised until something iterates it.  A repeated weight is the product
+of its rounds' scaled base ints over the base scale to the n-th power, so no
+Fraction is multiplied.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .codec import ProductTuples
 from .errors import BudgetExceededError
@@ -65,31 +68,28 @@ class RepeatedGame(Game):
         self.n = n
         self.rounds = ProductTuples(range(len(base.support)), n)
         support = base.support
-        weights = list(base.weights)
+        base_scale, base_ints = base.scaled_weights()
+        scale = base_scale ** n
+
+        def weight(w):
+            return math.prod(map(base_ints.__getitem__, w))
+
+        self._scaled = scale, _RoundMap(weight, self.rounds)
         super().__init__(
             question_alphabets=[ProductTuples(a, n) for a in base.question_alphabets],
             answer_alphabets=[ProductTuples(a, n) for a in base.answer_alphabets],
             # per player, the transpose of the rounds' base support tuples
             support=_RoundMap(lambda w: tuple(zip(*map(support.__getitem__, w))),
                               self.rounds),
-            weights=_RoundMap(lambda w: math.prod(map(weights.__getitem__, w)),
-                              self.rounds),
-            predicate=self._build_predicate(base, n, base.k),
+            weights=_RoundMap(lambda w: Fraction(weight(w), scale), self.rounds),
+            predicate=lambda x, a: all(map(base.predicate, zip(*x), zip(*a))),
             predicate_spec=None,
             validate=False,
         )
 
-    @staticmethod
-    def _build_predicate(base: Game, n: int, k: int):
-        def predicate(x, a):
-            for i in range(n):
-                xi = tuple(x[j][i] for j in range(k))
-                ai = tuple(a[j][i] for j in range(k))
-                if not base.predicate(xi, ai):
-                    return False
-            return True
-
-        return predicate
+    def scaled_weights(self) -> tuple[int, Sequence[int]]:
+        """The base scale to the n-th power, over lazy products of base ints."""
+        return self._scaled
 
     def question_domain(self, player: int) -> list:
         """The n-fold product of the base domain: the repeated support is the

@@ -37,6 +37,27 @@ def brute_force_value(game):
     return best, best_tables
 
 
+def repeated_win_probability(base, n, strategy):
+    """Winning probability of a strategy for the n-fold repetition of base.
+
+    Walks every n-tuple of base support tuples: a player's question is the
+    tuple of its per-round questions, the players win when the base
+    predicate accepts every round, and the weight is the Fraction product
+    of the rounds' base weights.
+    """
+    total = Fraction(0)
+    for rounds in itertools.product(range(len(base.support)), repeat=n):
+        answers = [strategy.tables[j][tuple(base.support[r][j] for r in rounds)]
+                   for j in range(base.k)]
+        if all(base.predicate(base.support[r], tuple(a[i] for a in answers))
+               for i, r in enumerate(rounds)):
+            weight = Fraction(1)
+            for r in rounds:
+                weight *= base.weights[r]
+            total += weight
+    return total
+
+
 def naive_forbidden(support, n, points):
     """Forbidden configurations inside a point set, as a set of frozensets.
 

@@ -99,6 +99,24 @@ def test_value_recheck_catches_corrupted_record(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: player 0 has no answer")
 
+    # a repeated game's answers must hold one base answer per round: too
+    # few, a bare symbol and too many (whose first two rounds are the
+    # cached ones) all fail the recheck cleanly
+    argv = ["value", "--preset", "anticorr", "--q", "3", "--repeat", "2",
+            "--cache-dir", str(tmp_path / "repeat")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    record_path, = (tmp_path / "repeat" / "records").glob("*.json")
+    doc = json.loads(record_path.read_text())
+    entry = doc["record"]["strategy"]["players"][0][0]
+    answer = entry["answer"]
+    for bad in (answer[:1], 5, answer + [0]):
+        entry["answer"] = bad
+        record_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv + ["--recheck"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cached record failed recheck")
+
 
 def test_legacy_timestamp_is_not_served(tmp_path, capsys):
     # records written before timestamps were dropped still carry one
@@ -403,8 +421,9 @@ def test_eqn_point_budget(capsys):
     # one symbol: q**n is 1, so only the coordinate count can trip the budget
     ["density", "line", "--q", "1", "--no-cache"],
     ["eqn", "--preset", "unitvec", "--q", "1", "--wcnf", "out.wcnf"],
+    ["eqn", "--preset", "unitvec", "--q", "1", "--no-cache"],
 ], ids=["repeat", "eqn", "eqn-wcnf", "line", "line-closed-form", "square", "grid",
-        "line-q1", "eqn-wcnf-q1"])
+        "line-q1", "eqn-wcnf-q1", "eqn-q1"])
 def test_huge_round_counts_exit_3_at_once(argv, tmp_path):
     # the budget checks must not build q**n first: at n = 10**9 that alone
     # takes longer than any timeout here

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+import oracles
 from replab.errors import BudgetExceededError
 from replab.games import Game, Strategy, evaluate, exact_value, preset_game
 from replab.codec import ProductTuples, TupleCodec
@@ -114,6 +116,44 @@ def _base_game():
                 (Fraction(1, 3),) * 3, predicate)
 
 
+def _unequal_base_game():
+    # _base_game's predicate under weights 1/2, 1/3, 1/6
+    base = _base_game()
+    return Game(base.question_alphabets, base.answer_alphabets, base.support,
+                (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), base.predicate)
+
+
+BIT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def unequal_base_games(draw):
+    """2-player bit games with a random accept set and weights c_i / d
+    summing to 1, for d in {2, 3, 5, 6}."""
+    d = draw(st.sampled_from([2, 3, 5, 6]))
+    support = draw(st.lists(st.sampled_from(BIT_PAIRS), unique=True,
+                            min_size=1, max_size=min(4, d)))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), unique=True,
+                                min_size=len(support) - 1, max_size=len(support) - 1)))
+    weights = [Fraction(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])]
+    accepts = draw(st.sets(st.tuples(st.sampled_from(support), st.sampled_from(BIT_PAIRS))))
+    return Game(((0, 1), (0, 1)), ((0, 1), (0, 1)), support, weights,
+                lambda x, a: (x, a) in accepts)
+
+
+@given(unequal_base_games(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt):
+    game = repeat(base, n)
+    scale, ints = game.scaled_weights()
+    assert [Fraction(i, scale) for i in ints] == [
+        math.prod(ws) for ws in itertools.product(base.weights, repeat=n)]
+    rng = random.Random(salt)
+    strategy = Strategy.from_tables([
+        {q: rng.choice(list(game.answer_alphabets[j])) for q in game.question_domain(j)}
+        for j in range(game.k)])
+    assert evaluate(game, strategy) == oracles.repeated_win_probability(base, n, strategy)
+
+
 def test_repeated_game_shape():
     game = repeat(preset_game("anticorr", q=3), 2)
     assert len(game.support) == 9
@@ -129,8 +169,9 @@ def test_repeated_game_shape():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("make_base", [_base_game, lambda: preset_game("anticorr", q=3)],
-                         ids=["base", "anticorr3"])
+@pytest.mark.parametrize("make_base", [_base_game, _unequal_base_game,
+                                       lambda: preset_game("anticorr", q=3)],
+                         ids=["base", "unequal", "anticorr3"])
 def test_repeated_support_matches_transpose(make_base, n):
     base = make_base()
     game = repeat(base, n)
