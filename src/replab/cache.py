@@ -9,7 +9,8 @@ records are deterministic functions of their key, so the last writer wins
 harmlessly.  Putting a record under an existing key returns the stored
 record unchanged; rechecking is the caller's job via verifiers.  A cache
 file that is not JSON, or not the record of the key looked up, raises
-SchemaError naming the file.
+SchemaError naming the file, and so does a cache root that cannot be
+created.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _read_record(path: Path, key: str) -> dict | None:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"corrupt cache file {path}: {exc}") from exc
@@ -71,7 +72,10 @@ class ResultsCache:
         existing = _read_record(path, key)
         if existing is not None:
             return existing, False
-        self.records_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.records_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {self.root}: {exc.strerror}") from exc
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"key": key, "record": record}, fh, sort_keys=True, indent=1)

@@ -25,8 +25,8 @@ against a fresh recomputation of its cheap certificate instead of trusting
 the file.  The other commands never cache and take none of these flags.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
-parameters, or a cache file that is not JSON or not a record), 3 budget
-exceeded, 4 fuzz precondition not met.
+parameters, a cache file that is not JSON or not a record, or an output path
+that cannot be written), 3 budget exceeded, 4 fuzz precondition not met.
 """
 
 from __future__ import annotations
@@ -141,22 +141,27 @@ def _emit(args, record: dict, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_wcnf(path: str, hyper: ForbiddenHypergraph) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write(export_wcnf(hyper))
     print(f"wrote WCNF: {hyper.size} points, "
           f"{len(hyper.edges)} hard clauses -> {path}")
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise SchemaError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise SchemaError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 # -- value -------------------------------------------------------------------
@@ -165,7 +170,7 @@ def _parse_range(text: str) -> list[int]:
 def cmd_value(args) -> int:
     game, label, params = _load_game(args)
     base = game
-    if args.repeat > 1:
+    if args.repeat != 1:  # repeat() refuses counts below 1
         game = repeat(base, args.repeat)
     params = dict(params, repeat=args.repeat)
 
@@ -282,7 +287,7 @@ def cmd_eqn(args) -> int:
             "witness": sorted([list(map(int, w)) for w in (record.witness or [])]),
             "value": fraction_str(record.value),
         }
-        with open(args.emit_witness, "w", encoding="utf-8") as fh:
+        with _open_output(args.emit_witness) as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
@@ -434,6 +439,8 @@ def _random_strategy(game: Game, rng: SplitMix64):
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 0:
+        raise SchemaError("trials must be >= 0")
     base, label, params = _load_game(args)
     base_val = exact_value(base, budget=args.budget)
     if base_val.value >= 1:

@@ -14,15 +14,19 @@ has no undecided point left.  Excluding v kills the edges in inc[v].  The
 bound is |selected| + |undecided| minus a greedy packing of pairwise
 disjoint undecided edge parts, taken smallest first: each packed part must
 lose a point.  The search branches on the undecided point of maximum alive
-degree, include first.
+degree (lowest index on ties), exclude first: the first dive is then the
+greedy free set that drops the most constrained point until no edge is
+left, which on dense instances already meets the root bound.
 
 The optimum phase stops as soon as it finds a free set as large as the root
 bound; with generators it branches at the root on orbit representatives
-only.  The witness phase walks the points in index order, include-first,
-and keeps a maximum free set extending its choices: a point in that set is
-taken at once, any other is taken only when the branch and bound finds a
-free extension of optimum size, which becomes the new set.  The result is
-the maximum free set with the smallest sorted index list.
+only.  The witness phase walks the points in index order, trying to take
+each, and keeps a maximum free set extending its choices: a point in that
+set is taken at once, any other is taken only when the branch and bound
+finds a free extension of optimum size, which becomes the new set.  The
+result is the maximum free set with the smallest sorted index list; it does
+not depend on the child order, since whether a free extension of optimum
+size exists does not, and only the node counts do.
 
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
@@ -149,10 +153,10 @@ class _BranchAndBound:
             return self.best >= self.stop
         degrees = list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
         v = list(_select(undecided, count()))[degrees.index(max(degrees))]
-        child = self.include(v, selected, undecided, alive)
-        if child is not None and self.search(*child):
+        if self.search(selected, undecided & ~(1 << v), alive & ~self.inc[v]):
             return True
-        return self.search(selected, undecided & ~(1 << v), alive & ~self.inc[v])
+        child = self.include(v, selected, undecided, alive)
+        return child is not None and self.search(*child)
 
 
 def max_free(h: ForbiddenHypergraph,

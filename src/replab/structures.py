@@ -200,7 +200,12 @@ def grids(field: FiniteField, k: int, n: int,
 
     Each grid is enumerated once: d is normalised monic (first non-zero
     coordinate equal to 1) and the base point is the minimum-index point of
-    the grid.
+    the grid.  That base is the one point whose k vectors are all zero at
+    d's last non-zero coordinate top: each vector's coordinates above top are
+    the same across the grid, top is its most significant varying digit,
+    and the field's zero has the smallest code.  So a base is tested by that
+    coordinate alone, before its cell is built, and the cells come out in
+    (d, base index) order.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
@@ -226,10 +231,10 @@ def grids(field: FiniteField, k: int, n: int,
 
     def enumerate_grids() -> Iterator[tuple[int, ...]]:
         for d in monic:
-            for i, x in enumerate(universe):
-                cell = grid_indices(x, d)
-                if min(cell) == i:
-                    yield tuple(sorted(cell))
+            top = max(m for m, v in enumerate(d) if v)
+            for x in universe:
+                if not any(xj[top] for xj in x):
+                    yield tuple(sorted(grid_indices(x, d)))
 
     return StructureFamily(
         name="grid",

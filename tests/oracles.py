@@ -245,3 +245,30 @@ def naive_grids(field, k, n):
                                for j in range(k)))
             out.add(frozenset(grid))
     return out
+
+
+def min_base_grids(field, k, n):
+    """Grid cells as sorted point-index tuples, in the order of a loop over
+    monic steps d (first non-zero coordinate 1), then base points x by
+    index, that builds every cell and keeps it only when x is its
+    minimum-index point.  Indices are little-endian: coordinate m of player
+    j's vector is the digit of weight order**(m + n*j)."""
+    q = field.order
+    vectors = [tuple((code // q**m) % q for m in range(n)) for code in range(q**n)]
+
+    def index(point):
+        return sum(v * q**(m + n * j)
+                   for j, vec in enumerate(point) for m, v in enumerate(vec))
+
+    out = []
+    for d in vectors:
+        if next((v for v in d if v != 0), None) != 1:
+            continue
+        for i in range(q**(n * k)):
+            x = [vectors[(i // q**(n * j)) % q**n] for j in range(k)]
+            cell = [index([field.vec_add(x[j], field.vec_scale(alpha[j], d))
+                           for j in range(k)])
+                    for alpha in itertools.product(field.elements, repeat=k)]
+            if min(cell) == i:
+                out.append(tuple(sorted(cell)))
+    return out

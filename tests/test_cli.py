@@ -597,10 +597,34 @@ def test_uncached_commands_take_no_cache_flags(capsys, command):
     "eqn --preset unitvec --q 0 --n 1 --no-cache",
     "density line --q 3 --n 0 --no-cache",
     "repeat --preset anticorr --n 0",
+    "value --preset anticorr --q 3 --repeat 0 --no-cache",
+    "value --preset anticorr --q 3 --repeat -3 --no-cache",
+    "fuzz-prop34 --preset anticorr --q 3 --n 2 --trials -5",
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, argv.split())
     assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "eqn --preset ghz --n 2 --wcnf {missing}",
+    "density square --n 1 --wcnf {missing}",
+    "eqn --preset ghz --n 1 --no-cache --emit-witness {missing}",
+    "value --preset anticorr --q 3 --cache-dir {file}/cache",
+], ids=["eqn-wcnf", "density-wcnf", "emit-witness", "cache-dir"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    argv = argv.format(missing=tmp_path / "missing" / "x", file=tmp_path / "file")
+    code, out, err = run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}")
+
+
+def test_huge_verify_range_exits_3_at_once(capsys):
+    # the range is never materialised: its first round count is over budget
+    code, out, err = run(capsys, ["verify", "dhj", "--n", "5..99999999999"])
+    assert code == 3 and out == ""
     assert err.startswith("error: ")
 
 

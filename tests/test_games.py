@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
-from replab import games
+from replab import games, search
 from replab.codec import TupleCodec
 from replab.errors import (BudgetExceededError, IncompleteStrategyError,
                            SchemaError)
+from replab.fields import FiniteField
+from replab.forbidden import compute_eq
 from replab.games import (Game, Strategy, evaluate, exact_value,
                           game_from_json, game_to_json, mixture_value,
                           parse_fraction, predicate_from_spec, preset_game,
                           strategy_from_json, strategy_to_json,
                           unit_tuples, winning_set)
 from replab.repetition import repeat
+from replab.structures import grid_question_set
 
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -184,6 +187,25 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
     # search calls over both phases; a change to this count is a change to
     # the search, not noise
     assert [s.nodes for s in searches] == [20265]
+
+
+@pytest.mark.parametrize("support,n,nodes", [
+    (grid_question_set(FiniteField(3), 2), 2, 6231),
+    (unit_tuples(4), 3, 5226),
+], ids=["grid(GF3,k=2)", "unitvec(4)"])
+def test_compute_eq_node_count(monkeypatch, support, n, nodes):
+    searches = []
+
+    class CountedSearch(search._BranchAndBound):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(search, "_BranchAndBound", CountedSearch)
+    compute_eq(list(support), n)
+    # nodes of the one max_free call, over both phases; the optimum phase
+    # dives exclude-first, so these counts pin the child order
+    assert [s.nodes for s in searches] == [nodes]
 
 
 def test_untabled_game_value():

@@ -73,6 +73,14 @@ def test_grids_match_naive(field, k, n):
     assert _config_point_sets(family) == oracles.naive_grids(field, k, n)
 
 
+@pytest.mark.parametrize("field,k,n", [
+    (F2, 1, 6), (F3, 1, 3), (FiniteField(5), 1, 2), (F4, 1, 2), (F4, 2, 1), (F2, 2, 3),
+])
+def test_grids_keep_each_cell_from_its_minimum_base(field, k, n):
+    # the edge order of the hypergraph and of WCNF dumps follows this list
+    assert list(grids(field, k, n).configurations()) == oracles.min_base_grids(field, k, n)
+
+
 def test_grids_of_gf2_are_squares():
     for n in (1, 2):
         g, s = grids(F2, 2, n), squares(n)
