@@ -8,9 +8,9 @@ never see a partial file and concurrent writers each leave a complete one;
 records are deterministic functions of their key, so the last writer wins
 harmlessly.  Putting a record under an existing key returns the stored
 record unchanged; rechecking is the caller's job via verifiers.  A cache
-file that is not JSON, or not the record of the key looked up, raises
-SchemaError naming the file, and so does a cache root that cannot be
-created.
+file that cannot be read, is not JSON, or is not the record of the key
+looked up raises SchemaError naming the file, and so does a cache root that
+cannot be created.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _read_record(path: Path, key: str) -> dict | None:
             doc = json.load(fh)
     except (FileNotFoundError, NotADirectoryError):
         return None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or not UTF-8
         raise SchemaError(f"corrupt cache file {path}: {exc}") from exc
     if not (isinstance(doc, dict) and doc.get("key") == key
             and isinstance(doc.get("record"), dict)):

@@ -344,6 +344,11 @@ def _equivalence_case(args):
     """Support, r-function, case prefix and family word of verify dhj,
     square or grid."""
     if args.check == "dhj":
+        if args.q == 2:
+            raise SchemaError(
+                "verify dhj needs q = 1 or q >= 3: with two symbols every pair of "
+                "distinct points is a forbidden configuration of the unit support, "
+                "so E_Q(n) and r_line(2, n) differ")
         return (unit_tuples(args.q), lambda n: structures.r_line(args.q, n),
                 f"dhj q={args.q}", "line")
     if args.check == "square":

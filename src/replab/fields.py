@@ -106,7 +106,7 @@ class FiniteField:
         self.r = r
         self.order = order
         self.reduction = self._find_reduction()
-        self._digits = ProductTuples(range(p), r).codec
+        self._digits = ProductTuples(range(p), r)
         self._add = [[(self._digit_add(a, b)) for b in range(order)] for a in range(order)]
         self._mul = [[self._poly_elem_mul(a, b) for b in range(order)] for a in range(order)]
         self._neg = [self._find_neg(a) for a in range(order)]

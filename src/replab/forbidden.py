@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .codec import ProductTuples
+from .codec import ProductTuples, oversize
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
-from .repetition import RepeatedGame, power_exceeds
+from .repetition import RepeatedGame
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free
 
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -187,12 +187,8 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
     (default: the whole n-fold support), deduplicated as point sets."""
     q = len(support)
     if points is None:
-        # the point codec holds one slot per coordinate, even when q = 1
-        if n > point_budget:
-            raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
-        if power_exceeds(q, n, point_budget):
-            raise BudgetExceededError(
-                f"{q}**{n} points exceed the budget {point_budget}")
+        if reason := oversize(q, n, point_budget):
+            raise BudgetExceededError(reason)
         points = ProductTuples(range(q), n)
     return _search_witnesses(support, n, points)
 
@@ -206,7 +202,7 @@ def forbidden_hypergraph(support: Sequence[tuple], n: int,
     q = len(support)
     # enumerate_forbidden checks the point budget before the codec builds q**n
     witnesses = enumerate_forbidden(support, n, point_budget=point_budget)
-    code = ProductTuples(range(q), n).codec.encode
+    code = ProductTuples(range(q), n).encode
     edges = []
     for witness in witnesses:
         edges.append(tuple(sorted(code(e) for e in witness.edges)))
@@ -224,9 +220,10 @@ def compute_eq(support: Sequence[tuple], n: int, *,
 
     All configurations are enumerated into a hypergraph on the q**n points,
     and the exact solver returns the lexicographically first maximum free
-    set.  Raises BudgetExceededError when the points or the coordinates
-    exceed point_budget or the configurations exceed config_budget; such
-    instances can still be exported as WCNF for an external solver.
+    set.  Raises BudgetExceededError when codec.oversize rejects the q**n
+    points under point_budget, or the configurations exceed config_budget.
+    A one-symbol support takes the same path: its single point is itself a
+    forbidden configuration, so only the empty set is free.
 
     The witness is re-verified by an independent find_forbidden call before
     the record is returned.
@@ -235,26 +232,12 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    if n > point_budget:
-        raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
-    if power_exceeds(q, n, point_budget):
-        raise BudgetExceededError(
-            f"{q}**{n} points exceed the budget {point_budget}; "
-            "export the instance with a WCNF dump instead")
-    if q == 1:
-        # the single point is itself a forbidden configuration, so only the
-        # empty set is free
-        return _eq_record(support, n, 0, [])
+    if not support:
+        raise ValueError("the support must be non-empty")
     hyper = forbidden_hypergraph(support, n, point_budget, config_budget)
     size, chosen = max_free(hyper, budget=point_budget)
     points = ProductTuples(range(q), n)
-    return _eq_record(support, n, size, [points[c] for c in chosen])
-
-
-def _eq_record(support: Sequence[tuple], n: int, size: int,
-               witness: list) -> DensityRecord:
-    q = len(support)
-    witness = sorted(tuple(w) for w in witness)
+    witness = sorted(points[c] for c in chosen)
     if find_forbidden(support, n, witness) is not None:
         raise AssertionError("extremal witness failed the independent freeness check")
     return DensityRecord(

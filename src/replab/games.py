@@ -527,8 +527,11 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
     if ptype == "table":
         support_pos = {x: i for i, x in enumerate(support)}
         encode = TupleCodec(answer_alphabets).encode
+        items = spec.get("accepts", [])
+        if not isinstance(items, list):
+            raise SchemaError("table accepts must be a list")
         accepts = set()
-        for item in spec.get("accepts", []):
+        for item in items:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise SchemaError("table accepts entries must be [x_index, answer_index]")
             accepts.add((int(item[0]), int(item[1])))
@@ -546,6 +549,8 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
     if ptype == "preset":
         name = spec.get("name")
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaError("preset params must be an object")
         if name == "anticorr":
             return _anticorr_predicate
         if name == "allreject":
@@ -553,6 +558,8 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
         if name == "allaccept":
             return lambda x, a: True
         if name == "answer-game":
+            if "n" not in params:
+                raise SchemaError("the answer-game preset needs params.n")
             from . import forbidden  # deferred: forbidden imports this module
 
             witness = tuple(tuple(int(v) for v in w) for w in params.get("witness", []))
@@ -568,6 +575,9 @@ def game_from_json(doc: dict) -> Game:
     for key in ("k", "question_alphabets", "answer_alphabets", "support", "predicate"):
         if key not in doc:
             raise SchemaError(f"game document missing field {key!r}")
+    for key in ("question_alphabets", "answer_alphabets", "support"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"game field {key!r} must be a list")
     k = doc["k"]
     qalpha = [_from_jsonable(a) for a in doc["question_alphabets"]]
     aalpha = [_from_jsonable(a) for a in doc["answer_alphabets"]]
@@ -579,8 +589,8 @@ def game_from_json(doc: dict) -> Game:
             raise SchemaError("support entries must be objects with 'x' and 'weight'")
         support.append(_from_jsonable(item["x"]))
         weights.append(parse_fraction(str(item["weight"])))
-    predicate = predicate_from_spec(doc["predicate"], qalpha, aalpha, support)
     try:
+        predicate = predicate_from_spec(doc["predicate"], qalpha, aalpha, support)
         return Game(qalpha, aalpha, support, weights, predicate,
                     predicate_spec=doc["predicate"])
     except SchemaError:

@@ -11,7 +11,9 @@ so on.  Per-player question and answer tuples use the same convention, the
 little-endian code of the codec module.  A repeated game's rounds are
 ProductTuples(range(q), n), the index vectors of its base rounds, and its
 support and weights are maps over them; nothing of size alphabet**n is
-materialised until something iterates it.  A repeated weight is the product
+materialised until something iterates it.  repeat refuses, with
+codec.oversize's reason, a round count whose repeated support or any
+repeated alphabet exceeds the budget.  A repeated weight is the product
 of its rounds' scaled base ints over the base scale to the n-th power, so no
 Fraction is multiplied.
 """
@@ -22,25 +24,11 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .codec import ProductTuples
+from .codec import ProductTuples, oversize
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 
 DEFAULT_REPEAT_BUDGET = 1 << 22
-
-
-def power_exceeds(base: int, exp: int, budget: int) -> bool:
-    """Whether base**exp > budget, for base, exp >= 0.  The product stops
-    growing once it passes the budget, so a huge exp costs no more than a
-    small one."""
-    if base <= 1:
-        return int(base == 1 or exp == 0) > budget
-    value = 1
-    for _ in range(exp):
-        value *= base
-        if value > budget:
-            return True
-    return value > budget
 
 
 class _RoundMap(Sequence):
@@ -104,20 +92,15 @@ def repeat(game: Game, n: int, budget: int = DEFAULT_REPEAT_BUDGET) -> RepeatedG
     """The n-fold repetition of game.
 
     Construction is lazy, but refuses instances whose support or any single
-    alphabet would exceed budget if enumerated, since every consumer of the
-    result eventually walks those sequences.  The round count itself must
-    stay within budget too: each of the n rounds holds a slot in every
-    repeated alphabet's codec.
+    alphabet codec.oversize rejects under budget, since every consumer of
+    the result eventually walks those sequences.
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    if n > budget:
-        raise BudgetExceededError(f"{n} rounds exceed budget {budget}")
-    if power_exceeds(len(game.support), n, budget):
-        raise BudgetExceededError(f"repeated support exceeds budget {budget}")
-    for alphabet in (*game.question_alphabets, *game.answer_alphabets):
-        if power_exceeds(len(alphabet), n, budget):
-            raise BudgetExceededError(f"repeated alphabet exceeds budget {budget}")
+    for size in map(len, (game.support, *game.question_alphabets,
+                           *game.answer_alphabets)):
+        if reason := oversize(size, n, budget):
+            raise BudgetExceededError(reason)
     return RepeatedGame(game, n)
 
 

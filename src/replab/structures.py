@@ -12,10 +12,13 @@ a configuration-free set:
   grids(field, k, n) {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} in k-tuples
                      of F**n vectors, d != 0.
 
-A family's universe is a ProductTuples and a point's index is its code:
-range(q)**n for lines, and for the vector families
-ProductTuples(ProductTuples(range(order), n), k), so a k-tuple of vectors
-has index sum(code(v_j) * (order**n)**j) with player 0 least significant.
+A family's universe is a ProductTuples, which is its own codec: a point's
+index is its code.  The universe is range(q)**n for lines, and for the
+vector families ProductTuples(ProductTuples(range(order), n), k), so a
+k-tuple of vectors has index sum(code(v_j) * (order**n)**j) with player 0
+least significant.  Each family refuses, with codec.oversize's reason, a
+universe of more points or coordinates than its point budget: q**n over n
+coordinates for lines, order**(k*n) over k*n for the vector families.
 
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
@@ -32,13 +35,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .codec import ProductTuples
+from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
 from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .repetition import power_exceeds
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
                      verify_free)
 
@@ -67,7 +69,7 @@ class StructureFamily:
         return self._enumerate()
 
     def index(self, point) -> int:
-        return self.universe.codec.encode(point)
+        return self.universe.encode(point)
 
     def to_hypergraph(self) -> ForbiddenHypergraph:
         return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
@@ -87,13 +89,10 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     """Combinatorial lines in range(q)**n."""
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
-    # the universe codec holds one slot per coordinate, even when q = 1
-    if n > point_budget:
-        raise BudgetExceededError(f"{n} coordinates exceed the budget {point_budget}")
-    if power_exceeds(q, n, point_budget):
-        raise BudgetExceededError(f"{q}**{n} points exceed the budget {point_budget}")
+    if reason := oversize(q, n, point_budget):
+        raise BudgetExceededError(reason)
     universe = ProductTuples(range(q), n)
-    code = universe.codec.encode
+    code = universe.encode
 
     def enumerate_lines() -> Iterator[tuple[int, ...]]:
         if q == 1:  # every template names the single point
@@ -141,9 +140,9 @@ def _unit_translations(universe: ProductTuples, n: int,
                        add_vec) -> tuple[tuple[int, ...], ...]:
     """Index permutations translating one player's vector by one unit vector;
     these generate the full translation group of the universe."""
-    code = universe.codec.encode
+    code = universe.encode
     gens = []
-    for j in range(universe.codec.n):
+    for j in range(universe.n):
         for m in range(n):
             unit = tuple(1 if mm == m else 0 for mm in range(n))
             image = []
@@ -166,11 +165,11 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
     """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if power_exceeds(4, n, point_budget):
-        raise BudgetExceededError(f"4**{n} points exceed the budget {point_budget}")
+    if reason := oversize(4, n, point_budget):
+        raise BudgetExceededError(reason)
     universe = _vector_universe(2, 2, n)
-    code = universe.codec.encode
-    vectors = universe.codec.alphabets[0]
+    code = universe.encode
+    vectors = universe.alphabets[0]
 
     def enumerate_corners() -> Iterator[tuple[int, ...]]:
         # (x, y, d) -> corner is injective: the apex (x, y) is the unique
@@ -210,13 +209,12 @@ def grids(field: FiniteField, k: int, n: int,
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     order = field.order
-    if power_exceeds(order, k * n, point_budget):
-        raise BudgetExceededError(
-            f"{order}**{k * n} points exceed the budget {point_budget}")
+    if reason := oversize(order, k * n, point_budget):
+        raise BudgetExceededError(reason)
     universe = _vector_universe(order, k, n)
-    code = universe.codec.encode
+    code = universe.encode
     monic = []
-    for d in universe.codec.alphabets[0]:
+    for d in universe.alphabets[0]:
         lead = next((v for v in d if v != 0), None)
         if lead == 1:
             monic.append(d)
@@ -412,7 +410,7 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
     if len(set(pts)) != order**k:
         raise ValueError(f"a grid over this field has {order**k} distinct points")
     universe = _vector_universe(order, k, n)
-    base = min(pts, key=universe.codec.encode)
+    base = min(pts, key=universe.encode)
     diffs = set()
     for p in pts:
         for j in range(k):
@@ -421,7 +419,7 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
                 diffs.add(delta)
     if not diffs:
         raise ValueError("grid points cannot all coincide")
-    some = min(diffs, key=ProductTuples(field.elements, n).codec.encode)
+    some = min(diffs, key=ProductTuples(field.elements, n).encode)
     lead_pos = next(m for m in range(n) if some[m] != 0)
     d = field.vec_scale(field.inv(some[lead_pos]), some)
     lookup = {}

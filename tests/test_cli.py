@@ -186,6 +186,19 @@ def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, argv, rewrite, re
     assert err.startswith("error: " + message.format(path=path))
 
 
+def test_directory_at_cache_record_path_is_a_clean_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = VALUE_ARGV + ["--cache-dir", str(cache)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, = cache.glob("records/*.json")
+    path.unlink()
+    path.mkdir()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: corrupt cache file {path}")
+
+
 def test_value_from_game_file(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_json(preset_game("anticorr", q=3))))
@@ -222,6 +235,26 @@ def test_value_game_source_errors(tmp_path, capsys):
     code, _, err = run(capsys, ["value", "--game", str(tmp_path / "absent.json"),
                                 "--no-cache"])
     assert code == 2 and "cannot read" in err
+
+
+def _two_player_doc(**fields):
+    return dict(game_to_json(preset_game("anticorr", q=2)), **fields)
+
+
+@pytest.mark.parametrize("doc", [
+    _two_player_doc(support=5),
+    _two_player_doc(question_alphabets=5),
+    _two_player_doc(predicate={"type": "table", "accepts": 5}),
+    _two_player_doc(predicate={"type": "preset", "name": "answer-game"}),
+    _two_player_doc(predicate={"type": "preset", "name": "answer-game", "params": 5}),
+], ids=["support-int", "question-alphabets-int", "table-accepts-int",
+        "answer-game-no-n", "answer-game-params-int"])
+def test_malformed_game_file_is_a_clean_error(tmp_path, capsys, doc):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["value", "--game", str(path), "--no-cache"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_value_budget_exceeded(capsys):
@@ -496,6 +529,23 @@ def test_verify_dhj_range(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert all(line.startswith("PASS dhj") for line in lines)
+
+
+@pytest.mark.parametrize("q, message", [
+    # with two symbols every pair of distinct points is a forbidden
+    # configuration, so E_Q(2) = 1/4 while r_line(2, 2) = 1/2
+    ("2", "verify dhj needs q = 1 or q >= 3"),
+    ("0", "the support must be non-empty"),
+])
+def test_verify_dhj_refuses_bad_q(capsys, q, message):
+    code, out, err = run(capsys, ["verify", "dhj", "--q", q, "--n", "1..3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_verify_dhj_one_symbol(capsys):
+    code, out, _ = run(capsys, ["verify", "dhj", "--q", "1", "--n", "1..2"])
+    assert code == 0 and out.startswith("PASS dhj q=1 n=1: density 0/1 vs line bound 0/1")
 
 
 def test_verify_square_range(capsys):

@@ -137,7 +137,7 @@ def test_vectors_are_little_endian():
     assert vecs[1] == (1, 0)
     assert vecs[5] == (2, 1)
     for i, v in enumerate(vecs):
-        assert vecs.codec.encode(v) == i
+        assert vecs.encode(v) == i
 
 
 def test_vector_arithmetic():

@@ -22,6 +22,7 @@ from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               witness_is_valid)
 from replab.games import Strategy, evaluate, exact_value, unit_tuples
 from replab.codec import ProductTuples, TupleCodec
+from replab.records import DensityRecord
 from replab.repetition import repeat
 from replab.structures import ghz_support
 
@@ -166,6 +167,21 @@ def test_compute_eq_single_point_support():
     assert rec.witness == []
     # consistent with the naive oracle: the lone point forms a configuration
     assert oracles.naive_forbidden([(0, 0, 0)], 2, ProductTuples(range(1), 2))
+
+
+@pytest.mark.parametrize("n", [1, 128])
+def test_compute_eq_one_symbol_support(n):
+    # the general path: the lone point forms a configuration, so only the
+    # empty set is free
+    rec = compute_eq(list(unit_tuples(1)), n)
+    assert rec == DensityRecord(
+        family="forbidden-free", params={"q": 1, "n": n}, value=Fraction(0),
+        witness_size=0, universe_size=1, witness=[], method="exact-bb")
+
+
+def test_compute_eq_one_symbol_support_refuses_coordinates_past_the_budget():
+    with pytest.raises(BudgetExceededError, match="^129 coordinates exceed the budget 128$"):
+        compute_eq(list(unit_tuples(1)), 129)
 
 
 def test_compute_eq_matches_naive_oracle():

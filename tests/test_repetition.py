@@ -15,8 +15,8 @@ import pytest
 import oracles
 from replab.errors import BudgetExceededError
 from replab.games import Game, Strategy, evaluate, exact_value, preset_game
-from replab.codec import ProductTuples, TupleCodec
-from replab.repetition import independent_strategy, power_exceeds, repeat
+from replab.codec import ProductTuples, TupleCodec, oversize, power_exceeds
+from replab.repetition import independent_strategy, repeat
 
 
 # -- codecs ---------------------------------------------------------------------
@@ -100,6 +100,15 @@ def test_power_exceeds():
     assert power_exceeds(2, 10**18, 10**6)
     assert not power_exceeds(1, 10**18, 1)
     assert not power_exceeds(0, 10**18, 0)
+
+
+def test_oversize_boundary():
+    assert oversize(2, 4, 16) is None
+    assert oversize(2, 4, 15) == "2**4 points exceed the budget 15"
+    # one symbol: size**n is 1, but each coordinate holds a codec slot
+    assert oversize(1, 16, 16) is None
+    assert oversize(1, 17, 16) == "17 coordinates exceed the budget 16"
+    assert oversize(0, 16, 16) is None
 
 
 # -- repeated games ----------------------------------------------------------------
