@@ -9,8 +9,8 @@ records are deterministic functions of their key, so the last writer wins
 harmlessly.  Putting a record under an existing key returns the stored
 record unchanged; rechecking is the caller's job via verifiers.  A cache
 file that cannot be read, is not JSON, or is not the record of the key
-looked up raises SchemaError naming the file, and so does a cache root that
-cannot be created.
+looked up raises SchemaError naming the file, and so does a records
+directory that cannot be created.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ResultsCache:
         try:
             self.records_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise SchemaError(f"cannot write {self.root}: {exc.strerror}") from exc
+            raise SchemaError(f"cannot write {exc.filename}: {exc.strerror}") from exc
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"key": key, "record": record}, fh, sort_keys=True, indent=1)

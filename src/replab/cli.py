@@ -47,7 +47,8 @@ from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, _from_jsonable,
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
-from .search import ForbiddenHypergraph, export_wcnf, verify_free
+from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf,
+                     verify_free)
 from .structures import ghz_support, grid_question_set
 
 PRESETS = ("anticorr", "unitvec", "ghz", "grid")
@@ -229,58 +230,52 @@ def _density_compute(args) -> DensityRecord:
     return structures.r_grid(FiniteField(args.p, args.r), args.k, args.n)
 
 
-def _density_verify(args, record: DensityRecord) -> bool:
+def _recheck_density(record: DensityRecord, make_family, compute) -> bool:
+    """Whether a cached density or eqn record holds: its witness is a free
+    set of witness_size distinct points of make_family(), checked against a
+    fresh enumeration of the configurations, or, when the record carries no
+    witness, it equals a fresh compute()."""
     if record.witness is None:
-        fresh = _density_compute(args)
-        return record.value == fresh.value
-    family = _density_family(args)
+        return record == compute()
+    family = make_family()
     try:
-        indices = [family.index(_from_jsonable(p)) for p in record.witness]
+        indices = {family.index(_from_jsonable(p)) for p in record.witness}
     except (ValueError, TypeError):
         return False
-    return (len(indices) == record.witness_size
-            and record.value == Fraction(record.witness_size, len(family.universe))
+    return (len(indices) == len(record.witness) == record.witness_size
+            and record.universe_size == len(family)
+            and record.value == Fraction(record.witness_size, len(family))
             and verify_free(indices, family.configurations()))
 
 
-def cmd_density(args) -> int:
+def _density_command(args, kind: str, params: dict, make_family, compute,
+                     before_report=None) -> int:
+    """density and eqn: write make_family() as WCNF, or report the cached or
+    computed record of compute(), after before_report(record) if given."""
     if args.wcnf:
-        return _write_wcnf(args.wcnf, _density_family(args).to_hypergraph())
-    params = dict(_density_params(args), family=args.family)
-    record, status = _with_cache(args, "density", params, DensityRecord,
-                                 lambda: _density_compute(args),
-                                 lambda r: _density_verify(args, r))
+        return _write_wcnf(args.wcnf, make_family().to_hypergraph())
+    record, status = _with_cache(args, kind, params, DensityRecord, compute,
+                                 lambda r: _recheck_density(r, make_family, compute))
+    if before_report is not None:
+        before_report(record)
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
+
+
+def cmd_density(args) -> int:
+    params = dict(_density_params(args), family=args.family)
+    return _density_command(args, "density", params, lambda: _density_family(args),
+                            lambda: _density_compute(args))
 
 
 # -- eqn -----------------------------------------------------------------------
 
 
-def _eqn_verify(support, n, record: DensityRecord) -> bool:
-    witness = [_from_jsonable(w) for w in (record.witness or [])]
-    if len(witness) != record.witness_size:
-        return False
-    if record.value != Fraction(record.witness_size, len(support) ** n):
-        return False
-    return forbidden.find_forbidden(list(support), n, witness) is None
-
-
 def cmd_eqn(args) -> int:
     game, label, params = _preset_game(args)
-    support = game.support
-    n = args.n
-    if args.wcnf:
-        return _write_wcnf(args.wcnf, forbidden.forbidden_hypergraph(
-            list(support), n, point_budget=args.point_budget))
-    params = dict(params, preset=label, n=n)
+    support, n = list(game.support), args.n
 
-    def compute() -> DensityRecord:
-        return forbidden.compute_eq(list(support), n, point_budget=args.point_budget)
-
-    record, status = _with_cache(args, "eqn", params, DensityRecord, compute,
-                                 lambda r: _eqn_verify(support, n, r))
-    if args.emit_witness:
+    def emit_witness(record: DensityRecord) -> None:
         payload = {
             "support": [list(x) for x in support],
             "n": n,
@@ -289,8 +284,12 @@ def cmd_eqn(args) -> int:
         }
         with _open_output(args.emit_witness) as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
-    _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
-    return 0
+
+    return _density_command(
+        args, "eqn", dict(params, preset=label, n=n),
+        lambda: forbidden.forbidden_family(support, n, args.point_budget),
+        lambda: forbidden.compute_eq(support, n, point_budget=args.point_budget),
+        emit_witness if args.emit_witness else None)
 
 
 # -- repeat ----------------------------------------------------------------------
@@ -523,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point-budget", type=int, default=128)
+    p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
     p.add_argument("--emit-witness", default=None, help="write the witness JSON here")
     p.add_argument("--wcnf", default=None,
                    help="write the instance as WCNF instead of solving")

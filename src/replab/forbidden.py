@@ -24,9 +24,10 @@ symbol for player j is v.  Cells are visited player-major with symbols in
 sorted order, and candidate rows are enumerated in little-endian code order
 over the free coordinates, so enumeration order is deterministic.
 
-compute_eq has one path: it materialises every configuration as an edge of
-a hypergraph on the point codes and hands that to the exact solver, within
-a point budget and a configuration budget.
+forbidden_family presents the configurations as one more structure family
+on the point codes, and compute_eq solves it by the path of the line,
+square, corner and grid densities, within a point budget and a
+configuration budget.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
 from .repetition import RepeatedGame
-from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free
+from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, StructureFamily
 
 DEFAULT_CONFIG_BUDGET = 10**6
 
@@ -193,62 +194,62 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
     return _search_witnesses(support, n, points)
 
 
+def forbidden_family(support: Sequence[tuple], n: int,
+                     point_budget: int = DEFAULT_POINT_BUDGET,
+                     config_budget: int = DEFAULT_CONFIG_BUDGET) -> StructureFamily:
+    """The forbidden configurations of the n-fold support as a structure
+    family on the codes of ProductTuples(range(q), n).  Raises
+    BudgetExceededError when codec.oversize rejects the q**n points under
+    point_budget, and while enumerating more than config_budget of them."""
+    q = len(support)
+    if reason := oversize(q, n, point_budget):
+        raise BudgetExceededError(reason)
+    universe = ProductTuples(range(q), n)
+    code = universe.encode
+
+    def enumerate_configurations() -> Iterator[tuple[int, ...]]:
+        for count, witness in enumerate(_search_witnesses(support, n, universe), 1):
+            if count > config_budget:
+                raise BudgetExceededError(
+                    f"more than {config_budget} forbidden configurations")
+            yield tuple(sorted(code(e) for e in witness.edges))
+
+    return StructureFamily(
+        name="forbidden-free",
+        params={"q": q, "n": n},
+        universe=universe,
+        _enumerate=enumerate_configurations,
+    )
+
+
 def forbidden_hypergraph(support: Sequence[tuple], n: int,
                          point_budget: int = DEFAULT_POINT_BUDGET,
                          config_budget: int = DEFAULT_CONFIG_BUDGET) -> ForbiddenHypergraph:
     """The hypergraph on the n-fold support whose edges are the forbidden
     configurations; free sets of this hypergraph are exactly the
     configuration-free subsets."""
-    q = len(support)
-    # enumerate_forbidden checks the point budget before the codec builds q**n
-    witnesses = enumerate_forbidden(support, n, point_budget=point_budget)
-    code = ProductTuples(range(q), n).encode
-    edges = []
-    for witness in witnesses:
-        edges.append(tuple(sorted(code(e) for e in witness.edges)))
-        if len(edges) > config_budget:
-            raise BudgetExceededError(
-                f"more than {config_budget} forbidden configurations")
-    return ForbiddenHypergraph(q**n, edges)
+    return forbidden_family(support, n, point_budget, config_budget).to_hypergraph()
 
 
 def compute_eq(support: Sequence[tuple], n: int, *,
                point_budget: int = DEFAULT_POINT_BUDGET,
                config_budget: int = DEFAULT_CONFIG_BUDGET) -> DensityRecord:
     """Maximum density of a forbidden-configuration-free subset of the
-    n-fold support, with an extremal witness.
+    n-fold support, with its sorted extremal witness: forbidden_family,
+    solved and re-checked like every structure family, within its budgets.
+    A one-symbol support's single point is itself a configuration, so only
+    the empty set is free."""
+    from .structures import _density_record  # deferred: structures imports this module
 
-    All configurations are enumerated into a hypergraph on the q**n points,
-    and the exact solver returns the lexicographically first maximum free
-    set.  Raises BudgetExceededError when codec.oversize rejects the q**n
-    points under point_budget, or the configurations exceed config_budget.
-    A one-symbol support takes the same path: its single point is itself a
-    forbidden configuration, so only the empty set is free.
-
-    The witness is re-verified by an independent find_forbidden call before
-    the record is returned.
-    """
-    q = len(support)
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
     if not support:
         raise ValueError("the support must be non-empty")
-    hyper = forbidden_hypergraph(support, n, point_budget, config_budget)
-    size, chosen = max_free(hyper, budget=point_budget)
-    points = ProductTuples(range(q), n)
-    witness = sorted(points[c] for c in chosen)
-    if find_forbidden(support, n, witness) is not None:
-        raise AssertionError("extremal witness failed the independent freeness check")
-    return DensityRecord(
-        family="forbidden-free",
-        params={"q": q, "n": n},
-        value=Fraction(size, q**n),
-        witness_size=size,
-        universe_size=q**n,
-        witness=witness,
-        method="exact-bb",
-    )
+    record = _density_record(
+        forbidden_family(support, n, point_budget, config_budget), point_budget)
+    record.witness.sort()
+    return record
 
 
 # -- projected graphs ---------------------------------------------------------

@@ -418,25 +418,10 @@ def preset_game(name: str, **params) -> Game:
         _reject_unknown(params)
         if q < 1:
             raise ValueError("unitvec needs q >= 1")
-        support = unit_tuples(q)
-        return Game(
-            question_alphabets=((0, 1),) * q,
-            answer_alphabets=((0,),) * q,
-            support=support,
-            weights=(Fraction(1, q),) * q,
-            predicate=_always_reject,
-            predicate_spec={"type": "preset", "name": "allreject"},
-        )
+        return _question_set(((0, 1),) * q, unit_tuples(q))
     if name == "ghz":
         _reject_unknown(params)
-        return Game(
-            question_alphabets=((0, 1),) * 3,
-            answer_alphabets=((0,),) * 3,
-            support=GHZ_SUPPORT,
-            weights=(Fraction(1, 4),) * 4,
-            predicate=_always_reject,
-            predicate_spec={"type": "preset", "name": "allreject"},
-        )
+        return _question_set(((0, 1),) * 3, GHZ_SUPPORT)
     if name == "grid":
         from . import structures  # deferred: structures imports this module's types
 
@@ -447,17 +432,22 @@ def preset_game(name: str, **params) -> Game:
         from .fields import FiniteField
 
         field = FiniteField(p, r)
-        support = structures.grid_question_set(field, kdim)
-        players = kdim + r
-        return Game(
-            question_alphabets=(tuple(field.elements),) * players,
-            answer_alphabets=((0,),) * players,
-            support=support,
-            weights=(Fraction(1, len(support)),) * len(support),
-            predicate=_always_reject,
-            predicate_spec={"type": "preset", "name": "allreject"},
-        )
+        return _question_set((tuple(field.elements),) * (kdim + r),
+                             structures.grid_question_set(field, kdim))
     raise ValueError(f"unknown preset {name!r}")
+
+
+def _question_set(question_alphabets: tuple, support: Sequence[tuple]) -> Game:
+    """A bare question set: uniform weights over the support, the single
+    answer 0 for every player and the always-reject placeholder predicate."""
+    return Game(
+        question_alphabets=question_alphabets,
+        answer_alphabets=((0,),) * len(question_alphabets),
+        support=support,
+        weights=(Fraction(1, len(support)),) * len(support),
+        predicate=_always_reject,
+        predicate_spec={"type": "preset", "name": "allreject"},
+    )
 
 
 def _reject_unknown(params: dict) -> None:

@@ -28,6 +28,9 @@ result is the maximum free set with the smallest sorted index list; it does
 not depend on the child order, since whether a free extension of optimum
 size exists does not, and only the node counts do.
 
+A StructureFamily is a universe with a re-enumerable configuration family:
+max_free solves its hypergraph, and a fresh enumeration re-checks the set.
+
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
 the WCNF equals size - max_free.
@@ -37,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .codec import ProductTuples
 from .errors import BudgetExceededError
 
 DEFAULT_POINT_BUDGET = 128
@@ -79,6 +83,38 @@ class ForbiddenHypergraph:
             if {tuple(sorted(g[v] for v in e)) for e in self.edges} != set(self.edges):
                 raise ValueError("generator does not preserve the edge family")
         object.__setattr__(self, "generators", gens)
+
+
+@dataclass
+class StructureFamily:
+    """A finite universe together with a re-enumerable configuration family.
+
+    configurations() returns a fresh iterator of sorted point-index tuples on
+    every call, so verification can re-walk the family independently of any
+    solver state.  A point's index is its code in the universe, and index()
+    raises ValueError for a point outside it.  generators are index
+    permutations preserving the family; the solver uses them for its
+    symmetry reduction.
+    """
+
+    name: str
+    params: dict
+    universe: ProductTuples
+    _enumerate: Callable[[], Iterator[tuple[int, ...]]]
+    generators: tuple = ()
+
+    def configurations(self) -> Iterator[tuple[int, ...]]:
+        return self._enumerate()
+
+    def index(self, point) -> int:
+        return self.universe.encode(point)
+
+    def to_hypergraph(self) -> ForbiddenHypergraph:
+        return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
+                                   self.generators)
+
+    def __len__(self) -> int:
+        return len(self.universe)
 
 
 def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:

@@ -24,6 +24,8 @@ The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
 which is what ties the densities r_line, r_square, r_grid to exact values of
 repeated games; a square's map is grid_to_witness over GF(2) with k = 2.
+forbidden.compute_eq solves those configurations, forbidden.forbidden_family,
+through the same _density_record as the four families here.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
@@ -41,42 +43,9 @@ from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, max_free,
-                     verify_free)
+from .search import DEFAULT_POINT_BUDGET, StructureFamily, max_free, verify_free
 
 WITNESS_MATERIALISE_LIMIT = 4096
-
-
-@dataclass
-class StructureFamily:
-    """A finite universe together with a re-enumerable configuration family.
-
-    configurations() returns a fresh iterator of sorted point-index tuples on
-    every call, so verification can re-walk the family independently of any
-    solver state.  A point's index is its code in the universe, and index()
-    raises ValueError for a point outside it.  generators are index
-    permutations preserving the family; the solver uses them for its
-    symmetry reduction.
-    """
-
-    name: str
-    params: dict
-    universe: ProductTuples
-    _enumerate: Callable[[], Iterator[tuple[int, ...]]]
-    generators: tuple = ()
-
-    def configurations(self) -> Iterator[tuple[int, ...]]:
-        return self._enumerate()
-
-    def index(self, point) -> int:
-        return self.universe.encode(point)
-
-    def to_hypergraph(self) -> ForbiddenHypergraph:
-        return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
-                                   self.generators)
-
-    def __len__(self) -> int:
-        return len(self.universe)
 
 
 # -- combinatorial lines -------------------------------------------------------
@@ -86,7 +55,12 @@ _STAR = object()
 
 
 def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
-    """Combinatorial lines in range(q)**n."""
+    """Combinatorial lines in range(q)**n.
+
+    The family carries no generators: with max_free's exclude-first search,
+    branching at the root on orbits of the symbol cycle and the coordinate
+    rotation costs more nodes than it saves.
+    """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
     if reason := oversize(q, n, point_budget):
@@ -107,19 +81,11 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
             yield tuple(sorted(code(tuple(v if sym is _STAR else sym for sym in template))
                                for v in range(q)))
 
-    generators = []
-    if q >= 2:
-        cycle = {v: (v + 1) % q for v in range(q)}
-        generators.append(tuple(
-            code(tuple(cycle[v] for v in w)) for w in universe))
-    if n >= 2:
-        generators.append(tuple(code(w[1:] + w[:1]) for w in universe))
     return StructureFamily(
         name="line",
         params={"q": q, "n": n},
         universe=universe,
         _enumerate=enumerate_lines,
-        generators=tuple(generators),
     )
 
 
@@ -246,9 +212,11 @@ def grids(field: FiniteField, k: int, n: int,
 # -- exact densities -------------------------------------------------------------
 
 
-def _density_record(family: StructureFamily) -> DensityRecord:
-    hyper = family.to_hypergraph()
-    size, chosen = max_free(hyper)
+def _density_record(family: StructureFamily,
+                    point_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+    """The exact density of a family, solved within the solver's point
+    budget, with its witness re-checked against a fresh enumeration."""
+    size, chosen = max_free(family.to_hypergraph(), budget=point_budget)
     if not verify_free(chosen, family.configurations()):
         raise AssertionError("density witness failed independent re-enumeration check")
     return DensityRecord(

@@ -146,6 +146,15 @@ def _set_field(name, value):
     return lambda doc: json.dumps(dict(doc, record=dict(doc["record"], **{name: value})))
 
 
+def test_file_at_cache_records_dir_is_named_in_the_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "records").touch()
+    code, out, err = run(capsys, VALUE_ARGV + ["--cache-dir", str(cache)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {cache / 'records'}: ")
+
+
 @pytest.mark.parametrize("argv, rewrite, recheck, message", [
     pytest.param(VALUE_ARGV, lambda doc: "{bad", False, "corrupt cache file {path}",
                  id="records/*.json"),
@@ -366,6 +375,37 @@ def test_density_recheck_fails_on_a_foreign_witness_point(tmp_path, capsys):
     assert err.startswith("error: cached record failed recheck")
 
 
+REPEATED_POINT = {"witness": [[0], [0], [1]], "witness_size": 3, "value": "3/3"}
+
+
+@pytest.mark.parametrize("argv, rewrite", [
+    pytest.param(["density", "line", "--q", "3", "--n", "1"], REPEATED_POINT,
+                 id="density-repeated-point"),
+    pytest.param(["eqn", "--preset", "unitvec", "--q", "3", "--n", "1"], REPEATED_POINT,
+                 id="eqn-repeated-point"),
+    pytest.param(["eqn", "--preset", "unitvec", "--q", "3", "--n", "1"],
+                 {"witness": [[0], [3]]}, id="eqn-foreign-point"),
+    pytest.param(["eqn", "--preset", "unitvec", "--q", "3", "--n", "1"],
+                 {"witness": [[0], [0, 1]]}, id="eqn-short-point"),
+    pytest.param(["eqn", "--preset", "unitvec", "--q", "3", "--n", "1"],
+                 {"witness": [[0], [1], [2]], "witness_size": 3, "value": "3/3"},
+                 id="eqn-holds-a-configuration"),
+    pytest.param(["eqn", "--preset", "unitvec", "--q", "3", "--n", "1"],
+                 {"universe_size": 4}, id="eqn-universe-size"),
+])
+def test_recheck_fails_on_a_bad_witness(tmp_path, capsys, argv, rewrite):
+    argv = argv + ["--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, = (tmp_path / "c").glob("records/*.json")
+    doc = json.loads(path.read_text())
+    doc["record"].update(rewrite)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv + ["--recheck"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cached record failed recheck")
+
+
 def test_density_wcnf_export(tmp_path, capsys):
     out_path = tmp_path / "line.wcnf"
     code, out, _ = run(capsys, ["density", "line", "--q", "2", "--n", "3",
@@ -441,6 +481,23 @@ def test_eqn_point_budget(capsys):
     code, _, err = run(capsys, ["eqn", "--preset", "unitvec", "--q", "3",
                                 "--n", "5", "--no-cache"])
     assert code == 3 and err.startswith("error:")
+
+
+def test_eqn_point_budget_reaches_the_solver(capsys):
+    argv = ["eqn", "--preset", "unitvec", "--q", "13", "--n", "2", "--no-cache"]
+    code, out, _ = run(capsys, argv + ["--point-budget", "200"])
+    assert code == 0 and "value:         12/13" in out
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "error: 13**2 points exceed the budget 128\n"
+
+
+def test_eqn_recheck_passes_on_a_good_record(tmp_path, capsys):
+    argv = ["eqn", "--preset", "ghz", "--n", "2", "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, argv + ["--recheck"])
+    assert code == 0 and "status:        cached" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
 from replab.search import (ForbiddenHypergraph, export_wcnf, max_free,
                            symmetry_orbit_prune, verify_free)
-from replab.structures import corners, grids, lines, squares
+from replab.structures import corners, grids, squares
 
 
 # -- hypergraph construction -----------------------------------------------------
@@ -145,9 +145,8 @@ def test_orbit_representatives():
 
 
 @pytest.mark.parametrize("family", [
-    lambda: lines(3, 2), lambda: squares(1), lambda: squares(2),
-    lambda: corners(2), lambda: grids(FiniteField(3), 1, 2),
-    lambda: grids(FiniteField(2), 1, 4), lambda: lines(2, 4),
+    lambda: squares(1), lambda: squares(2), lambda: corners(2),
+    lambda: grids(FiniteField(3), 1, 2), lambda: grids(FiniteField(2), 1, 4),
 ])
 def test_symmetry_reduction_is_lossless(family):
     h = family().to_hypergraph()
