@@ -29,8 +29,7 @@ from .games import (Game, GameValue, Strategy, evaluate, exact_value,
 from .records import DensityRecord, ValueRecord
 from .repetition import RepeatedGame, independent_strategy, repeat
 from .rng import SplitMix64
-from .search import (ForbiddenHypergraph, export_wcnf, max_free,
-                     symmetry_orbit_prune, verify_free)
+from .search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
 from .structures import (affine_embed, corners, ghz_support, grid_question_set,
                          grid_to_witness, grids, line_to_witness, lines,
                          r_corner, r_grid, r_line, r_square, squares,

@@ -39,6 +39,7 @@ from fractions import Fraction
 
 from . import forbidden, structures
 from .cache import ResultsCache, canonical_key
+from .codec import oversize
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
 from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, _from_jsonable,
@@ -149,7 +150,9 @@ def _open_output(path: str):
         raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_wcnf(path: str, hyper: ForbiddenHypergraph) -> int:
+def _write_wcnf(path: str, family) -> int:
+    # the bare edges: WCNF has no use for the family's symmetries
+    hyper = ForbiddenHypergraph(len(family), family.configurations())
     with _open_output(path) as fh:
         fh.write(export_wcnf(hyper))
     print(f"wrote WCNF: {hyper.size} points, "
@@ -253,7 +256,7 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
     """density and eqn: write make_family() as WCNF, or report the cached or
     computed record of compute(), after before_report(record) if given."""
     if args.wcnf:
-        return _write_wcnf(args.wcnf, make_family().to_hypergraph())
+        return _write_wcnf(args.wcnf, make_family())
     record, status = _with_cache(args, kind, params, DensityRecord, compute,
                                  lambda r: _recheck_density(r, make_family, compute))
     if before_report is not None:
@@ -274,6 +277,10 @@ def cmd_density(args) -> int:
 def cmd_eqn(args) -> int:
     game, label, params = _preset_game(args)
     support, n = list(game.support), args.n
+    # the cache key omits the budget, so refuse before the lookup: a record
+    # stored under a larger --point-budget is not served under this one
+    if reason := oversize(len(support), n, args.point_budget):
+        raise BudgetExceededError(reason)
 
     def emit_witness(record: DensityRecord) -> None:
         payload = {

@@ -203,6 +203,17 @@ class FiniteField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
+    def primitive_element(self) -> int:
+        """The least element whose powers run through every non-zero
+        element."""
+        for c in range(1, self.order):
+            power, k = c, 1
+            while power != 1:
+                power, k = self._mul[power][c], k + 1
+            if k == self.order - 1:
+                return c
+        raise AssertionError("the multiplicative group is not cyclic")
+
     def additive_generators(self) -> tuple[int, ...]:
         """Generators 1, t, t**2, ... of the additive group; every element is
         a unique digit combination of these."""

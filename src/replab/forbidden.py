@@ -28,12 +28,20 @@ forbidden_family presents the configurations as one more structure family
 on the point codes, and compute_eq solves it by the path of the line,
 square, corner and grid densities, within a point budget and a
 configuration budget.
+
+The family's symmetries come from the support.  A player permutation pi
+with a symbol bijection per player that maps Q onto Q relabels the support
+indices by a permutation tau.  tau applied in every round maps forbidden
+configurations onto forbidden configurations; so does tau applied in round
+0 alone when pi is the identity, and so does any permutation of the rounds.
+support_symmetries finds generators of each kind of tau by a bounded search
+along a stabiliser chain.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -43,9 +51,12 @@ from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
 from .repetition import RepeatedGame
-from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, StructureFamily
+from .search import (DEFAULT_POINT_BUDGET, GROUP_CAP, ForbiddenHypergraph, StructureFamily,
+                     index_maps, swap_and_cycle)
 
 DEFAULT_CONFIG_BUDGET = 10**6
+# candidate images that one support_symmetries call may try
+SYMMETRY_SEARCH_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,111 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
     return _search_witnesses(support, n, points)
 
 
+def support_symmetries(support: Sequence[tuple],
+                       same_players: bool = False) -> list[tuple[int, ...]]:
+    """Generators of the permutations tau of the support indices induced by
+    a player permutation pi, the identity when same_players, and symbol
+    bijections sigma_j: support[tau(s)][pi(j)] = sigma_j(support[s][j]) for
+    every s and j.
+
+    The search runs up the stabiliser chain of the points q-1, .., 0: at
+    level l it backtracks for one tau that fixes the points below l and
+    takes l to u, for each u > l that the generators found so far do not
+    already take l to.  The order of the group they generate is then the
+    product of those orbit sizes, so it stops once that passes GROUP_CAP,
+    which is all max_free can use, and never lists the group, whose order
+    may be q!.  After SYMMETRY_SEARCH_STEPS candidate images it stops with
+    the generators found by then, which still generate such relabellings.
+    """
+    q, k = len(support), len(support[0])
+    classes = [[x[j] for x in support] for j in range(k)]
+    sizes = [Counter(c) for c in classes]
+    # a point and its image show classes of the same sizes
+    profile = list(zip(*[[size[sym] for sym in c] for size, c in zip(sizes, classes)]))
+    if same_players:
+        start = [{j} for j in range(k)]
+    else:
+        profile = [sorted(p) for p in profile]
+        shapes = [sorted(size.values()) for size in sizes]
+        start = [{j2 for j2 in range(k) if shapes[j2] == shapes[j]} for j in range(k)]
+    steps = SYMMETRY_SEARCH_STEPS
+    used = [False] * q
+
+    def narrow(cands: list[set], opens: list, first_image: list[dict], t: int) -> list[set]:
+        # pi(j) = j2 survives the pair (s, t) when s and t both open a new
+        # class, or rejoin classes opened at the same position; any two
+        # players' candidate sets stay equal or disjoint
+        by_open = defaultdict(set)
+        for j2, (f, c) in enumerate(zip(first_image, classes)):
+            by_open[f.get(c[t])].add(j2)
+        return [cand & by_open[o] for cand, o in zip(cands, opens)]
+
+    def opened(first: list[dict], s: int, t: int) -> list[dict]:
+        return [f if c[t] in f else {**f, c[t]: s} for f, c in zip(first, classes)]
+
+    def extend(tau: list[int], cands: list[set], first: list[dict],
+               first_image: list[dict], targets) -> tuple[int, ...] | None:
+        # cands[j] holds the players pi(j) may still be; first[j] maps each
+        # player-j symbol of the points so far to the first position that
+        # shows it, first_image[j] the same on the images
+        nonlocal steps
+        s = len(tau)
+        if s == q:
+            # pi must be a bijection: as candidate sets are equal or
+            # disjoint, each must have as many members as players hold it
+            count = Counter(map(frozenset, cands))
+            return tuple(tau) if all(count[frozenset(c)] == len(c) for c in cands) else None
+        opens = [f.get(c[s]) for f, c in zip(first, classes)]
+        first_next = opened(first, s, s)
+        for t in targets:
+            if used[t] or profile[t] != profile[s] or steps <= 0:
+                continue
+            steps -= 1
+            narrowed = narrow(cands, opens, first_image, t)
+            if not all(narrowed):
+                continue
+            used[t] = True
+            found = extend(tau + [t], narrowed, first_next, opened(first_image, s, t), range(q))
+            used[t] = False
+            if found is not None:
+                return found
+        return None
+
+    # the state after fixing the points 0 .. l-1, for each level l that
+    # leaves a point to move
+    fixed = [(start, [{} for _ in range(k)])]
+    for s in range(q - 2):
+        cands, first = fixed[-1]
+        opens = [f.get(c[s]) for f, c in zip(first, classes)]
+        fixed.append((narrow(cands, opens, first, s), opened(first, s, s)))
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for level in reversed(range(q - 1)):
+        used[:] = [v < level for v in range(q)]
+        cands, first = fixed[level]
+        orbit = {level}
+        for u in range(level + 1, q):
+            if u in orbit:
+                continue
+            tau = extend(list(range(level)), cands, first, first, (u,))
+            if tau is None:
+                if steps <= 0:
+                    return gens
+                continue
+            gens.append(tau)
+            frontier = list(orbit)
+            while frontier:
+                v = frontier.pop()
+                for g in gens:
+                    if g[v] not in orbit:
+                        orbit.add(g[v])
+                        frontier.append(g[v])
+        order *= len(orbit)
+        if order > GROUP_CAP:
+            break
+    return gens
+
+
 def forbidden_family(support: Sequence[tuple], n: int,
                      point_budget: int = DEFAULT_POINT_BUDGET,
                      config_budget: int = DEFAULT_CONFIG_BUDGET) -> StructureFamily:
@@ -214,11 +330,23 @@ def forbidden_family(support: Sequence[tuple], n: int,
                     f"more than {config_budget} forbidden configurations")
             yield tuple(sorted(code(e) for e in witness.edges))
 
+    def symmetries() -> list[tuple[int, ...]]:
+        if n == 1:
+            # the one configuration is the whole universe: nothing to prune
+            return []
+        rounds =[lambda w, s=s: tuple(w[i] for i in s) for s in swap_and_cycle(n)]
+        first_round = [lambda w, t=t: (t[w[0]],) + w[1:]
+                       for t in support_symmetries(support, same_players=True)]
+        every_round = [lambda w, t=t: tuple(t[v] for v in w)
+                       for t in support_symmetries(support)]
+        return index_maps(universe, rounds + first_round + every_round)
+
     return StructureFamily(
         name="forbidden-free",
         params={"q": q, "n": n},
         universe=universe,
         _enumerate=enumerate_configurations,
+        _symmetries=symmetries,
     )
 
 

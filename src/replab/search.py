@@ -18,15 +18,28 @@ degree (lowest index on ties), exclude first: the first dive is then the
 greedy free set that drops the most constrained point until no edge is
 left, which on dense instances already meets the root bound.
 
+Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Programming 2011).  max_free closes the hypergraph's
+generators into the explicit list of a group's elements, capped at
+GROUP_CAP.  Each node carries the subgroup that maps its selected set and
+its undecided set onto themselves.  The exclude child excludes the whole
+orbit of the branching point v under that group and keeps the group: any
+free extension that takes a point of the orbit is the image of one that
+takes v.  The include child keeps the elements that fix v; they also map
+the points that propagation forces out onto themselves, since propagation
+commutes with every symmetry of the state.  Neither child loses the
+largest free extension's size, so both phases stay exact.
+
 The optimum phase stops as soon as it finds a free set as large as the root
-bound; with generators it branches at the root on orbit representatives
-only.  The witness phase walks the points in index order, trying to take
+bound.  The witness phase walks the points in index order, trying to take
 each, and keeps a maximum free set extending its choices: a point in that
 set is taken at once, any other is taken only when the branch and bound
-finds a free extension of optimum size, which becomes the new set.  The
-result is the maximum free set with the smallest sorted index list; it does
-not depend on the child order, since whether a free extension of optimum
-size exists does not, and only the node counts do.
+finds a free extension of optimum size, which becomes the new set.  Each
+such search only asks whether an extension of optimum size exists, which
+orbital branching answers exactly, and it tries the include child first at
+a node whose group is non-trivial.  The result is the maximum free set with
+the smallest sorted index list; it does not depend on the group or the
+child order, which change only the node counts.
 
 A StructureFamily is a universe with a re-enumerable configuration family:
 max_free solves its hypergraph, and a fresh enumeration re-checks the set.
@@ -40,12 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import ProductTuples
 from .errors import BudgetExceededError
 
 DEFAULT_POINT_BUDGET = 128
+# most elements of the symmetry group that max_free lists; the families
+# offer only the maps whose group fits it
+GROUP_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -53,8 +70,8 @@ class ForbiddenHypergraph:
     """Edges are stored sorted per edge, deduplicated, in first-seen order.
 
     generators, when given, are point permutations (images as tuples) that
-    must map the edge family to itself; max_free restricts its optimum
-    search to one root branch per point orbit under them.
+    must map the edge family to itself; max_free branches on the orbits of
+    the group they generate.  The check here is what makes that sound.
     """
 
     size: int
@@ -77,10 +94,11 @@ class ForbiddenHypergraph:
                 cleaned.append(e)
         object.__setattr__(self, "edges", tuple(cleaned))
         gens = tuple(tuple(int(v) for v in g) for g in generators)
+        edge_set = set(cleaned)
         for g in gens:
             if sorted(g) != list(range(self.size)):
                 raise ValueError("generator is not a permutation of the points")
-            if {tuple(sorted(g[v] for v in e)) for e in self.edges} != set(self.edges):
+            if {tuple(sorted(map(g.__getitem__, e))) for e in cleaned} != edge_set:
                 raise ValueError("generator does not preserve the edge family")
         object.__setattr__(self, "generators", gens)
 
@@ -93,15 +111,20 @@ class StructureFamily:
     every call, so verification can re-walk the family independently of any
     solver state.  A point's index is its code in the universe, and index()
     raises ValueError for a point outside it.  generators are index
-    permutations preserving the family; the solver uses them for its
-    symmetry reduction.
+    permutations preserving the family, built by _symmetries on each read:
+    only to_hypergraph, which hands them to the solver, reads them, so a
+    family that is only enumerated or exported never builds them.
     """
 
     name: str
     params: dict
     universe: ProductTuples
     _enumerate: Callable[[], Iterator[tuple[int, ...]]]
-    generators: tuple = ()
+    _symmetries: Callable[[], Iterable[tuple[int, ...]]] = tuple
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._symmetries())
 
     def configurations(self) -> Iterator[tuple[int, ...]]:
         return self._enumerate()
@@ -117,6 +140,35 @@ class StructureFamily:
         return len(self.universe)
 
 
+def swap_and_cycle(m: int) -> list[tuple[int, ...]]:
+    """Position lists of the swap of the first two of m places and of the
+    cycle of all m, which generate S_m (none for m = 1, one for m = 2)."""
+    perms = []
+    if m >= 2:
+        perms.append((1, 0) + tuple(range(2, m)))
+    if m >= 3:
+        perms.append(tuple(range(1, m)) + (0,))
+    return perms
+
+
+def capped_maps(order: int, blocks) -> list:
+    """The maps of each (factor, maps) block, in order, taken while the
+    group's order stays within GROUP_CAP: order is that of the group the
+    blocks extend, and taking a block multiplies it by the block's factor."""
+    taken = []
+    for factor, maps in blocks:
+        if order * factor <= GROUP_CAP:
+            order *= factor
+            taken += maps
+    return taken
+
+
+def index_maps(universe: ProductTuples, maps) -> list[tuple[int, ...]]:
+    """The index permutation of each point map of the universe."""
+    code = universe.encode
+    return [tuple(code(f(point)) for point in universe) for f in maps]
+
+
 def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
     """Check freeness by re-walking an edge enumeration.
 
@@ -130,11 +182,95 @@ def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
     return True
 
 
+class _Group:
+    """A permutation group on the points as the list of its elements, the
+    identity first; element[v] is the image of point v.  Orbits and point
+    stabilisers are computed on first use and kept, since the nodes that
+    share a group ask for the same ones."""
+
+    __slots__ = ("elements", "trivial", "_orbits", "_stabilisers")
+
+    def __init__(self, elements: list[bytes]):
+        self.elements = elements
+        self.trivial = len(elements) == 1
+        self._orbits: dict[int, int] = {}
+        self._stabilisers: dict[int, _Group] = {}
+
+    def orbit(self, v: int) -> int:
+        """The mask of v's orbit."""
+        mask = self._orbits.get(v)
+        if mask is None:
+            mask = 0
+            for w in set(map(itemgetter(v), self.elements)):
+                mask |= 1 << w
+            self._orbits[v] = mask
+        return mask
+
+    def stabiliser(self, v: int) -> _Group:
+        """The subgroup of the elements that fix v."""
+        sub = self._stabilisers.get(v)
+        if sub is None:
+            fixes = map(v.__eq__, map(itemgetter(v), self.elements))
+            kept = list(compress(self.elements, fixes))
+            sub = self if len(kept) == len(self.elements) else _Group(kept)
+            self._stabilisers[v] = sub
+        return sub
+
+
+def _closure(size: int, generators: Iterable[Sequence[int]]) -> _Group:
+    """The group generated by the generators that keep it within GROUP_CAP
+    elements, adding them in order: a generator already in the group is
+    passed over, and one that would take the group past the cap is skipped,
+    so the list is always a whole subgroup.  Elements are bytes composed by
+    bytes.translate, so above 256 points the group is trivial, its identity
+    a tuple."""
+    if size > 256:
+        return _Group([tuple(range(size))])
+    identity = bytes(range(size))
+    elements = [identity]
+    pad = bytes(range(size, 256))
+    members = {identity}
+    tables: list[bytes] = []
+    for g in map(bytes, generators):
+        if g in members:
+            continue
+        grown = _extend(elements, tables + [g + pad], pad)
+        if grown is not None:
+            elements = grown
+            members = set(grown)
+            tables.append(g + pad)
+    return _Group(elements)
+
+
+def _extend(group: list[bytes], tables: list[bytes], pad: bytes) -> list[bytes] | None:
+    """Dimino's step: the elements of the group that group (a whole group,
+    identity first) and the permutations of tables generate, coset by coset
+    of group; None once they pass GROUP_CAP.  p.translate(t + pad) is p
+    followed by t."""
+    out = list(group)
+    members = set(out)
+    reps = [group[0]]
+    for rep in reps:
+        for table in tables:
+            x = rep.translate(table)
+            if x in members:
+                continue
+            if len(out) + len(group) > GROUP_CAP:
+                return None
+            x_table = x + pad
+            coset = [e.translate(x_table) for e in group]
+            out += coset
+            members.update(coset)
+            reps.append(x)
+    return out
+
+
 class _BranchAndBound:
     """The search over (selected, undecided, alive) states described in the
-    module docstring; every alive edge keeps an undecided point.  found is
-    the largest free set seen and best its size; a search ends once best
-    reaches stop.  nodes counts search calls."""
+    module docstring; every alive edge keeps an undecided point, and each
+    state carries its group.  found is the largest free set seen and best
+    its size; a search ends once best reaches stop.  include_first is set
+    for the witness phase.  nodes counts search calls."""
 
     def __init__(self, size: int, edge_masks: list[int]):
         self.edge_masks = edge_masks
@@ -146,6 +282,7 @@ class _BranchAndBound:
         self.best = 0
         self.found = 0
         self.stop = 0
+        self.include_first = False
 
     def include(self, v: int, selected: int, undecided: int,
                 alive: int) -> tuple[int, int, int] | None:
@@ -177,7 +314,7 @@ class _BranchAndBound:
                 free -= 1
         return free
 
-    def search(self, selected: int, undecided: int, alive: int) -> bool:
+    def search(self, selected: int, undecided: int, alive: int, group: _Group) -> bool:
         """Raise best/found to the largest free extension of the state above
         best; True once a free set of stop points is found."""
         self.nodes += 1
@@ -189,10 +326,22 @@ class _BranchAndBound:
             return self.best >= self.stop
         degrees = list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
         v = list(_select(undecided, count()))[degrees.index(max(degrees))]
-        if self.search(selected, undecided & ~(1 << v), alive & ~self.inc[v]):
+        if group.trivial:
+            orbit, killed, stab = 1 << v, self.inc[v], group
+        else:
+            orbit, stab = group.orbit(v), group.stabiliser(v)
+            killed = 0
+            for through in _select(orbit, self.inc):
+                killed |= through
+        if self.include_first and not group.trivial:
+            child = self.include(v, selected, undecided, alive)
+            if child is not None and self.search(*child, stab):
+                return True
+            return self.search(selected, undecided & ~orbit, alive & ~killed, group)
+        if self.search(selected, undecided & ~orbit, alive & ~killed, group):
             return True
         child = self.include(v, selected, undecided, alive)
-        return child is not None and self.search(*child)
+        return child is not None and self.search(*child, stab)
 
 
 def max_free(h: ForbiddenHypergraph,
@@ -200,10 +349,9 @@ def max_free(h: ForbiddenHypergraph,
     """Exact maximum free-set size and its lexicographically first witness.
 
     Instances with more than budget points are refused with
-    BudgetExceededError; export them with export_wcnf instead.  When the
-    hypergraph has generators, the optimum search branches at the root only
-    on orbit representatives; the witness phase is symmetry-free, so the
-    witness does not depend on the generators.
+    BudgetExceededError; export them with export_wcnf instead.  Both phases
+    branch orbitally under the group of h's generators (see the module
+    docstring); the witness does not depend on the generators.
     """
     if h.size > budget:
         raise BudgetExceededError(
@@ -213,42 +361,34 @@ def max_free(h: ForbiddenHypergraph,
     if any(m == 0 for m in edge_masks):
         raise ValueError("empty edge")
     bb = _BranchAndBound(h.size, edge_masks)
+    group = _closure(h.size, h.generators)
     root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
     bb.stop = bb.bound(*root)
-    if not h.generators:
-        bb.search(*root)
-    else:
-        # each maximum free set, taken with minimal first point, lies in the
-        # branch that includes the orbit representative of that first point
-        # and excludes everything before it; the empty set is the fallback
-        for rep in symmetry_orbit_prune(h):
-            below = (1 << rep) - 1
-            alive = root[2]
-            for v in range(rep):
-                alive &= ~bb.inc[v]
-            child = bb.include(rep, 0, root[1] & ~below, alive)
-            if child is not None and bb.search(*child):
-                break
+    bb.search(*root, group)
     optimum = bb.best
     if optimum == 0:
         return 0, ()
-    # found is a maximum free set extending the choices so far
+    # found is a maximum free set extending the choices so far, and group
+    # maps the choices so far onto themselves
     selected, undecided, alive = root
     bb.stop = optimum
+    bb.include_first = True
     for v in range(h.size):
         bit = 1 << v
         if not undecided & bit:
             continue
+        stab = group.stabiliser(v)
         child = bb.include(v, selected, undecided, alive)
         if child is not None and not bb.found & bit:
             bb.best = optimum - 1
-            if not bb.search(*child):
+            if not bb.search(*child, stab):
                 child = None
         if child is None:
             undecided &= ~bit
             alive &= ~bb.inc[v]
         else:
             selected, undecided, alive = child
+        group = stab
     witness = tuple(_select(selected, count()))
     if not verify_free(witness, h.edges):
         raise AssertionError("solver witness failed independent check")
@@ -261,32 +401,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _select(mask: int, items: Iterable) -> Iterator:
     """The items at the set bit positions of mask, in order."""
     return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
-
-
-def symmetry_orbit_prune(h: ForbiddenHypergraph) -> tuple[int, ...]:
-    """Minimal representative of each point orbit under h's generators.
-
-    Restricting the root branching of the optimum search to these
-    representatives is sound: any maximum free set can be relabelled by a
-    symmetry so that its minimal point is an orbit representative.
-    """
-    reps = []
-    seen: set[int] = set()
-    for start in range(h.size):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for g in h.generators:
-                w = g[v]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        seen |= orbit
-        reps.append(min(orbit))
-    return tuple(sorted(reps))
 
 
 def export_wcnf(h: ForbiddenHypergraph) -> str:

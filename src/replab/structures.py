@@ -20,6 +20,13 @@ least significant.  Each family refuses, with codec.oversize's reason, a
 universe of more points or coordinates than its point budget: q**n over n
 coordinates for lines, order**(k*n) over k*n for the vector families.
 
+Each family also supplies generators of a symmetry group, which max_free
+uses for orbital branching: S_n x S_q for lines (see lines), and
+translations with player and coordinate maps for the vector families (see
+_vector_symmetries).  They are built only when the family is solved, and a
+family takes a factor of its group only while the order, which it knows in
+closed form, stays within search.GROUP_CAP.
+
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
 which is what ties the densities r_line, r_square, r_grid to exact values of
@@ -43,7 +50,8 @@ from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .search import DEFAULT_POINT_BUDGET, StructureFamily, max_free, verify_free
+from .search import (DEFAULT_POINT_BUDGET, StructureFamily, capped_maps, index_maps,
+                     max_free, swap_and_cycle, verify_free)
 
 WITNESS_MATERIALISE_LIMIT = 4096
 
@@ -57,9 +65,10 @@ _STAR = object()
 def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
     """Combinatorial lines in range(q)**n.
 
-    The family carries no generators: with max_free's exclude-first search,
-    branching at the root on orbits of the symbol cycle and the coordinate
-    rotation costs more nodes than it saves.
+    Its symmetries are S_n on the coordinates and S_q on the symbols, one
+    symbol permutation applied to every coordinate (a swap and a cycle of
+    each), each factor taken while the group's order n! * q! stays within
+    GROUP_CAP.
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
@@ -81,11 +90,18 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
             yield tuple(sorted(code(tuple(v if sym is _STAR else sym for sym in template))
                                for v in range(q)))
 
+    def symmetries() -> list[tuple[int, ...]]:
+        coordinates = [lambda w, s=s: tuple(w[i] for i in s) for s in swap_and_cycle(n)]
+        symbols = [lambda w, s=s: tuple(s[v] for v in w) for s in swap_and_cycle(q)]
+        return index_maps(universe, capped_maps(1, [(math.factorial(n), coordinates),
+                                                (math.factorial(q), symbols)]))
+
     return StructureFamily(
         name="line",
         params={"q": q, "n": n},
         universe=universe,
         _enumerate=enumerate_lines,
+        _symmetries=symmetries,
     )
 
 
@@ -102,22 +118,38 @@ def _xor_vec(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(u, v, strict=True))
 
 
-def _unit_translations(universe: ProductTuples, n: int,
-                       add_vec) -> tuple[tuple[int, ...], ...]:
-    """Index permutations translating one player's vector by one unit vector;
-    these generate the full translation group of the universe."""
+def _vector_symmetries(universe: ProductTuples, n: int,
+                       field: FiniteField) -> list[tuple[int, ...]]:
+    """Index permutations generating a symmetry group of a vector family:
+    each maps a grid, or a corner, onto another one.
+
+    Translating one player's vector by g times a unit vector, for each
+    additive generator g of the field, generates every translation, so the
+    group's order starts at the universe's size.  Then come, each while the
+    order stays within GROUP_CAP: the swap and cycle of the players (k!),
+    the swap and cycle of the coordinates of every player's vector (n!),
+    and, over more than two elements, one map per coordinate multiplying it
+    in every vector by a primitive element ((order - 1)**n).
+    """
+    k = universe.n
     code = universe.encode
-    gens = []
-    for j in range(universe.n):
+    translations = []
+    for j in range(k):
         for m in range(n):
-            unit = tuple(1 if mm == m else 0 for mm in range(n))
-            image = []
-            for point in universe:
-                moved = list(point)
-                moved[j] = add_vec(point[j], unit)
-                image.append(code(moved))
-            gens.append(tuple(image))
-    return tuple(gens)
+            for g in field.additive_generators():
+                shift = tuple(g if mm == m else 0 for mm in range(n))
+                translations.append(tuple(code(point[:j] + (field.vec_add(point[j], shift),)
+                                               + point[j + 1:]) for point in universe))
+    players = [lambda p, s=s: tuple(p[i] for i in s) for s in swap_and_cycle(k)]
+    coordinates = [lambda p, s=s: tuple(tuple(v[i] for i in s) for v in p)
+                   for s in swap_and_cycle(n)]
+    blocks = [(math.factorial(k), players), (math.factorial(n), coordinates)]
+    if field.order > 2:
+        c = field.primitive_element()
+        scalars = [lambda p, m=m: tuple(v[:m] + (field.mul(c, v[m]),) + v[m + 1:] for v in p)
+                   for m in range(n)]
+        blocks.append(((field.order - 1) ** n, scalars))
+    return translations + index_maps(universe, capped_maps(len(universe), blocks))
 
 
 def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
@@ -155,7 +187,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         params={"n": n},
         universe=universe,
         _enumerate=enumerate_corners,
-        generators=_unit_translations(universe, n, _xor_vec),
+        _symmetries=lambda: _vector_symmetries(universe, n, FiniteField(2)),
     )
 
 
@@ -205,7 +237,7 @@ def grids(field: FiniteField, k: int, n: int,
         params={"p": field.p, "r": field.r, "k": k, "n": n},
         universe=universe,
         _enumerate=enumerate_grids,
-        generators=_unit_translations(universe, n, field.vec_add),
+        _symmetries=lambda: _vector_symmetries(universe, n, field),
     )
 
 

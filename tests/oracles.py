@@ -272,3 +272,29 @@ def min_base_grids(field, k, n):
             if min(cell) == i:
                 out.append(tuple(sorted(cell)))
     return out
+
+
+def naive_support_relabellings(support, same_players=False):
+    """Every permutation tau of range(len(support)) for which some player
+    permutation pi (the identity when same_players) makes each map
+    support[s][j] -> support[tau(s)][pi(j)] a well-defined injection, by
+    walking all of S_q and S_k."""
+    q, k = len(support), len(support[0])
+    players = [tuple(range(k))] if same_players else list(itertools.permutations(range(k)))
+    found = set()
+    for tau in itertools.permutations(range(q)):
+        for pi in players:
+            ok = True
+            for j in range(k):
+                forward, backward = {}, {}
+                for s in range(q):
+                    a, b = support[s][j], support[tau[s]][pi[j]]
+                    if forward.setdefault(a, b) != b or backward.setdefault(b, a) != a:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found.add(tau)
+                break
+    return found

@@ -492,6 +492,29 @@ def test_eqn_point_budget_reaches_the_solver(capsys):
     assert err == "error: 13**2 points exceed the budget 128\n"
 
 
+def test_eqn_refuses_a_cached_record_over_the_budget(tmp_path, capsys):
+    argv = ["eqn", "--preset", "unitvec", "--q", "13", "--n", "2",
+            "--cache-dir", str(tmp_path / "c")]
+    code, out, _ = run(capsys, argv + ["--point-budget", "200"])
+    assert code == 0 and "status:        computed" in out
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "error: 13**2 points exceed the budget 128\n"
+    code, out, _ = run(capsys, argv + ["--point-budget", "200"])
+    assert code == 0 and "status:        cached" in out
+
+
+def test_eqn_with_a_large_support_group_finishes():
+    # unit_tuples(13) has 13! relabellings: deriving and closing the group
+    # must stay bounded, not list it
+    argv = ["eqn", "--preset", "unitvec", "--q", "13", "--n", "2",
+            "--point-budget", "200", "--no-cache"]
+    proc = subprocess.run([sys.executable, "-m", "replab", *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "value:         12/13" in proc.stdout
+
+
 def test_eqn_recheck_passes_on_a_good_record(tmp_path, capsys):
     argv = ["eqn", "--preset", "ghz", "--n", "2", "--cache-dir", str(tmp_path / "c")]
     assert main(argv) == 0

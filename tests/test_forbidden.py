@@ -15,11 +15,11 @@ import oracles
 from replab.errors import BudgetExceededError
 from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               check_winning_set_free, compute_eq,
-                              enumerate_forbidden, find_forbidden,
+                              enumerate_forbidden, find_forbidden, forbidden_family,
                               forbidden_hypergraph, is_connected,
                               player_symbols, projected_graph,
-                              strategy_from_witness, winning_points,
-                              witness_is_valid)
+                              strategy_from_witness, support_symmetries,
+                              winning_points, witness_is_valid)
 from replab.games import Strategy, evaluate, exact_value, unit_tuples
 from replab.codec import ProductTuples, TupleCodec
 from replab.records import DensityRecord
@@ -235,7 +235,41 @@ def test_forbidden_hypergraph_edges():
         forbidden_hypergraph(UNIT3, 2, config_budget=3)
 
 
+def test_one_round_family_has_no_generators():
+    # its one configuration is the whole universe, which no symmetry prunes
+    family = forbidden_family(UNIT3, 1)
+    assert list(family.configurations()) == [(0, 1, 2)]
+    assert family.generators == ()
+
+
 # -- projected graphs ----------------------------------------------------------------
+
+
+def _generated(gens, q):
+    group = {tuple(range(q))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            composed = tuple(g[v] for v in p)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
+@st.composite
+def small_supports(draw):
+    k = draw(st.integers(1, 3))
+    tuples = st.tuples(*[st.integers(0, 2)] * k)
+    return draw(st.lists(tuples, min_size=1, max_size=6, unique=True))
+
+
+@given(small_supports(), st.booleans())
+def test_support_symmetries_generate_every_relabelling(support, same_players):
+    gens = support_symmetries(support, same_players=same_players)
+    assert _generated(gens, len(support)) == oracles.naive_support_relabellings(
+        support, same_players)
 
 
 def test_projected_graph_connectivity():

@@ -24,7 +24,7 @@ from replab.games import (Game, Strategy, evaluate, exact_value,
                           strategy_from_json, strategy_to_json,
                           unit_tuples, winning_set)
 from replab.repetition import repeat
-from replab.structures import grid_question_set
+from replab.structures import grid_question_set, r_grid, r_line
 
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -189,11 +189,14 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
     assert [s.nodes for s in searches] == [20265]
 
 
-@pytest.mark.parametrize("support,n,nodes", [
-    (grid_question_set(FiniteField(3), 2), 2, 6231),
-    (unit_tuples(4), 3, 5226),
-], ids=["grid(GF3,k=2)", "unitvec(4)"])
-def test_compute_eq_node_count(monkeypatch, support, n, nodes):
+@pytest.mark.parametrize("solve,nodes", [
+    (lambda: compute_eq(list(grid_question_set(FiniteField(3), 2)), 2), 6322),
+    (lambda: compute_eq(list(unit_tuples(4)), 3), 868),
+    (lambda: r_grid(FiniteField(3), 1, 3), 425),
+    (lambda: r_grid(FiniteField(5), 1, 2), 2564),
+    (lambda: r_line(3, 4), 1471),
+], ids=["grid(GF3,k=2)", "unitvec(4)", "r_grid(GF3,1,3)", "r_grid(GF5,1,2)", "r_line(3,4)"])
+def test_compute_eq_node_count(monkeypatch, solve, nodes):
     searches = []
 
     class CountedSearch(search._BranchAndBound):
@@ -202,9 +205,9 @@ def test_compute_eq_node_count(monkeypatch, support, n, nodes):
             searches.append(self)
 
     monkeypatch.setattr(search, "_BranchAndBound", CountedSearch)
-    compute_eq(list(support), n)
-    # nodes of the one max_free call, over both phases; the optimum phase
-    # dives exclude-first, so these counts pin the child order
+    solve()
+    # nodes of the one max_free call, over both phases; they pin the child
+    # orders and the family's symmetry group, which orbital branching uses
     assert [s.nodes for s in searches] == [nodes]
 
 

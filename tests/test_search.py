@@ -1,5 +1,6 @@
-"""Exact free-set solver, symmetry reduction, and the WCNF export."""
+"""Exact free-set solver, orbital branching, and the WCNF export."""
 
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
+from replab import search
 from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
-from replab.search import (ForbiddenHypergraph, export_wcnf, max_free,
-                           symmetry_orbit_prune, verify_free)
-from replab.structures import corners, grids, squares
+from replab.forbidden import forbidden_family
+from replab.games import preset_game, unit_tuples
+from replab.search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
+from replab.structures import (corners, ghz_support, grid_question_set, grids, lines,
+                               squares)
 
 
 # -- hypergraph construction -----------------------------------------------------
@@ -133,20 +137,94 @@ def test_wcnf_exact_bytes():
 # -- symmetry -----------------------------------------------------------------------
 
 
-def test_orbit_representatives():
-    # shift by one on 4 points: a single orbit represented by 0
-    h = ForbiddenHypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
-                            generators=[(1, 2, 3, 0)])
-    assert symmetry_orbit_prune(h) == (0,)
-    fixed = ForbiddenHypergraph(3, [(0, 1)], generators=[(0, 1, 2)])
-    assert symmetry_orbit_prune(fixed) == (0, 1, 2)
-    swaps = ForbiddenHypergraph(4, [(0, 1), (2, 3)], generators=[(1, 0, 3, 2)])
-    assert symmetry_orbit_prune(swaps) == (0, 2)
+def _group(h):
+    return search._closure(h.size, h.generators)
+
+
+def _orbits(group, size):
+    return [[w for w in range(size) if group.orbit(v) >> w & 1] for v in range(size)]
+
+
+def test_group_orbits_and_stabilisers():
+    # shift by one on 4 points: one orbit, and only the identity fixes 0
+    shift = _group(ForbiddenHypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                                       generators=[(1, 2, 3, 0)]))
+    assert len(shift.elements) == 4
+    assert _orbits(shift, 4) == [[0, 1, 2, 3]] * 4
+    assert shift.stabiliser(0).trivial
+    fixed = _group(ForbiddenHypergraph(3, [(0, 1)], generators=[(0, 1, 2)]))
+    assert fixed.trivial and _orbits(fixed, 3) == [[0], [1], [2]]
+    swaps = _group(ForbiddenHypergraph(4, [(0, 1), (2, 3)], generators=[(1, 0, 3, 2)]))
+    assert _orbits(swaps, 4) == [[0, 1], [0, 1], [2, 3], [2, 3]]
+    assert swaps.stabiliser(0).trivial
+
+
+def test_square_group_is_transitive():
+    # 16 translations, the coordinate swap and the player swap
+    group = _group(squares(2).to_hypergraph())
+    assert len(group.elements) == 64
+    assert group.orbit(0) == (1 << 16) - 1
+
+
+def _compose(p, q):
+    return bytes(q[v] for v in p)
+
+
+def test_capped_closure_is_a_whole_group(monkeypatch):
+    # the 5-cycle and the transposition (0 1) generate S_5, 120 elements;
+    # under a cap of 60 the transposition is skipped, and the 5-cycle and
+    # the reflection v -> -v mod 5 close into the dihedral group of 10
+    monkeypatch.setattr(search, "GROUP_CAP", 60)
+    group = search._closure(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 4, 3, 2, 1)])
+    elements = set(group.elements)
+    assert len(elements) == len(group.elements) == 10
+    assert group.elements[0] == bytes(range(5))
+    assert all(_compose(p, q) in elements for p in elements for q in elements)
+
+
+def test_closure_without_cap_is_closed_under_composition():
+    h = grids(FiniteField(3), 1, 2).to_hypergraph()
+    group = _group(h)
+    elements = set(group.elements)
+    assert len(elements) == len(group.elements) == 9 * 2 * 4
+    assert all(_compose(p, q) in elements for p in elements for q in elements)
+
+
+def test_grid_group_keeps_only_translations_past_the_cap():
+    # translations times S_6 would have 64 * 720 = 46,080 elements
+    family = grids(FiniteField(2), 1, 6)
+    group = _group(family.to_hypergraph())
+    universe = family.universe
+    translations = {bytes(universe.encode((tuple(a ^ b for a, b in zip(p[0], t)),))
+                          for p in universe) for t in universe.alphabets[0]}
+    assert len(group.elements) == 64
+    assert set(group.elements) == translations
+
+
+@pytest.mark.parametrize("support,n,order", [
+    (unit_tuples(4), 3, 144),
+    (grid_question_set(FiniteField(3), 2), 2, 3888),
+    (ghz_support(), 3, 2304),
+], ids=["unitvec(4)", "grid(GF3,k=2)", "ghz"])
+def test_support_group_orders(support, n, order):
+    assert len(_group(forbidden_family(list(support), n).to_hypergraph()).elements) == order
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 2), (2, 4), (2, 1)])
+def test_line_group_order(q, n):
+    assert len(_group(lines(q, n).to_hypergraph()).elements) == (
+        math.factorial(n) * math.factorial(q))
 
 
 @pytest.mark.parametrize("family", [
     lambda: squares(1), lambda: squares(2), lambda: corners(2),
     lambda: grids(FiniteField(3), 1, 2), lambda: grids(FiniteField(2), 1, 4),
+    lambda: lines(3, 3), lambda: lines(2, 5),
+    lambda: forbidden_family(list(unit_tuples(3)), 3),
+    lambda: forbidden_family(list(unit_tuples(4)), 2),
+    lambda: forbidden_family(list(ghz_support()), 2),
+    lambda: forbidden_family(list(grid_question_set(FiniteField(3), 2)), 2),
+    lambda: forbidden_family(list(preset_game("anticorr", q=3).support), 2),
 ])
 def test_symmetry_reduction_is_lossless(family):
     h = family().to_hypergraph()
@@ -156,25 +234,33 @@ def test_symmetry_reduction_is_lossless(family):
 
 
 @st.composite
-def cyclic_hypergraphs(draw):
-    """Random edges closed under the shift v -> v + 1 mod size, with that
-    shift as the generator."""
-    size = draw(st.integers(3, 12))
+def symmetric_hypergraphs(draw):
+    """Random edges on at most 10 points, closed under 1-2 random point
+    permutations, which are the generators."""
+    size = draw(st.integers(3, 10))
+    gens = [tuple(draw(st.permutations(range(size)))) for _ in range(draw(st.integers(1, 2)))]
     edges = set()
     for _ in range(draw(st.integers(0, 3))):
         base = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(4, size)))
-        edges |= {tuple(sorted((v + s) % size for v in base)) for s in range(size)}
-    shift = tuple((v + 1) % size for v in range(size))
-    return ForbiddenHypergraph(size, sorted(edges), generators=[shift])
+        frontier = [tuple(sorted(base))]
+        while frontier:
+            e = frontier.pop()
+            if e not in edges:
+                edges.add(e)
+                frontier += [tuple(sorted(g[v] for v in e)) for g in gens]
+    return ForbiddenHypergraph(size, sorted(edges), generators=gens)
 
 
-@given(cyclic_hypergraphs())
-def test_orbit_path_matches_naive(h):
-    assert symmetry_orbit_prune(h) == (0,)
-    size, witness = max_free(h)
-    assert (size, witness) == oracles.naive_max_free(h.size, h.edges)
+@given(symmetric_hypergraphs())
+def test_orbital_branching_matches_naive(h):
+    assert max_free(h) == oracles.naive_max_free(h.size, h.edges)
 
 
-def test_translation_symmetric_universe_has_one_orbit():
-    h = squares(2).to_hypergraph()
-    assert symmetry_orbit_prune(h) == (0,)
+@pytest.mark.parametrize("generators", [[], [tuple(range(1, 300)) + (0,)]],
+                         ids=["plain", "shift"])
+def test_max_free_past_256_points(generators):
+    # the 300-cycle: above 256 points the group is trivial, generators or not
+    h = ForbiddenHypergraph(300, [(v, (v + 1) % 300) for v in range(300)],
+                            generators=generators)
+    assert _group(h).trivial
+    assert max_free(h, budget=300) == (150, tuple(range(0, 300, 2)))

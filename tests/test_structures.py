@@ -10,8 +10,8 @@ import oracles
 from replab.errors import BudgetExceededError
 from replab.fields import AffineSubspace, FiniteField
 from replab.forbidden import (compute_eq, enumerate_forbidden, find_forbidden,
-                              witness_is_valid)
-from replab.games import unit_tuples
+                              forbidden_family, witness_is_valid)
+from replab.games import preset_game, unit_tuples
 from replab.search import verify_free
 from replab.structures import (affine_embed, corners, ghz_support,
                                grid_question_set, grid_to_witness, grids,
@@ -114,10 +114,18 @@ def test_family_index_round_trip():
 
 def test_family_generators_validate():
     # constructing the hypergraph checks that every generator permutes the
-    # edge family
-    for family in (squares(2), corners(2), grids(F3, 2, 1)):
+    # edge family; the loop below checks it again on a fresh enumeration
+    supports = [unit_tuples(3), unit_tuples(4), ghz_support(),
+                grid_question_set(F3, 2), preset_game("anticorr", q=3).support]
+    families = [squares(2), corners(2), grids(F3, 2, 1), lines(3, 3), lines(2, 4)]
+    families += [forbidden_family(list(support), 2) for support in supports]
+    for family in families:
         h = family.to_hypergraph()
         assert h.generators
+        configs = set(family.configurations())
+        for g in h.generators:
+            assert sorted(g) == list(range(len(family)))
+            assert {tuple(sorted(g[v] for v in c)) for c in configs} == configs
 
 
 # -- densities ------------------------------------------------------------------------
