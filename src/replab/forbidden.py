@@ -51,8 +51,8 @@ from .errors import BudgetExceededError
 from .games import Game, Strategy
 from .records import DensityRecord
 from .repetition import RepeatedGame
-from .search import (DEFAULT_POINT_BUDGET, GROUP_CAP, ForbiddenHypergraph, StructureFamily,
-                     index_maps, swap_and_cycle)
+from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, StructureFamily, index_maps,
+                     swap_and_cycle)
 
 DEFAULT_CONFIG_BUDGET = 10**6
 # candidate images that one support_symmetries call may try
@@ -215,11 +215,10 @@ def support_symmetries(support: Sequence[tuple],
     The search runs up the stabiliser chain of the points q-1, .., 0: at
     level l it backtracks for one tau that fixes the points below l and
     takes l to u, for each u > l that the generators found so far do not
-    already take l to.  The order of the group they generate is then the
-    product of those orbit sizes, so it stops once that passes GROUP_CAP,
-    which is all max_free can use, and never lists the group, whose order
-    may be q!.  After SYMMETRY_SEARCH_STEPS candidate images it stops with
-    the generators found by then, which still generate such relabellings.
+    already take l to.  So it finds generators of the whole group without
+    listing the group, whose order may be q!.  After SYMMETRY_SEARCH_STEPS
+    candidate images it stops with the generators found by then, which
+    still generate such relabellings.
     """
     q, k = len(support), len(support[0])
     classes = [[x[j] for x in support] for j in range(k)]
@@ -283,7 +282,6 @@ def support_symmetries(support: Sequence[tuple],
         opens = [f.get(c[s]) for f, c in zip(first, classes)]
         fixed.append((narrow(cands, opens, first, s), opened(first, s, s)))
     gens: list[tuple[int, ...]] = []
-    order = 1
     for level in reversed(range(q - 1)):
         used[:] = [v < level for v in range(q)]
         cands, first = fixed[level]
@@ -304,9 +302,6 @@ def support_symmetries(support: Sequence[tuple],
                     if g[v] not in orbit:
                         orbit.add(g[v])
                         frontier.append(g[v])
-        order *= len(orbit)
-        if order > GROUP_CAP:
-            break
     return gens
 
 

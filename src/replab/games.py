@@ -124,6 +124,12 @@ class Game:
         scale = math.lcm(*(w.denominator for w in weights))
         return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
+    def probability(self, event: Callable[[tuple], bool]) -> Fraction:
+        """The total weight of the support tuples for which event holds: the
+        ints of scaled_weights() summed, as one Fraction."""
+        scale, ints = self.scaled_weights()
+        return Fraction(sum(w for x, w in zip(self.support, ints) if event(x)), scale)
+
     def question_domain(self, player: int) -> list:
         """Questions player may receive, in alphabet order."""
         seen = {x[player] for x in self.support}
@@ -143,10 +149,7 @@ def evaluate(game: Game, strategy: Strategy) -> Fraction:
     """Exact winning probability of a product strategy: the game's scaled
     int weights summed over the support tuples its predicate accepts, as one
     Fraction.  It calls the predicate, never the search's acceptance tables."""
-    scale, ints = game.scaled_weights()
-    won = sum(w for x, w in zip(game.support, ints)
-              if game.predicate(x, strategy.answers(x)))
-    return Fraction(won, scale)
+    return game.probability(lambda x: game.predicate(x, strategy.answers(x)))
 
 
 def winning_set(game: Game, strategy: Strategy) -> tuple:

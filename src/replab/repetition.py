@@ -79,6 +79,13 @@ class RepeatedGame(Game):
         """The base scale to the n-th power, over lazy products of base ints."""
         return self._scaled
 
+    def probability(self, event) -> Fraction:
+        """One walk of the rounds: each index vector is decoded once, and its
+        weight multiplied out only when event holds for its support tuple."""
+        questions, (scale, weights) = self.support.f, self._scaled
+        weight = weights.f
+        return Fraction(sum(weight(w) for w in self.rounds if event(questions(w))), scale)
+
     def question_domain(self, player: int) -> list:
         """The n-fold product of the base domain: the repeated support is the
         full product of base rounds, so every such tuple occurs."""

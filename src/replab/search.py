@@ -19,16 +19,18 @@ greedy free set that drops the most constrained point until no edge is
 left, which on dense instances already meets the root bound.
 
 Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Programming 2011).  max_free closes the hypergraph's
-generators into the explicit list of a group's elements, capped at
-GROUP_CAP.  Each node carries the subgroup that maps its selected set and
-its undecided set onto themselves.  The exclude child excludes the whole
-orbit of the branching point v under that group and keeps the group: any
-free extension that takes a point of the orbit is the image of one that
-takes v.  The include child keeps the elements that fix v; they also map
-the points that propagation forces out onto themselves, since propagation
-commutes with every symmetry of the state.  Neither child loses the
-largest free extension's size, so both phases stay exact.
+Smriglio, Math. Programming 2011).  max_free holds the group of the
+hypergraph's generators by generators alone, and each node carries the
+subgroup that maps its selected set and its undecided set onto themselves.
+The exclude child excludes the whole orbit of the branching point v under
+that group and keeps the group: any free extension that takes a point of
+the orbit is the image of one that takes v.  The include child keeps the
+stabiliser of v, whose generators come from Schreier's lemma over the
+orbit's walk, thinned by Sims's filter (Sims 1970; Seress, Permutation
+Group Algorithms, 2003), so no group is ever listed.  The stabiliser also
+maps the points that propagation forces out onto themselves, since
+propagation commutes with every symmetry of the state.  Neither child loses
+the largest free extension's size, so both phases stay exact.
 
 The optimum phase stops as soon as it finds a free set as large as the root
 bound.  The witness phase walks the points in index order, trying to take
@@ -53,16 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import ProductTuples
 from .errors import BudgetExceededError
 
 DEFAULT_POINT_BUDGET = 128
-# most elements of the symmetry group that max_free lists; the families
-# offer only the maps whose group fits it
-GROUP_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,12 @@ class ForbiddenHypergraph:
                 cleaned.append(e)
         object.__setattr__(self, "edges", tuple(cleaned))
         gens = tuple(tuple(int(v) for v in g) for g in generators)
-        edge_set = set(cleaned)
         for g in gens:
             if sorted(g) != list(range(self.size)):
                 raise ValueError("generator is not a permutation of the points")
-            if {tuple(sorted(map(g.__getitem__, e))) for e in cleaned} != edge_set:
+            # a permutation maps the distinct edges onto as many distinct
+            # sets, so it preserves the family when each image is an edge
+            if not seen.issuperset(tuple(sorted(map(g.__getitem__, e))) for e in cleaned):
                 raise ValueError("generator does not preserve the edge family")
         object.__setattr__(self, "generators", gens)
 
@@ -151,18 +150,6 @@ def swap_and_cycle(m: int) -> list[tuple[int, ...]]:
     return perms
 
 
-def capped_maps(order: int, blocks) -> list:
-    """The maps of each (factor, maps) block, in order, taken while the
-    group's order stays within GROUP_CAP: order is that of the group the
-    blocks extend, and taking a block multiplies it by the block's factor."""
-    taken = []
-    for factor, maps in blocks:
-        if order * factor <= GROUP_CAP:
-            order *= factor
-            taken += maps
-    return taken
-
-
 def index_maps(universe: ProductTuples, maps) -> list[tuple[int, ...]]:
     """The index permutation of each point map of the universe."""
     code = universe.encode
@@ -183,86 +170,97 @@ def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
 
 
 class _Group:
-    """A permutation group on the points as the list of its elements, the
-    identity first; element[v] is the image of point v.  Orbits and point
-    stabilisers are computed on first use and kept, since the nodes that
-    share a group ask for the same ones."""
+    """A permutation group on the points, held by generators that are bytes,
+    none of them the identity: g[v] is the image of point v, and
+    x.translate(table) for g's table is x followed by g.  orbit(v) walks the
+    generators from v and keeps, for each point w it reaches, one element
+    taking v to w.  stabiliser(v) is generated by the Schreier generators
+    of that walk (Schreier's lemma), thinned by _sims_filter.  Orbits and
+    stabilisers are kept once computed, since the nodes that share a group
+    ask for the same ones."""
 
-    __slots__ = ("elements", "trivial", "_orbits", "_stabilisers")
+    __slots__ = ("generators", "trivial", "_tables", "_walks", "_stabilisers")
 
-    def __init__(self, elements: list[bytes]):
-        self.elements = elements
-        self.trivial = len(elements) == 1
-        self._orbits: dict[int, int] = {}
+    def __init__(self, generators: list[bytes]):
+        self.generators = generators
+        self.trivial = not generators
+        self._tables = [g + bytes(range(len(g), 256)) for g in generators]
+        self._walks: dict[int, tuple[int, dict[int, bytes]]] = {}
         self._stabilisers: dict[int, _Group] = {}
+
+    def _walk(self, v: int) -> tuple[int, dict[int, bytes]]:
+        """The mask of v's orbit, and an element taking v to each point of it."""
+        walk = self._walks.get(v)
+        if walk is None:
+            reps = {v: bytes(range(len(self.generators[0])))}
+            frontier = list(reps.items())
+            mask = 1 << v
+            for w, t in frontier:
+                for g, table in zip(self.generators, self._tables):
+                    u = g[w]
+                    if u not in reps:
+                        reps[u] = x = t.translate(table)
+                        frontier.append((u, x))
+                        mask |= 1 << u
+            walk = self._walks[v] = mask, reps
+        return walk
 
     def orbit(self, v: int) -> int:
         """The mask of v's orbit."""
-        mask = self._orbits.get(v)
-        if mask is None:
-            mask = 0
-            for w in set(map(itemgetter(v), self.elements)):
-                mask |= 1 << w
-            self._orbits[v] = mask
-        return mask
+        return 1 << v if self.trivial else self._walk(v)[0]
 
     def stabiliser(self, v: int) -> _Group:
-        """The subgroup of the elements that fix v."""
+        """The subgroup of the elements that fix v: for each orbit point w and
+        generator g, the element taking v to w, then g, then back from g(w)
+        to v, whenever that is not the identity."""
         sub = self._stabilisers.get(v)
         if sub is None:
-            fixes = map(v.__eq__, map(itemgetter(v), self.elements))
-            kept = list(compress(self.elements, fixes))
-            sub = self if len(kept) == len(self.elements) else _Group(kept)
+            if self.trivial or self.orbit(v) == 1 << v:
+                sub = self
+            else:
+                reps = self._walk(v)[1]
+                identity = reps[v]
+                back = {u: bytes.maketrans(r, identity) for u, r in reps.items()}
+                schreier: dict[bytes, None] = {}
+                for t in reps.values():
+                    for table in self._tables:
+                        x = t.translate(table)
+                        u = x[v]
+                        if x != reps[u]:
+                            schreier[x.translate(back[u])] = None
+                sub = _Group(_sims_filter(schreier, len(identity)))
             self._stabilisers[v] = sub
         return sub
 
 
-def _closure(size: int, generators: Iterable[Sequence[int]]) -> _Group:
-    """The group generated by the generators that keep it within GROUP_CAP
-    elements, adding them in order: a generator already in the group is
-    passed over, and one that would take the group past the cap is skipped,
-    so the list is always a whole subgroup.  Elements are bytes composed by
-    bytes.translate, so above 256 points the group is trivial, its identity
-    a tuple."""
-    if size > 256:
-        return _Group([tuple(range(size))])
+def _sims_filter(elements: Iterable[bytes], size: int) -> list[bytes]:
+    """Sims's filter: generators of the group that the elements generate, at
+    most one per (first moved point i, image of i).  An element whose pair
+    is taken is followed by the inverse of the one kept, which fixes i and
+    every point below it, and is filtered again; the identity is dropped.
+    The first moved point is the first byte in which the element and the
+    identity differ, read off their XOR as big-endian integers."""
     identity = bytes(range(size))
-    elements = [identity]
-    pad = bytes(range(size, 256))
-    members = {identity}
-    tables: list[bytes] = []
-    for g in map(bytes, generators):
-        if g in members:
-            continue
-        grown = _extend(elements, tables + [g + pad], pad)
-        if grown is not None:
-            elements = grown
-            members = set(grown)
-            tables.append(g + pad)
-    return _Group(elements)
+    identity_int = int.from_bytes(identity, "big")
+    kept: dict[int, tuple[bytes, bytes]] = {}
+    for g in elements:
+        while g != identity:
+            i = size - 1 - (((int.from_bytes(g, "big") ^ identity_int).bit_length() - 1) >> 3)
+            key = i << 8 | g[i]
+            entry = kept.get(key)
+            if entry is None:
+                kept[key] = g, bytes.maketrans(g, identity)
+                break
+            g = g.translate(entry[1])
+    return [g for g, _ in kept.values()]
 
 
-def _extend(group: list[bytes], tables: list[bytes], pad: bytes) -> list[bytes] | None:
-    """Dimino's step: the elements of the group that group (a whole group,
-    identity first) and the permutations of tables generate, coset by coset
-    of group; None once they pass GROUP_CAP.  p.translate(t + pad) is p
-    followed by t."""
-    out = list(group)
-    members = set(out)
-    reps = [group[0]]
-    for rep in reps:
-        for table in tables:
-            x = rep.translate(table)
-            if x in members:
-                continue
-            if len(out) + len(group) > GROUP_CAP:
-                return None
-            x_table = x + pad
-            coset = [e.translate(x_table) for e in group]
-            out += coset
-            members.update(coset)
-            reps.append(x)
-    return out
+def _generated(size: int, generators: Iterable[Sequence[int]]) -> _Group:
+    """The group the generators generate.  Its elements are bytes, so above
+    256 points the group is trivial."""
+    if size > 256:
+        return _Group([])
+    return _Group(_sims_filter(map(bytes, generators), size))
 
 
 class _BranchAndBound:
@@ -361,7 +359,7 @@ def max_free(h: ForbiddenHypergraph,
     if any(m == 0 for m in edge_masks):
         raise ValueError("empty edge")
     bb = _BranchAndBound(h.size, edge_masks)
-    group = _closure(h.size, h.generators)
+    group = _generated(h.size, h.generators)
     root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
     bb.stop = bb.bound(*root)
     bb.search(*root, group)

@@ -20,12 +20,11 @@ least significant.  Each family refuses, with codec.oversize's reason, a
 universe of more points or coordinates than its point budget: q**n over n
 coordinates for lines, order**(k*n) over k*n for the vector families.
 
-Each family also supplies generators of a symmetry group, which max_free
-uses for orbital branching: S_n x S_q for lines (see lines), and
-translations with player and coordinate maps for the vector families (see
-_vector_symmetries).  They are built only when the family is solved, and a
-family takes a factor of its group only while the order, which it knows in
-closed form, stays within search.GROUP_CAP.
+Each family also supplies generators of a symmetry group, and max_free
+branches orbitally under the whole group they generate: S_n x S_q for lines
+(see lines), and translations with player and coordinate maps for the
+vector families (see _vector_symmetries).  They are built only when the
+family is solved.
 
 The bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
@@ -50,8 +49,8 @@ from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, unit_tuples
 from .records import DensityRecord
-from .search import (DEFAULT_POINT_BUDGET, StructureFamily, capped_maps, index_maps,
-                     max_free, swap_and_cycle, verify_free)
+from .search import (DEFAULT_POINT_BUDGET, StructureFamily, index_maps, max_free,
+                     swap_and_cycle, verify_free)
 
 WITNESS_MATERIALISE_LIMIT = 4096
 
@@ -66,9 +65,8 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     """Combinatorial lines in range(q)**n.
 
     Its symmetries are S_n on the coordinates and S_q on the symbols, one
-    symbol permutation applied to every coordinate (a swap and a cycle of
-    each), each factor taken while the group's order n! * q! stays within
-    GROUP_CAP.
+    symbol permutation applied to every coordinate, generated by a swap and
+    a cycle of each.
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
@@ -93,8 +91,7 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     def symmetries() -> list[tuple[int, ...]]:
         coordinates = [lambda w, s=s: tuple(w[i] for i in s) for s in swap_and_cycle(n)]
         symbols = [lambda w, s=s: tuple(s[v] for v in w) for s in swap_and_cycle(q)]
-        return index_maps(universe, capped_maps(1, [(math.factorial(n), coordinates),
-                                                (math.factorial(q), symbols)]))
+        return index_maps(universe, coordinates + symbols)
 
     return StructureFamily(
         name="line",
@@ -124,12 +121,11 @@ def _vector_symmetries(universe: ProductTuples, n: int,
     each maps a grid, or a corner, onto another one.
 
     Translating one player's vector by g times a unit vector, for each
-    additive generator g of the field, generates every translation, so the
-    group's order starts at the universe's size.  Then come, each while the
-    order stays within GROUP_CAP: the swap and cycle of the players (k!),
-    the swap and cycle of the coordinates of every player's vector (n!),
-    and, over more than two elements, one map per coordinate multiplying it
-    in every vector by a primitive element ((order - 1)**n).
+    additive generator g of the field, generates every translation.  Then
+    come the swap and cycle of the players, the swap and cycle of the
+    coordinates of every player's vector, and, over more than two elements,
+    one map per coordinate multiplying it in every vector by a primitive
+    element.
     """
     k = universe.n
     code = universe.encode
@@ -143,18 +139,17 @@ def _vector_symmetries(universe: ProductTuples, n: int,
     players = [lambda p, s=s: tuple(p[i] for i in s) for s in swap_and_cycle(k)]
     coordinates = [lambda p, s=s: tuple(tuple(v[i] for i in s) for v in p)
                    for s in swap_and_cycle(n)]
-    blocks = [(math.factorial(k), players), (math.factorial(n), coordinates)]
-    if field.order > 2:
-        c = field.primitive_element()
-        scalars = [lambda p, m=m: tuple(v[:m] + (field.mul(c, v[m]),) + v[m + 1:] for v in p)
-                   for m in range(n)]
-        blocks.append(((field.order - 1) ** n, scalars))
-    return translations + index_maps(universe, capped_maps(len(universe), blocks))
+    c = field.primitive_element()
+    scalars = [lambda p, m=m: tuple(v[:m] + (field.mul(c, v[m]),) + v[m + 1:] for v in p)
+               for m in range(n) if field.order > 2]
+    return translations + index_maps(universe, players + coordinates + scalars)
 
 
 def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
     """Axis-aligned squares with a common side vector in F_2**n x F_2**n,
     which are exactly the grids of GF(2) with k = 2."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     return replace(grids(FiniteField(2), 2, n, point_budget),
                    name="square", params={"n": n})
 

@@ -298,3 +298,19 @@ def naive_support_relabellings(support, same_players=False):
                 found.add(tau)
                 break
     return found
+
+
+def generated_group(gens, size):
+    """Every element of the permutation group that gens generate on
+    range(size), as image tuples, by breadth-first closure from the
+    identity."""
+    group = {tuple(range(size))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            composed = tuple(map(g.__getitem__, p))
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group

@@ -337,6 +337,11 @@ def test_density_square_and_corner(capsys):
     assert code == 0 and "value:         1/2" in out
 
 
+def test_density_square_n_zero_names_only_n(capsys):
+    code, out, err = run(capsys, ["density", "square", "--n", "0", "--no-cache"])
+    assert (code, out, err) == (2, "", "error: need n >= 1\n")
+
+
 def test_density_grid(capsys):
     code, out, _ = run(capsys, ["density", "grid", "--p", "3", "--k", "2",
                                 "--n", "1", "--no-cache"])

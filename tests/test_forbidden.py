@@ -245,19 +245,6 @@ def test_one_round_family_has_no_generators():
 # -- projected graphs ----------------------------------------------------------------
 
 
-def _generated(gens, q):
-    group = {tuple(range(q))}
-    frontier = list(group)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            composed = tuple(g[v] for v in p)
-            if composed not in group:
-                group.add(composed)
-                frontier.append(composed)
-    return group
-
-
 @st.composite
 def small_supports(draw):
     k = draw(st.integers(1, 3))
@@ -268,7 +255,7 @@ def small_supports(draw):
 @given(small_supports(), st.booleans())
 def test_support_symmetries_generate_every_relabelling(support, same_players):
     gens = support_symmetries(support, same_players=same_players)
-    assert _generated(gens, len(support)) == oracles.naive_support_relabellings(
+    assert oracles.generated_group(gens, len(support)) == oracles.naive_support_relabellings(
         support, same_players)
 
 

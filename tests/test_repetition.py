@@ -234,6 +234,22 @@ def test_repeated_predicate_requires_all_rounds():
         assert game.predicate(x, strategy.answers(x)) == all(per_round)
 
 
+def test_evaluate_walks_the_rounds_once(monkeypatch):
+    # one decode of each round index vector, and the predicate still called
+    # on every support tuple in order
+    game = repeat(preset_game("anticorr", q=3), 3)
+    strategy = independent_strategy(exact_value(game.base).strategy, 3)
+    walks, calls = [], []
+    walk = TupleCodec.__iter__
+    monkeypatch.setattr(TupleCodec, "__iter__", lambda self: walks.append(self) or walk(self))
+    predicate = game.predicate
+    game.predicate = lambda x, a: calls.append(x) or predicate(x, a)
+    assert evaluate(game, strategy) == Fraction(2, 3) ** 3
+    assert walks == [game.rounds]
+    monkeypatch.undo()
+    assert calls == list(game.support)
+
+
 def test_repeat_validation():
     base = _base_game()
     with pytest.raises(ValueError):

@@ -138,18 +138,28 @@ def test_wcnf_exact_bytes():
 
 
 def _group(h):
-    return search._closure(h.size, h.generators)
+    return search._generated(h.size, h.generators)
 
 
 def _orbits(group, size):
     return [[w for w in range(size) if group.orbit(v) >> w & 1] for v in range(size)]
 
 
+def _order(group, size):
+    """The group's order: the product of the orbit sizes along the walk of
+    point stabilisers of 0, .., size-1."""
+    order = 1
+    for v in range(size):
+        order *= group.orbit(v).bit_count()
+        group = group.stabiliser(v)
+    return order
+
+
 def test_group_orbits_and_stabilisers():
     # shift by one on 4 points: one orbit, and only the identity fixes 0
     shift = _group(ForbiddenHypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                                        generators=[(1, 2, 3, 0)]))
-    assert len(shift.elements) == 4
+    assert _order(shift, 4) == 4
     assert _orbits(shift, 4) == [[0, 1, 2, 3]] * 4
     assert shift.stabiliser(0).trivial
     fixed = _group(ForbiddenHypergraph(3, [(0, 1)], generators=[(0, 1, 2)]))
@@ -162,43 +172,37 @@ def test_group_orbits_and_stabilisers():
 def test_square_group_is_transitive():
     # 16 translations, the coordinate swap and the player swap
     group = _group(squares(2).to_hypergraph())
-    assert len(group.elements) == 64
+    assert _order(group, 16) == 64
     assert group.orbit(0) == (1 << 16) - 1
 
 
-def _compose(p, q):
-    return bytes(q[v] for v in p)
+@given(st.data())
+def test_group_walk_matches_explicit_closure(data):
+    # 1-3 random generators on at most 9 points, then a walk of point
+    # stabilisers in random order: at each step the orbits and triviality
+    # are those of the explicit group's elements that fix the points so far
+    size = data.draw(st.integers(1, 9))
+    gens = [tuple(data.draw(st.permutations(range(size))))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    group = search._generated(size, gens)
+    elements = oracles.generated_group(gens, size)
+    for v in data.draw(st.permutations(range(size))) + [None]:
+        assert group.trivial == (len(elements) == 1)
+        for w, images in enumerate(zip(*elements)):
+            assert group.orbit(w) == sum(1 << x for x in set(images))
+        if v is not None:
+            group = group.stabiliser(v)
+            elements = {e for e in elements if e[v] == v}
 
 
-def test_capped_closure_is_a_whole_group(monkeypatch):
-    # the 5-cycle and the transposition (0 1) generate S_5, 120 elements;
-    # under a cap of 60 the transposition is skipped, and the 5-cycle and
-    # the reflection v -> -v mod 5 close into the dihedral group of 10
-    monkeypatch.setattr(search, "GROUP_CAP", 60)
-    group = search._closure(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 4, 3, 2, 1)])
-    elements = set(group.elements)
-    assert len(elements) == len(group.elements) == 10
-    assert group.elements[0] == bytes(range(5))
-    assert all(_compose(p, q) in elements for p in elements for q in elements)
-
-
-def test_closure_without_cap_is_closed_under_composition():
-    h = grids(FiniteField(3), 1, 2).to_hypergraph()
-    group = _group(h)
-    elements = set(group.elements)
-    assert len(elements) == len(group.elements) == 9 * 2 * 4
-    assert all(_compose(p, q) in elements for p in elements for q in elements)
-
-
-def test_grid_group_keeps_only_translations_past_the_cap():
-    # translations times S_6 would have 64 * 720 = 46,080 elements
-    family = grids(FiniteField(2), 1, 6)
-    group = _group(family.to_hypergraph())
-    universe = family.universe
-    translations = {bytes(universe.encode((tuple(a ^ b for a, b in zip(p[0], t)),))
-                          for p in universe) for t in universe.alphabets[0]}
-    assert len(group.elements) == 64
-    assert set(group.elements) == translations
+@pytest.mark.parametrize("field,n,order", [
+    (FiniteField(3), 2, 9 * 2 * 4),
+    (FiniteField(2), 6, 64 * 720),
+    (FiniteField(3), 4, 81 * 24 * 16),
+], ids=["GF3,n=2", "GF2,n=6", "GF3,n=4"])
+def test_grid_group_orders(field, n, order):
+    # translations, the coordinate permutations and, over GF(3), the scalars
+    assert _order(_group(grids(field, 1, n).to_hypergraph()), field.order ** n) == order
 
 
 @pytest.mark.parametrize("support,n,order", [
@@ -207,12 +211,13 @@ def test_grid_group_keeps_only_translations_past_the_cap():
     (ghz_support(), 3, 2304),
 ], ids=["unitvec(4)", "grid(GF3,k=2)", "ghz"])
 def test_support_group_orders(support, n, order):
-    assert len(_group(forbidden_family(list(support), n).to_hypergraph()).elements) == order
+    h = forbidden_family(list(support), n).to_hypergraph()
+    assert _order(_group(h), h.size) == order
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 2), (2, 4), (2, 1)])
 def test_line_group_order(q, n):
-    assert len(_group(lines(q, n).to_hypergraph()).elements) == (
+    assert _order(_group(lines(q, n).to_hypergraph()), q ** n) == (
         math.factorial(n) * math.factorial(q))
 
 

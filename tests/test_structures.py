@@ -99,6 +99,9 @@ def test_family_budgets():
         lines(0, 1)
     with pytest.raises(ValueError):
         corners(0)
+    # squares(n) are grids with k = 2, but the caller never gives a k
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        squares(0)
 
 
 def test_family_index_round_trip():
