@@ -24,6 +24,9 @@ $REPLAB_CACHE (or .replab-cache, or --cache-dir), one file per query;
 against a fresh recomputation of its cheap certificate instead of trusting
 the file.  The other commands never cache and take none of these flags.
 
+main(argv) may be called any number of times in one process: every call
+parses with one argument parser, built on the first call.
+
 Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
 parameters, a cache file that is not JSON or not a record, or an output path
 that cannot be written), 3 budget exceeded, 4 fuzz precondition not met.
@@ -32,6 +35,7 @@ that cannot be written), 3 budget exceeded, 4 fuzz precondition not met.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -150,19 +154,23 @@ def _open_output(path: str):
         raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_wcnf(path: str, family) -> int:
+def _write_wcnf(args, family) -> int:
     # the bare edges: WCNF has no use for the family's symmetries
     hyper = ForbiddenHypergraph(len(family), family.configurations())
-    with _open_output(path) as fh:
+    with _open_output(args.wcnf) as fh:
         fh.write(export_wcnf(hyper))
-    print(f"wrote WCNF: {hyper.size} points, "
-          f"{len(hyper.edges)} hard clauses -> {path}")
+    summary = {"hard_clauses": len(hyper.edges), "points": hyper.size, "wcnf": args.wcnf}
+    _emit(args, summary, [f"wrote WCNF: {hyper.size} points, "
+                          f"{len(hyper.edges)} hard clauses -> {args.wcnf}"])
     return 0
 
 
 def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise SchemaError(f"--n must be N or LO..HI, got {text!r}") from None
     if hi < lo:
         raise SchemaError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -256,7 +264,7 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
     """density and eqn: write make_family() as WCNF, or report the cached or
     computed record of compute(), after before_report(record) if given."""
     if args.wcnf:
-        return _write_wcnf(args.wcnf, make_family())
+        return _write_wcnf(args, make_family())
     record, status = _with_cache(args, kind, params, DensityRecord, compute,
                                  lambda r: _recheck_density(r, make_family, compute))
     if before_report is not None:
@@ -567,9 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser every main() call in this process parses with: parse_args
+# returns a fresh Namespace each time, and the parser holds only immutable
+# defaults, so a request leaves nothing in it for the next one.  It binds
+# each command's cmd_* function when it is built, on the first call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ValueError) as exc:

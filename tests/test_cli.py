@@ -4,6 +4,7 @@ One test goes through ``python3 -m replab`` to cover the module entry
 point; everything else calls main() in-process for speed.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -468,6 +469,25 @@ def test_eqn_wcnf_matches_brute_force(tmp_path, capsys):
     assert oracles.wcnf_optimum(header, clauses) == 9 - 6
 
 
+@pytest.mark.parametrize("request_", [
+    "density square --n 2",
+    "eqn --preset unitvec --q 3 --n 2",
+], ids=["density", "eqn"])
+def test_wcnf_summary_text_and_json(tmp_path, capsys, request_):
+    out_path = tmp_path / "out.wcnf"
+    argv = request_.split() + ["--wcnf", str(out_path)]
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    wcnf = out_path.read_text()
+    (points, nclauses, _), _ = oracles.parse_wcnf(wcnf)
+    hard = nclauses - points  # one soft unit clause per point
+    assert text == f"wrote WCNF: {points} points, {hard} hard clauses -> {out_path}\n"
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0 and out_path.read_text() == wcnf
+    assert json.loads(out) == {"hard_clauses": hard, "points": points,
+                               "wcnf": str(out_path)}
+
+
 def test_eqn_record_files_are_deterministic(tmp_path, capsys):
     files = []
     for name in ("a", "b"):
@@ -628,6 +648,19 @@ def test_verify_dhj_refuses_bad_q(capsys, q, message):
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("span, message", [
+    ("x", "--n must be N or LO..HI, got 'x'"),
+    ("1..", "--n must be N or LO..HI, got '1..'"),
+    ("..2", "--n must be N or LO..HI, got '..2'"),
+    ("1..2..3", "--n must be N or LO..HI, got '1..2..3'"),
+    ("3..2", "empty range '3..2'"),
+], ids=["word", "no-high", "no-low", "three-parts", "empty"])
+def test_verify_bad_round_range_names_the_flag(capsys, span, message):
+    code, out, err = run(capsys, ["verify", "dhj", "--n", span])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_dhj_one_symbol(capsys):
     code, out, _ = run(capsys, ["verify", "dhj", "--q", "1", "--n", "1..2"])
     assert code == 0 and out.startswith("PASS dhj q=1 n=1: density 0/1 vs line bound 0/1")
@@ -767,6 +800,59 @@ def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_reused_parser_restores_defaults(capsys):
+    code, out, _ = run(capsys, ["value", "--preset", "anticorr", "--q", "4",
+                                "--no-cache"])
+    assert code == 0 and "params:        q=4, repeat=1" in out
+    code, out, _ = run(capsys, ["value", "--preset", "anticorr", "--no-cache"])
+    assert code == 0 and "params:        q=3, repeat=1" in out
+
+
+@pytest.mark.parametrize("rejected", [
+    "value --preset anticorr --q 5 --bogus",
+    "value --preset nope",
+    "density line --n x",
+])
+def test_rejected_argv_leaves_next_request_unchanged(capsys, rejected):
+    argv = ["value", "--preset", "anticorr", "--no-cache"]
+    _, first, _ = run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(rejected.split())
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again, _ = run(capsys, argv)
+    assert code == 0 and again == first
+
+
+def test_help_twice_prints_the_same(capsys):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("usage: replab")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, ["repeat", "--preset", "anticorr", "--n", "1"])  # warm-up
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    for argv in (["repeat", "--preset", "anticorr", "--n", "1"],
+                 ["value", "--preset", "anticorr", "--q", "2", "--no-cache"]) * 5:
+        assert run(capsys, argv)[0] == 0
+    assert calls == []
 
 
 def test_module_entry_point(tmp_path):
