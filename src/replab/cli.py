@@ -23,6 +23,8 @@ $REPLAB_CACHE (or .replab-cache, or --cache-dir), one file per query;
 --no-cache bypasses the cache and --recheck re-verifies a cached record
 against a fresh recomputation of its cheap certificate instead of trusting
 the file.  The other commands never cache and take none of these flags.
+With --wcnf, density and eqn write the instance and stop, so they refuse
+the cache flags and --emit-witness, which would have nothing to act on.
 
 main(argv) may be called any number of times in one process: every call
 parses with one argument parser, built on the first call.
@@ -154,6 +156,19 @@ def _open_output(path: str):
         raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _refuse_with_wcnf(args) -> None:
+    """--wcnf writes the instance and stops: no record is computed, cached,
+    rechecked or emitted, so the flags that act on one are refused."""
+    if not args.wcnf:
+        return
+    for flag, given in (("--recheck", args.recheck), ("--no-cache", args.no_cache),
+                        ("--cache-dir", args.cache_dir is not None),
+                        ("--emit-witness", getattr(args, "emit_witness", None) is not None)):
+        if given:
+            raise SchemaError(
+                f"{flag} cannot be used with --wcnf, which only writes the instance")
+
+
 def _write_wcnf(args, family) -> int:
     # the bare edges: WCNF has no use for the family's symmetries
     hyper = ForbiddenHypergraph(len(family), family.configurations())
@@ -274,6 +289,7 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
 
 
 def cmd_density(args) -> int:
+    _refuse_with_wcnf(args)
     params = dict(_density_params(args), family=args.family)
     return _density_command(args, "density", params, lambda: _density_family(args),
                             lambda: _density_compute(args))
@@ -283,6 +299,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_eqn(args) -> int:
+    _refuse_with_wcnf(args)
     game, label, params = _preset_game(args)
     support, n = list(game.support), args.n
     # the cache key omits the budget, so refuse before the lookup: a record

@@ -20,9 +20,14 @@ value from above.
 
 The search below walks coordinates i ascending and assigns to each cell
 (player j, symbol v) the shared row vector of the edges whose coordinate-i
-symbol for player j is v.  Cells are visited player-major with symbols in
-sorted order, and candidate rows are enumerated in little-endian code order
-over the free coordinates, so enumeration order is deterministic.
+symbol for player j is v.  Each edge slot s starts at the points whose
+coordinate i is s, so a coordinate at which the point set misses some
+symbol is passed over before any search: a product strategy's winning set
+misses one at every coordinate.  A cell's options are the player-j rows
+that the points actually show with v at coordinate i, never the
+|symbols|**(n-1) rows that could.  Cells are visited player-major with
+symbols in sorted order, and each cell's rows in little-endian code order
+of their symbols' ranks, so enumeration order is deterministic.
 
 forbidden_family presents the configurations as one more structure family
 on the point codes, and compute_eq solves it by the path of the line,
@@ -111,42 +116,62 @@ def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness
     return True
 
 
-def _search_witnesses(support: Sequence[tuple], n: int,
-                      points: Sequence[Sequence[int]]) -> Iterator[ForbiddenWitness]:
-    """Yield forbidden configurations inside the given point set.
+def _checked_points(q: int, n: int, points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The points as tuples; ValueError naming the first one that is not an
+    n-tuple over range(q)."""
+    pts = [tuple(p) for p in points]
+    for p in pts:
+        if len(p) != n or not all(isinstance(v, int) and 0 <= v < q for v in p):
+            raise ValueError(f"point {p!r} is not a {n}-tuple over range({q})")
+    return pts
 
-    Coordinates ascending; at each coordinate, a DFS over cell assignments.
-    Duplicate point sets discovered at later coordinates are suppressed.
+
+def _search_witnesses(support: Sequence[tuple], n: int,
+                      pts: Sequence[tuple[int, ...]]) -> Iterator[ForbiddenWitness]:
+    """Yield forbidden configurations inside the given point set, n-tuples
+    over range(len(support)).
+
+    Coordinates ascending.  At coordinate i, slot s starts at the points
+    whose coordinate i is s, and a DFS over cell assignments narrows every
+    slot to one point; a coordinate where some slot starts empty holds no
+    configuration.  Duplicate point sets discovered at later coordinates
+    are suppressed.
     """
     q = len(support)
     k = len(support[0])
-    pts = [tuple(p) for p in points]
     if len(pts) < q:
         return
+    # per coordinate i with no empty slot: slots[s] = positions (into pts)
+    # of the points whose coordinate i is s
+    coordinates = []
+    for i in range(n):
+        slots: list[set] = [set() for _ in range(q)]
+        for pos, w in enumerate(pts):
+            slots[w[i]].add(pos)
+        if all(slots):
+            coordinates.append((i, slots))
+    if not coordinates:
+        return
     symbols = player_symbols(support)
-    # rowindex[j][row] = positions (into pts) of points whose player-j view is row
-    rowindex: list[dict] = []
+    # rows[j] = (row, positions of the points whose player-j view is row)
+    # for the rows present, little-endian over the ranks of their symbols
+    rows: list[list] = []
     for j in range(k):
         index: dict = defaultdict(set)
         for pos, w in enumerate(pts):
             index[_row(support, w, j)].add(pos)
-        rowindex.append(dict(index))
+        rank = {x: r for r, x in enumerate(symbols[j])}
+        rows.append(sorted(index.items(),
+                           key=lambda item: [rank[x] for x in reversed(item[0])]))
     cells = [(j, v) for j in range(k) for v in symbols[j]]
     # edge slots touched by each cell: slot s needs cell (j, support[s][j])
-    touched = {cell: [s for s in range(q) if support[s][cell[0]] == cell[1]] for cell in cells}
+    touched = [[s for s in range(q) if support[s][j] == v] for j, v in cells]
     seen: set[frozenset] = set()
-    empty: set = set()
 
-    for i in range(n):
-        options = {}
-        for j, v in cells:
-            opts = []
-            for free in ProductTuples(symbols[j], n - 1):
-                row = free[:i] + (v,) + free[i:]
-                if row in rowindex[j]:
-                    opts.append(row)
-            options[(j, v)] = opts
-        candidates: list[set] = [set(range(len(pts))) for _ in range(q)]
+    for i, candidates in coordinates:
+        # per cell (j, v), the positions matching each present row with
+        # coordinate i equal to v, in row order
+        options = [[matches for row, matches in rows[j] if row[i] == v] for j, v in cells]
 
         def dfs(ci: int) -> Iterator[ForbiddenWitness]:
             if ci == len(cells):
@@ -163,10 +188,8 @@ def _search_witnesses(support: Sequence[tuple], n: int,
                         raise AssertionError("found configuration failed witness_is_valid")
                     yield witness
                 return
-            j, v = cells[ci]
-            slots = touched[(j, v)]
-            for row in options[(j, v)]:
-                matches = rowindex[j].get(row, empty)
+            slots = touched[ci]
+            for matches in options[ci]:
                 saved = []
                 ok = True
                 for s in slots:
@@ -186,8 +209,10 @@ def _search_witnesses(support: Sequence[tuple], n: int,
 
 def find_forbidden(support: Sequence[tuple], n: int,
                    points: Sequence[Sequence[int]]) -> ForbiddenWitness | None:
-    """First forbidden configuration inside points, or None if free."""
-    for witness in _search_witnesses(support, n, points):
+    """First forbidden configuration inside points, or None if free.
+    Raises ValueError for a point that is not an n-tuple over the support
+    indices."""
+    for witness in _search_witnesses(support, n, _checked_points(len(support), n, points)):
         return witness
     return None
 
@@ -196,13 +221,15 @@ def enumerate_forbidden(support: Sequence[tuple], n: int,
                         points: Sequence[Sequence[int]] | None = None,
                         point_budget: int = DEFAULT_POINT_BUDGET) -> Iterator[ForbiddenWitness]:
     """All forbidden configurations with points drawn from the given set
-    (default: the whole n-fold support), deduplicated as point sets."""
+    (default: the whole n-fold support), deduplicated as point sets.
+    Raises ValueError for a point that is not an n-tuple over the support
+    indices."""
     q = len(support)
     if points is None:
         if reason := oversize(q, n, point_budget):
             raise BudgetExceededError(reason)
         points = ProductTuples(range(q), n)
-    return _search_witnesses(support, n, points)
+    return _search_witnesses(support, n, _checked_points(q, n, points))
 
 
 def support_symmetries(support: Sequence[tuple],
@@ -319,7 +346,7 @@ def forbidden_family(support: Sequence[tuple], n: int,
     code = universe.encode
 
     def enumerate_configurations() -> Iterator[tuple[int, ...]]:
-        for count, witness in enumerate(_search_witnesses(support, n, universe), 1):
+        for count, witness in enumerate(_search_witnesses(support, n, list(universe)), 1):
             if count > config_budget:
                 raise BudgetExceededError(
                     f"more than {config_budget} forbidden configurations")

@@ -17,13 +17,15 @@ the optimum, which is therefore the lexicographically first maximiser.
 The search adds and compares ints: the weights over one common
 denominator (Game.scaled_weights), turned back into a Fraction only for the
 result.  It checks forward: from each support tuple's table of accepted
-answer combinations it precomputes, for each of the tuple's cells in search
-order, which answers so far no accepted combination starts with, and counts
-the tuple's weight as lost at the first cell where that happens.  A lost
-prefix loses under every completion, so the optimum and the lex-first
-strategy are those of scoring each tuple at its last cell.  Building the
-tables walks support x answer combinations, which counts against the same
-budget as the strategy space.  The search is a loop over per-depth arrays,
+answer combinations (Game.acceptance) it precomputes, for each of the
+tuple's cells in search order, which answers so far no accepted combination
+starts with, and counts the tuple's weight as lost at the first cell where
+that happens.  A lost prefix loses under every completion, so the optimum
+and the lex-first strategy are those of scoring each tuple at its last
+cell.  A game builds its tables by calling the predicate on support x
+answer combinations, which counts against the same budget as the strategy
+space; a repeated game builds them as round-by-round products of its base
+game's tables, without calling the predicate.  The search is a loop over per-depth arrays,
 so its depth is bounded by memory, not by Python's recursion limit.  The
 strategy found is re-checked by evaluate, an int sum over the same scaled
 weights that calls the predicate on every support tuple, independently of
@@ -124,6 +126,14 @@ class Game:
         scale = math.lcm(*(w.denominator for w in weights))
         return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
+    def acceptance(self) -> list[frozenset[tuple[int, ...]]]:
+        """Per support tuple, in support order, the answer combinations the
+        predicate accepts, each a tuple of per-player answer positions."""
+        positions = TupleCodec([range(len(a)) for a in self.answer_alphabets])
+        answers = TupleCodec(self.answer_alphabets)
+        return [frozenset(combo for combo, a in zip(positions, answers) if self.predicate(x, a))
+                for x in self.support]
+
     def probability(self, event: Callable[[tuple], bool]) -> Fraction:
         """The total weight of the support tuples for which event holds: the
         ints of scaled_weights() summed, as one Fraction."""
@@ -210,11 +220,7 @@ class _StrategySearch:
             raise BudgetExceededError(
                 f"{len(support)} support tuples x {combos} answer combinations "
                 f"exceed budget {budget}; raise the budget to force the search")
-        # acceptance tables: per support tuple, its accepted answer index combinations
-        positions = TupleCodec([range(s) for s in self.sizes])
-        answers = TupleCodec(self.answers)
-        self._accept = [{combo for combo, a in zip(positions, answers)
-                         if game.predicate(x, a)} for x in support]
+        self._accept = game.acceptance()
 
     def cells_lex(self) -> list[tuple[int, object]]:
         return [(j, q) for j in range(self.k) for q in self.domains[j]]

@@ -15,7 +15,9 @@ materialised until something iterates it.  repeat refuses, with
 codec.oversize's reason, a round count whose repeated support or any
 repeated alphabet exceeds the budget.  A repeated weight is the product
 of its rounds' scaled base ints over the base scale to the n-th power, so no
-Fraction is multiplied.
+Fraction is multiplied.  Likewise its acceptance tables are the products of
+its rounds' base tables, so the exact_value search never calls the repeated
+predicate; evaluate still does, for an independent re-check.
 """
 
 from __future__ import annotations
@@ -78,6 +80,25 @@ class RepeatedGame(Game):
     def scaled_weights(self) -> tuple[int, Sequence[int]]:
         """The base scale to the n-th power, over lazy products of base ints."""
         return self._scaled
+
+    def acceptance(self) -> list[frozenset[tuple[int, ...]]]:
+        """The round-by-round product of the base tables: a repeated answer's
+        position is the little-endian code of its rounds' base positions.
+        Each pass adds one round as the most significant digit, so the
+        tables stay in round order.  The empty tables are one shared
+        frozenset, which keeps a game that rejects most tuples small."""
+        base = self.base.acceptance()
+        radices = [len(a) for a in self.base.answer_alphabets]
+        empty = frozenset()
+        tables = [frozenset([(0,) * self.k])]
+        place = [1] * self.k
+        for _ in range(self.n):
+            tables = [frozenset(tuple(c + b * p for c, b, p in zip(prefix, combo, place))
+                                for combo in table for prefix in prefixes)
+                      if table and prefixes else empty
+                      for table in base for prefixes in tables]
+            place = [p * r for p, r in zip(place, radices)]
+        return tables
 
     def probability(self, event) -> Fraction:
         """One walk of the rounds: each index vector is decoded once, and its

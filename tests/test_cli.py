@@ -488,6 +488,26 @@ def test_wcnf_summary_text_and_json(tmp_path, capsys, request_):
                                "wcnf": str(out_path)}
 
 
+WCNF_CACHE_FLAGS = ["--recheck", "--no-cache", "--cache-dir {tmp}/cache"]
+
+
+@pytest.mark.parametrize("request_,flag", [
+    *[("density square --n 1", flag) for flag in WCNF_CACHE_FLAGS],
+    *[("eqn --preset unitvec --q 3 --n 2", flag)
+      for flag in WCNF_CACHE_FLAGS + ["--emit-witness {tmp}/w.json"]],
+], ids=["density-recheck", "density-no-cache", "density-cache-dir",
+        "eqn-recheck", "eqn-no-cache", "eqn-cache-dir", "eqn-emit-witness"])
+def test_wcnf_refuses_the_flags_it_would_ignore(tmp_path, capsys, request_, flag):
+    # nothing is written: not the WCNF file, the witness or a cache
+    argv = request_.split() + ["--wcnf", str(tmp_path / "out.wcnf")]
+    argv += flag.format(tmp=tmp_path).split()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag.split()[0]} cannot be used with --wcnf, " \
+                  "which only writes the instance\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eqn_record_files_are_deterministic(tmp_path, capsys):
     files = []
     for name in ("a", "b"):

@@ -1,7 +1,9 @@
 """Forbidden-configuration search, extremal densities, and the answer game."""
 
+import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +22,7 @@ from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               player_symbols, projected_graph,
                               strategy_from_witness, support_symmetries,
                               winning_points, witness_is_valid)
-from replab.games import Strategy, evaluate, exact_value, unit_tuples
+from replab.games import Strategy, evaluate, exact_value, preset_game, unit_tuples
 from replab.codec import ProductTuples, TupleCodec
 from replab.records import DensityRecord
 from replab.repetition import repeat
@@ -132,6 +134,60 @@ def test_find_and_enumerate_match_naive_on_subsets(case):
     if first is not None:
         assert witness_is_valid(support, n, first, points)
         assert first.point_set() in naive
+
+
+# sha256 of repr([(w.coordinate, w.edges), ..]) from enumerate_forbidden:
+# the enumeration order, which a faster search must keep
+ENUMERATION_SHA256 = {
+    ("unit3", 1): "7736c3e5f6b6af9475b38681e23dd9d9ec58814500c433662b01b45580bfc0a4",
+    ("unit3", 2): "67fe15785467b732a77c47cb4e0f07d39c2c06e91077e55baa016070d613374d",
+    ("unit3", 3): "34b0abc2b118e790bb012266fa2ee533e5f52171daae009e5a59dba570568d4a",
+    ("ghz", 1): "46254ac08ed8c167fde0245a840e5dc306aaec2c0a86ce14cf17074964c238f5",
+    ("ghz", 2): "04f3f926c9ca490de770b8e160002994a4f1ba2c1052e3f7887e7e0ddc8275b2",
+    ("ghz", 3): "882aae9a84a4dce7b6e5df819afa1ab872590f93e67cfdcda239b7b0c6e751de",
+    ("unit4", 3): "4a352330ed84e34cef73b5bb5498da25c3fffa88cc9ad192a5cff8893a756156",
+    ("grid3", 2): "a980ffdbab863537322aa57f8be5d0900eb7125fe7c5ff26d66e1ef4d78171bd",
+}
+SUPPORTS = {"unit3": UNIT3, "ghz": GHZ, "unit4": list(unit_tuples(4)),
+            "grid3": list(preset_game("grid", p=3, k=2).support)}
+
+
+@pytest.mark.parametrize("name,n", sorted(ENUMERATION_SHA256))
+def test_enumeration_order_is_pinned(name, n):
+    found = [(w.coordinate, w.edges) for w in enumerate_forbidden(SUPPORTS[name], n)]
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == ENUMERATION_SHA256[(name, n)]
+
+
+@pytest.mark.parametrize("support", [UNIT3, GHZ], ids=["unit3", "ghz"])
+@pytest.mark.parametrize("i", [0, 1])
+def test_a_missing_symbol_empties_its_coordinate(support, i):
+    # slot s holds the points whose coordinate i is s: drop every point with
+    # coordinate i equal to 1, and no configuration is left at coordinate i
+    universe = list(ProductTuples(range(len(support)), 2))
+    points = [w for w in universe if w[i] != 1]
+    coordinates = {w.coordinate for w in enumerate_forbidden(support, 2, points)}
+    assert coordinates == {1 - i}
+    assert find_forbidden(support, 2, points).coordinate == 1 - i
+    product = [w for w in universe if w[0] != 1 and w[1] != 2]
+    assert find_forbidden(support, 2, product) is None
+
+
+@pytest.mark.parametrize("point", [(-1,), (5,), (0, 1)])
+def test_points_off_the_support_indices_are_refused(point):
+    points = [(0,), (2,), point]
+    with pytest.raises(ValueError, match=re.escape(repr(point))):
+        find_forbidden(UNIT3, 1, points)
+    with pytest.raises(ValueError, match=re.escape(repr(point))):
+        enumerate_forbidden(UNIT3, 1, points)
+    with pytest.raises(ValueError, match=re.escape(repr(point))):
+        build_answer_game(((0, 1),) * 3, UNIT3, 1, points)
+
+
+def test_points_must_hold_ints():
+    # build_answer_game reads its points through int(); the search does not
+    with pytest.raises(ValueError, match=re.escape("(1.0,)")):
+        find_forbidden(UNIT3, 1, [(0,), (1.0,), (2,)])
 
 
 def test_enumerate_point_budget():

@@ -14,7 +14,8 @@ import pytest
 
 import oracles
 from replab.errors import BudgetExceededError
-from replab.games import Game, Strategy, evaluate, exact_value, preset_game
+from replab.games import (Game, Strategy, evaluate, exact_value, game_from_json,
+                          preset_game)
 from replab.codec import ProductTuples, TupleCodec, oversize, power_exceeds
 from replab.repetition import independent_strategy, repeat
 
@@ -247,6 +248,56 @@ def test_evaluate_walks_the_rounds_once(monkeypatch):
     assert evaluate(game, strategy) == Fraction(2, 3) ** 3
     assert walks == [game.rounds]
     monkeypatch.undo()
+    assert calls == list(game.support)
+
+
+@pytest.mark.parametrize("name,params,n", [
+    ("anticorr", {"q": 3}, 2), ("anticorr", {"q": 3}, 4), ("anticorr", {"q": 4}, 2),
+    ("grid", {"p": 2, "k": 2}, 6), ("grid", {"p": 3, "k": 2}, 4), ("ghz", {}, 2),
+])
+def test_product_tables_match_the_predicate(name, params, n):
+    game = repeat(preset_game(name, **params), n)
+    tables = game.acceptance()
+    assert Game.acceptance(game) == tables
+    # the grids' placeholder predicate rejects everything: the empty tables
+    # are one shared object
+    assert len({id(t) for t in tables if not t}) <= 1
+
+
+@st.composite
+def table_games(draw):
+    """A game file with a random table predicate: 2 or 3 players, bit
+    questions, answer alphabets of 1 to 3 symbols, and a round count that
+    keeps the repeated support x answer combinations small."""
+    k = draw(st.integers(2, 3))
+    support = draw(st.lists(st.sampled_from(list(itertools.product((0, 1), repeat=k))),
+                            unique=True, min_size=1, max_size=3))
+    answers = [list(range(draw(st.integers(1, 3)))) for _ in range(k)]
+    combos = math.prod(map(len, answers))
+    accepts = draw(st.sets(st.tuples(st.integers(0, len(support) - 1),
+                                     st.integers(0, combos - 1))))
+    doc = {"k": k, "question_alphabets": [[0, 1]] * k, "answer_alphabets": answers,
+           "support": [{"x": list(x), "weight": f"1/{len(support)}"} for x in support],
+           "predicate": {"type": "table", "accepts": sorted(map(list, accepts))}}
+    n = draw(st.integers(1, max(m for m in (1, 2, 3) if (len(support) * combos) ** m <= 5000)))
+    return game_from_json(doc), n
+
+
+@given(table_games())
+def test_product_tables_match_the_predicate_on_table_games(case):
+    base, n = case
+    game = repeat(base, n)
+    assert Game.acceptance(game) == game.acceptance()
+
+
+def test_exact_value_calls_the_repeated_predicate_only_to_recheck():
+    # the search reads the product tables; evaluate's re-check is the one
+    # walk of the repeated predicate
+    game = repeat(preset_game("anticorr", q=3), 2)
+    calls = []
+    predicate = game.predicate
+    game.predicate = lambda x, a: calls.append(x) or predicate(x, a)
+    assert exact_value(game).value == Fraction(2, 3)
     assert calls == list(game.support)
 
 
