@@ -11,12 +11,16 @@ edges through point v.
 Including v is unit propagation: every alive edge through v whose only
 undecided point is u forces u out, and the branch fails when such an edge
 has no undecided point left.  Excluding v kills the edges in inc[v].  The
-bound is |selected| + |undecided| minus a greedy packing of pairwise
-disjoint undecided edge parts, taken smallest first: each packed part must
-lose a point.  The search branches on the undecided point of maximum alive
-degree (lowest index on ties), exclude first: the first dive is then the
-greedy free set that drops the most constrained point until no edge is
-left, which on dense instances already meets the root bound.
+bound is |selected| + |undecided| minus a lower bound on the undecided
+points that a free extension must exclude, the larger of two: a greedy
+packing of pairwise disjoint undecided edge parts, taken smallest first,
+since each packed part must lose a point; and a hitting-set count, the
+least t whose t largest alive degrees sum to at least |alive|, since
+every alive edge must lose a point and excluding v kills only the deg(v)
+alive edges through it.  The search branches on the undecided point of
+maximum alive degree (lowest index on ties), exclude first: the first dive
+is then the greedy free set that drops the most constrained point until no
+edge is left, which on dense instances already meets the root bound.
 
 Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  max_free holds the group of the
@@ -54,7 +58,8 @@ the WCNF equals size - max_free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from bisect import bisect_left
+from itertools import accumulate, compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import ProductTuples
@@ -300,29 +305,38 @@ class _BranchAndBound:
             through &= alive & ~low
         return selected | bit, undecided, alive
 
-    def bound(self, selected: int, undecided: int, alive: int) -> int:
-        """Upper bound on the size of any free extension of the state."""
+    def degrees(self, undecided: int, alive: int) -> list[int]:
+        """The alive degree of each undecided point, in index order."""
+        return list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
+
+    def bound(self, selected: int, undecided: int, alive: int,
+              degrees: list[int]) -> int:
+        """Upper bound on the size of any free extension of the state, whose
+        alive degrees are given: |selected| + |undecided| minus the larger of
+        the packing and the hitting-set counts of the module docstring."""
         parts = sorted(map(undecided.__and__, _select(alive, self.edge_masks)),
                        key=int.bit_count)
-        free = selected.bit_count() + undecided.bit_count()
-        used = 0
+        used = packed = 0
         for part in parts:
             if not part & used:
                 used |= part
-                free -= 1
-        return free
+                packed += 1
+        # the least t whose t largest degrees sum to at least |alive|
+        cover = bisect_left(list(accumulate(sorted(degrees, reverse=True), initial=0)),
+                            alive.bit_count())
+        return selected.bit_count() + undecided.bit_count() - max(packed, cover)
 
     def search(self, selected: int, undecided: int, alive: int, group: _Group) -> bool:
         """Raise best/found to the largest free extension of the state above
         best; True once a free set of stop points is found."""
         self.nodes += 1
-        if self.bound(selected, undecided, alive) <= self.best:
+        degrees = self.degrees(undecided, alive)
+        if self.bound(selected, undecided, alive, degrees) <= self.best:
             return False
         if not alive:
             self.found = selected | undecided
             self.best = self.found.bit_count()
             return self.best >= self.stop
-        degrees = list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
         v = list(_select(undecided, count()))[degrees.index(max(degrees))]
         if group.trivial:
             orbit, killed, stab = 1 << v, self.inc[v], group
@@ -356,12 +370,10 @@ def max_free(h: ForbiddenHypergraph,
             f"{h.size} points exceed the solver budget {budget}; "
             "use export_wcnf and an external MaxSAT solver")
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
-    if any(m == 0 for m in edge_masks):
-        raise ValueError("empty edge")
     bb = _BranchAndBound(h.size, edge_masks)
     group = _generated(h.size, h.generators)
     root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
-    bb.stop = bb.bound(*root)
+    bb.stop = bb.bound(*root, bb.degrees(*root[1:]))
     bb.search(*root, group)
     optimum = bb.best
     if optimum == 0:

@@ -80,8 +80,8 @@ def test_max_free_prefers_lexicographically_first_witness():
 
 
 @st.composite
-def random_hypergraphs(draw):
-    size = draw(st.integers(3, 12))
+def random_hypergraphs(draw, max_size=12):
+    size = draw(st.integers(3, max_size))
     n_edges = draw(st.integers(0, 8))
     edges = []
     for _ in range(n_edges):
@@ -98,6 +98,47 @@ def test_max_free_matches_naive(h):
     assert size == naive_size
     assert tuple(witness) == tuple(naive_witness)
     assert verify_free(witness, h.edges)
+
+
+def _packing_bound(bb, selected, undecided, alive):
+    """|selected| + |undecided| minus a greedy packing of disjoint undecided
+    parts of the alive edges, smallest first: the bound without degrees."""
+    parts = sorted((m & undecided for i, m in enumerate(bb.edge_masks) if alive >> i & 1),
+                   key=int.bit_count)
+    free = selected.bit_count() + undecided.bit_count()
+    used = 0
+    for part in parts:
+        if not part & used:
+            used |= part
+            free -= 1
+    return free
+
+
+@given(random_hypergraphs(max_size=10), st.data())
+def test_bound_is_sound_and_tightens_packing(h, data):
+    # walk a random path of includes and excludes; at every state the bound
+    # holds the largest free extension, found by brute force over the
+    # undecided points with each decided point forbidden by a unit edge
+    size = h.size
+    bb = search._BranchAndBound(size, [sum(1 << v for v in e) for e in h.edges])
+    selected, undecided, alive = 0, (1 << size) - 1, (1 << len(h.edges)) - 1
+    for v in data.draw(st.permutations(range(size))) + [None]:
+        if v is not None and not undecided >> v & 1:
+            continue
+        edges = [tuple(w for w in e if undecided >> w & 1)
+                 for i, e in enumerate(h.edges) if alive >> i & 1]
+        edges += [(w,) for w in range(size) if not undecided >> w & 1]
+        largest = selected.bit_count() + oracles.naive_max_free(size, edges)[0]
+        bound = bb.bound(selected, undecided, alive, bb.degrees(undecided, alive))
+        assert largest <= bound <= _packing_bound(bb, selected, undecided, alive)
+        if v is None:
+            break
+        child = bb.include(v, selected, undecided, alive) if data.draw(st.booleans()) else None
+        if child is None:
+            undecided &= ~(1 << v)
+            alive &= ~bb.inc[v]
+        else:
+            selected, undecided, alive = child
 
 
 def test_witness_check_is_kept_under_python_O():
