@@ -17,10 +17,12 @@ packing of pairwise disjoint undecided edge parts, taken smallest first,
 since each packed part must lose a point; and a hitting-set count, the
 least t whose t largest alive degrees sum to at least |alive|, since
 every alive edge must lose a point and excluding v kills only the deg(v)
-alive edges through it.  The search branches on the undecided point of
-maximum alive degree (lowest index on ties), exclude first: the first dive
-is then the greedy free set that drops the most constrained point until no
-edge is left, which on dense instances already meets the root bound.
+alive edges through it.  A node tries the packing first and computes the
+degrees only where the packing does not prune.  The search branches on the
+undecided point of maximum alive degree (lowest index on ties), exclude
+first: the first dive is then the greedy free set that drops the most
+constrained point until no edge is left, which on dense instances already
+meets the root bound.
 
 Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  max_free holds the group of the
@@ -309,11 +311,9 @@ class _BranchAndBound:
         """The alive degree of each undecided point, in index order."""
         return list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
 
-    def bound(self, selected: int, undecided: int, alive: int,
-              degrees: list[int]) -> int:
-        """Upper bound on the size of any free extension of the state, whose
-        alive degrees are given: |selected| + |undecided| minus the larger of
-        the packing and the hitting-set counts of the module docstring."""
+    def packing(self, undecided: int, alive: int) -> int:
+        """The packing count of the module docstring: a greedy packing of
+        pairwise disjoint undecided parts of the alive edges, smallest first."""
         parts = sorted(map(undecided.__and__, _select(alive, self.edge_masks)),
                        key=int.bit_count)
         used = packed = 0
@@ -321,22 +321,40 @@ class _BranchAndBound:
             if not part & used:
                 used |= part
                 packed += 1
-        # the least t whose t largest degrees sum to at least |alive|
-        cover = bisect_left(list(accumulate(sorted(degrees, reverse=True), initial=0)),
-                            alive.bit_count())
-        return selected.bit_count() + undecided.bit_count() - max(packed, cover)
+        return packed
+
+    @staticmethod
+    def cover(degrees: list[int], alive: int) -> int:
+        """The hitting-set count of the module docstring: the least t whose
+        t largest of the given alive degrees sum to at least |alive|."""
+        return bisect_left(list(accumulate(sorted(degrees, reverse=True), initial=0)),
+                           alive.bit_count())
+
+    def bound(self, selected: int, undecided: int, alive: int) -> int:
+        """Upper bound on the size of any free extension of the state:
+        |selected| + |undecided| minus the larger of the packing and the
+        hitting-set counts."""
+        return (selected.bit_count() + undecided.bit_count()
+                - max(self.packing(undecided, alive),
+                      self.cover(self.degrees(undecided, alive), alive)))
 
     def search(self, selected: int, undecided: int, alive: int, group: _Group) -> bool:
         """Raise best/found to the largest free extension of the state above
-        best; True once a free set of stop points is found."""
+        best; True once a free set of stop points is found.  This is bound()
+        in two steps: the packing prunes many nodes alone, and the degrees,
+        which also pick the branching point, are computed only where it
+        does not."""
         self.nodes += 1
-        degrees = self.degrees(undecided, alive)
-        if self.bound(selected, undecided, alive, degrees) <= self.best:
+        free = selected.bit_count() + undecided.bit_count()
+        if free - self.packing(undecided, alive) <= self.best:
             return False
         if not alive:
             self.found = selected | undecided
             self.best = self.found.bit_count()
             return self.best >= self.stop
+        degrees = self.degrees(undecided, alive)
+        if free - self.cover(degrees, alive) <= self.best:
+            return False
         v = list(_select(undecided, count()))[degrees.index(max(degrees))]
         if group.trivial:
             orbit, killed, stab = 1 << v, self.inc[v], group
@@ -373,7 +391,7 @@ def max_free(h: ForbiddenHypergraph,
     bb = _BranchAndBound(h.size, edge_masks)
     group = _generated(h.size, h.generators)
     root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
-    bb.stop = bb.bound(*root, bb.degrees(*root[1:]))
+    bb.stop = bb.bound(*root)
     bb.search(*root, group)
     optimum = bb.best
     if optimum == 0:

@@ -129,7 +129,7 @@ def test_bound_is_sound_and_tightens_packing(h, data):
                  for i, e in enumerate(h.edges) if alive >> i & 1]
         edges += [(w,) for w in range(size) if not undecided >> w & 1]
         largest = selected.bit_count() + oracles.naive_max_free(size, edges)[0]
-        bound = bb.bound(selected, undecided, alive, bb.degrees(undecided, alive))
+        bound = bb.bound(selected, undecided, alive)
         assert largest <= bound <= _packing_bound(bb, selected, undecided, alive)
         if v is None:
             break
