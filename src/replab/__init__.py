@@ -23,16 +23,15 @@ from .forbidden import (ForbiddenWitness, build_answer_game,
                         enumerate_forbidden, find_forbidden,
                         forbidden_hypergraph, is_connected, projected_graph,
                         strategy_from_witness, witness_is_valid)
-from .games import (Game, GameValue, Strategy, evaluate, exact_value,
-                    game_from_json, game_to_json, mixture_value, preset_game,
-                    winning_set)
+from .games import (Game, GameValue, Strategy, attains, evaluate, exact_value,
+                    game_from_json, game_to_json, grid_question_set, mixture_value,
+                    preset_game, winning_set)
 from .records import DensityRecord, ValueRecord
 from .repetition import RepeatedGame, independent_strategy, repeat
 from .rng import SplitMix64
 from .search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
-from .structures import (affine_embed, corners, ghz_support, grid_question_set,
-                         grid_to_witness, grids, line_to_witness, lines,
-                         r_corner, r_grid, r_line, r_square, squares,
-                         witness_to_grid, witness_to_line)
+from .structures import (affine_embed, corners, ghz_support, grid_to_witness, grids,
+                         line_to_witness, lines, r_corner, r_grid, r_line, r_square,
+                         squares, witness_to_grid, witness_to_line)
 
 __version__ = "0.1.0"

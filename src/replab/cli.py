@@ -41,22 +41,20 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import forbidden, structures
 from .cache import ResultsCache, canonical_key
 from .codec import oversize
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
-from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, _from_jsonable,
-                    evaluate, exact_value, game_from_json, preset_game,
+from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, attains, evaluate,
+                    exact_value, game_from_json, grid_question_set, preset_game,
                     strategy_from_json, strategy_to_json, unit_tuples)
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
-from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf,
-                     verify_free)
-from .structures import ghz_support, grid_question_set
+from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf
+from .structures import ghz_support
 
 PRESETS = ("anticorr", "unitvec", "ghz", "grid")
 
@@ -211,16 +209,9 @@ def cmd_value(args) -> int:
             method="exact-bb",
         )
 
-    def verify(record: ValueRecord) -> bool:
-        strategy = strategy_from_json(record.strategy)
-        # an answer outside its alphabet, such as a repeated answer with the
-        # wrong number of rounds, is no strategy of this game
-        fits = all(a in alphabet for table, alphabet in
-                   zip(strategy.tables, game.answer_alphabets) for a in table.values())
-        return fits and evaluate(game, strategy) == record.value
-
-    record, status = _with_cache(args, "value", dict(params, game=label),
-                                 ValueRecord, compute, verify)
+    record, status = _with_cache(
+        args, "value", dict(params, game=label), ValueRecord, compute,
+        lambda r: attains(game, strategy_from_json(r.strategy), r.value))
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])
     return 0
 
@@ -236,42 +227,21 @@ def _density_params(args) -> dict:
     return {"p": args.p, "r": args.r, "k": args.k, "n": args.n}
 
 
-def _density_family(args):
+def _density_family(args, *point_budget):
+    """The queried family, under the given point budget or its own default."""
     if args.family == "line":
-        return structures.lines(args.q, args.n)
+        return structures.lines(args.q, args.n, *point_budget)
     if args.family == "square":
-        return structures.squares(args.n)
+        return structures.squares(args.n, *point_budget)
     if args.family == "corner":
-        return structures.corners(args.n)
-    return structures.grids(FiniteField(args.p, args.r), args.k, args.n)
+        return structures.corners(args.n, *point_budget)
+    return structures.grids(FiniteField(args.p, args.r), args.k, args.n, *point_budget)
 
 
 def _density_compute(args) -> DensityRecord:
     if args.family == "line":
         return structures.r_line(args.q, args.n, method=args.method)
-    if args.family == "square":
-        return structures.r_square(args.n)
-    if args.family == "corner":
-        return structures.r_corner(args.n)
-    return structures.r_grid(FiniteField(args.p, args.r), args.k, args.n)
-
-
-def _recheck_density(record: DensityRecord, make_family, compute) -> bool:
-    """Whether a cached density or eqn record holds: its witness is a free
-    set of witness_size distinct points of make_family(), checked against a
-    fresh enumeration of the configurations, or, when the record carries no
-    witness, it equals a fresh compute()."""
-    if record.witness is None:
-        return record == compute()
-    family = make_family()
-    try:
-        indices = {family.index(_from_jsonable(p)) for p in record.witness}
-    except (ValueError, TypeError):
-        return False
-    return (len(indices) == len(record.witness) == record.witness_size
-            and record.universe_size == len(family)
-            and record.value == Fraction(record.witness_size, len(family))
-            and verify_free(indices, family.configurations()))
+    return _density_family(args, DEFAULT_POINT_BUDGET).solve()
 
 
 def _density_command(args, kind: str, params: dict, make_family, compute,
@@ -280,8 +250,10 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
     computed record of compute(), after before_report(record) if given."""
     if args.wcnf:
         return _write_wcnf(args, make_family())
-    record, status = _with_cache(args, kind, params, DensityRecord, compute,
-                                 lambda r: _recheck_density(r, make_family, compute))
+    # a witness is checked against the family; a closed form is recomputed
+    record, status = _with_cache(
+        args, kind, params, DensityRecord, compute,
+        lambda r: r == compute() if r.witness is None else make_family().check(r))
     if before_report is not None:
         before_report(record)
     _emit(args, record.to_json(), record.report_lines() + [f"status:        {status}"])

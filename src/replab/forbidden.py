@@ -30,9 +30,10 @@ symbols in sorted order, and each cell's rows in little-endian code order
 of their symbols' ranks, so enumeration order is deterministic.
 
 forbidden_family presents the configurations as one more structure family
-on the point codes, and compute_eq solves it by the path of the line,
-square, corner and grid densities, within a point budget and a
-configuration budget.
+on the point codes, and compute_eq solves it by StructureFamily.solve, the
+path of the line, square, corner and grid densities, within a point budget
+and a configuration budget.  The answer game over a free set takes its
+predicate from games.answer_game_predicate, which game files name.
 
 The family's symmetries come from the support.  A player permutation pi
 with a symbol bijection per player that maps Q onto Q relabels the support
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .codec import ProductTuples, oversize
 from .errors import BudgetExceededError
-from .games import Game, Strategy
+from .games import Game, Strategy, answer_game_predicate
 from .records import DensityRecord
 from .repetition import RepeatedGame
 from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, StructureFamily, index_maps,
@@ -389,15 +390,12 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     solved and re-checked like every structure family, within its budgets.
     A one-symbol support's single point is itself a configuration, so only
     the empty set is free."""
-    from .structures import _density_record  # deferred: structures imports this module
-
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
     if not support:
         raise ValueError("the support must be non-empty")
-    record = _density_record(
-        forbidden_family(support, n, point_budget, config_budget), point_budget)
+    record = forbidden_family(support, n, point_budget, config_budget).solve(point_budget)
     record.witness.sort()
     return record
 
@@ -443,34 +441,6 @@ def is_connected(graph: ProjectedGraph) -> bool:
 
 
 # -- the answer game over a free set ------------------------------------------
-
-
-def answer_game_predicate(support: Sequence[tuple], n: int,
-                          free_points: Iterable[Sequence[int]]):
-    """Predicate of the answer game: every player names the same coordinate
-    i and a full question vector; the named vectors must assemble to a point
-    of the free set whose coordinate-i column is the question actually
-    asked."""
-    support_pos = {tuple(x): s for s, x in enumerate(support)}
-    k = len(support[0])
-    wset = {tuple(int(v) for v in w) for w in free_points}
-
-    def predicate(x, a):
-        i0 = a[0][0]
-        if any(aj[0] != i0 for aj in a):
-            return False
-        vec = []
-        for m in range(n):
-            column = tuple(a[j][1][m] for j in range(k))
-            s = support_pos.get(column)
-            if s is None:
-                return False
-            vec.append(s)
-        if tuple(vec) not in wset:
-            return False
-        return tuple(a[j][1][i0] for j in range(k)) == tuple(x)
-
-    return predicate
 
 
 def build_answer_game(question_alphabets: Sequence[Sequence], support: Sequence[tuple],

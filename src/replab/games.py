@@ -27,21 +27,25 @@ answer combinations, which counts against the same budget as the strategy
 space; a repeated game builds them as round-by-round products of its base
 game's tables, without calling the predicate.  The search is a loop over per-depth arrays,
 so its depth is bounded by memory, not by Python's recursion limit.  The
-strategy found is re-checked by evaluate, an int sum over the same scaled
-weights that calls the predicate on every support tuple, independently of
-the tables.
+strategy found is re-checked by attains, which a value record's --recheck
+also runs: every answer lies in its player's alphabet, and evaluate, an int
+sum over the scaled weights that calls the predicate independently of the
+tables, gives the value.  The presets' question supports (unit_tuples,
+GHZ_SUPPORT, grid_question_set) and the answer game's predicate live here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import TupleCodec
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
+from .fields import FiniteField
 
 DEFAULT_STRATEGY_BUDGET = 10**8
 
@@ -160,6 +164,16 @@ def evaluate(game: Game, strategy: Strategy) -> Fraction:
     int weights summed over the support tuples its predicate accepts, as one
     Fraction.  It calls the predicate, never the search's acceptance tables."""
     return game.probability(lambda x: game.predicate(x, strategy.answers(x)))
+
+
+def attains(game: Game, strategy: Strategy, value: Fraction) -> bool:
+    """Whether the strategy certifies value for the game: every answer lies
+    in its player's answer alphabet, so that a repeated answer with the
+    wrong number of rounds is no strategy of the game, and evaluate gives
+    exactly value."""
+    fits = all(a in alphabet for table, alphabet in
+               zip(strategy.tables, game.answer_alphabets) for a in table.values())
+    return fits and evaluate(game, strategy) == value
 
 
 def winning_set(game: Game, strategy: Strategy) -> tuple:
@@ -368,7 +382,7 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
     if assign is None:
         raise AssertionError("phase two must rediscover the optimum")
     strategy = search.strategy_from(cells, assign)
-    if evaluate(game, strategy) != optimum:
+    if not attains(game, strategy, optimum):
         raise AssertionError("reconstructed strategy must attain the optimum")
     return GameValue(value=optimum, strategy=strategy)
 
@@ -392,6 +406,58 @@ def unit_tuples(q: int) -> tuple[tuple[int, ...], ...]:
 
 # The even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0).
 GHZ_SUPPORT = tuple((x, y, x ^ y) for x in (0, 1) for y in (0, 1))
+
+
+def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]:
+    """The question support tying grid density to repeated game values.
+
+    k + r players over GF(p**r): the first k players receive arbitrary field
+    elements x_1 .. x_k and the last r players receive g * x_1 + x_2 + ..
+    + x_k, one per additive generator g.  For GF(2) with k = 2 this is the
+    even-parity triple support.  Requires k >= 2, which makes the projected
+    graph complete multipartite and in particular connected.
+    """
+    if k < 2:
+        raise ValueError("the grid question set needs k >= 2")
+    gens = field.additive_generators()
+    support = []
+    for x in itertools.product(field.elements, repeat=k):
+        tail = []
+        for g in gens:
+            acc = field.mul(g, x[0])
+            for v in x[1:]:
+                acc = field.add(acc, v)
+            tail.append(acc)
+        support.append(tuple(x) + tuple(tail))
+    return tuple(support)
+
+
+def answer_game_predicate(support: Sequence[tuple], n: int,
+                          free_points: Iterable[Sequence[int]]):
+    """Predicate of the answer game: every player names the same coordinate
+    i and a full question vector; the named vectors must assemble to a point
+    of the free set whose coordinate-i column is the question actually
+    asked."""
+    support_pos = {tuple(x): s for s, x in enumerate(support)}
+    k = len(support[0])
+    wset = {tuple(int(v) for v in w) for w in free_points}
+
+    def predicate(x, a):
+        i0 = a[0][0]
+        if any(aj[0] != i0 for aj in a):
+            return False
+        vec = []
+        for m in range(n):
+            column = tuple(a[j][1][m] for j in range(k))
+            s = support_pos.get(column)
+            if s is None:
+                return False
+            vec.append(s)
+        if tuple(vec) not in wset:
+            return False
+        return tuple(a[j][1][i0] for j in range(k)) == tuple(x)
+
+    return predicate
 
 
 def preset_game(name: str, **params) -> Game:
@@ -432,17 +498,13 @@ def preset_game(name: str, **params) -> Game:
         _reject_unknown(params)
         return _question_set(((0, 1),) * 3, GHZ_SUPPORT)
     if name == "grid":
-        from . import structures  # deferred: structures imports this module's types
-
         p = int(params.pop("p", 2))
         r = int(params.pop("r", 1))
         kdim = int(params.pop("k", 2))
         _reject_unknown(params)
-        from .fields import FiniteField
-
         field = FiniteField(p, r)
         return _question_set((tuple(field.elements),) * (kdim + r),
-                             structures.grid_question_set(field, kdim))
+                             grid_question_set(field, kdim))
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -559,10 +621,8 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
         if name == "answer-game":
             if "n" not in params:
                 raise SchemaError("the answer-game preset needs params.n")
-            from . import forbidden  # deferred: forbidden imports this module
-
             witness = tuple(tuple(int(v) for v in w) for w in params.get("witness", []))
-            return forbidden.answer_game_predicate(support, int(params["n"]), witness)
+            return answer_game_predicate(support, int(params["n"]), witness)
         raise SchemaError(f"unknown preset predicate {name!r}")
     raise SchemaError(f"unknown predicate type {ptype!r}")
 

@@ -49,8 +49,10 @@ a node whose group is non-trivial.  The result is the maximum free set with
 the smallest sorted index list; it does not depend on the group or the
 child order, which change only the node counts.
 
-A StructureFamily is a universe with a re-enumerable configuration family:
-max_free solves its hypergraph, and a fresh enumeration re-checks the set.
+A StructureFamily is a universe with a re-enumerable configuration family.
+Its solve() is the one path of every density: max_free on its hypergraph,
+made into a DensityRecord.  Its check() is the one check of a density
+witness, run by solve() and by --recheck, against a fresh enumeration.
 
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
@@ -61,11 +63,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import ProductTuples
 from .errors import BudgetExceededError
+from .games import _from_jsonable
+from .records import DensityRecord
 
 DEFAULT_POINT_BUDGET = 128
 
@@ -141,6 +146,32 @@ class StructureFamily:
     def to_hypergraph(self) -> ForbiddenHypergraph:
         return ForbiddenHypergraph(len(self.universe), list(self.configurations()),
                                    self.generators)
+
+    def solve(self, budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
+        """The exact density, by max_free within budget points, with its
+        witness in the universe's native points, passed by check()."""
+        size, chosen = max_free(self.to_hypergraph(), budget)
+        record = DensityRecord(
+            family=self.name, params=dict(self.params), value=Fraction(size, len(self)),
+            witness_size=size, universe_size=len(self),
+            witness=[self.universe[i] for i in chosen], method="exact-bb")
+        if not self.check(record):
+            raise AssertionError("density witness failed independent re-enumeration check")
+        return record
+
+    def check(self, record: DensityRecord) -> bool:
+        """Whether the record's witness, points as tuples or as JSON lists,
+        is a free set of witness_size distinct points of the universe with
+        the record's universe_size and value, checked against a fresh
+        enumeration of the configurations."""
+        try:
+            indices = {self.index(_from_jsonable(p)) for p in record.witness}
+        except (ValueError, TypeError):
+            return False
+        return (len(indices) == len(record.witness) == record.witness_size
+                and record.universe_size == len(self)
+                and record.value == Fraction(record.witness_size, len(self))
+                and verify_free(indices, self.configurations()))
 
     def __len__(self) -> int:
         return len(self.universe)

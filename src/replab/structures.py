@@ -26,12 +26,12 @@ branches orbitally under the whole group they generate: S_n x S_q for lines
 vector families (see _vector_symmetries).  They are built only when the
 family is solved.
 
-The bijections at the bottom translate configurations of each family into
+r_line, r_square, r_corner and r_grid solve a family within the solver's
+point budget by StructureFamily.solve, as forbidden.compute_eq does.  The
+bijections at the bottom translate configurations of each family into
 forbidden configurations of a matching repeated question support and back,
 which is what ties the densities r_line, r_square, r_grid to exact values of
 repeated games; a square's map is grid_to_witness over GF(2) with k = 2.
-forbidden.compute_eq solves those configurations, forbidden.forbidden_family,
-through the same _density_record as the four families here.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
 from .fields import AffineSubspace, FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
-from .games import GHZ_SUPPORT, unit_tuples
+from .games import GHZ_SUPPORT, grid_question_set, unit_tuples
 from .records import DensityRecord
+# max_free is re-exported: callers reach the solver through this module too
 from .search import (DEFAULT_POINT_BUDGET, StructureFamily, index_maps, max_free,
-                     swap_and_cycle, verify_free)
+                     swap_and_cycle)
 
 WITNESS_MATERIALISE_LIMIT = 4096
 
@@ -239,24 +240,6 @@ def grids(field: FiniteField, k: int, n: int,
 # -- exact densities -------------------------------------------------------------
 
 
-def _density_record(family: StructureFamily,
-                    point_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
-    """The exact density of a family, solved within the solver's point
-    budget, with its witness re-checked against a fresh enumeration."""
-    size, chosen = max_free(family.to_hypergraph(), budget=point_budget)
-    if not verify_free(chosen, family.configurations()):
-        raise AssertionError("density witness failed independent re-enumeration check")
-    return DensityRecord(
-        family=family.name,
-        params=dict(family.params),
-        value=Fraction(size, len(family.universe)),
-        witness_size=size,
-        universe_size=len(family.universe),
-        witness=[family.universe[i] for i in chosen],
-        method="exact-bb",
-    )
-
-
 def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
     """Maximum density of a line-free subset of range(q)**n.
 
@@ -298,22 +281,22 @@ def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
             witness=witness,
             method="closed-form",
         )
-    return _density_record(lines(q, n, point_budget=DEFAULT_POINT_BUDGET))
+    return lines(q, n, point_budget=DEFAULT_POINT_BUDGET).solve()
 
 
 def r_square(n: int) -> DensityRecord:
     """Maximum density of a square-free subset of F_2**n x F_2**n."""
-    return _density_record(squares(n, point_budget=DEFAULT_POINT_BUDGET))
+    return squares(n, point_budget=DEFAULT_POINT_BUDGET).solve()
 
 
 def r_corner(n: int) -> DensityRecord:
     """Maximum density of a corner-free subset of F_2**n x F_2**n."""
-    return _density_record(corners(n, point_budget=DEFAULT_POINT_BUDGET))
+    return corners(n, point_budget=DEFAULT_POINT_BUDGET).solve()
 
 
 def r_grid(field: FiniteField, k: int, n: int) -> DensityRecord:
     """Maximum density of a grid-free subset of (F**n)**k."""
-    return _density_record(grids(field, k, n, point_budget=DEFAULT_POINT_BUDGET))
+    return grids(field, k, n, point_budget=DEFAULT_POINT_BUDGET).solve()
 
 
 # -- bijections with forbidden configurations -----------------------------------
@@ -372,30 +355,6 @@ def witness_to_line(q: int, n: int, witness: ForbiddenWitness) -> tuple[tuple[in
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
     """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0)."""
     return GHZ_SUPPORT
-
-
-def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]:
-    """The question support tying grid density to repeated game values.
-
-    k + r players over GF(p**r): the first k players receive arbitrary field
-    elements x_1 .. x_k and the last r players receive g * x_1 + x_2 + ..
-    + x_k, one per additive generator g.  For GF(2) with k = 2 this is the
-    even-parity triple support.  Requires k >= 2, which makes the projected
-    graph complete multipartite and in particular connected.
-    """
-    if k < 2:
-        raise ValueError("the grid question set needs k >= 2")
-    gens = field.additive_generators()
-    support = []
-    for x in itertools.product(field.elements, repeat=k):
-        tail = []
-        for g in gens:
-            acc = field.mul(g, x[0])
-            for v in x[1:]:
-                acc = field.add(acc, v)
-            tail.append(acc)
-        support.append(tuple(x) + tuple(tail))
-    return tuple(support)
 
 
 def _grid_base_and_step(field: FiniteField, k: int, n: int, points):

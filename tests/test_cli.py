@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,6 +222,20 @@ def test_value_from_game_file(tmp_path, capsys):
     assert "status:        cached" in out
 
 
+def test_value_of_an_answer_game_file(tmp_path, capsys):
+    # the file names its predicate by the answer-game preset
+    support = list(unit_tuples(3))
+    rec = forbidden.compute_eq(support, 2)
+    game = forbidden.build_answer_game(((0, 1),) * 3, support, 2, rec.witness)
+    path = tmp_path / "answer.json"
+    path.write_text(json.dumps(game_to_json(game)))
+    argv = ["value", "--game", str(path), "--cache-dir", str(tmp_path / "c")]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "value:         2/3" in out
+    code, out, _ = run(capsys, argv + ["--recheck"])
+    assert code == 0 and "status:        cached" in out
+
+
 def test_value_game_source_errors(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_json(preset_game("anticorr", q=3))))
@@ -364,6 +379,21 @@ def test_density_recheck_passes_on_good_records(tmp_path, capsys):
             "--method", "closed-form", "--cache-dir", str(tmp_path / "c")]
     assert main(argv) == 0
     capsys.readouterr()
+    code, out, _ = run(capsys, argv + ["--recheck"])
+    assert code == 0 and "status:        cached" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "square --n 2", "corner --n 2", "grid --p 3 --k 1 --n 2", "grid --p 2 --r 2 --k 2 --n 1",
+])
+def test_density_recheck_passes_on_vector_families(tmp_path, capsys, argv):
+    # the cached witness points are lists of lists, read back as tuples of tuples
+    argv = ["density"] + argv.split() + ["--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path, = (tmp_path / "c").glob("records/*.json")
+    witness = json.loads(path.read_text())["record"]["witness"]
+    assert witness and all(isinstance(v, list) for p in witness for v in p)
     code, out, _ = run(capsys, argv + ["--recheck"])
     assert code == 0 and "status:        cached" in out
 
@@ -745,6 +775,25 @@ def test_verify_thm_answer_game_single_round_only(capsys):
     assert code == 2 and "one round count" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_verify_reports_a_mismatch_and_exits_1(capsys, monkeypatch, json_flag):
+    real = structures.r_line
+
+    def off_by_one(q, n):
+        record = real(q, n)
+        return replace(record, witness_size=record.witness_size + 1,
+                       value=Fraction(record.witness_size + 1, record.universe_size))
+
+    monkeypatch.setattr(structures, "r_line", off_by_one)
+    code, out, err = run(capsys, ["verify", "dhj", "--q", "3", "--n", "1..2"] + json_flag)
+    assert code == 1
+    assert err == "error: dhj: 2 case(s) failed\n"
+    if json_flag:
+        assert [row["ok"] for row in json.loads(out)["results"]] == [False, False]
+    else:
+        assert [line[:5] for line in out.splitlines()] == ["FAIL "] * 2
+
+
 # -- fuzz -----------------------------------------------------------------------
 
 
@@ -762,6 +811,21 @@ def test_fuzz_refuses_perfect_base_game(capsys):
                                 "--q", "2"])
     assert code == 4
     assert "below 1" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_fuzz_reports_a_violation_and_exits_1(capsys, monkeypatch, json_flag):
+    monkeypatch.setattr(forbidden, "check_winning_set_free", lambda game, strategy: False)
+    code, out, _ = run(capsys, ["fuzz-prop34", "--preset", "anticorr", "--q", "3",
+                                "--n", "2", "--trials", "3", "--seed", "7"] + json_flag)
+    assert code == 1
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["violations"] == 3
+        assert payload["counterexample"]["trial"] == 0
+        assert set(payload["counterexample"]["strategy"]) == {"players"}
+    else:
+        assert "violations:  3" in out
 
 
 # -- parser ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -22,7 +23,8 @@ from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               player_symbols, projected_graph,
                               strategy_from_witness, support_symmetries,
                               winning_points, witness_is_valid)
-from replab.games import Strategy, evaluate, exact_value, preset_game, unit_tuples
+from replab.games import (Strategy, evaluate, exact_value, game_from_json, game_to_json,
+                          preset_game, unit_tuples)
 from replab.codec import ProductTuples, TupleCodec
 from replab.records import DensityRecord
 from replab.repetition import repeat
@@ -338,6 +340,19 @@ def test_build_answer_game_shape():
     assert len(game.support) == 3
     for j in range(3):
         assert tuple(game.answer_alphabets[j]) == ((0, (0,)), (0, (1,)))
+
+
+@pytest.mark.parametrize("support, value", [(UNIT3, Fraction(2, 3)), (GHZ, Fraction(3, 4))],
+                         ids=["unitvec3", "ghz"])
+def test_answer_game_file_round_trip(support, value):
+    # the predicate comes back from its answer-game spec, not from a table
+    rec = compute_eq(support, 2)
+    game = build_answer_game(((0, 1),) * 3, support, 2, rec.witness)
+    back = game_from_json(json.loads(json.dumps(game_to_json(game))))
+    assert back.predicate_spec["name"] == "answer-game"
+    assert back.acceptance() == game.acceptance()
+    assert exact_value(back) == exact_value(game)
+    assert exact_value(back).value == value
 
 
 def test_build_answer_game_rejects_bad_input():

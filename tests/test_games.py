@@ -23,7 +23,7 @@ from replab.games import (Game, Strategy, evaluate, exact_value,
                           parse_fraction, predicate_from_spec, preset_game,
                           strategy_from_json, strategy_to_json,
                           unit_tuples, winning_set)
-from replab.repetition import repeat
+from replab.repetition import independent_strategy, repeat
 from replab.structures import grid_question_set, r_grid, r_line
 
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -307,6 +307,24 @@ def test_anticorr_optimal_strategy_is_lex_first():
     value, tables = oracles.brute_force_value(g)
     assert result.value == value
     assert tuple(result.strategy.tables) == tables
+
+
+def test_attains_checks_alphabets_and_value():
+    game = preset_game("anticorr", q=3)
+    result = exact_value(game)
+    assert games.attains(game, result.strategy, Fraction(2, 3))
+    assert not games.attains(game, result.strategy, Fraction(1, 3))
+    off = Strategy.from_tables([{**result.strategy.tables[0], 0: 2}]
+                               + list(result.strategy.tables[1:]))
+    assert not games.attains(game, off, evaluate(game, off))
+    rep = repeat(game, 2)
+    indep = independent_strategy(result.strategy, 2)
+    assert games.attains(rep, indep, Fraction(4, 9))
+    # a player answering one question in three rounds of a two-round game
+    question = rep.question_domain(0)[0]
+    short = Strategy.from_tables([{**indep.tables[0], question: (0, 0, 0)}]
+                                 + list(indep.tables[1:]))
+    assert not games.attains(rep, short, evaluate(rep, short))
 
 
 def test_preset_support_shapes():

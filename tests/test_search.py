@@ -1,10 +1,13 @@
 """Exact free-set solver, orbital branching, and the WCNF export."""
 
+import json
 import math
 import os
 from pathlib import Path
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
 from replab.forbidden import forbidden_family
 from replab.games import preset_game, unit_tuples
+from replab.records import DensityRecord
 from replab.search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
 from replab.structures import (corners, ghz_support, grid_question_set, grids, lines,
                                squares)
@@ -173,6 +177,43 @@ def test_wcnf_exact_bytes():
         "1 4 0\n"
         "5 -1 -2 -3 -4 0\n"
     )
+
+
+# -- density records and their check ------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [
+    lambda: lines(3, 2),
+    lambda: grids(FiniteField(3), 1, 2),
+    lambda: forbidden_family(list(unit_tuples(3)), 2),
+], ids=["lines", "grids", "forbidden"])
+def test_check_accepts_the_solved_record_and_its_json(family):
+    record = family().solve()
+    assert family().check(record)
+    # a cached witness comes back as lists, of lists for vector points
+    assert family().check(DensityRecord.from_json(json.loads(json.dumps(record.to_json()))))
+
+
+def test_check_rejects_each_defect():
+    family = lines(3, 2)
+    record = family.solve()
+    assert record.witness_size == 6 and family.check(record)
+    diagonal = [(0, 0), (1, 1), (2, 2)]
+    for bad in (
+        replace(record, value=Fraction(5, 9)),
+        replace(record, witness=record.witness[:-1] + record.witness[:1]),
+        replace(record, universe_size=10),
+        replace(record, witness=record.witness[:-1] + [(3, 0)]),
+        replace(record, witness=diagonal, witness_size=3, value=Fraction(3, 9)),
+        replace(record, witness=None),
+    ):
+        assert not family.check(bad)
+
+
+def test_solve_raises_when_its_record_fails_check(monkeypatch):
+    monkeypatch.setattr(search.StructureFamily, "check", lambda self, record: False)
+    with pytest.raises(AssertionError, match="failed independent re-enumeration check"):
+        lines(3, 2).solve()
 
 
 # -- symmetry -----------------------------------------------------------------------
