@@ -34,22 +34,24 @@ def _local_imports(path: Path) -> set[str]:
     return names
 
 
+GRAPH = {p.stem: _local_imports(p) for p in MODULES}
+
+
 def test_module_graph_is_acyclic():
-    graph = {p.stem: _local_imports(p) for p in MODULES}
-    assert all(dep in graph for deps in graph.values() for dep in deps)
+    assert all(dep in GRAPH for deps in GRAPH.values() for dep in deps)
     # depth-first search, colouring each module while its imports are open
     state: dict[str, str] = {}
 
     def visit(module: str, path: list[str]) -> None:
         state[module] = "open"
-        for dep in sorted(graph[module]):
+        for dep in sorted(GRAPH[module]):
             if state.get(dep) == "open":
                 pytest.fail("import cycle: " + " -> ".join(path + [dep]))
             if dep not in state:
                 visit(dep, path + [dep])
         state[module] = "done"
 
-    for module in sorted(graph):
+    for module in sorted(GRAPH):
         if module not in state:
             visit(module, [module])
 
@@ -58,12 +60,11 @@ def test_the_layers_read_codec_to_cli():
     # each module of the chain imports the one before it, directly or not
     chain = ["codec", "fields", "games", "records", "search", "forbidden",
              "structures", "cli"]
-    graph = {p.stem: _local_imports(p) for p in MODULES}
 
     def reaches(src: str, dst: str) -> bool:
         seen, frontier = {src}, [src]
         while frontier:
-            for dep in graph[frontier.pop()]:
+            for dep in GRAPH[frontier.pop()]:
                 if dep not in seen:
                     seen.add(dep)
                     frontier.append(dep)
