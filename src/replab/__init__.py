@@ -17,21 +17,17 @@ The package computes, with exact rational arithmetic throughout:
 from .codec import TupleCodec
 from .errors import (BudgetExceededError, IncompleteStrategyError, ReplabError,
                      SchemaError)
-from .fields import AffineSubspace, FiniteField
-from .forbidden import (ForbiddenWitness, build_answer_game,
-                        check_winning_set_free, compute_eq,
-                        enumerate_forbidden, find_forbidden,
-                        forbidden_hypergraph, is_connected, projected_graph,
-                        strategy_from_witness, witness_is_valid)
+from .fields import FiniteField
+from .forbidden import (ForbiddenWitness, build_answer_game, check_winning_set_free,
+                        compute_eq, enumerate_forbidden, find_forbidden,
+                        forbidden_hypergraph, strategy_from_witness, witness_is_valid)
 from .games import (Game, GameValue, Strategy, attains, evaluate, exact_value,
-                    game_from_json, game_to_json, grid_question_set, mixture_value,
-                    preset_game, winning_set)
+                    game_from_json, game_to_json, grid_question_set, preset_game)
 from .records import DensityRecord, ValueRecord
 from .repetition import RepeatedGame, independent_strategy, repeat
 from .rng import SplitMix64
 from .search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
-from .structures import (affine_embed, corners, ghz_support, grid_to_witness, grids,
-                         line_to_witness, lines, r_corner, r_grid, r_line, r_square,
-                         squares, witness_to_grid, witness_to_line)
+from .structures import (corners, ghz_support, grid_to_witness, grids, line_to_witness,
+                         lines, r_corner, r_grid, r_line, r_square, squares)
 
 __version__ = "0.1.0"

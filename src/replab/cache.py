@@ -9,12 +9,13 @@ records are deterministic functions of their key, so the last writer wins
 harmlessly.  Putting a record under an existing key returns the stored
 record unchanged; rechecking is the caller's job via verifiers.  A cache
 file that cannot be read, is not JSON, or is not the record of the key
-looked up raises SchemaError naming the file, and so does a records
-directory that cannot be created.
+looked up raises SchemaError naming the file, and so does a record that
+cannot be written, whose temporary file is removed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -77,8 +78,13 @@ class ResultsCache:
         except OSError as exc:
             raise SchemaError(f"cannot write {exc.filename}: {exc.strerror}") from exc
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key, "record": record}, fh, sort_keys=True, indent=1)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"key": key, "record": record}, fh, sort_keys=True, indent=1)
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
         return record, True
 

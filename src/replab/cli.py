@@ -31,7 +31,8 @@ parses with one argument parser, built on the first call.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
 parameters, a cache file that is not JSON or not a record, or an output path
-that cannot be written), 3 budget exceeded, 4 fuzz precondition not met.
+that cannot be written), 3 budget exceeded, 4 precondition not met
+(fuzz-prop34, verify val-bound).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class VerifyFailure(ReplabError):
 
 
 class PreconditionFailure(ReplabError):
-    """A fuzz run was refused because its precondition does not hold."""
+    """A fuzz-prop34 or verify val-bound run was refused because its base
+    game has value 1."""
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -332,6 +334,18 @@ def cmd_repeat(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def _value_below_one(game: Game, label: str, command: str, budget: int):
+    """The base game's exact value, refused with PreconditionFailure when it
+    is 1: a forbidden-free winning set, and so val(G^n) <= E_Q(n), needs a
+    base value below 1."""
+    base_val = exact_value(game, budget=budget)
+    if base_val.value >= 1:
+        raise PreconditionFailure(
+            f"{command} needs a base game of value below 1; "
+            f"{label} has value {fraction_str(base_val.value)}")
+    return base_val
+
+
 def _verify_report(args, name: str, rows: list[tuple[str, bool]]) -> int:
     ok = all(good for _, good in rows)
     lines = [("PASS " if good else "FAIL ") + text for text, good in rows]
@@ -379,7 +393,7 @@ def cmd_verify(args) -> int:
         weights = list(game.weights)
         if len(set(weights)) != 1:
             raise SchemaError("val-bound needs a uniformly weighted support")
-        base_val = exact_value(game, budget=args.budget)
+        base_val = _value_below_one(game, label, "val-bound", args.budget)
         rows = []
         for n in _parse_range(args.n):
             rep = repeat(game, n)
@@ -450,11 +464,7 @@ def cmd_fuzz(args) -> int:
     if args.trials < 0:
         raise SchemaError("trials must be >= 0")
     base, label, params = _load_game(args)
-    base_val = exact_value(base, budget=args.budget)
-    if base_val.value >= 1:
-        raise PreconditionFailure(
-            "fuzz-prop34 needs a base game of value below 1; "
-            f"{label} has value {fraction_str(base_val.value)}")
+    _value_below_one(base, label, "fuzz-prop34", args.budget)
     game = repeat(base, args.n)
     root = SplitMix64(args.seed)
     violations = 0

@@ -1,4 +1,4 @@
-"""Small finite fields GF(p^r) and affine subspaces of their vector spaces.
+"""Small finite fields GF(p^r), with vectors over them.
 
 Elements of GF(p^r) are the integers 0 .. p**r - 1, read as base-p digit
 vectors with the least significant digit first: the codes of
@@ -241,70 +241,3 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, r={self.r})"
 
-
-def _rank(field: FiniteField, rows: list[list[int]]) -> int:
-    """Rank of a matrix over the field, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-class AffineSubspace:
-    """An affine subspace offset + span(basis) of F**ambient_dim.
-
-    The basis must be linearly independent; construction raises ValueError
-    otherwise.  points() enumerates offset + sum(c_j * basis_j) with the
-    coefficient tuples (c_1, .., c_k) in lexicographic order, first
-    coefficient slowest.
-    """
-
-    def __init__(self, field: FiniteField, basis: Sequence[Sequence[int]],
-                 offset: Sequence[int]):
-        self.field = field
-        self.basis = tuple(tuple(int(v) for v in b) for b in basis)
-        self.offset = tuple(int(v) for v in offset)
-        ambient = len(self.offset)
-        if any(len(b) != ambient for b in self.basis):
-            raise ValueError("basis vectors and offset must share a length")
-        for vec in self.basis + (self.offset,):
-            if any(not 0 <= v < field.order for v in vec):
-                raise ValueError("vector entries must be field elements")
-        if not self.basis:
-            raise ValueError("basis must be non-empty")
-        if _rank(field, [list(b) for b in self.basis]) != len(self.basis):
-            raise ValueError("basis vectors are linearly dependent")
-        self.ambient_dim = ambient
-        self.dimension = len(self.basis)
-
-    def point_at(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """The point offset + sum(c_j * basis_j)."""
-        if len(coeffs) != self.dimension:
-            raise ValueError("coefficient count must match the dimension")
-        acc = self.offset
-        for c, b in zip(coeffs, self.basis):
-            acc = self.field.vec_add(acc, self.field.vec_scale(c, b))
-        return acc
-
-    def points(self) -> list[tuple[int, ...]]:
-        return [self.point_at(c)
-                for c in itertools.product(self.field.elements, repeat=self.dimension)]
-
-    def __len__(self) -> int:
-        return self.field.order**self.dimension
-
-    def __repr__(self) -> str:
-        return (f"AffineSubspace(field={self.field!r}, dim={self.dimension}, "
-                f"ambient={self.ambient_dim})")

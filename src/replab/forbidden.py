@@ -347,7 +347,8 @@ def forbidden_family(support: Sequence[tuple], n: int,
     code = universe.encode
 
     def enumerate_configurations() -> Iterator[tuple[int, ...]]:
-        for count, witness in enumerate(_search_witnesses(support, n, list(universe)), 1):
+        for count, witness in enumerate(enumerate_forbidden(support, n,
+                                                            point_budget=point_budget), 1):
             if count > config_budget:
                 raise BudgetExceededError(
                     f"more than {config_budget} forbidden configurations")
@@ -400,46 +401,6 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     return record
 
 
-# -- projected graphs ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectedGraph:
-    """The k-partite graph on (player, symbol) vertices induced by a support:
-    two vertices of different players are adjacent when some support tuple
-    shows both symbols."""
-
-    vertices: tuple[tuple[int, object], ...]
-    adjacency: dict
-
-
-def projected_graph(support: Sequence[tuple]) -> ProjectedGraph:
-    symbols = player_symbols(support)
-    vertices = tuple((j, v) for j in range(len(symbols)) for v in symbols[j])
-    adjacency: dict = {v: set() for v in vertices}
-    k = len(symbols)
-    for x in support:
-        for j1 in range(k):
-            for j2 in range(j1 + 1, k):
-                adjacency[(j1, x[j1])].add((j2, x[j2]))
-                adjacency[(j2, x[j2])].add((j1, x[j1]))
-    return ProjectedGraph(vertices=vertices, adjacency=adjacency)
-
-
-def is_connected(graph: ProjectedGraph) -> bool:
-    if not graph.vertices:
-        return True
-    seen = {graph.vertices[0]}
-    frontier = [graph.vertices[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(graph.vertices)
-
-
 # -- the answer game over a free set ------------------------------------------
 
 
@@ -456,7 +417,14 @@ def build_answer_game(question_alphabets: Sequence[Sequence], support: Sequence[
     """
     free = sorted(tuple(int(v) for v in w) for w in free_points)
     q = len(support)
-    if not is_connected(projected_graph(support)):
+    # the projected graph joins the (player, symbol) vertices that one
+    # support tuple shows together: grow the first tuple's component
+    rest = [set(enumerate(x)) for x in support]
+    component = rest.pop(0) if rest else set()
+    while joined := [vertices for vertices in rest if vertices & component]:
+        rest = [vertices for vertices in rest if not vertices & component]
+        component.update(*joined)
+    if rest:
         raise ValueError("projected graph of the support is disconnected")
     bad = find_forbidden(support, n, free)
     if bad is not None:

@@ -176,26 +176,6 @@ def attains(game: Game, strategy: Strategy, value: Fraction) -> bool:
     return fits and evaluate(game, strategy) == value
 
 
-def winning_set(game: Game, strategy: Strategy) -> tuple:
-    """Support tuples on which the strategy wins, in support order."""
-    return tuple(x for x in game.support if game.predicate(x, strategy.answers(x)))
-
-
-def mixture_value(game: Game, mixture: Sequence[tuple[Fraction, Strategy]]) -> Fraction:
-    """Winning probability of a rational mixture of strategies.
-
-    The mixture weights must be non-negative rationals summing to one.  By
-    linearity this never exceeds exact_value(game).value, a fact the test
-    suite exercises.
-    """
-    weights = [Fraction(w) for w, _ in mixture]
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be non-negative")
-    if sum(weights) != 1:
-        raise ValueError("mixture weights must sum to 1")
-    return sum((w * evaluate(game, s) for w, s in mixture), Fraction(0))
-
-
 class _StrategySearch:
     """Shared machinery for the two exact_value phases.
 

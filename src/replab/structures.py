@@ -29,9 +29,11 @@ family is solved.
 r_line, r_square, r_corner and r_grid solve a family within the solver's
 point budget by StructureFamily.solve, as forbidden.compute_eq does.  The
 bijections at the bottom translate configurations of each family into
-forbidden configurations of a matching repeated question support and back,
-which is what ties the densities r_line, r_square, r_grid to exact values of
-repeated games; a square's map is grid_to_witness over GF(2) with k = 2.
+forbidden configurations of a matching repeated question support, which is
+what ties the densities r_line, r_square, r_grid to exact values of repeated
+games; a square's map is grid_to_witness over GF(2) with k = 2.  They run one
+way only: a line or a grid maps forward to a configuration, and nothing maps
+a configuration back.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterator, Sequence
 
 from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
-from .fields import AffineSubspace, FiniteField
+from .fields import FiniteField
 from .forbidden import ForbiddenWitness, witness_is_valid
 from .games import GHZ_SUPPORT, grid_question_set, unit_tuples
 from .records import DensityRecord
@@ -340,18 +342,6 @@ def line_to_witness(q: int, n: int, points: Sequence[tuple[int, ...]]) -> Forbid
     return witness
 
 
-def witness_to_line(q: int, n: int, witness: ForbiddenWitness) -> tuple[tuple[int, ...], ...]:
-    """Inverse of line_to_witness.  Only sound for q >= 3: with two symbols
-    every pair of distinct points forms a forbidden configuration, so the
-    map from lines is not onto."""
-    if q < 3:
-        raise ValueError("the inverse direction needs q >= 3")
-    if not witness_is_valid(unit_tuples(q), n, witness):
-        raise ValueError("not a forbidden configuration of the unit support")
-    order, _ = _line_template(q, witness.edges)
-    return tuple(order)
-
-
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
     """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0)."""
     return GHZ_SUPPORT
@@ -386,12 +376,13 @@ def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
     return lookup, d
 
 
-def _grid_witness(field: FiniteField, k: int, n: int, points, support,
-                  round_key: dict) -> ForbiddenWitness:
-    """A grid, read as a forbidden configuration of support**n: the point
-    (z_1, .., z_k) becomes the index vector whose round-m entry is
-    round_key[(z_1[m], .., z_k[m])], pinned at the step's first non-zero
-    coordinate."""
+def grid_to_witness(field: FiniteField, k: int, n: int, points) -> ForbiddenWitness:
+    """A grid, read as a forbidden configuration of the grid question set:
+    the point (z_1, .., z_k) becomes the index vector whose round-m entry
+    names the support element whose first k entries are (z_1[m], ..,
+    z_k[m]), pinned at the step's first non-zero coordinate."""
+    support = grid_question_set(field, k)
+    round_key = {x[:k]: s for s, x in enumerate(support)}
     lookup, d = _grid_base_and_step(field, k, n, points)
     i = next(m for m in range(n) if d[m] != 0)
     edges = sorted((tuple(round_key[tuple(point[j][m] for j in range(k))]
@@ -401,41 +392,3 @@ def _grid_witness(field: FiniteField, k: int, n: int, points, support,
     if not witness_is_valid(support, n, witness):
         raise AssertionError("grid did not map to a valid forbidden configuration")
     return witness
-
-
-def grid_to_witness(field: FiniteField, k: int, n: int, points) -> ForbiddenWitness:
-    """A grid, read as a forbidden configuration of the grid question set:
-    the point (z_1, .., z_k) becomes the index vector whose round-m entry
-    names the support element determined by (z_1[m], .., z_k[m])."""
-    support = grid_question_set(field, k)
-    return _grid_witness(field, k, n, points, support,
-                         {x[:k]: s for s, x in enumerate(support)})
-
-
-def witness_to_grid(field: FiniteField, k: int, n: int, witness: ForbiddenWitness):
-    """Inverse of grid_to_witness."""
-    support = grid_question_set(field, k)
-    if not witness_is_valid(support, n, witness):
-        raise ValueError("not a forbidden configuration of the grid question set")
-    points = []
-    for e in witness.edges:
-        points.append(tuple(tuple(support[v][j] for v in e) for j in range(k)))
-    _grid_base_and_step(field, k, n, points)
-    return tuple(points)
-
-
-def affine_embed(subspace: AffineSubspace, n: int, points) -> ForbiddenWitness:
-    """Read a grid over the subspace's coefficient space as a forbidden
-    configuration of the subspace's point list.
-
-    The subspace's points, enumerated in coefficient order, form a question
-    support Q inside F**ambient_dim; a grid in (F**n)**dim maps to a
-    forbidden configuration of Q**n by sending each grid point to the index
-    vector of its per-round coefficient tuples.  Consequently every
-    forbidden-free subset of Q**n pulls back to a grid-free set, so the
-    density of Q**n is at most r_grid(F, dim, n)."""
-    field = subspace.field
-    k = subspace.dimension
-    coeff_pos = {coeffs: s for s, coeffs in
-                 enumerate(itertools.product(field.elements, repeat=k))}
-    return _grid_witness(field, k, n, points, tuple(subspace.points()), coeff_pos)

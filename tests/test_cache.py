@@ -1,10 +1,16 @@
 """Append-only results cache behaviour."""
 
+import errno
 import hashlib
 import json
 import multiprocessing
+import os
+
+import pytest
 
 from replab.cache import ResultsCache, canonical_key
+from replab.cli import main
+from replab.errors import SchemaError
 
 
 def test_canonical_key_is_order_insensitive():
@@ -49,6 +55,22 @@ def test_root_from_environment(tmp_path, monkeypatch):
     assert cache.root == tmp_path / "envcache"
     monkeypatch.delenv("REPLAB_CACHE")
     assert str(ResultsCache().root) == ".replab-cache"
+
+
+def test_failed_write_is_a_schema_error_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def read_only_replace(src, dst):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(src), None, str(dst))
+
+    monkeypatch.setattr(os, "replace", read_only_replace)
+    root = tmp_path / "cache"
+    key = canonical_key("value", {"q": 3})
+    with pytest.raises(SchemaError, match="cannot write .*Read-only file system"):
+        ResultsCache(root).put(key, {"value": "2/3"})
+    assert list((root / "records").iterdir()) == []
+    # the CLI maps it to exit 2, as it does a records directory it cannot make
+    assert main(["value", "--preset", "anticorr", "--q", "2", "--cache-dir", str(root)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list((root / "records").iterdir()) == []
 
 
 def _put_keys(root, keys):

@@ -736,6 +736,14 @@ def test_verify_val_bound(capsys):
     assert out.startswith("PASS val-bound anticorr n=1")
 
 
+def test_verify_val_bound_refuses_perfect_base_game(capsys):
+    # val(G^n) <= E_Q(n) needs a base value below 1: anticorr(2) has value 1
+    code, out, err = run(capsys, ["verify", "val-bound", "--preset", "anticorr",
+                                  "--q", "2", "--n", "1..2"])
+    assert code == 4 and out == ""
+    assert err == "error: val-bound needs a base game of value below 1; anticorr has value 1/1\n"
+
+
 def test_verify_val_bound_rejects_nonuniform_weights(tmp_path, capsys):
     game = Game(
         question_alphabets=((0, 1), (0, 1)),

@@ -1,4 +1,4 @@
-"""Finite field tables, vector helpers, and affine subspaces."""
+"""Finite field tables and vector helpers."""
 
 import itertools
 import os
@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from replab.fields import AffineSubspace, FiniteField
+from replab.fields import FiniteField
 from replab.codec import ProductTuples
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (13, 1), (2, 4)]
@@ -148,42 +148,3 @@ def test_vector_arithmetic():
     assert f.vec_scale(2, u) == (f.mul(2, 1), f.mul(2, 2))
     with pytest.raises(ValueError):
         f.vec_add((1,), (1, 2))
-
-
-def test_affine_subspace_points_and_order():
-    f = FiniteField(3)
-    sub = AffineSubspace(f, [(1, 0, 2), (0, 1, 1)], (1, 1, 1))
-    assert sub.dimension == 2
-    assert sub.ambient_dim == 3
-    assert len(sub) == 9
-    pts = sub.points()
-    assert len(set(pts)) == 9
-    coeffs = list(itertools.product(f.elements, repeat=2))
-    for c, p in zip(coeffs, pts):
-        assert sub.point_at(c) == p
-    assert sub.point_at((0, 0)) == (1, 1, 1)
-
-
-def test_affine_subspace_rejects_bad_input():
-    f = FiniteField(5)
-    with pytest.raises(ValueError):
-        AffineSubspace(f, [(1, 2), (2, 4)], (0, 0))  # dependent
-    with pytest.raises(ValueError):
-        AffineSubspace(f, [], (0, 0))
-    with pytest.raises(ValueError):
-        AffineSubspace(f, [(1, 0, 0)], (0, 0))  # length mismatch
-    with pytest.raises(ValueError):
-        AffineSubspace(f, [(1, 7)], (0, 0))  # entry outside the field
-    with pytest.raises(ValueError):
-        AffineSubspace(f, [(1, 0)], (0, 0)).point_at((1, 2))
-
-
-@given(st.integers(0, 10**4), st.integers(0, 10**4), st.integers(0, 10**4))
-def test_affine_points_satisfy_linearity(a, b, c):
-    f = FiniteField(3)
-    sub = AffineSubspace(f, [(1, 1, 2)], (0, 1, 0))
-    c1, c2 = a % 3, b % 3
-    p1, p2 = sub.point_at((c1,)), sub.point_at((c2,))
-    # difference of two points lies in the span of the basis
-    diff = f.vec_sub(p1, p2)
-    assert diff == f.vec_scale(f.sub(c1, c2), sub.basis[0])

@@ -19,8 +19,7 @@ from replab.errors import BudgetExceededError
 from replab.forbidden import (ForbiddenWitness, build_answer_game,
                               check_winning_set_free, compute_eq,
                               enumerate_forbidden, find_forbidden, forbidden_family,
-                              forbidden_hypergraph, is_connected,
-                              player_symbols, projected_graph,
+                              forbidden_hypergraph, player_symbols,
                               strategy_from_witness, support_symmetries,
                               winning_points, witness_is_valid)
 from replab.games import (Strategy, evaluate, exact_value, game_from_json, game_to_json,
@@ -318,16 +317,24 @@ def test_support_symmetries_generate_every_relabelling(support, same_players):
 
 
 def test_projected_graph_connectivity():
-    assert is_connected(projected_graph(UNIT3))
-    assert is_connected(projected_graph(GHZ))
-    assert not is_connected(projected_graph([(0, 0), (1, 1)]))
+    # build_answer_game refuses a support whose projected graph, on the
+    # (player, symbol) vertices that one tuple shows together, is split
+    for support in (UNIT3, GHZ):
+        build_answer_game(((0, 1),) * 3, support, 1, [])
+    # a path, whose far end joins the component only through its middle
+    path = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+    build_answer_game(((0, 1, 2),) * 2, path, 1, [])
+    for split in ([(0, 0), (1, 1)], [(0, 0, 0), (1, 1, 1)]):
+        with pytest.raises(ValueError, match="disconnected"):
+            build_answer_game(((0, 1),) * len(split[0]), split, 1, [])
 
 
 def test_projected_graph_adjacency():
-    g = projected_graph([(0, 1), (1, 0)])
-    assert set(g.vertices) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert g.adjacency[(0, 0)] == {(1, 1)}
-    assert g.adjacency[(1, 0)] == {(0, 1)}
+    # (0, 1) joins only (0, 0)-(1, 1) and (1, 0) only (1, 0)-(0, 1): two
+    # components, until a tuple such as (1, 1) joins (0, 1) to (1, 1)
+    with pytest.raises(ValueError, match="disconnected"):
+        build_answer_game(((0, 1),) * 2, [(0, 1), (1, 0)], 1, [])
+    build_answer_game(((0, 1),) * 2, [(0, 1), (1, 0), (1, 1)], 1, [])
 
 
 # -- the answer game ------------------------------------------------------------------

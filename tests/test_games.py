@@ -19,10 +19,9 @@ from replab.errors import (BudgetExceededError, IncompleteStrategyError,
 from replab.fields import FiniteField
 from replab.forbidden import compute_eq
 from replab.games import (Game, Strategy, evaluate, exact_value,
-                          game_from_json, game_to_json, mixture_value,
-                          parse_fraction, predicate_from_spec, preset_game,
-                          strategy_from_json, strategy_to_json,
-                          unit_tuples, winning_set)
+                          game_from_json, game_to_json, parse_fraction,
+                          predicate_from_spec, preset_game, strategy_from_json,
+                          strategy_to_json, unit_tuples)
 from replab.repetition import independent_strategy, repeat
 from replab.structures import grid_question_set, r_grid, r_line
 
@@ -133,16 +132,6 @@ def test_evaluate_hand_example():
     assert evaluate(g, s) == Fraction(1, 3)
     sel = Strategy.from_tables([{0: 0, 1: 1}, {0: 0, 1: 0}])
     assert evaluate(g, sel) == 1
-    assert winning_set(g, s) == ((0, 0),)
-
-
-@given(random_games())
-def test_winning_set_weights_sum_to_value(game):
-    value, tables = oracles.brute_force_value(game)
-    strategy = Strategy.from_tables(tables)
-    won = winning_set(game, strategy)
-    weight_of = dict(zip(game.support, game.weights))
-    assert sum((weight_of[x] for x in won), Fraction(0)) == value == evaluate(game, strategy)
 
 
 # -- exact_value against the brute-force oracle ---------------------------------
@@ -240,33 +229,6 @@ def test_value_checks_are_kept_under_python_O(patch, message):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and proc.stdout == ""
     assert f"AssertionError: {message}" in proc.stderr
-
-
-@given(random_games(), st.integers(0, 2**32 - 1))
-def test_no_mixture_beats_the_optimum(game, salt):
-    from replab.rng import SplitMix64
-
-    rng = SplitMix64(salt)
-    best = exact_value(game).value
-    strategies = []
-    for _ in range(3):
-        tables = []
-        for j in range(game.k):
-            answers = list(game.answer_alphabets[j])
-            tables.append({q: answers[rng.below(len(answers))]
-                           for q in game.question_domain(j)})
-        strategies.append(Strategy.from_tables(tables))
-    mix = mixture_value(game, [(Fraction(1, 3), s) for s in strategies])
-    assert mix <= best
-
-
-def test_mixture_value_validation():
-    g = preset_game("anticorr", q=3)
-    s = exact_value(g).strategy
-    with pytest.raises(ValueError):
-        mixture_value(g, [(Fraction(1, 2), s)])
-    with pytest.raises(ValueError):
-        mixture_value(g, [(Fraction(3, 2), s), (Fraction(-1, 2), s)])
 
 
 def test_exact_value_budget():

@@ -8,16 +8,14 @@ import pytest
 
 import oracles
 from replab.errors import BudgetExceededError
-from replab.fields import AffineSubspace, FiniteField
+from replab.fields import FiniteField
 from replab.forbidden import (compute_eq, enumerate_forbidden, find_forbidden,
                               forbidden_family, witness_is_valid)
 from replab.games import preset_game, unit_tuples
 from replab.search import verify_free
-from replab.structures import (affine_embed, corners, ghz_support,
-                               grid_question_set, grid_to_witness, grids,
-                               line_to_witness, lines, r_corner, r_grid,
-                               r_line, r_square, squares, witness_to_grid,
-                               witness_to_line)
+from replab.structures import (corners, ghz_support, grid_question_set,
+                               grid_to_witness, grids, line_to_witness, lines,
+                               r_corner, r_grid, r_line, r_square, squares)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -248,13 +246,15 @@ def test_density_records_carry_free_witnesses():
 def test_line_witness_bijection():
     support = list(unit_tuples(3))
     family = lines(3, 2)
+    configurations = list(family.configurations())
     mapped = set()
-    for cfg in family.configurations():
+    for cfg in configurations:
         pts = [family.universe[i] for i in cfg]
         witness = line_to_witness(3, 2, pts)
         assert witness_is_valid(support, 2, witness)
-        assert set(witness_to_line(3, 2, witness)) == set(pts)
         mapped.add(witness.point_set())
+    # one distinct configuration per line: the map is injective
+    assert len(mapped) == len(configurations)
     engine = {w.point_set() for w in enumerate_forbidden(support, 2)}
     assert mapped == engine
 
@@ -264,13 +264,6 @@ def test_line_witness_rejects_non_lines():
         line_to_witness(3, 2, [(0, 0), (1, 1), (2, 0)])
     with pytest.raises(ValueError):
         line_to_witness(3, 2, [(0, 0), (1, 1)])
-
-
-def test_witness_to_line_needs_three_symbols():
-    support = list(unit_tuples(2))
-    witness = next(iter(enumerate_forbidden(support, 2)))
-    with pytest.raises(ValueError):
-        witness_to_line(2, 2, witness)
 
 
 def test_square_witness_rejects_non_squares():
@@ -286,13 +279,15 @@ def test_square_witness_rejects_non_squares():
 def test_grid_witness_bijection(field, k, n):
     support = list(grid_question_set(field, k))
     family = grids(field, k, n)
+    configurations = list(family.configurations())
     mapped = set()
-    for cfg in family.configurations():
+    for cfg in configurations:
         pts = [family.universe[i] for i in cfg]
         witness = grid_to_witness(field, k, n, pts)
         assert witness_is_valid(support, n, witness)
-        assert set(witness_to_grid(field, k, n, witness)) == set(pts)
         mapped.add(witness.point_set())
+    # one distinct configuration per grid: the map is injective
+    assert len(mapped) == len(configurations)
     engine = {w.point_set() for w in enumerate_forbidden(support, n)}
     assert mapped == engine
 
@@ -314,42 +309,17 @@ def test_ghz_support_and_grid_question_set():
         grid_question_set(F3, 1)
 
 
-def test_affine_embed_dim1():
-    sub = AffineSubspace(F3, [(1, 1, 2)], (0, 1, 0))
-    support = [tuple(p) for p in sub.points()]
-    family = grids(F3, 1, 1)
-    engine = {w.point_set() for w in enumerate_forbidden(support, 1)}
-    mapped = set()
-    for cfg in family.configurations():
-        pts = [family.universe[i] for i in cfg]
-        witness = affine_embed(sub, 1, pts)
-        assert witness_is_valid(support, 1, witness)
-        mapped.add(witness.point_set())
-    assert mapped <= engine
-
-
-def test_affine_embed_dim2_recovers_ghz():
-    sub = AffineSubspace(F2, [(1, 0, 1), (0, 1, 1)], (0, 0, 0))
-    assert tuple(sub.points()) == ghz_support()
-    family = grids(F2, 2, 1)
-    cfg = next(iter(family.configurations()))
-    pts = [family.universe[i] for i in cfg]
-    witness = affine_embed(sub, 1, pts)
-    assert witness_is_valid(list(ghz_support()), 1, witness)
-    assert witness.point_set() == {(0,), (1,), (2,), (3,)}
-
-
 def test_affine_embedding_bounds_the_density():
     # free sets of the subspace support pull back to grid-free sets, so the
     # support's density never exceeds the grid density of the coefficient
-    # space; at dimension 1 over GF(3) that bound is (2/3)**n
-    subspaces = [
-        AffineSubspace(F3, [(1, 1, 2)], (0, 1, 0)),
-        AffineSubspace(F3, [(1, 2, 1)], (2, 0, 1)),
-        AffineSubspace(F3, [(2, 1, 1, 2)], (0, 0, 1, 2)),
+    # space; at dimension 1 over GF(3) that bound is (2/3)**n.  Each support
+    # is an affine line offset + c * step, written out for c = 0, 1, 2.
+    supports = [
+        [(0, 1, 0), (1, 2, 2), (2, 0, 1)],  # (0,1,0) + c * (1,1,2)
+        [(2, 0, 1), (0, 2, 2), (1, 1, 0)],  # (2,0,1) + c * (1,2,1)
+        [(0, 0, 1, 2), (2, 1, 2, 1), (1, 2, 0, 0)],  # (0,0,1,2) + c * (2,1,1,2)
     ]
-    for sub in subspaces:
-        support = [tuple(p) for p in sub.points()]
+    for support in supports:
         for n in (1, 2):
             eq = compute_eq(support, n)
             bound = r_grid(F3, 1, n).value
