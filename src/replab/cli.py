@@ -1,38 +1,40 @@
 """Command line front end.
 
-Subcommands:
+Subcommands: value (exact value of a game, optionally repeated, with the
+lexicographically first optimal strategy), density (extremal density of a
+structure family), eqn (maximum forbidden-configuration-free density of a
+repeated question support), repeat (summary of a repeated game), verify
+(the equivalences between repeated values and densities, as PASS/FAIL rows)
+and fuzz-prop34 (random product strategies, whose winning sets must be
+forbidden-configuration-free).  density takes its family, and verify its
+check, as a word that its flags follow:
 
-  value        exact value of a game (optionally repeated) with the
-               lexicographically first optimal strategy
-  density      extremal densities of the structure families, or a WCNF dump
-               of the instance for an external MaxSAT solver
-  eqn          maximum forbidden-configuration-free density of a repeated
-               question support, with the extremal witness
-  repeat       summarise (and optionally solve) a repeated game
-  verify       re-derive the equivalences between repeated values and
-               densities on concrete instances and report PASS/FAIL
-  fuzz-prop34  sample random product strategies for a repeated game and
-               check every winning set is forbidden-configuration-free
+  density line [--q Q] [--method auto|search|closed-form] | square | corner
+        | grid [--p P] [--r R] [--k K], each with --n N, --wcnf PATH, the
+        cache flags and --json
+  verify dhj [--q Q] | square | grid [--p P] [--r R] [--k K]
+        | val-bound | thm-answer-game (--game FILE | --preset NAME) [--budget B],
+        each with --n N or LO..HI and --json
 
-Every command is deterministic given its arguments and seed: reports never
-include timestamps, rationals print as num/den in lowest terms, and all
-randomness flows from an explicit --seed through a splitmix64 stream.
+A --preset takes only its own parameters (PRESETS): --q for anticorr and
+unitvec, --p, --r and --k for grid, none for ghz.  Every command is
+deterministic given its arguments and seed: reports carry no timestamps,
+rationals print as num/den in lowest terms, and all randomness flows from
+an explicit --seed through a splitmix64 stream.
 
 value, density and eqn cache their records append-only under
 $REPLAB_CACHE (or .replab-cache, or --cache-dir), one file per query;
 --no-cache bypasses the cache and --recheck re-verifies a cached record
-against a fresh recomputation of its cheap certificate instead of trusting
-the file.  The other commands never cache and take none of these flags.
-With --wcnf, density and eqn write the instance and stop, so they refuse
-the cache flags and --emit-witness, which would have nothing to act on.
-
-main(argv) may be called any number of times in one process: every call
-parses with one argument parser, built on the first call.
+against a fresh recomputation of its cheap certificate.  Every flag is read
+by its command, and a mode flag refuses the flags it leaves idle
+(_IDLE_UNDER): --game refuses --preset and its parameters, --no-cache refuses
+--recheck and --cache-dir, and --wcnf, which writes the instance and stops,
+refuses the cache flags, --emit-witness and --method.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
-parameters, a cache file that is not JSON or not a record, or an output path
-that cannot be written), 3 budget exceeded, 4 precondition not met
-(fuzz-prop34, verify val-bound).
+parameters, a refused flag, a cache file that is not JSON or not a record,
+or an output path that cannot be written), 3 budget exceeded, 4
+precondition not met (fuzz-prop34, verify val-bound).
 """
 
 from __future__ import annotations
@@ -50,14 +52,25 @@ from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
 from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, attains, evaluate,
                     exact_value, game_from_json, grid_question_set, preset_game,
-                    strategy_from_json, strategy_to_json, unit_tuples)
+                    search_domains, strategy_from_json, strategy_to_json,
+                    unit_tuples)
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf
 from .structures import ghz_support
 
-PRESETS = ("anticorr", "unitvec", "ghz", "grid")
+# each preset's parameters, with their defaults
+PRESETS = {"anticorr": {"q": 3}, "unitvec": {"q": 3}, "ghz": {},
+           "grid": {"p": 2, "r": 1, "k": 2}}
+PARAM_HELP = {"q": "symbol count (players of anticorr, unitvec)", "p": "field characteristic",
+              "r": "field extension degree", "k": "free player count"}
+
+# (mode flag, what it does, the flags it leaves idle), by dest
+_IDLE_UNDER = (("wcnf", "only writes the instance",
+                ("recheck", "no_cache", "cache_dir", "emit_witness", "method")),
+               ("no_cache", "skips the cache", ("recheck", "cache_dir")),
+               ("game", "reads the game from a file", ("preset", *PARAM_HELP)))
 
 
 class VerifyFailure(ReplabError):
@@ -86,19 +99,20 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help="re-verify cached records instead of trusting them")
 
 
+def _add_params(parser: argparse.ArgumentParser, /, **defaults) -> None:
+    """An int flag per parameter; a default of None means not given."""
+    for name, default in defaults.items():
+        parser.add_argument(f"--{name}", type=int, default=default, help=PARAM_HELP[name])
+
+
 def _add_game_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", default=None, help="path to a game JSON file")
     p.add_argument("--preset", default=None, choices=PRESETS)
-    p.add_argument("--q", type=int, default=3, help="player count for anticorr/unitvec")
-    p.add_argument("--p", type=int, default=2, help="field characteristic for grid")
-    p.add_argument("--r", type=int, default=1, help="field extension degree for grid")
-    p.add_argument("--k", type=int, default=2, help="free player count for grid")
+    _add_params(p, **dict.fromkeys(PARAM_HELP))
 
 
 def _load_game(args) -> tuple[Game, str, dict]:
     """Game plus a (label, params) pair identifying it for the cache."""
-    if args.game and args.preset:
-        raise SchemaError("give either --game or --preset, not both")
     if args.game:
         try:
             with open(args.game, encoding="utf-8") as fh:
@@ -117,9 +131,11 @@ def _load_game(args) -> tuple[Game, str, dict]:
 
 
 def _preset_game(args) -> tuple[Game, str, dict]:
-    """The --preset game built from the parameters it takes."""
-    params = {"anticorr": {"q": args.q}, "unitvec": {"q": args.q}, "ghz": {},
-              "grid": {"p": args.p, "r": args.r, "k": args.k}}[args.preset]
+    """The --preset game from its parameters, given or default; preset_game
+    refuses a given parameter that the preset does not take."""
+    params = dict(PRESETS[args.preset])
+    params.update((name, getattr(args, name)) for name in PARAM_HELP
+                  if getattr(args, name) is not None)
     return preset_game(args.preset, **params), args.preset, params
 
 
@@ -156,17 +172,14 @@ def _open_output(path: str):
         raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _refuse_with_wcnf(args) -> None:
-    """--wcnf writes the instance and stops: no record is computed, cached,
-    rechecked or emitted, so the flags that act on one are refused."""
-    if not args.wcnf:
-        return
-    for flag, given in (("--recheck", args.recheck), ("--no-cache", args.no_cache),
-                        ("--cache-dir", args.cache_dir is not None),
-                        ("--emit-witness", getattr(args, "emit_witness", None) is not None)):
-        if given:
-            raise SchemaError(
-                f"{flag} cannot be used with --wcnf, which only writes the instance")
+def _refuse_idle_flags(args) -> None:
+    """Refuse a flag that a given mode flag leaves with nothing to act on."""
+    for mode, does, idle in _IDLE_UNDER:
+        if getattr(args, mode, None):
+            for dest in idle:
+                if getattr(args, dest, None) not in (None, False):
+                    raise SchemaError(f"--{dest.replace('_', '-')} cannot be used with "
+                                      f"--{mode.replace('_', '-')}, which {does}")
 
 
 def _write_wcnf(args, family) -> int:
@@ -196,10 +209,12 @@ def _parse_range(text: str) -> range:
 
 def cmd_value(args) -> int:
     game, label, params = _load_game(args)
-    base = game
     if args.repeat != 1:  # repeat() refuses counts below 1
-        game = repeat(base, args.repeat)
+        game = repeat(game, args.repeat)
     params = dict(params, repeat=args.repeat)
+    # the cache key omits the budget, so refuse before the lookup: a record
+    # stored under a larger --budget is not served under this one
+    search_domains(game, args.budget)
 
     def compute() -> ValueRecord:
         result = exact_value(game, budget=args.budget)
@@ -221,31 +236,6 @@ def cmd_value(args) -> int:
 # -- density -------------------------------------------------------------------
 
 
-def _density_params(args) -> dict:
-    if args.family == "line":
-        return {"q": args.q, "n": args.n, "method": args.method}
-    if args.family in ("square", "corner"):
-        return {"n": args.n}
-    return {"p": args.p, "r": args.r, "k": args.k, "n": args.n}
-
-
-def _density_family(args, *point_budget):
-    """The queried family, under the given point budget or its own default."""
-    if args.family == "line":
-        return structures.lines(args.q, args.n, *point_budget)
-    if args.family == "square":
-        return structures.squares(args.n, *point_budget)
-    if args.family == "corner":
-        return structures.corners(args.n, *point_budget)
-    return structures.grids(FiniteField(args.p, args.r), args.k, args.n, *point_budget)
-
-
-def _density_compute(args) -> DensityRecord:
-    if args.family == "line":
-        return structures.r_line(args.q, args.n, method=args.method)
-    return _density_family(args, DEFAULT_POINT_BUDGET).solve()
-
-
 def _density_command(args, kind: str, params: dict, make_family, compute,
                      before_report=None) -> int:
     """density and eqn: write make_family() as WCNF, or report the cached or
@@ -263,17 +253,45 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
 
 
 def cmd_density(args) -> int:
-    _refuse_with_wcnf(args)
-    params = dict(_density_params(args), family=args.family)
-    return _density_command(args, "density", params, lambda: _density_family(args),
-                            lambda: _density_compute(args))
+    params = args.params(args)
+    return _density_command(args, "density", dict(params, family=args.family),
+                            lambda: args.structure_family(**params),
+                            lambda: args.solve(**params))
+
+
+def _add_density(sub) -> None:
+    p = sub.add_parser("density", help="extremal structure densities")
+    families = p.add_subparsers(dest="family", required=True)
+    # each family's own flags, its cache key's params, and its structure family and
+    # solved record from those; structures' functions are looked up when called
+    for name, flags, params, structure_family, solve in (
+            ("line", {"q": 2}, lambda a: {"q": a.q, "n": a.n, "method": a.method or "auto"},
+             lambda q, n, method: structures.lines(q, n),
+             lambda q, n, method: structures.r_line(q, n, method=method)),
+            ("square", {}, lambda a: {"n": a.n},
+             lambda n: structures.squares(n), lambda n: structures.r_square(n)),
+            ("corner", {}, lambda a: {"n": a.n},
+             lambda n: structures.corners(n), lambda n: structures.r_corner(n)),
+            ("grid", PRESETS["grid"], lambda a: {"p": a.p, "r": a.r, "k": a.k, "n": a.n},
+             lambda p, r, k, n: structures.grids(FiniteField(p, r), k, n),
+             lambda p, r, k, n: structures.r_grid(FiniteField(p, r), k, n))):
+        f = families.add_parser(name, help=f"{name} family")
+        _add_params(f, **flags)
+        if name == "line":
+            f.add_argument("--method", choices=("auto", "search", "closed-form"),
+                           help="default: auto")
+        f.add_argument("--n", type=int, required=True)
+        f.add_argument("--wcnf", default=None,
+                       help="write the instance as WCNF instead of solving")
+        _add_cache_flags(f)
+        f.set_defaults(func=cmd_density, params=params,
+                       structure_family=structure_family, solve=solve)
 
 
 # -- eqn -----------------------------------------------------------------------
 
 
 def cmd_eqn(args) -> int:
-    _refuse_with_wcnf(args)
     game, label, params = _preset_game(args)
     support, n = list(game.support), args.n
     # the cache key omits the budget, so refuse before the lookup: a record
@@ -322,11 +340,6 @@ def cmd_repeat(args) -> int:
         f"question tuples:   {[len(a) for a in game.question_alphabets]}",
         f"answer tuples:     {[len(a) for a in game.answer_alphabets]}",
     ]
-    if args.solve:
-        result = exact_value(game, budget=args.budget)
-        payload["value"] = fraction_str(result.value)
-        payload["strategy"] = strategy_to_json(game, result.strategy)
-        lines.append(f"value:             {fraction_str(result.value)}")
     _emit(args, payload, lines)
     return 0
 
@@ -357,93 +370,114 @@ def _verify_report(args, name: str, rows: list[tuple[str, bool]]) -> int:
     return 0
 
 
-def _equivalence_case(args):
-    """Support, r-function, case prefix and family word of verify dhj,
-    square or grid."""
-    if args.check == "dhj":
-        if args.q == 2:
-            raise SchemaError(
-                "verify dhj needs q = 1 or q >= 3: with two symbols every pair of "
-                "distinct points is a forbidden configuration of the unit support, "
-                "so E_Q(n) and r_line(2, n) differ")
-        return (unit_tuples(args.q), lambda n: structures.r_line(args.q, n),
-                f"dhj q={args.q}", "line")
-    if args.check == "square":
-        return ghz_support(), structures.r_square, "square", "square"
+def _dhj_case(args):
+    """Support, r-function, case prefix and family word of verify dhj."""
+    if args.q == 2:
+        raise SchemaError(
+            "verify dhj needs q = 1 or q >= 3: with two symbols every pair of "
+            "distinct points is a forbidden configuration of the unit support, "
+            "so E_Q(n) and r_line(2, n) differ")
+    return (unit_tuples(args.q), lambda n: structures.r_line(args.q, n),
+            f"dhj q={args.q}", "line")
+
+
+def _grid_case(args):
     field = FiniteField(args.p, args.r)
     return (grid_question_set(field, args.k),
             lambda n: structures.r_grid(field, args.k, n),
             f"grid p={args.p} r={args.r} k={args.k}", "grid")
 
 
-def cmd_verify(args) -> int:
-    if args.check in ("dhj", "square", "grid"):
-        support, r_value, prefix, word = _equivalence_case(args)
-        rows = []
-        for n in _parse_range(args.n):
-            eq = forbidden.compute_eq(list(support), n)
-            bound = r_value(n)
-            rows.append((
-                f"{prefix} n={n}: density {fraction_str(eq.value)} "
-                f"vs {word} bound {fraction_str(bound.value)}",
-                eq.value == bound.value))
-        return _verify_report(args, args.check, rows)
-    if args.check == "val-bound":
-        game, label, _ = _load_game(args)
-        weights = list(game.weights)
-        if len(set(weights)) != 1:
-            raise SchemaError("val-bound needs a uniformly weighted support")
-        base_val = _value_below_one(game, label, "val-bound", args.budget)
-        rows = []
-        for n in _parse_range(args.n):
-            rep = repeat(game, n)
-            val = exact_value(rep, budget=args.budget)
-            eq = forbidden.compute_eq(list(game.support), n)
-            indep = evaluate(rep, independent_strategy(base_val.strategy, n))
-            ok = (base_val.value**n == indep <= val.value <= eq.value)
-            rows.append((
-                f"val-bound {label} n={n}: {fraction_str(base_val.value)}**{n} "
-                f"<= {fraction_str(val.value)} <= {fraction_str(eq.value)}",
-                ok))
-        return _verify_report(args, "val-bound", rows)
-    if args.check == "thm-answer-game":
-        game, label, _ = _load_game(args)
-        support, alphabets = game.support, game.question_alphabets
-        span = _parse_range(args.n)
-        if len(span) != 1:
-            raise SchemaError("thm-answer-game verifies one round count at a time")
-        n = span[0]
+def cmd_verify_equivalence(args) -> int:
+    support, r_value, prefix, word = args.case(args)
+    rows = []
+    for n in _parse_range(args.n):
         eq = forbidden.compute_eq(list(support), n)
-        witness = [tuple(w) for w in eq.witness]
-        answer_game = forbidden.build_answer_game(alphabets, support, n, witness)
-        rows = []
-        single = exact_value(answer_game, budget=args.budget)
+        bound = r_value(n)
         rows.append((
-            f"thm {label} n={n}: single-shot value {fraction_str(single.value)} < 1",
-            single.value < 1))
-        rep = repeat(answer_game, n)
-        strat = forbidden.strategy_from_witness(support, n)
-        lower = evaluate(rep, strat)
+            f"{prefix} n={n}: density {fraction_str(eq.value)} "
+            f"vs {word} bound {fraction_str(bound.value)}",
+            eq.value == bound.value))
+    return _verify_report(args, args.check, rows)
+
+
+def cmd_val_bound(args) -> int:
+    game, label, _ = _load_game(args)
+    if len(set(game.weights)) != 1:
+        raise SchemaError("val-bound needs a uniformly weighted support")
+    base_val = _value_below_one(game, label, "val-bound", args.budget)
+    rows = []
+    for n in _parse_range(args.n):
+        rep = repeat(game, n)
+        val = exact_value(rep, budget=args.budget)
+        eq = forbidden.compute_eq(list(game.support), n)
+        indep = evaluate(rep, independent_strategy(base_val.strategy, n))
+        ok = (base_val.value**n == indep <= val.value <= eq.value)
         rows.append((
-            f"thm {label} n={n}: witness strategy attains {fraction_str(lower)} "
+            f"val-bound {label} n={n}: {fraction_str(base_val.value)}**{n} "
+            f"<= {fraction_str(val.value)} <= {fraction_str(eq.value)}",
+            ok))
+    return _verify_report(args, "val-bound", rows)
+
+
+def cmd_thm_answer_game(args) -> int:
+    game, label, _ = _load_game(args)
+    support, alphabets = game.support, game.question_alphabets
+    span = _parse_range(args.n)
+    if len(span) != 1:
+        raise SchemaError("thm-answer-game verifies one round count at a time")
+    n = span[0]
+    eq = forbidden.compute_eq(list(support), n)
+    witness = [tuple(w) for w in eq.witness]
+    answer_game = forbidden.build_answer_game(alphabets, support, n, witness)
+    rows = []
+    single = exact_value(answer_game, budget=args.budget)
+    rows.append((
+        f"thm {label} n={n}: single-shot value {fraction_str(single.value)} < 1",
+        single.value < 1))
+    rep = repeat(answer_game, n)
+    strat = forbidden.strategy_from_witness(support, n)
+    lower = evaluate(rep, strat)
+    rows.append((
+        f"thm {label} n={n}: witness strategy attains {fraction_str(lower)} "
+        f"= density {fraction_str(eq.value)}",
+        lower == eq.value))
+    rows.append((
+        f"thm {label} n={n}: witness winning set is forbidden-free",
+        forbidden.check_winning_set_free(rep, strat)))
+    try:
+        full = exact_value(rep, budget=args.budget)
+        rows.append((
+            f"thm {label} n={n}: full search value {fraction_str(full.value)} "
             f"= density {fraction_str(eq.value)}",
-            lower == eq.value))
+            full.value == eq.value))
+    except BudgetExceededError:
         rows.append((
-            f"thm {label} n={n}: witness winning set is forbidden-free",
-            forbidden.check_winning_set_free(rep, strat)))
-        try:
-            full = exact_value(rep, budget=args.budget)
-            rows.append((
-                f"thm {label} n={n}: full search value {fraction_str(full.value)} "
-                f"= density {fraction_str(eq.value)}",
-                full.value == eq.value))
-        except BudgetExceededError:
-            rows.append((
-                f"thm {label} n={n}: full search skipped (budget); upper bound "
-                "holds since winning sets of product strategies are "
-                "forbidden-free", True))
-        return _verify_report(args, "thm-answer-game", rows)
-    raise SchemaError(f"unknown check {args.check!r}")
+            f"thm {label} n={n}: full search skipped (budget); upper bound "
+            "holds since winning sets of product strategies are "
+            "forbidden-free", True))
+    return _verify_report(args, "thm-answer-game", rows)
+
+
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify", help="re-derive density/value equivalences")
+    checks = p.add_subparsers(dest="check", required=True)
+    for name, flags, case in (
+            ("dhj", {"q": 3}, _dhj_case),
+            ("square", {}, lambda a: (ghz_support(), structures.r_square, "square", "square")),
+            ("grid", PRESETS["grid"], _grid_case)):
+        c = checks.add_parser(name, help="E_Q(n) against the matching family's density")
+        _add_params(c, **flags)
+        c.set_defaults(func=cmd_verify_equivalence, case=case)
+    for name, func in (("val-bound", cmd_val_bound),
+                       ("thm-answer-game", cmd_thm_answer_game)):
+        c = checks.add_parser(name, help="a repeated game's value against E_Q(n)")
+        _add_game_source(c)
+        c.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+        c.set_defaults(func=func)
+    for c in checks.choices.values():
+        c.add_argument("--n", default="1", help="round count or range like 1..2")
+        _add_json_flag(c)
 
 
 # -- fuzz ----------------------------------------------------------------------
@@ -515,26 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=cmd_value)
 
-    p = sub.add_parser("density", help="extremal structure densities")
-    p.add_argument("family", choices=("line", "square", "corner", "grid"))
-    p.add_argument("--q", type=int, default=2, help="symbol count for line")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--method", choices=("auto", "search", "closed-form"),
-                   default="auto", help="line family only")
-    p.add_argument("--wcnf", default=None,
-                   help="write the instance as WCNF instead of solving")
-    _add_cache_flags(p)
-    p.set_defaults(func=cmd_density)
+    _add_density(sub)
 
     p = sub.add_parser("eqn", help="maximum forbidden-free density of a support")
     p.add_argument("--preset", required=True, choices=PRESETS)
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
+    _add_params(p, **dict.fromkeys(PARAM_HELP))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
     p.add_argument("--emit-witness", default=None, help="write the witness JSON here")
@@ -543,22 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.set_defaults(func=cmd_eqn)
 
-    p = sub.add_parser("repeat", help="summarise or solve a repeated game")
+    p = sub.add_parser("repeat", help="summarise a repeated game")
     _add_game_source(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--solve", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
     _add_json_flag(p)
     p.set_defaults(func=cmd_repeat)
 
-    p = sub.add_parser("verify", help="re-derive density/value equivalences")
-    p.add_argument("check", choices=("dhj", "square", "grid", "val-bound",
-                                     "thm-answer-game"))
-    _add_game_source(p)
-    p.add_argument("--n", default="1", help="round count or range like 1..2")
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    _add_json_flag(p)
-    p.set_defaults(func=cmd_verify)
+    _add_verify(sub)
 
     p = sub.add_parser("fuzz-prop34",
                        help="random product strategies; winning sets must be "
@@ -584,6 +594,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _refuse_idle_flags(args)
         return args.func(args)
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

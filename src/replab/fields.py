@@ -90,18 +90,19 @@ class FiniteField:
 
     Elements are the integers range(order).  0 and 1 are the additive and
     multiplicative identities.  Construction raises ValueError if p is not
-    prime or the order exceeds order_cap, and AssertionError if the generated
-    tables fail any field axiom (which would indicate a bug, not bad input).
+    prime or the order exceeds DEFAULT_ORDER_CAP, and AssertionError if the
+    generated tables fail any field axiom (which would indicate a bug, not
+    bad input).
     """
 
-    def __init__(self, p: int, r: int = 1, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, p: int, r: int = 1):
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if r < 1:
             raise ValueError(f"extension degree must be >= 1, got {r}")
         order = p**r
-        if order > order_cap:
-            raise ValueError(f"field order {order} exceeds cap {order_cap}")
+        if order > DEFAULT_ORDER_CAP:
+            raise ValueError(f"field order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         self.p = p
         self.r = r
         self.order = order
@@ -178,22 +179,8 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.order)
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

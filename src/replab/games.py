@@ -176,6 +176,31 @@ def attains(game: Game, strategy: Strategy, value: Fraction) -> bool:
     return fits and evaluate(game, strategy) == value
 
 
+def search_domains(game: Game, budget: int) -> list[list]:
+    """Each player's question domain, once exact_value's search over them is
+    within budget: BudgetExceededError when the joint strategy space, or the
+    support size times the answer combinations (the table work), exceeds it."""
+    if not game.support:
+        raise ValueError("cannot solve a game with empty support")
+    domains = [game.question_domain(j) for j in range(game.k)]
+    sizes = [len(a) for a in game.answer_alphabets]
+    space = 1
+    for j in range(game.k):
+        if sizes[j] == 0:
+            raise SchemaError(f"player {j} has an empty answer alphabet")
+        space *= sizes[j] ** len(domains[j])
+        if space > budget:
+            raise BudgetExceededError(
+                f"strategy space exceeds budget {budget}; "
+                "raise the budget to force the search")
+    combos = math.prod(sizes)
+    if len(game.support) * combos > budget:
+        raise BudgetExceededError(
+            f"{len(game.support)} support tuples x {combos} answer combinations "
+            f"exceed budget {budget}; raise the budget to force the search")
+    return domains
+
+
 class _StrategySearch:
     """Shared machinery for the two exact_value phases.
 
@@ -187,33 +212,15 @@ class _StrategySearch:
     """
 
     def __init__(self, game: Game, budget: int):
-        support = list(game.support)
-        if not support:
-            raise ValueError("cannot solve a game with empty support")
-        self.game = game
+        self.domains = search_domains(game, budget)
         self.k = game.k
-        self.support = support
+        self.support = list(game.support)
         self.scale, weights = game.scaled_weights()
         self.weights = list(weights)
         self.total = sum(self.weights)
         self.nodes = 0
-        self.domains = [game.question_domain(j) for j in range(self.k)]
         self.answers = [list(a) for a in game.answer_alphabets]
         self.sizes = [len(a) for a in self.answers]
-        space = 1
-        for j in range(self.k):
-            if self.sizes[j] == 0:
-                raise SchemaError(f"player {j} has an empty answer alphabet")
-            space *= self.sizes[j] ** len(self.domains[j])
-            if space > budget:
-                raise BudgetExceededError(
-                    f"strategy space exceeds budget {budget}; "
-                    "raise the budget to force the search")
-        combos = math.prod(self.sizes)
-        if len(support) * combos > budget:
-            raise BudgetExceededError(
-                f"{len(support)} support tuples x {combos} answer combinations "
-                f"exceed budget {budget}; raise the budget to force the search")
         self._accept = game.acceptance()
 
     def cells_lex(self) -> list[tuple[int, object]]:
@@ -348,8 +355,7 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
 
     The strategy order is: players ascending, each player's questions in
     alphabet order, answers compared by alphabet position.  Raises
-    BudgetExceededError when the joint strategy space, or the support size
-    times the number of answer combinations, is larger than budget.
+    BudgetExceededError as search_domains does.
     """
     search = _StrategySearch(game, budget)
     # phase one: optimum value, over a cell order that completes support

@@ -123,29 +123,23 @@ def _vector_symmetries(universe: ProductTuples, n: int,
     """Index permutations generating a symmetry group of a vector family:
     each maps a grid, or a corner, onto another one.
 
-    Translating one player's vector by g times a unit vector, for each
-    additive generator g of the field, generates every translation.  Then
-    come the swap and cycle of the players, the swap and cycle of the
-    coordinates of every player's vector, and, over more than two elements,
-    one map per coordinate multiplying it in every vector by a primitive
-    element.
+    They translate player 0's first coordinate by each additive generator of
+    the field, swap and cycle the players, swap and cycle the coordinates of
+    every vector, and, over more than two elements, multiply every vector's
+    first coordinate by a primitive element.  The player and coordinate maps
+    conjugate these onto every player and coordinate, so the group holds
+    every translation and every coordinate scaling.
     """
-    k = universe.n
-    code = universe.encode
-    translations = []
-    for j in range(k):
-        for m in range(n):
-            for g in field.additive_generators():
-                shift = tuple(g if mm == m else 0 for mm in range(n))
-                translations.append(tuple(code(point[:j] + (field.vec_add(point[j], shift),)
-                                               + point[j + 1:]) for point in universe))
-    players = [lambda p, s=s: tuple(p[i] for i in s) for s in swap_and_cycle(k)]
+    translations = [lambda p, g=g: ((field.add(p[0][0], g),) + p[0][1:],) + p[1:]
+                    for g in field.additive_generators()]
+    players = [lambda p, s=s: tuple(p[i] for i in s) for s in swap_and_cycle(universe.n)]
     coordinates = [lambda p, s=s: tuple(tuple(v[i] for i in s) for v in p)
                    for s in swap_and_cycle(n)]
-    c = field.primitive_element()
-    scalars = [lambda p, m=m: tuple(v[:m] + (field.mul(c, v[m]),) + v[m + 1:] for v in p)
-               for m in range(n) if field.order > 2]
-    return translations + index_maps(universe, players + coordinates + scalars)
+    maps = translations + players + coordinates
+    if field.order > 2:
+        c = field.primitive_element()
+        maps.append(lambda p: tuple((field.mul(c, v[0]),) + v[1:] for v in p))
+    return index_maps(universe, maps)
 
 
 def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:

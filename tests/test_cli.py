@@ -242,7 +242,8 @@ def test_value_game_source_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, ["value", "--game", str(path),
                                 "--preset", "anticorr", "--no-cache"])
-    assert code == 2 and "not both" in err
+    assert code == 2
+    assert err == "error: --preset cannot be used with --game, which reads the game from a file\n"
 
     code, _, err = run(capsys, ["value", "--no-cache"])
     assert code == 2 and "a game is required" in err
@@ -295,6 +296,20 @@ def test_value_table_work_over_budget_exits_3(capsys):
     code, out, err = run(capsys, argv + ["--budget", "8"])
     assert code == 3 and out == ""
     assert err.startswith("error: 9 support tuples x 1 answer combinations")
+
+
+def test_value_budget_is_checked_before_the_cache(tmp_path, capsys):
+    # the cache key omits the budget: a record stored under the default
+    # budget is not served to a request whose budget refuses the search
+    argv = ["value", "--preset", "anticorr", "--q", "3", "--cache-dir", str(tmp_path)]
+    refused = (3, "", "error: strategy space exceeds budget 10; "
+                      "raise the budget to force the search\n")
+    assert run(capsys, argv + ["--budget", "10"]) == refused
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "status:        computed" in out
+    assert run(capsys, argv + ["--budget", "10"]) == refused
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "status:        cached" in out
 
 
 def test_value_searches_more_cells_than_python_can_recurse(tmp_path, capsys):
@@ -525,8 +540,9 @@ WCNF_CACHE_FLAGS = ["--recheck", "--no-cache", "--cache-dir {tmp}/cache"]
     *[("density square --n 1", flag) for flag in WCNF_CACHE_FLAGS],
     *[("eqn --preset unitvec --q 3 --n 2", flag)
       for flag in WCNF_CACHE_FLAGS + ["--emit-witness {tmp}/w.json"]],
+    ("density line --q 3 --n 2", "--method search"),
 ], ids=["density-recheck", "density-no-cache", "density-cache-dir",
-        "eqn-recheck", "eqn-no-cache", "eqn-cache-dir", "eqn-emit-witness"])
+        "eqn-recheck", "eqn-no-cache", "eqn-cache-dir", "eqn-emit-witness", "line-method"])
 def test_wcnf_refuses_the_flags_it_would_ignore(tmp_path, capsys, request_, flag):
     # nothing is written: not the WCNF file, the witness or a cache
     argv = request_.split() + ["--wcnf", str(tmp_path / "out.wcnf")]
@@ -536,6 +552,29 @@ def test_wcnf_refuses_the_flags_it_would_ignore(tmp_path, capsys, request_, flag
     assert err == f"error: {flag.split()[0]} cannot be used with --wcnf, " \
                   "which only writes the instance\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("value --preset anticorr --no-cache --recheck",
+     "--recheck cannot be used with --no-cache, which skips the cache"),
+    ("density square --n 1 --no-cache --cache-dir {tmp}/cache",
+     "--cache-dir cannot be used with --no-cache, which skips the cache"),
+    ("value --game {tmp}/game.json --q 3",
+     "--q cannot be used with --game, which reads the game from a file"),
+    ("fuzz-prop34 --game {tmp}/game.json --k 2",
+     "--k cannot be used with --game, which reads the game from a file"),
+    ("value --preset ghz --q 3", "unknown preset parameters: ['q']"),
+    ("eqn --preset unitvec --k 2 --n 1", "unknown preset parameters: ['k']"),
+    ("verify val-bound --preset anticorr --r 1", "unknown preset parameters: ['r']"),
+], ids=["no-cache-recheck", "no-cache-cache-dir", "game-q", "game-k", "ghz-q",
+        "unitvec-k", "anticorr-r"])
+def test_flags_left_idle_are_refused(tmp_path, capsys, monkeypatch, argv, message):
+    # refused before anything runs: no cache is made, not even the default one
+    monkeypatch.setenv("REPLAB_CACHE", str(tmp_path / "env-cache"))
+    (tmp_path / "game.json").write_text(json.dumps(game_to_json(preset_game("anticorr"))))
+    code, out, err = run(capsys, argv.format(tmp=tmp_path).split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
 
 
 def test_eqn_record_files_are_deterministic(tmp_path, capsys):
@@ -659,10 +698,14 @@ def test_repeat_summary(capsys):
 
 
 def test_repeat_solve(capsys):
-    code, out, _ = run(capsys, ["repeat", "--preset", "unitvec", "--q", "3",
-                                "--n", "2", "--solve"])
+    # repeat only summarises; value --repeat solves the repeated game
+    code, out, _ = run(capsys, ["value", "--preset", "unitvec", "--q", "3",
+                                "--repeat", "2", "--no-cache"])
     assert code == 0
-    assert "value:             0/1" in out
+    assert "value:         0/1" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["repeat", "--preset", "unitvec", "--n", "2", "--solve"])
+    assert exc.value.code == 2
 
 
 def test_repeat_json(capsys):
@@ -839,13 +882,19 @@ def test_fuzz_reports_a_violation_and_exits_1(capsys, monkeypatch, json_flag):
 # -- parser ---------------------------------------------------------------------
 
 
+VERIFY_CHECKS = ["dhj", "square", "grid", "val-bound", "thm-answer-game"]
+
+
 @pytest.mark.parametrize("command", ["repeat", "verify", "fuzz-prop34"])
 def test_uncached_commands_take_no_cache_flags(capsys, command):
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    out = capsys.readouterr().out
-    assert "--json" in out
-    assert not any(flag in out for flag in ("--cache-dir", "--no-cache", "--recheck"))
+    # verify takes its check as a sub-command, and each check its own flags
+    words = [[command, check] for check in VERIFY_CHECKS] if command == "verify" else [[command]]
+    for prefix in words:
+        with pytest.raises(SystemExit):
+            main(prefix + ["--help"])
+        out = capsys.readouterr().out
+        assert "--json" in out
+        assert not any(flag in out for flag in ("--cache-dir", "--no-cache", "--recheck"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,9 +21,9 @@ def test_construction_and_inverses(p, r):
     # the constructor itself checks every axiom exhaustively
     f = FiniteField(p, r)
     assert f.order == p**r
-    assert (f.zero, f.one) == (0, 1)
     for a in f.elements:
-        assert f.add(a, f.neg(a)) == 0
+        assert (f.add(a, 0), f.mul(a, 1)) == (a, a)
+        assert f.add(a, f.vec_sub((0,), (a,))[0]) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
 
@@ -63,7 +63,6 @@ def test_rejects_bad_degree_and_order_cap():
         FiniteField(17)
     with pytest.raises(ValueError):
         FiniteField(2, 5)
-    assert FiniteField(17, order_cap=17).order == 17
 
 
 def test_gf4_tables():
@@ -122,8 +121,8 @@ def test_field_identity():
 def test_arithmetic_relations(pr, x, y):
     f = FiniteField(*pr)
     a, b = x % f.order, y % f.order
-    assert f.sub(f.add(a, b), b) == a
-    assert f.neg(f.neg(a)) == a
+    assert f.vec_sub((f.add(a, b),), (b,)) == (a,)
+    assert f.vec_sub((0,), f.vec_sub((0,), (a,))) == (a,)
     assert f.mul(a, b) == f.mul(b, a)
     if b != 0:
         assert f.mul(f.mul(a, b), f.inv(b)) == a
