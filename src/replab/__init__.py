@@ -9,7 +9,8 @@ The package computes, with exact rational arithmetic throughout:
     density of configuration-free sets, and the answer-game construction
     whose repeated value equals that density (forbidden);
   * extremal densities of combinatorial lines, squares, corners and grids,
-    and the bijections tying them to forbidden configurations (structures);
+    and the point bijections that make lines, squares and grids the
+    forbidden-configuration hypergraphs of repeated supports (structures);
   * exact maximum free sets of small hypergraphs, with a WCNF export for
     instances beyond the built-in solver budget (search).
 """
@@ -27,7 +28,7 @@ from .records import DensityRecord, ValueRecord
 from .repetition import RepeatedGame, independent_strategy, repeat
 from .rng import SplitMix64
 from .search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
-from .structures import (corners, ghz_support, grid_to_witness, grids, line_to_witness,
-                         lines, r_corner, r_grid, r_line, r_square, squares)
+from .structures import (corners, ghz_support, grid_round_codes, grids, lines, r_corner,
+                         r_grid, r_line, r_square, squares)
 
 __version__ = "0.1.0"

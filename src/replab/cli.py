@@ -6,8 +6,11 @@ structure family), eqn (maximum forbidden-configuration-free density of a
 repeated question support), repeat (summary of a repeated game), verify
 (the equivalences between repeated values and densities, as PASS/FAIL rows)
 and fuzz-prop34 (random product strategies, whose winning sets must be
-forbidden-configuration-free).  density takes its family, and verify its
-check, as a word that its flags follow:
+forbidden-configuration-free).  verify dhj, square and grid solve E_Q(n)
+once and check that the family's point bijection (structures) carries its
+configurations onto exactly the forbidden ones, which makes the family's
+density the same number.  density takes its family, and verify its check,
+as a word that its flags follow:
 
   density line [--q Q] [--method auto|search|closed-form] | square | corner
         | grid [--p P] [--r R] [--k K], each with --n N, --wcnf PATH, the
@@ -16,8 +19,8 @@ check, as a word that its flags follow:
         | val-bound | thm-answer-game (--game FILE | --preset NAME) [--budget B],
         each with --n N or LO..HI and --json
 
-A --preset takes only its own parameters (PRESETS): --q for anticorr and
-unitvec, --p, --r and --k for grid, none for ghz.  Every command is
+A --preset takes only its own parameters (games.PRESETS): --q for anticorr
+and unitvec, --p, --r and --k for grid, none for ghz.  Every command is
 deterministic given its arguments and seed: reports carry no timestamps,
 rationals print as num/den in lowest terms, and all randomness flows from
 an explicit --seed through a splitmix64 stream.
@@ -50,7 +53,7 @@ from .cache import ResultsCache, canonical_key
 from .codec import oversize
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
-from .games import (DEFAULT_STRATEGY_BUDGET, Game, Strategy, attains, evaluate,
+from .games import (DEFAULT_STRATEGY_BUDGET, PRESETS, Game, Strategy, attains, evaluate,
                     exact_value, game_from_json, grid_question_set, preset_game,
                     search_domains, strategy_from_json, strategy_to_json,
                     unit_tuples)
@@ -60,9 +63,6 @@ from .rng import SplitMix64
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf
 from .structures import ghz_support
 
-# each preset's parameters, with their defaults
-PRESETS = {"anticorr": {"q": 3}, "unitvec": {"q": 3}, "ghz": {},
-           "grid": {"p": 2, "r": 1, "k": 2}}
 PARAM_HELP = {"q": "symbol count (players of anticorr, unitvec)", "p": "field characteristic",
               "r": "field extension degree", "k": "free player count"}
 
@@ -371,33 +371,50 @@ def _verify_report(args, name: str, rows: list[tuple[str, bool]]) -> int:
 
 
 def _dhj_case(args):
-    """Support, r-function, case prefix and family word of verify dhj."""
+    """Support, n -> (family, point codes or None), case prefix and family
+    word of verify dhj; lines need no codes (see structures)."""
     if args.q == 2:
         raise SchemaError(
             "verify dhj needs q = 1 or q >= 3: with two symbols every pair of "
             "distinct points is a forbidden configuration of the unit support, "
             "so E_Q(n) and r_line(2, n) differ")
-    return (unit_tuples(args.q), lambda n: structures.r_line(args.q, n),
+    return (unit_tuples(args.q), lambda n: (structures.lines(args.q, n), None),
             f"dhj q={args.q}", "line")
 
 
 def _grid_case(args):
     field = FiniteField(args.p, args.r)
     return (grid_question_set(field, args.k),
-            lambda n: structures.r_grid(field, args.k, n),
+            lambda n: (structures.grids(field, args.k, n),
+                       structures.grid_round_codes(field, args.k, n)),
             f"grid p={args.p} r={args.r} k={args.k}", "grid")
 
 
+def _square_case(args):
+    return (ghz_support(),
+            lambda n: (structures.squares(n),
+                       structures.grid_round_codes(FiniteField(2), 2, n)),
+            "square", "square")
+
+
 def cmd_verify_equivalence(args) -> int:
-    support, r_value, prefix, word = args.case(args)
+    """Solve E_Q(n) once per row.  The family's density is the same number
+    when its point codes are a bijection onto the support's n-fold points
+    that carries its configurations onto exactly the forbidden ones, which
+    the row checks as equal edge sets."""
+    support, family_at, prefix, word = args.case(args)
     rows = []
     for n in _parse_range(args.n):
-        eq = forbidden.compute_eq(list(support), n)
-        bound = r_value(n)
-        rows.append((
-            f"{prefix} n={n}: density {fraction_str(eq.value)} "
-            f"vs {word} bound {fraction_str(bound.value)}",
-            eq.value == bound.value))
+        eq = fraction_str(forbidden.compute_eq(list(support), n).value)
+        family, codes = family_at(n)
+        codes = range(len(family)) if codes is None else codes
+        target = forbidden.forbidden_family(support, n)
+        carried = {tuple(sorted(codes[v] for v in cfg)) for cfg in family.configurations()}
+        same = (sorted(codes) == list(range(len(target)))
+                and carried == set(target.configurations()))
+        rows.append((f"{prefix} n={n}: density {eq} vs {word} bound {eq}" if same else
+                     f"{prefix} n={n}: the {word} configurations are not the forbidden ones",
+                     same))
     return _verify_report(args, args.check, rows)
 
 
@@ -464,9 +481,10 @@ def _add_verify(sub) -> None:
     checks = p.add_subparsers(dest="check", required=True)
     for name, flags, case in (
             ("dhj", {"q": 3}, _dhj_case),
-            ("square", {}, lambda a: (ghz_support(), structures.r_square, "square", "square")),
+            ("square", {}, _square_case),
             ("grid", PRESETS["grid"], _grid_case)):
-        c = checks.add_parser(name, help="E_Q(n) against the matching family's density")
+        c = checks.add_parser(name, help="E_Q(n), with the matching family's configurations "
+                                 "checked to be the forbidden ones")
         _add_params(c, **flags)
         c.set_defaults(func=cmd_verify_equivalence, case=case)
     for name, func in (("val-bound", cmd_val_bound),

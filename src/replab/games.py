@@ -425,7 +425,6 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
     of the free set whose coordinate-i column is the question actually
     asked."""
     support_pos = {tuple(x): s for s, x in enumerate(support)}
-    k = len(support[0])
     wset = {tuple(int(v) for v in w) for w in free_points}
 
     def predicate(x, a):
@@ -434,20 +433,25 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
             return False
         vec = []
         for m in range(n):
-            column = tuple(a[j][1][m] for j in range(k))
-            s = support_pos.get(column)
+            s = support_pos.get(tuple(aj[1][m] for aj in a))
             if s is None:
                 return False
             vec.append(s)
         if tuple(vec) not in wset:
             return False
-        return tuple(a[j][1][i0] for j in range(k)) == tuple(x)
+        return tuple(aj[1][i0] for aj in a) == tuple(x)
 
     return predicate
 
 
+# each built-in game family's parameters, with their defaults
+PRESETS = {"anticorr": {"q": 3}, "unitvec": {"q": 3}, "ghz": {},
+           "grid": {"p": 2, "r": 1, "k": 2}}
+
+
 def preset_game(name: str, **params) -> Game:
-    """Built-in game families.
+    """Built-in game families, each taking the parameters PRESETS lists and
+    refusing any other.
 
     anticorr(q): q players, uniform over the unit question tuples; the
         players receiving 0 must produce pairwise different answers in
@@ -460,9 +464,14 @@ def preset_game(name: str, **params) -> Game:
     grid(p, r, k): k+r players with the grid question set over GF(p**r),
         placeholder predicate.
     """
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    if unknown := [p for p in params if p not in PRESETS[name]]:
+        raise ValueError(f"preset {name} does not take {', '.join(unknown)}; "
+                         f"it takes {', '.join(PRESETS[name]) or 'no parameters'}")
+    params = {p: int(params.get(p, default)) for p, default in PRESETS[name].items()}
     if name == "anticorr":
-        q = int(params.pop("q", 3))
-        _reject_unknown(params)
+        q = params["q"]
         if q < 2:
             raise ValueError("anticorr needs q >= 2")
         support = unit_tuples(q)
@@ -475,23 +484,15 @@ def preset_game(name: str, **params) -> Game:
             predicate_spec={"type": "preset", "name": "anticorr", "params": {"q": q}},
         )
     if name == "unitvec":
-        q = int(params.pop("q", 3))
-        _reject_unknown(params)
+        q = params["q"]
         if q < 1:
             raise ValueError("unitvec needs q >= 1")
         return _question_set(((0, 1),) * q, unit_tuples(q))
     if name == "ghz":
-        _reject_unknown(params)
         return _question_set(((0, 1),) * 3, GHZ_SUPPORT)
-    if name == "grid":
-        p = int(params.pop("p", 2))
-        r = int(params.pop("r", 1))
-        kdim = int(params.pop("k", 2))
-        _reject_unknown(params)
-        field = FiniteField(p, r)
-        return _question_set((tuple(field.elements),) * (kdim + r),
-                             grid_question_set(field, kdim))
-    raise ValueError(f"unknown preset {name!r}")
+    field = FiniteField(params["p"], params["r"])
+    return _question_set((tuple(field.elements),) * (params["k"] + params["r"]),
+                         grid_question_set(field, params["k"]))
 
 
 def _question_set(question_alphabets: tuple, support: Sequence[tuple]) -> Game:
@@ -505,11 +506,6 @@ def _question_set(question_alphabets: tuple, support: Sequence[tuple]) -> Game:
         predicate=_always_reject,
         predicate_spec={"type": "preset", "name": "allreject"},
     )
-
-
-def _reject_unknown(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown preset parameters: {sorted(params)}")
 
 
 # -- JSON round-tripping -----------------------------------------------------
@@ -573,7 +569,8 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
     ptype = spec["type"]
     if ptype == "table":
         support_pos = {x: i for i, x in enumerate(support)}
-        encode = TupleCodec(answer_alphabets).encode
+        answers = TupleCodec(answer_alphabets)
+        encode = answers.encode
         items = spec.get("accepts", [])
         if not isinstance(items, list):
             raise SchemaError("table accepts must be a list")
@@ -581,7 +578,12 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
         for item in items:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise SchemaError("table accepts entries must be [x_index, answer_index]")
-            accepts.add((int(item[0]), int(item[1])))
+            entry = (int(item[0]), int(item[1]))
+            if entry[0] not in range(len(support)) or entry[1] not in range(len(answers)):
+                raise SchemaError(f"table accepts entry {list(entry)} lies outside the "
+                                  f"{len(support)} support tuples or the "
+                                  f"{len(answers)} answer tuples")
+            accepts.add(entry)
 
         def table_predicate(x, a):
             xi = support_pos.get(tuple(x))
@@ -607,8 +609,16 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
         if name == "answer-game":
             if "n" not in params:
                 raise SchemaError("the answer-game preset needs params.n")
+            n = int(params["n"])
+            for answer in itertools.chain.from_iterable(answer_alphabets):
+                # the predicate reads answer[1][m] for m < n and answer[1][answer[0]]
+                if not (isinstance(answer, tuple) and len(answer) == 2
+                        and isinstance(answer[0], int) and 0 <= answer[0] < n
+                        and isinstance(answer[1], tuple) and len(answer[1]) == n):
+                    raise SchemaError(f"answer-game answers are pairs (i, y) with i in "
+                                      f"range({n}) and y of length {n}, got {answer!r}")
             witness = tuple(tuple(int(v) for v in w) for w in params.get("witness", []))
-            return answer_game_predicate(support, int(params["n"]), witness)
+            return answer_game_predicate(support, n, witness)
         raise SchemaError(f"unknown preset predicate {name!r}")
     raise SchemaError(f"unknown predicate type {ptype!r}")
 

@@ -27,13 +27,15 @@ vector families (see _vector_symmetries).  They are built only when the
 family is solved.
 
 r_line, r_square, r_corner and r_grid solve a family within the solver's
-point budget by StructureFamily.solve, as forbidden.compute_eq does.  The
-bijections at the bottom translate configurations of each family into
-forbidden configurations of a matching repeated question support, which is
-what ties the densities r_line, r_square, r_grid to exact values of repeated
-games; a square's map is grid_to_witness over GF(2) with k = 2.  They run one
-way only: a line or a grid maps forward to a configuration, and nothing maps
-a configuration back.
+point budget by StructureFamily.solve, as forbidden.compute_eq does.
+
+The paper's equivalences are point bijections that carry every configuration
+of a family onto a forbidden configuration of a repeated question support,
+so each pair is one hypergraph under two codings.  Lines need no map: the
+universe of lines(q, n) is that of the unit support's n-fold repetition,
+and a line's points are its forbidden configuration's codes.  A grid's
+point maps to the index vector that grid_round_codes gives; squares use it
+over GF(2) with k = 2.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ from typing import Iterator, Sequence
 from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
 from .fields import FiniteField
-from .forbidden import ForbiddenWitness, witness_is_valid
-from .games import GHZ_SUPPORT, grid_question_set, unit_tuples
+from .games import GHZ_SUPPORT, grid_question_set
 from .records import DensityRecord
 # max_free is re-exported: callers reach the solver through this module too
 from .search import (DEFAULT_POINT_BUDGET, StructureFamily, index_maps, max_free,
@@ -248,10 +249,12 @@ def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
     falls back to the closed form for larger q = 2 instances.  The closed
     form raises BudgetExceededError when 2**n has more decimal digits than
     sys.get_int_max_str_digits() allows, since the value could not be
-    printed.
+    printed.  Every method refuses q < 1 and n < 1.
     """
     if method not in ("auto", "search", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
+    if q < 1 or n < 1:
+        raise ValueError("need q >= 1 and n >= 1")
     if method == "closed-form" or (
             method == "auto" and q == 2 and power_exceeds(2, n, DEFAULT_POINT_BUDGET)):
         if q != 2:
@@ -295,45 +298,7 @@ def r_grid(field: FiniteField, k: int, n: int) -> DensityRecord:
     return grids(field, k, n, point_budget=DEFAULT_POINT_BUDGET).solve()
 
 
-# -- bijections with forbidden configurations -----------------------------------
-
-
-def _line_template(q: int, points: Sequence[tuple[int, ...]]):
-    """Recover (ordered points, active coordinates) of a line, or raise."""
-    pts = [tuple(p) for p in points]
-    if len(set(pts)) != q or not pts:
-        raise ValueError(f"a line over {q} symbols has {q} distinct points")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
-        raise ValueError("points must share a length")
-    if q == 1:
-        return pts, tuple(range(n))
-    active = [m for m in range(n) if len({p[m] for p in pts}) > 1]
-    if not active:
-        raise ValueError("a line needs at least one active coordinate")
-    order = sorted(pts, key=lambda p: p[active[0]])
-    for m in range(n):
-        column = [p[m] for p in order]
-        if len(set(column)) == 1:
-            continue
-        if column != list(range(q)):
-            raise ValueError(f"coordinate {m} is neither constant nor 0..{q - 1}")
-    return order, tuple(active)
-
-
-def line_to_witness(q: int, n: int, points: Sequence[tuple[int, ...]]) -> ForbiddenWitness:
-    """A combinatorial line, read as a forbidden configuration of the unit
-    question support over q players.
-
-    Digit s names the support element whose player s holds a 1, so each line
-    point doubles as an index vector; the pinned coordinate is the line's
-    first active coordinate.  Valid for every q >= 1.
-    """
-    order, active = _line_template(q, points)
-    witness = ForbiddenWitness(coordinate=active[0], edges=tuple(order))
-    if not witness_is_valid(unit_tuples(q), n, witness):
-        raise AssertionError("line did not map to a valid forbidden configuration")
-    return witness
+# -- the point bijections of the paper's equivalences ----------------------------
 
 
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
@@ -341,48 +306,13 @@ def ghz_support() -> tuple[tuple[int, int, int], ...]:
     return GHZ_SUPPORT
 
 
-def _grid_base_and_step(field: FiniteField, k: int, n: int, points):
-    """Recover (indexer alpha -> point, monic step d) of a grid, or raise."""
-    pts = [tuple(tuple(v) for v in p) for p in points]
-    order = field.order
-    if len(set(pts)) != order**k:
-        raise ValueError(f"a grid over this field has {order**k} distinct points")
-    universe = _vector_universe(order, k, n)
-    base = min(pts, key=universe.encode)
-    diffs = set()
-    for p in pts:
-        for j in range(k):
-            delta = field.vec_sub(p[j], base[j])
-            if any(delta):
-                diffs.add(delta)
-    if not diffs:
-        raise ValueError("grid points cannot all coincide")
-    some = min(diffs, key=ProductTuples(field.elements, n).encode)
-    lead_pos = next(m for m in range(n) if some[m] != 0)
-    d = field.vec_scale(field.inv(some[lead_pos]), some)
-    lookup = {}
-    for alpha in itertools.product(field.elements, repeat=k):
-        point = tuple(field.vec_add(base[j], field.vec_scale(alpha[j], d))
-                      for j in range(k))
-        lookup[alpha] = point
-    if set(lookup.values()) != set(pts):
-        raise ValueError("points do not form a grid")
-    return lookup, d
-
-
-def grid_to_witness(field: FiniteField, k: int, n: int, points) -> ForbiddenWitness:
-    """A grid, read as a forbidden configuration of the grid question set:
-    the point (z_1, .., z_k) becomes the index vector whose round-m entry
-    names the support element whose first k entries are (z_1[m], ..,
-    z_k[m]), pinned at the step's first non-zero coordinate."""
+def grid_round_codes(field: FiniteField, k: int, n: int) -> list[int]:
+    """The point bijection from grids(field, k, n) to the forbidden
+    configurations of grid_question_set(field, k): entry i is the code in
+    ProductTuples(range(|Q|), n) of point i's index vector, whose round m
+    names the element of Q with first k entries (z_1[m], .., z_k[m])."""
     support = grid_question_set(field, k)
     round_key = {x[:k]: s for s, x in enumerate(support)}
-    lookup, d = _grid_base_and_step(field, k, n, points)
-    i = next(m for m in range(n) if d[m] != 0)
-    edges = sorted((tuple(round_key[tuple(point[j][m] for j in range(k))]
-                          for m in range(n)) for point in lookup.values()),
-                   key=lambda e: e[i])
-    witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-    if not witness_is_valid(support, n, witness):
-        raise AssertionError("grid did not map to a valid forbidden configuration")
-    return witness
+    encode = ProductTuples(range(len(support)), n).encode
+    return [encode(tuple(round_key[column] for column in zip(*z)))
+            for z in _vector_universe(field.order, k, n)]

@@ -5,6 +5,7 @@ point; everything else calls main() in-process for speed.
 """
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -273,14 +274,23 @@ def _two_player_doc(**fields):
     _two_player_doc(predicate={"type": "table", "accepts": 5}),
     _two_player_doc(predicate={"type": "preset", "name": "answer-game"}),
     _two_player_doc(predicate={"type": "preset", "name": "answer-game", "params": 5}),
+    # answers that are not (i, y) pairs over one round
+    _two_player_doc(predicate={"type": "preset", "name": "answer-game",
+                               "params": {"n": 1, "witness": [[0]]}}),
+    # support tuple 2 of 2 does not exist
+    _two_player_doc(predicate={"type": "table", "accepts": [[2, 0]]}),
+    _two_player_doc(support=[], answer_alphabets=[[[0, [0]]], [[0, [0]]]],
+                    predicate={"type": "preset", "name": "answer-game", "params": {"n": 1}}),
 ], ids=["support-int", "question-alphabets-int", "table-accepts-int",
-        "answer-game-no-n", "answer-game-params-int"])
+        "answer-game-no-n", "answer-game-params-int", "answer-game-int-answers",
+        "table-entry-outside", "answer-game-empty-support"])
 def test_malformed_game_file_is_a_clean_error(tmp_path, capsys, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["value", "--game", str(path), "--no-cache"])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    for argv in (["value", "--no-cache"], ["verify", "val-bound"]):
+        code, out, err = run(capsys, argv + ["--game", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_value_budget_exceeded(capsys):
@@ -563,9 +573,9 @@ def test_wcnf_refuses_the_flags_it_would_ignore(tmp_path, capsys, request_, flag
      "--q cannot be used with --game, which reads the game from a file"),
     ("fuzz-prop34 --game {tmp}/game.json --k 2",
      "--k cannot be used with --game, which reads the game from a file"),
-    ("value --preset ghz --q 3", "unknown preset parameters: ['q']"),
-    ("eqn --preset unitvec --k 2 --n 1", "unknown preset parameters: ['k']"),
-    ("verify val-bound --preset anticorr --r 1", "unknown preset parameters: ['r']"),
+    ("value --preset ghz --q 3", "preset ghz does not take q; it takes no parameters"),
+    ("eqn --preset unitvec --k 2 --n 1", "preset unitvec does not take k; it takes q"),
+    ("verify val-bound --preset anticorr --r 1", "preset anticorr does not take r; it takes q"),
 ], ids=["no-cache-recheck", "no-cache-cache-dir", "game-q", "game-k", "ghz-q",
         "unitvec-k", "anticorr-r"])
 def test_flags_left_idle_are_refused(tmp_path, capsys, monkeypatch, argv, message):
@@ -828,21 +838,40 @@ def test_verify_thm_answer_game_single_round_only(capsys):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_verify_reports_a_mismatch_and_exits_1(capsys, monkeypatch, json_flag):
-    real = structures.r_line
+    # lines that lose their first configuration are not the forbidden ones
+    real = structures.lines
 
-    def off_by_one(q, n):
-        record = real(q, n)
-        return replace(record, witness_size=record.witness_size + 1,
-                       value=Fraction(record.witness_size + 1, record.universe_size))
+    def one_line_short(q, n):
+        family = real(q, n)
+        return replace(family, _enumerate=lambda: itertools.islice(family.configurations(), 1, None))
 
-    monkeypatch.setattr(structures, "r_line", off_by_one)
+    monkeypatch.setattr(structures, "lines", one_line_short)
     code, out, err = run(capsys, ["verify", "dhj", "--q", "3", "--n", "1..2"] + json_flag)
     assert code == 1
     assert err == "error: dhj: 2 case(s) failed\n"
+    rows = [f"dhj q=3 n={n}: the line configurations are not the forbidden ones"
+            for n in (1, 2)]
     if json_flag:
-        assert [row["ok"] for row in json.loads(out)["results"]] == [False, False]
+        assert json.loads(out)["results"] == [{"case": row, "ok": False} for row in rows]
     else:
-        assert [line[:5] for line in out.splitlines()] == ["FAIL "] * 2
+        assert out.splitlines() == ["FAIL " + row for row in rows]
+
+
+def test_verify_square_fails_on_codes_that_swap_two_points(capsys, monkeypatch):
+    real = structures.grid_round_codes
+
+    def swapped(field, k, n):
+        codes = real(field, k, n)
+        codes[0], codes[1] = codes[1], codes[0]
+        return codes
+
+    monkeypatch.setattr(structures, "grid_round_codes", swapped)
+    # at n = 1 the one square is the whole universe, which the swap maps onto itself
+    code, out, err = run(capsys, ["verify", "square", "--n", "1..2"])
+    assert (code, err) == (1, "error: square: 1 case(s) failed\n")
+    assert out.splitlines() == [
+        "PASS square n=1: density 3/4 vs square bound 3/4",
+        "FAIL square n=2: the square configurations are not the forbidden ones"]
 
 
 # -- fuzz -----------------------------------------------------------------------

@@ -59,9 +59,10 @@ def test_module_graph_is_acyclic():
 
 
 def test_the_layers_read_codec_to_cli():
-    # each module of the chain imports the one before it, directly or not
-    chain = ["codec", "fields", "games", "records", "search", "forbidden",
-             "structures", "cli"]
+    # each module of the chain imports the one before it, directly or not;
+    # forbidden and structures each build on search, side by side, since
+    # the equivalences between them are checked in cli
+    chain = ["codec", "fields", "games", "records", "search"]
 
     def reaches(src: str, dst: str) -> bool:
         seen, frontier = {src}, [src]
@@ -73,11 +74,11 @@ def test_the_layers_read_codec_to_cli():
         return dst in seen
 
     assert all(reaches(later, earlier) for earlier, later in zip(chain, chain[1:]))
+    assert all(reaches(side, "search") and reaches("cli", side)
+               for side in ("forbidden", "structures"))
+    assert not reaches("structures", "forbidden") and not reaches("forbidden", "structures")
 
 
-# Exports kept for the planned check of the paper's equivalences as equal
-# hypergraphs (ROADMAP item 5), which will be their first caller.
-AWAITING_CALLER = {"line_to_witness", "grid_to_witness"}
 # The writer of the game files that `--game` reads, which the README names:
 # its callers are the users who write such files.
 WRITES_CLI_INPUT = {"game_to_json"}
@@ -119,4 +120,4 @@ def test_every_export_has_a_caller():
     callers = [p for p in MODULES if p != init]
     callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     referenced = set().union(*map(_references, callers))
-    assert sorted(exports - referenced - AWAITING_CALLER - WRITES_CLI_INPUT) == []
+    assert sorted(exports - referenced - WRITES_CLI_INPUT) == []

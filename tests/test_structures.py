@@ -1,4 +1,5 @@
-"""Structure families, exact densities, and the witness bijections."""
+"""Structure families, exact densities, and the point bijections of the
+paper's equivalences."""
 
 import itertools
 import math
@@ -9,12 +10,11 @@ import pytest
 import oracles
 from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
-from replab.forbidden import (compute_eq, enumerate_forbidden, find_forbidden,
-                              forbidden_family, witness_is_valid)
+from replab.forbidden import compute_eq, find_forbidden, forbidden_family
 from replab.games import preset_game, unit_tuples
 from replab.search import verify_free
 from replab.structures import (corners, ghz_support, grid_question_set,
-                               grid_to_witness, grids, line_to_witness, lines,
+                               grid_round_codes, grids, lines,
                                r_corner, r_grid, r_line, r_square, squares)
 
 F2 = FiniteField(2)
@@ -175,6 +175,10 @@ def test_r_line_validation():
         r_line(3, 2, method="closed-form")
     with pytest.raises(BudgetExceededError):
         r_line(3, 5, method="search")
+    for method in ("auto", "search", "closed-form"):
+        for q, n in ((2, 0), (0, 2)):
+            with pytest.raises(ValueError, match="need q >= 1 and n >= 1"):
+                r_line(q, n, method=method)
 
 
 def test_r_line_degenerate_q1():
@@ -240,56 +244,32 @@ def test_density_records_carry_free_witnesses():
             assert not cfg <= chosen
 
 
-# -- bijections with forbidden configurations ----------------------------------------
+# -- point bijections with forbidden configurations ---------------------------------
+
+
+def _carries_onto_the_forbidden_configurations(support, n, family, codes) -> None:
+    """codes, the identity when None, is a bijection onto the n-fold points
+    of support that carries the family's configurations onto exactly the
+    forbidden ones."""
+    codes = range(len(family)) if codes is None else codes
+    target = forbidden_family(support, n)
+    assert sorted(codes) == list(range(len(family))) == list(range(len(target)))
+    carried = {tuple(sorted(codes[v] for v in cfg)) for cfg in family.configurations()}
+    assert carried == set(target.configurations())
 
 
 def test_line_witness_bijection():
-    support = list(unit_tuples(3))
-    family = lines(3, 2)
-    configurations = list(family.configurations())
-    mapped = set()
-    for cfg in configurations:
-        pts = [family.universe[i] for i in cfg]
-        witness = line_to_witness(3, 2, pts)
-        assert witness_is_valid(support, 2, witness)
-        mapped.add(witness.point_set())
-    # one distinct configuration per line: the map is injective
-    assert len(mapped) == len(configurations)
-    engine = {w.point_set() for w in enumerate_forbidden(support, 2)}
-    assert mapped == engine
+    # lines need no codes: a line's points are its configuration's codes
+    for q in (1, 3, 4):
+        for n in (1, 2, 3):
+            _carries_onto_the_forbidden_configurations(unit_tuples(q), n, lines(q, n), None)
 
 
-def test_line_witness_rejects_non_lines():
-    with pytest.raises(ValueError):
-        line_to_witness(3, 2, [(0, 0), (1, 1), (2, 0)])
-    with pytest.raises(ValueError):
-        line_to_witness(3, 2, [(0, 0), (1, 1)])
-
-
-def test_square_witness_rejects_non_squares():
-    with pytest.raises(ValueError):
-        grid_to_witness(F2, 2, 1, [((0,), (0,)), ((0,), (1,)), ((1,), (0,)),
-                                   ((1,), (0,))])
-    with pytest.raises(ValueError):
-        grid_to_witness(F2, 2, 2, [((0, 0), (0, 0)), ((1, 0), (0, 0)),
-                                   ((0, 0), (1, 0)), ((1, 1), (1, 1))])
-
-
-@pytest.mark.parametrize("field,k,n", [(F3, 2, 1), (F2, 2, 2), (F4, 2, 1)])
+@pytest.mark.parametrize("field,k,n", [(F3, 2, 1), (F2, 2, 2), (F4, 2, 1), (F2, 2, 1),
+                                       (F2, 2, 3), (F3, 2, 2), (F2, 3, 1), (F2, 3, 2)])
 def test_grid_witness_bijection(field, k, n):
-    support = list(grid_question_set(field, k))
-    family = grids(field, k, n)
-    configurations = list(family.configurations())
-    mapped = set()
-    for cfg in configurations:
-        pts = [family.universe[i] for i in cfg]
-        witness = grid_to_witness(field, k, n, pts)
-        assert witness_is_valid(support, n, witness)
-        mapped.add(witness.point_set())
-    # one distinct configuration per grid: the map is injective
-    assert len(mapped) == len(configurations)
-    engine = {w.point_set() for w in enumerate_forbidden(support, n)}
-    assert mapped == engine
+    _carries_onto_the_forbidden_configurations(
+        grid_question_set(field, k), n, grids(field, k, n), grid_round_codes(field, k, n))
 
 
 def test_ghz_support_and_grid_question_set():
