@@ -61,7 +61,6 @@ from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
 from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf
-from .structures import ghz_support
 
 PARAM_HELP = {"q": "symbol count (players of anticorr, unitvec)", "p": "field characteristic",
               "r": "field extension degree", "k": "free player count"}
@@ -391,10 +390,9 @@ def _grid_case(args):
 
 
 def _square_case(args):
-    return (ghz_support(),
-            lambda n: (structures.squares(n),
-                       structures.grid_round_codes(FiniteField(2), 2, n)),
-            "square", "square")
+    # squares are the grids of GF(2) with k = 2
+    support, family_at, _, _ = _grid_case(argparse.Namespace(p=2, r=1, k=2))
+    return support, family_at, "square", "square"
 
 
 def cmd_verify_equivalence(args) -> int:

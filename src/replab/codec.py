@@ -6,7 +6,8 @@ sum(position_i(s_i) * |A_0| * .. * |A_{i-1}|): coordinate 0 is the least
 significant digit.  The same code orders the rounds of a repeated game, the
 points of a repeated support, the vectors and points of the extremal
 universes, the digits of field elements and the answer tuples of game
-files.  A TupleCodec is itself the lazy sequence of its tuples in code
+files; to_jsonable and from_jsonable carry nested tuples to JSON lists and
+back.  A TupleCodec is itself the lazy sequence of its tuples in code
 order, so a product universe is a codec and nothing else.  oversize states
 why a product universe exceeds a budget; callers raise on its reason.  This
 module imports nothing from replab, so every other module can use it.
@@ -42,6 +43,20 @@ def oversize(size: int, n: int, budget: int) -> str | None:
     if power_exceeds(size, n, budget):
         return f"{size}**{n} points exceed the budget {budget}"
     return None
+
+
+def to_jsonable(obj):
+    """obj with every tuple, nested ones too, turned into a list."""
+    if isinstance(obj, tuple):
+        return [to_jsonable(v) for v in obj]
+    return obj
+
+
+def from_jsonable(obj):
+    """obj with every list, nested ones too, turned into a tuple."""
+    if isinstance(obj, list):
+        return tuple(from_jsonable(v) for v in obj)
+    return obj
 
 
 class TupleCodec(Sequence):

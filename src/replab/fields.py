@@ -3,11 +3,16 @@
 Elements of GF(p^r) are the integers 0 .. p**r - 1, read as base-p digit
 vectors with the least significant digit first: the codes of
 ProductTuples(range(p), r).  Digit vector (c0, .., c_{r-1}) stands for the
-residue c0 + c1*t + ... + c_{r-1}*t**(r-1) modulo a fixed monic irreducible
-polynomial of degree r.  The reduction polynomial is the monic irreducible
-whose low coefficients (c0, .., c_{r-1}) come first in lexicographic order,
-c0 most significant (itertools.product order, not the digit code): t**3 +
-t**2 + 1 for GF(8) and t**4 + t**3 + 1 for GF(16), so tables are
+residue c0 + c1*t + ... + c_{r-1}*t**(r-1) modulo a fixed monic polynomial
+t**r + m_{r-1}*t**(r-1) + ... + m0 of degree r.  Multiplying by t shifts the
+digits up one place and subtracts the top digit times the low coefficients
+(m0, .., m_{r-1}); a*b is the sum of b_i copies of a*t**i.  The modulus is
+the first whose low coefficients, taken in itertools.product order (m0
+most significant, not the digit code), give a field: one under which no
+product of two non-zero residues is zero, so that every non-zero residue
+has an inverse.  The quotient ring is a field exactly when the modulus is
+irreducible, so this is the first monic irreducible in that order: t**3 +
+t**2 + 1 for GF(8) and t**4 + t**3 + 1 for GF(16), and tables are
 reproducible.
 
 Fields are this small on purpose: every arithmetic table is built eagerly and
@@ -18,7 +23,7 @@ the rest of the package free of trust assumptions about the arithmetic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .codec import ProductTuples
 
@@ -36,53 +41,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo a monic polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _monic_polys(degree: int, p: int) -> Iterable[tuple[int, ...]]:
-    for low in itertools.product(range(p), repeat=degree):
-        yield tuple(low) + (1,)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    degree = len(poly) - 1
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys(d, p):
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
+def _mul_table(p: int, r: int, low: tuple[int, ...]) -> list[list[int]] | None:
+    """The multiplication table of the residues modulo t**r + low(t), or
+    None at the first row holding a zero product of non-zero residues."""
+    digits = ProductTuples(range(p), r)
+    table = []
+    for a in digits:
+        powers = [a]  # a * t**i for i < r; t**r is -low(t)
+        for _ in range(r - 1):
+            x = powers[-1]
+            powers.append(tuple((s - x[-1] * m) % p for s, m in zip((0,) + x[:-1], low)))
+        # digit j of a*b is the sum over i of b_i times digit j of a * t**i
+        columns = list(zip(*powers))
+        row = [digits.encode(tuple(sum(bi * ci for bi, ci in zip(b, c)) % p for c in columns))
+               for b in digits]
+        if any(a) and 0 in row[1:]:
+            return None
+        table.append(row)
+    return table
 
 
 class FiniteField:
@@ -106,44 +82,16 @@ class FiniteField:
         self.p = p
         self.r = r
         self.order = order
-        self.reduction = self._find_reduction()
         self._digits = ProductTuples(range(p), r)
-        self._add = [[(self._digit_add(a, b)) for b in range(order)] for a in range(order)]
-        self._mul = [[self._poly_elem_mul(a, b) for b in range(order)] for a in range(order)]
-        self._neg = [self._find_neg(a) for a in range(order)]
-        self._inv = [None] + [self._find_inv(a) for a in range(1, order)]
+        self._add = [[self._digits.encode(tuple((x + y) % p for x, y in zip(a, b)))
+                      for b in self._digits] for a in self._digits]
+        self.reduction, self._mul = next(
+            (low + (1,), mul) for low in itertools.product(range(p), repeat=r)
+            if (mul := _mul_table(p, r, low)) is not None)
         self._verify_axioms()
         self._verify_generators()
 
-    # -- construction helpers -------------------------------------------------
-
-    def _find_reduction(self) -> tuple[int, ...]:
-        for poly in _monic_polys(self.r, self.p):
-            if _is_irreducible(poly, self.p):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    def _digit_add(self, a: int, b: int) -> int:
-        da, db = self._digits.decode(a), self._digits.decode(b)
-        return self._digits.encode(tuple((x + y) % self.p for x, y in zip(da, db)))
-
-    def _poly_elem_mul(self, a: int, b: int) -> int:
-        da, db = self._digits.decode(a), self._digits.decode(b)
-        rem = _poly_mod(_poly_mul(_poly_trim(da), _poly_trim(db), self.p),
-                        self.reduction, self.p)
-        return self._digits.encode(rem + (0,) * (self.r - len(rem)))
-
-    def _find_neg(self, a: int) -> int:
-        for b in range(self.order):
-            if self._add[a][b] == 0:
-                return b
-        raise AssertionError(f"no additive inverse for {a}")
-
-    def _find_inv(self, a: int) -> int:
-        for b in range(1, self.order):
-            if self._mul[a][b] == 1:
-                return b
-        raise AssertionError(f"no multiplicative inverse for {a}")
+    # -- construction checks ----------------------------------------------------
 
     def _verify_axioms(self) -> None:
         # explicit raises, not asserts, so that python -O keeps the check
@@ -185,11 +133,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
-
     def primitive_element(self) -> int:
         """The least element whose powers run through every non-zero
         element."""
@@ -210,9 +153,6 @@ class FiniteField:
 
     def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         return tuple(self._add[a][b] for a, b in zip(u, v, strict=True))
-
-    def vec_sub(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self._add[a][self._neg[b]] for a, b in zip(u, v, strict=True))
 
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self._mul[c][a] for a in u)

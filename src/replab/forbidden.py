@@ -168,6 +168,7 @@ def _search_witnesses(support: Sequence[tuple], n: int,
     # edge slots touched by each cell: slot s needs cell (j, support[s][j])
     touched = [[s for s in range(q) if support[s][j] == v] for j, v in cells]
     seen: set[frozenset] = set()
+    allowed = frozenset(pts)
 
     for i, candidates in coordinates:
         # per cell (j, v), the positions matching each present row with
@@ -185,7 +186,7 @@ def _search_witnesses(support: Sequence[tuple], n: int,
                 key = witness.point_set()
                 if key not in seen:
                     seen.add(key)
-                    if not witness_is_valid(support, n, witness, pts):
+                    if not (key <= allowed and witness_is_valid(support, n, witness)):
                         raise AssertionError("found configuration failed witness_is_valid")
                     yield witness
                 return

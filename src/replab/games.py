@@ -31,7 +31,7 @@ strategy found is re-checked by attains, which a value record's --recheck
 also runs: every answer lies in its player's alphabet, and evaluate, an int
 sum over the scaled weights that calls the predicate independently of the
 tables, gives the value.  The presets' question supports (unit_tuples,
-GHZ_SUPPORT, grid_question_set) and the answer game's predicate live here.
+grid_question_set) and the answer game's predicate live here.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import TupleCodec
+from .codec import TupleCodec, from_jsonable, to_jsonable
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 from .fields import FiniteField
 
@@ -390,10 +390,6 @@ def unit_tuples(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if j == s else 0 for j in range(q)) for s in range(q))
 
 
-# The even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0).
-GHZ_SUPPORT = tuple((x, y, x ^ y) for x in (0, 1) for y in (0, 1))
-
-
 def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]:
     """The question support tying grid density to repeated game values.
 
@@ -460,7 +456,7 @@ def preset_game(name: str, **params) -> Game:
     unitvec(q): the same question support with a placeholder always-reject
         predicate; useful as a bare question set.
     ghz: 3 players, questions the even-parity bit triples, placeholder
-        predicate.
+        predicate: the grid game with p = 2, r = 1 and k = 2.
     grid(p, r, k): k+r players with the grid question set over GF(p**r),
         placeholder predicate.
     """
@@ -489,7 +485,7 @@ def preset_game(name: str, **params) -> Game:
             raise ValueError("unitvec needs q >= 1")
         return _question_set(((0, 1),) * q, unit_tuples(q))
     if name == "ghz":
-        return _question_set(((0, 1),) * 3, GHZ_SUPPORT)
+        params = {"p": 2, "r": 1, "k": 2}
     field = FiniteField(params["p"], params["r"])
     return _question_set((tuple(field.elements),) * (params["k"] + params["r"]),
                          grid_question_set(field, params["k"]))
@@ -511,18 +507,6 @@ def _question_set(question_alphabets: tuple, support: Sequence[tuple]) -> Game:
 # -- JSON round-tripping -----------------------------------------------------
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
-def _from_jsonable(obj):
-    if isinstance(obj, list):
-        return tuple(_from_jsonable(v) for v in obj)
-    return obj
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -542,10 +526,10 @@ def game_to_json(game: Game) -> dict:
     """
     doc = {
         "k": game.k,
-        "question_alphabets": [_to_jsonable(tuple(a)) for a in game.question_alphabets],
-        "answer_alphabets": [_to_jsonable(tuple(a)) for a in game.answer_alphabets],
+        "question_alphabets": [to_jsonable(tuple(a)) for a in game.question_alphabets],
+        "answer_alphabets": [to_jsonable(tuple(a)) for a in game.answer_alphabets],
         "support": [
-            {"x": _to_jsonable(x), "weight": str(w)}
+            {"x": to_jsonable(x), "weight": str(w)}
             for x, w in zip(game.support, game.weights)
         ],
     }
@@ -634,15 +618,15 @@ def game_from_json(doc: dict) -> Game:
         if not isinstance(doc[key], list):
             raise SchemaError(f"game field {key!r} must be a list")
     k = doc["k"]
-    qalpha = [_from_jsonable(a) for a in doc["question_alphabets"]]
-    aalpha = [_from_jsonable(a) for a in doc["answer_alphabets"]]
+    qalpha = [from_jsonable(a) for a in doc["question_alphabets"]]
+    aalpha = [from_jsonable(a) for a in doc["answer_alphabets"]]
     if len(qalpha) != k or len(aalpha) != k:
         raise SchemaError("alphabet lists must have length k")
     support, weights = [], []
     for item in doc["support"]:
         if not isinstance(item, dict) or "x" not in item or "weight" not in item:
             raise SchemaError("support entries must be objects with 'x' and 'weight'")
-        support.append(_from_jsonable(item["x"]))
+        support.append(from_jsonable(item["x"]))
         weights.append(parse_fraction(str(item["weight"])))
     try:
         predicate = predicate_from_spec(doc["predicate"], qalpha, aalpha, support)
@@ -660,8 +644,8 @@ def strategy_to_json(game: Game, strategy: Strategy) -> dict:
     for j in range(game.k):
         entries = []
         for q in game.question_domain(j):
-            entries.append({"question": _to_jsonable(q),
-                            "answer": _to_jsonable(strategy.tables[j][q])})
+            entries.append({"question": to_jsonable(q),
+                            "answer": to_jsonable(strategy.tables[j][q])})
         players.append(entries)
     return {"players": players}
 
@@ -674,7 +658,7 @@ def strategy_from_json(doc: dict) -> Strategy:
         for entries in doc["players"]:
             table = {}
             for item in entries:
-                table[_from_jsonable(item["question"])] = _from_jsonable(item["answer"])
+                table[from_jsonable(item["question"])] = from_jsonable(item["answer"])
             tables.append(table)
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"malformed strategy 'players' entry: {exc!r}") from exc

@@ -67,9 +67,8 @@ from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codec import ProductTuples
+from .codec import ProductTuples, from_jsonable
 from .errors import BudgetExceededError
-from .games import _from_jsonable
 from .records import DensityRecord
 
 DEFAULT_POINT_BUDGET = 128
@@ -165,7 +164,7 @@ class StructureFamily:
         the record's universe_size and value, checked against a fresh
         enumeration of the configurations."""
         try:
-            indices = {self.index(_from_jsonable(p)) for p in record.witness}
+            indices = {self.index(from_jsonable(p)) for p in record.witness}
         except (ValueError, TypeError):
             return False
         return (len(indices) == len(record.witness) == record.witness_size

@@ -45,12 +45,12 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .codec import ProductTuples, oversize, power_exceeds
 from .errors import BudgetExceededError
 from .fields import FiniteField
-from .games import GHZ_SUPPORT, grid_question_set
+from .games import grid_question_set
 from .records import DensityRecord
 # max_free is re-exported: callers reach the solver through this module too
 from .search import (DEFAULT_POINT_BUDGET, StructureFamily, index_maps, max_free,
@@ -115,10 +115,6 @@ def _vector_universe(order: int, k: int, n: int) -> ProductTuples:
     return ProductTuples(ProductTuples(range(order), n), k)
 
 
-def _xor_vec(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a ^ b for a, b in zip(u, v, strict=True))
-
-
 def _vector_symmetries(universe: ProductTuples, n: int,
                        field: FiniteField) -> list[tuple[int, ...]]:
     """Index permutations generating a symmetry group of a vector family:
@@ -158,6 +154,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         raise ValueError("need n >= 1")
     if reason := oversize(4, n, point_budget):
         raise BudgetExceededError(reason)
+    field = FiniteField(2)
     universe = _vector_universe(2, 2, n)
     code = universe.encode
     vectors = universe.alphabets[0]
@@ -171,8 +168,8 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
                 for y in vectors:
                     yield tuple(sorted((
                         code((x, y)),
-                        code((_xor_vec(x, d), y)),
-                        code((x, _xor_vec(y, d))),
+                        code((field.vec_add(x, d), y)),
+                        code((x, field.vec_add(y, d))),
                     )))
 
     return StructureFamily(
@@ -180,7 +177,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         params={"n": n},
         universe=universe,
         _enumerate=enumerate_corners,
-        _symmetries=lambda: _vector_symmetries(universe, n, FiniteField(2)),
+        _symmetries=lambda: _vector_symmetries(universe, n, field),
     )
 
 
@@ -302,8 +299,9 @@ def r_grid(field: FiniteField, k: int, n: int) -> DensityRecord:
 
 
 def ghz_support() -> tuple[tuple[int, int, int], ...]:
-    """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0)."""
-    return GHZ_SUPPORT
+    """Even-parity bit triples, ordered (0,0,0), (0,1,1), (1,0,1), (1,1,0):
+    the grid question set of GF(2) with k = 2."""
+    return grid_question_set(FiniteField(2), 2)
 
 
 def grid_round_codes(field: FiniteField, k: int, n: int) -> list[int]:

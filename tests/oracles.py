@@ -314,3 +314,19 @@ def generated_group(gens, size):
                 group.add(composed)
                 frontier.append(composed)
     return group
+
+
+def poly_mod_product(a, b, p, modulus):
+    """The product of two residues, little-endian coefficient sequences of
+    length r over GF(p), by the schoolbook product of the polynomials and
+    long division by the monic modulus of r + 1 coefficients."""
+    r = len(modulus) - 1
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for top in range(len(prod) - 1, r - 1, -1):
+        lead = prod[top]
+        for i, mi in enumerate(modulus):
+            prod[top - r + i] = (prod[top - r + i] - lead * mi) % p
+    return tuple(prod[:r])

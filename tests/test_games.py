@@ -298,6 +298,13 @@ def test_preset_support_shapes():
     assert exact_value(preset_game("unitvec", q=3)).value == 0
 
 
+def test_ghz_preset_is_the_binary_grid_game():
+    ghz, grid = preset_game("ghz"), preset_game("grid", p=2, r=1, k=2)
+    for attr in ("question_alphabets", "answer_alphabets", "support", "weights",
+                 "predicate", "predicate_spec"):
+        assert getattr(ghz, attr) == getattr(grid, attr)
+
+
 def test_preset_rejects_bad_input():
     with pytest.raises(ValueError):
         preset_game("nope")

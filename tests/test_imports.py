@@ -1,6 +1,6 @@
-"""The package's module graph: every import sits at module level, the
-modules' imports of each other form no cycle, and every name the package
-exports has a caller outside the tests."""
+"""The package's module graph: every import sits at module level, no module
+imports another's private name, the modules' imports of each other form no
+cycle, and every name the package exports has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,15 @@ def _local_imports(path: Path) -> set[str]:
 
 
 GRAPH = {p.stem: _local_imports(p) for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    # a name a module keeps private is not another module's interface
+    private = [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_module_graph_is_acyclic():
