@@ -151,9 +151,6 @@ class FiniteField:
 
     # -- vectors over the field --------------------------------------------------
 
-    def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self._add[a][b] for a, b in zip(u, v, strict=True))
-
     def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self._mul[c][a] for a in u)
 

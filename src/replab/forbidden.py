@@ -18,16 +18,22 @@ whenever the base game's value is below one, and the maximum density of a
 configuration-free subset of the repeated support bounds every repeated
 value from above.
 
-The search below walks coordinates i ascending and assigns to each cell
-(player j, symbol v) the shared row vector of the edges whose coordinate-i
-symbol for player j is v.  Each edge slot s starts at the points whose
-coordinate i is s, so a coordinate at which the point set misses some
-symbol is passed over before any search: a product strategy's winning set
-misses one at every coordinate.  A cell's options are the player-j rows
-that the points actually show with v at coordinate i, never the
-|symbols|**(n-1) rows that could.  Cells are visited player-major with
-symbols in sorted order, and each cell's rows in little-endian code order
-of their symbols' ranks, so enumeration order is deterministic.
+The configurations are built round by round.  Call a map phi of the
+support indices consistent when each player's symbol of Q[phi(s)] depends
+only on their symbol of Q[s].  A configuration pinned at coordinate i is
+then exactly one consistent map phi_m for each other round m, with
+e(s)_i = s and e(s)_m = phi_m(s).  consistent_maps finds the maps by a
+small backtrack, cached per support and per set of allowed images, and
+the search below runs a DFS over the rounds m != i that narrows each edge
+slot s, starting at the points whose coordinate i is s, to the points
+whose coordinate m is phi_m(s).  A coordinate at which the point set
+misses some symbol is passed over before any search: a product
+strategy's winning set misses one at every coordinate.  On the whole
+n-fold support no branch is dead.  Each coordinate's configurations are
+sorted into the order of a DFS over the cells (player j, symbol v),
+player-major with symbols sorted, each cell's row of symbols read by rank
+with the last round most significant, so enumeration order is
+deterministic.
 
 forbidden_family presents the configurations as one more structure family
 on the point codes, and compute_eq solves it by StructureFamily.solve, the
@@ -46,6 +52,7 @@ along a stabiliser chain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -88,8 +95,7 @@ def _row(support: Sequence[tuple], w: Sequence[int], j: int) -> tuple:
     return tuple(support[v][j] for v in w)
 
 
-def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness,
-                     points: Iterable[Sequence[int]] | None = None) -> bool:
+def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness) -> bool:
     """Check the defining conditions of a forbidden configuration."""
     q = len(support)
     k = len(support[0])
@@ -103,10 +109,6 @@ def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness
             return False
         if e[i] != s:
             return False
-    if points is not None:
-        allowed = {tuple(p) for p in points}
-        if any(tuple(e) not in allowed for e in witness.edges):
-            return False
     for j in range(k):
         by_symbol: dict = {}
         for s, e in enumerate(witness.edges):
@@ -118,95 +120,132 @@ def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness
 
 
 def _checked_points(q: int, n: int, points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The points as tuples; ValueError naming the first one that is not an
-    n-tuple over range(q)."""
+    """The distinct points as tuples, in first-seen order; ValueError naming
+    the first one that is not an n-tuple over range(q)."""
     pts = [tuple(p) for p in points]
     for p in pts:
         if len(p) != n or not all(isinstance(v, int) and 0 <= v < q for v in p):
             raise ValueError(f"point {p!r} is not a {n}-tuple over range({q})")
-    return pts
+    return list(dict.fromkeys(pts))
+
+
+@functools.lru_cache(maxsize=1024)
+def consistent_maps(support: tuple[tuple, ...],
+                    domains: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The consistent maps of the support indices that take each s into the
+    mask domains[s], as image tuples: the maps phi under which each player's
+    symbol of support[phi(s)] depends only on their symbol of support[s].
+    A backtrack over s ascending keeps an image t while it agrees with the
+    symbol maps that the images of 0..s-1 fix.  Raises BudgetExceededError
+    past DEFAULT_CONFIG_BUDGET maps: at n >= 2 each map into the full
+    domains gives a configuration of the n-fold support at coordinate 0."""
+    q, k = len(support), len(support[0])
+    targets = [[t for t in range(q) if mask >> t & 1] for mask in domains]
+    sigma: list[dict] = [{} for _ in range(k)]
+    image: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def extend(s: int) -> None:
+        if s == q:
+            if len(found) == DEFAULT_CONFIG_BUDGET:
+                raise BudgetExceededError(
+                    f"more than {DEFAULT_CONFIG_BUDGET} consistent maps of the support")
+            found.append(tuple(image))
+            return
+        x = support[s]
+        for t in targets[s]:
+            y = support[t]
+            if all(sig.get(a, b) == b for sig, a, b in zip(sigma, x, y)):
+                fixed = [j for j in range(k) if x[j] not in sigma[j]]
+                for j in fixed:
+                    sigma[j][x[j]] = y[j]
+                image.append(t)
+                extend(s + 1)
+                image.pop()
+                for j in fixed:
+                    del sigma[j][x[j]]
+
+    extend(0)
+    return tuple(found)
 
 
 def _search_witnesses(support: Sequence[tuple], n: int,
                       pts: Sequence[tuple[int, ...]]) -> Iterator[ForbiddenWitness]:
-    """Yield forbidden configurations inside the given point set, n-tuples
-    over range(len(support)).
+    """Yield forbidden configurations inside the given distinct points,
+    n-tuples over range(len(support)).  Raises BudgetExceededError once
+    more than DEFAULT_CONFIG_BUDGET of them are found, since each
+    coordinate's are held for sorting.
 
     Coordinates ascending.  At coordinate i, slot s starts at the points
-    whose coordinate i is s, and a DFS over cell assignments narrows every
-    slot to one point; a coordinate where some slot starts empty holds no
-    configuration.  Duplicate point sets discovered at later coordinates
-    are suppressed.
+    whose coordinate i is s; a coordinate where some slot starts empty holds
+    no configuration.  A DFS over the rounds m != i picks one consistent map
+    phi for each, among those taking every slot s to a symbol phi(s) that
+    some point of the slot shows at coordinate m, and narrows slot s to
+    those points.  After the last round each slot holds one point.  A
+    coordinate's configurations are sorted into the order of a DFS over the
+    cells (player j, symbol v), player-major with symbols sorted, each
+    cell's row read by symbol rank with the last round most significant;
+    then duplicates of point sets found at earlier coordinates are dropped.
     """
     q = len(support)
-    k = len(support[0])
     if len(pts) < q:
         return
-    # per coordinate i with no empty slot: slots[s] = positions (into pts)
-    # of the points whose coordinate i is s
-    coordinates = []
-    for i in range(n):
-        slots: list[set] = [set() for _ in range(q)]
-        for pos, w in enumerate(pts):
-            slots[w[i]].add(pos)
-        if all(slots):
-            coordinates.append((i, slots))
+    # at[m][t] = mask of the positions (into pts) of the points whose
+    # coordinate m is t
+    at = [[0] * q for _ in range(n)]
+    for pos, w in enumerate(pts):
+        for row, t in zip(at, w):
+            row[t] |= 1 << pos
+    coordinates = [i for i in range(n) if all(at[i])]
     if not coordinates:
         return
-    symbols = player_symbols(support)
-    # rows[j] = (row, positions of the points whose player-j view is row)
-    # for the rows present, little-endian over the ranks of their symbols
-    rows: list[list] = []
-    for j in range(k):
-        index: dict = defaultdict(set)
-        for pos, w in enumerate(pts):
-            index[_row(support, w, j)].add(pos)
-        rank = {x: r for r, x in enumerate(symbols[j])}
-        rows.append(sorted(index.items(),
-                           key=lambda item: [rank[x] for x in reversed(item[0])]))
-    cells = [(j, v) for j in range(k) for v in symbols[j]]
-    # edge slots touched by each cell: slot s needs cell (j, support[s][j])
-    touched = [[s for s in range(q) if support[s][j] == v] for j, v in cells]
+    support_key = tuple(map(tuple, support))
+    # the sort key reads each cell (j, v) off its first slot s, through the
+    # symbol rank of support[t][j] for each support index t
+    cells = []
+    for j, symbols in enumerate(player_symbols(support)):
+        rank = {x: r for r, x in enumerate(symbols)}
+        first = {}
+        for s, x in enumerate(support):
+            first.setdefault(x[j], s)
+        cells += [([rank[x[j]] for x in support], first[v]) for v in symbols]
     seen: set[frozenset] = set()
     allowed = frozenset(pts)
+    count = 0
 
-    for i, candidates in coordinates:
-        # per cell (j, v), the positions matching each present row with
-        # coordinate i equal to v, in row order
-        options = [[matches for row, matches in rows[j] if row[i] == v] for j, v in cells]
+    for i in coordinates:
+        rounds = [row for m, row in enumerate(at) if m != i]
+        found = []
 
-        def dfs(ci: int) -> Iterator[ForbiddenWitness]:
-            if ci == len(cells):
-                edges = []
-                for s in range(q):
-                    if len(candidates[s]) != 1:
-                        raise AssertionError("complete assignment must pin each edge")
-                    edges.append(pts[next(iter(candidates[s]))])
-                witness = ForbiddenWitness(coordinate=i, edges=tuple(edges))
-                key = witness.point_set()
-                if key not in seen:
-                    seen.add(key)
-                    if not (key <= allowed and witness_is_valid(support, n, witness)):
-                        raise AssertionError("found configuration failed witness_is_valid")
-                    yield witness
+        def dfs(depth: int, slots: list[int]) -> None:
+            nonlocal count
+            if depth == len(rounds):
+                if any(c & (c - 1) for c in slots):
+                    raise AssertionError("complete assignment must pin each edge")
+                edges = tuple(pts[c.bit_length() - 1] for c in slots)
+                if frozenset(edges) not in seen:
+                    count += 1
+                    if count > DEFAULT_CONFIG_BUDGET:
+                        raise BudgetExceededError(
+                            f"more than {DEFAULT_CONFIG_BUDGET} forbidden configurations")
+                    found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])],
+                                  edges))
                 return
-            slots = touched[ci]
-            for matches in options[ci]:
-                saved = []
-                ok = True
-                for s in slots:
-                    new = candidates[s] & matches
-                    if not new:
-                        ok = False
-                        break
-                    saved.append((s, candidates[s]))
-                    candidates[s] = new
-                if ok:
-                    yield from dfs(ci + 1)
-                for s, old in saved:
-                    candidates[s] = old
+            row = rounds[depth]
+            domains = tuple(sum(1 << t for t, points in enumerate(row) if c & points)
+                            for c in slots)
+            for phi in consistent_maps(support_key, domains):
+                dfs(depth + 1, [c & row[t] for c, t in zip(slots, phi)])
 
-        yield from dfs(0)
+        dfs(0, at[i])
+        found.sort()
+        for _, edges in found:
+            witness = ForbiddenWitness(coordinate=i, edges=edges)
+            points = witness.point_set()
+            seen.add(points)
+            if not (points <= allowed and witness_is_valid(support, n, witness)):
+                raise AssertionError("found configuration failed witness_is_valid")
+            yield witness
 
 
 def find_forbidden(support: Sequence[tuple], n: int,

@@ -148,6 +148,33 @@ def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
                    name="square", params={"n": n})
 
 
+def _translation(field: FiniteField, d) -> list[int]:
+    """The vector codes of x + d over the codes of every x, composed from
+    one digit table per coordinate of d: the table for coordinates 0..m
+    takes each digit a of coordinate m above the table for 0..m-1."""
+    table, scale = [0], 1
+    for dm in d:
+        digits = [field.add(a, dm) * scale for a in field.elements]
+        table = [low + high for high in digits for low in table]
+        scale *= field.order
+    return table
+
+
+def _cosets(field: FiniteField, d) -> list[tuple[int, ...]]:
+    """The cosets {x + a*d : a in F} of the line through d, as sorted
+    vector codes, in order of their least codes."""
+    shifts = [_translation(field, field.vec_scale(a, d)) for a in field.elements[1:]]
+    covered = bytearray(len(shifts[0]))
+    cosets = []
+    for x, done in enumerate(covered):
+        if not done:
+            coset = tuple(sorted([x] + [shift[x] for shift in shifts]))
+            for y in coset:
+                covered[y] = 1
+            cosets.append(coset)
+    return cosets
+
+
 def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
     """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n."""
     if n < 1:
@@ -156,21 +183,18 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
         raise BudgetExceededError(reason)
     field = FiniteField(2)
     universe = _vector_universe(2, 2, n)
-    code = universe.encode
     vectors = universe.alphabets[0]
+    size = len(vectors)
 
     def enumerate_corners() -> Iterator[tuple[int, ...]]:
         # (x, y, d) -> corner is injective: the apex (x, y) is the unique
         # point sharing its first component with one point and its second
         # with the other, and d is the difference, so no deduplication needed
         for d in vectors[1:]:
-            for x in vectors:
-                for y in vectors:
-                    yield tuple(sorted((
-                        code((x, y)),
-                        code((field.vec_add(x, d), y)),
-                        code((x, field.vec_add(y, d))),
-                    )))
+            shift = _translation(field, d)
+            for x in range(size):
+                for y in range(size):
+                    yield tuple(sorted((x + y * size, shift[x] + y * size, x + shift[y] * size)))
 
     return StructureFamily(
         name="corner",
@@ -185,14 +209,13 @@ def grids(field: FiniteField, k: int, n: int,
           point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
     """Grids {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} with d != 0.
 
-    Each grid is enumerated once: d is normalised monic (first non-zero
-    coordinate equal to 1) and the base point is the minimum-index point of
-    the grid.  That base is the one point whose k vectors are all zero at
-    d's last non-zero coordinate top: each vector's coordinates above top are
-    the same across the grid, top is its most significant varying digit,
-    and the field's zero has the smallest code.  So a base is tested by that
-    coordinate alone, before its cell is built, and the cells come out in
-    (d, base index) order.
+    A grid is a product of k cosets of the line F*d, one per player, and
+    each grid is listed once: d is normalised monic (first non-zero
+    coordinate equal to 1), and for each d the products of its cosets run
+    with player 0 varying fastest.  With the cosets in order of their least
+    codes, and player 0 least significant in the point index, the grids of
+    one d then come out in order of their minimum-index points, and each
+    grid's indices come out sorted, as the products of sorted cosets.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
@@ -200,27 +223,22 @@ def grids(field: FiniteField, k: int, n: int,
     if reason := oversize(order, k * n, point_budget):
         raise BudgetExceededError(reason)
     universe = _vector_universe(order, k, n)
-    code = universe.encode
+    vectors = universe.alphabets[0]
+    size = len(vectors)
     monic = []
-    for d in universe.alphabets[0]:
+    for d in vectors:
         lead = next((v for v in d if v != 0), None)
         if lead == 1:
             monic.append(d)
 
-    def grid_indices(x, d) -> list[int]:
-        out = []
-        for alpha in itertools.product(field.elements, repeat=k):
-            point = tuple(field.vec_add(x[j], field.vec_scale(alpha[j], d))
-                          for j in range(k))
-            out.append(code(point))
-        return out
-
     def enumerate_grids() -> Iterator[tuple[int, ...]]:
         for d in monic:
-            top = max(m for m, v in enumerate(d) if v)
-            for x in universe:
-                if not any(xj[top] for xj in x):
-                    yield tuple(sorted(grid_indices(x, d)))
+            # a product's first coset is player k-1's, the most significant
+            for chosen in itertools.product(_cosets(field, d), repeat=k):
+                grid = [0]
+                for coset in chosen:
+                    grid = [g * size + v for g in grid for v in coset]
+                yield tuple(grid)
 
     return StructureFamily(
         name="grid",

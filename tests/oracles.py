@@ -88,6 +88,26 @@ def naive_forbidden(support, n, points):
     return out
 
 
+def naive_consistent_maps(support, domains):
+    """Every map phi of range(q), as an image tuple, with phi(s) in the
+    mask domains[s] and each player's symbol of support[phi(s)] a function
+    of their symbol of support[s], by walking all q**q maps."""
+    q, k = len(support), len(support[0])
+    out = set()
+    for phi in itertools.product(range(q), repeat=q):
+        if not all(domains[s] >> phi[s] & 1 for s in range(q)):
+            continue
+        ok = True
+        for j in range(k):
+            image = {}
+            for s in range(q):
+                if image.setdefault(support[s][j], support[phi[s]][j]) != support[phi[s]][j]:
+                    ok = False
+        if ok:
+            out.add(phi)
+    return out
+
+
 def naive_max_free(size, edges):
     """Exhaustive maximum free subset of range(size).
 
@@ -229,6 +249,11 @@ def naive_corners(n):
     return out
 
 
+def _affine(field, x, alpha, d):
+    """The vector x + alpha*d, coordinate by coordinate."""
+    return tuple(field.add(a, field.mul(alpha, b)) for a, b in zip(x, d))
+
+
 def naive_grids(field, k, n):
     """Grid point sets {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k}, d != 0,
     by full parameter enumeration."""
@@ -241,7 +266,7 @@ def naive_grids(field, k, n):
                 continue
             grid = set()
             for alpha in itertools.product(field.elements, repeat=k):
-                grid.add(tuple(field.vec_add(x[j], field.vec_scale(alpha[j], d))
+                grid.add(tuple(_affine(field, x[j], alpha[j], d)
                                for j in range(k)))
             out.add(frozenset(grid))
     return out
@@ -266,7 +291,7 @@ def min_base_grids(field, k, n):
             continue
         for i in range(q**(n * k)):
             x = [vectors[(i // q**(n * j)) % q**n] for j in range(k)]
-            cell = [index([field.vec_add(x[j], field.vec_scale(alpha[j], d))
+            cell = [index([_affine(field, x[j], alpha[j], d)
                            for j in range(k)])
                     for alpha in itertools.product(field.elements, repeat=k)]
             if min(cell) == i:

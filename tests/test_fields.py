@@ -169,9 +169,5 @@ def test_vectors_are_little_endian():
 
 def test_vector_arithmetic():
     f = FiniteField(2, 2)
-    u, v = (1, 2), (3, 2)
-    assert f.vec_add(u, v) == (f.add(1, 3), f.add(2, 2))
-    assert f.vec_add(f.vec_add(u, v), v) == u  # characteristic 2: v + v = 0
+    u = (1, 2)
     assert f.vec_scale(2, u) == (f.mul(2, 1), f.mul(2, 2))
-    with pytest.raises(ValueError):
-        f.vec_add((1,), (1, 2))

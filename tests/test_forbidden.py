@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
+from replab import forbidden
 from replab.errors import BudgetExceededError
 from replab.forbidden import (ForbiddenWitness, build_answer_game,
-                              check_winning_set_free, compute_eq,
+                              check_winning_set_free, compute_eq, consistent_maps,
                               enumerate_forbidden, find_forbidden, forbidden_family,
                               forbidden_hypergraph, player_symbols,
                               strategy_from_witness, support_symmetries,
@@ -83,8 +84,8 @@ def test_witness_is_valid_rejects_defects():
     assert not witness_is_valid(UNIT3, 2, bad_pin)
     short = ForbiddenWitness(coordinate=0, edges=good.edges[:2])
     assert not witness_is_valid(UNIT3, 2, short)
-    # restricting the allowed point set must be honoured
-    assert not witness_is_valid(UNIT3, 2, good, points=[(0, 0), (1, 0)])
+    # membership in a point set is a separate subset check
+    assert not good.point_set() <= {(0, 0), (1, 0)}
     # break the row-consistency condition: mix two different inactive digits
     mixed = ForbiddenWitness(coordinate=0, edges=((0, 0), (1, 1), (2, 0)))
     assert not witness_is_valid(UNIT3, 2, mixed)
@@ -133,8 +134,30 @@ def test_find_and_enumerate_match_naive_on_subsets(case):
     first = find_forbidden(support, n, points)
     assert (first is not None) == bool(naive)
     if first is not None:
-        assert witness_is_valid(support, n, first, points)
+        assert witness_is_valid(support, n, first)
+        assert first.point_set() <= set(points)
         assert first.point_set() in naive
+
+
+@st.composite
+def support_and_domains(draw):
+    k = draw(st.integers(1, 3))
+    alphabet = list(range(draw(st.integers(1, 3))))
+    tuples = list(itertools.product(alphabet, repeat=k))
+    support = draw(st.lists(st.sampled_from(tuples), unique=True, min_size=1, max_size=4))
+    full = (1 << len(support)) - 1
+    domains = draw(st.one_of(
+        st.just((full,) * len(support)),
+        st.tuples(*[st.integers(0, full)] * len(support))))
+    return support, domains
+
+
+@given(support_and_domains())
+def test_consistent_maps_match_naive(case):
+    support, domains = case
+    maps = consistent_maps(tuple(support), domains)
+    assert len(set(maps)) == len(maps)
+    assert set(maps) == oracles.naive_consistent_maps(support, domains)
 
 
 # sha256 of repr([(w.coordinate, w.edges), ..]) from enumerate_forbidden:
@@ -143,6 +166,7 @@ ENUMERATION_SHA256 = {
     ("unit3", 1): "7736c3e5f6b6af9475b38681e23dd9d9ec58814500c433662b01b45580bfc0a4",
     ("unit3", 2): "67fe15785467b732a77c47cb4e0f07d39c2c06e91077e55baa016070d613374d",
     ("unit3", 3): "34b0abc2b118e790bb012266fa2ee533e5f52171daae009e5a59dba570568d4a",
+    ("unit3", 4): "0992380b723ecc097438fb8d97cd0661eebebdba2bf9fdb99c912ff5b69f3c39",
     ("ghz", 1): "46254ac08ed8c167fde0245a840e5dc306aaec2c0a86ce14cf17074964c238f5",
     ("ghz", 2): "04f3f926c9ca490de770b8e160002994a4f1ba2c1052e3f7887e7e0ddc8275b2",
     ("ghz", 3): "882aae9a84a4dce7b6e5df819afa1ab872590f93e67cfdcda239b7b0c6e751de",
@@ -158,6 +182,14 @@ def test_enumeration_order_is_pinned(name, n):
     found = [(w.coordinate, w.edges) for w in enumerate_forbidden(SUPPORTS[name], n)]
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert digest == ENUMERATION_SHA256[(name, n)]
+
+
+def test_enumeration_order_past_the_default_point_budget():
+    found = [(w.coordinate, w.edges)
+             for w in enumerate_forbidden(UNIT3, 5, point_budget=3**5)]
+    assert len(found) == 4**5 - 3**5
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()
+    assert digest == "e8707fb0d57c3bc91460c26a16457a2b4e58d38a43cc2d5d594dfc00e7f862d1"
 
 
 @pytest.mark.parametrize("support", [UNIT3, GHZ], ids=["unit3", "ghz"])
@@ -189,6 +221,23 @@ def test_points_must_hold_ints():
     # build_answer_game reads its points through int(); the search does not
     with pytest.raises(ValueError, match=re.escape("(1.0,)")):
         find_forbidden(UNIT3, 1, [(0,), (1.0,), (2,)])
+
+
+def test_repeated_points_count_once():
+    found = find_forbidden(UNIT3, 1, [(0,), (0,), (1,), (2,)])
+    assert found == ForbiddenWitness(coordinate=0, edges=((0,), (1,), (2,)))
+    assert len(list(enumerate_forbidden(UNIT3, 2, [(0, 1), (0, 1), (1, 1), (2, 1)]))) == 1
+
+
+def test_searches_past_the_configuration_budget_are_refused(monkeypatch):
+    monkeypatch.setattr(forbidden, "DEFAULT_CONFIG_BUDGET", 100)
+    # one player tells every index apart, so all 4**4 maps are consistent
+    support = [(s,) for s in range(4)]
+    with pytest.raises(BudgetExceededError, match="^more than 100 consistent maps"):
+        find_forbidden(support, 2, list(ProductTuples(range(4), 2)))
+    # coordinate 0 of unit(3) at n = 5 holds 4**4 configurations
+    with pytest.raises(BudgetExceededError, match="^more than 100 forbidden configurations$"):
+        next(enumerate_forbidden(UNIT3, 5, point_budget=3**5))
 
 
 def test_enumerate_point_budget():

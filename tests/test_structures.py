@@ -1,6 +1,7 @@
 """Structure families, exact densities, and the point bijections of the
 paper's equivalences."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -65,9 +66,14 @@ def test_corners_match_naive(n):
 
 @pytest.mark.parametrize("field,k,n", [
     (F2, 2, 1), (F2, 2, 2), (F3, 2, 1), (F3, 1, 1), (F3, 1, 2), (F4, 2, 1),
+    (F2, 1, 3), (F4, 1, 2), (F2, 3, 1), (FiniteField(5), 1, 2),
 ])
 def test_grids_match_naive(field, k, n):
+    # the coset products against every {x + a*d} as point sets, each grid
+    # listed once
     family = grids(field, k, n)
+    configs = list(family.configurations())
+    assert len(set(configs)) == len(configs)
     assert _config_point_sets(family) == oracles.naive_grids(field, k, n)
 
 
@@ -77,6 +83,36 @@ def test_grids_match_naive(field, k, n):
 def test_grids_keep_each_cell_from_its_minimum_base(field, k, n):
     # the edge order of the hypergraph and of WCNF dumps follows this list
     assert list(grids(field, k, n).configurations()) == oracles.min_base_grids(field, k, n)
+
+
+# sha256 of repr(list(family.configurations())): the edge order of the
+# hypergraphs, WCNF dumps and density witnesses, which a faster
+# construction must keep
+CONFIGURATION_SHA256 = {
+    ("grid", 2, 1, 1, 6): "78783ab25406097598c0145604d29ca8cc41b234abc9c7c7aeb1e7d559086652",
+    ("grid", 3, 1, 1, 3): "bbec549c973cc78c173f8dc6e838a88db3e978bec2a34a11fc835ee9e71f7be2",
+    ("grid", 5, 1, 1, 2): "ef0dda362b9ca60c3989d21b83c72bc20979124a7db710894d2d3f6355b13003",
+    ("grid", 2, 2, 2, 1): "9e237044f2c6795dbc9227745a8925f2ff24b14b018edce9e64605a17864a905",
+    ("grid", 2, 2, 1, 2): "5184709d0ac2cb35b50d790dfb87cf9cddfec831e537be5811d6a1adbd4d3389",
+    ("grid", 3, 1, 2, 2): "f7201fd582a40c31a82e59c86dd8424cd589ab2c30180817c9ba9240a6e351b7",
+    ("grid", 3, 2, 1, 2): "eb0342ee5744810d8f3f641d26a43ef70ed3719afdb6b3f65f1fc52193de6bb2",
+    ("grid", 2, 3, 1, 2): "1850913068ad859062d2d8f4e1d04144539d9a0979c16ce9d877ee4f319895fb",
+    ("grid", 2, 1, 3, 2): "9186aebe6a6ab4292a2f9e008dcac25710e0a17b92348eb3d5aca8e88504a4ea",
+    ("square", 3): "406031a83f7b828d4f5261921e5c844878f1cb10d78c4539bcebee2e0f4aa397",
+    ("corner", 3): "f732291696ba86789ddf336712b5f204e7bf3e1663740809a6f7912a19ee0744",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGURATION_SHA256, key=repr), ids=repr)
+def test_configuration_order_is_pinned(case):
+    name, *params = case
+    if name == "grid":
+        p, r, k, n = params
+        family = grids(FiniteField(p, r), k, n)
+    else:
+        family = {"square": squares, "corner": corners}[name](*params)
+    digest = hashlib.sha256(repr(list(family.configurations())).encode()).hexdigest()
+    assert digest == CONFIGURATION_SHA256[case]
 
 
 def test_grids_of_gf2_are_squares():
