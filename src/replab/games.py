@@ -14,24 +14,31 @@ the space in canonical order (players ascending, questions in alphabet
 order, answers in alphabet order) and returns the first strategy attaining
 the optimum, which is therefore the lexicographically first maximiser.
 
-The search adds and compares ints: the weights over one common
-denominator (Game.scaled_weights), turned back into a Fraction only for the
-result.  It checks forward: from each support tuple's table of accepted
-answer combinations (Game.acceptance) it precomputes, for each of the
-tuple's cells in search order, which answers so far no accepted combination
-starts with, and counts the tuple's weight as lost at the first cell where
-that happens.  A lost prefix loses under every completion, so the optimum
-and the lex-first strategy are those of scoring each tuple at its last
-cell.  A game builds its tables by calling the predicate on support x
+The search reads ints only.  Per support tuple, Game.coded_support gives
+its weight over one common denominator (Game.scaled_weights), turned back
+into a Fraction only for the result, and each player's position in
+question_domain; a cell (player, question) is then one number, and no
+question tuple is hashed.  It checks forward: from each support tuple's
+table of accepted answer combinations (Game.acceptance) it precomputes, for
+each of the tuple's cells in search order, which answers so far no accepted
+combination starts with, and counts the tuple's weight as lost at the first
+cell where that happens.  A lost prefix loses under every completion, so the
+optimum and the lex-first strategy are those of scoring each tuple at its
+last cell.  A game builds its tables by calling the predicate on support x
 answer combinations, which counts against the same budget as the strategy
-space; a repeated game builds them as round-by-round products of its base
-game's tables, without calling the predicate.  The search is a loop over per-depth arrays,
-so its depth is bounded by memory, not by Python's recursion limit.  The
+space; a repeated game builds its tables and its coded support as
+round-by-round products of its base game's, without calling the predicate
+or forming a question tuple.  The search is a loop over per-depth arrays, so
+its depth is bounded by memory, not by Python's recursion limit.  The
 strategy found is re-checked by attains, which a value record's --recheck
-also runs: every answer lies in its player's alphabet, and evaluate, an int
-sum over the scaled weights that calls the predicate independently of the
-tables, gives the value.  The presets' question supports (unit_tuples,
-grid_question_set) and the answer game's predicate live here.
+also runs: every answer lies in its player's alphabet, and evaluate gives
+the value.  evaluate walks the question tuples of the support and calls the
+predicate on each, and reads neither the coded support nor the tables, so
+the re-check shares nothing the search read, and a fault there shows up as
+a mismatch.
+The presets' question supports (unit_tuples, grid_question_set), refused
+past PRESET_SUPPORT_BUDGET before they are built, and the answer game's
+predicate live here.
 """
 
 from __future__ import annotations
@@ -39,15 +46,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import TupleCodec, from_jsonable, to_jsonable
+from .codec import TupleCodec, from_jsonable, oversize, to_jsonable
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 from .fields import FiniteField
 
 DEFAULT_STRATEGY_BUDGET = 10**8
+# the most support tuples a preset question set is built with, as for the
+# default budget of repeat
+PRESET_SUPPORT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True, eq=True)
@@ -64,6 +74,13 @@ class Strategy:
                 f"player {player} has no answer for question {question!r}") from None
 
     def answers(self, questions: Sequence) -> tuple:
+        try:
+            out = tuple(map(operator.getitem, self.tables, questions))
+        except (KeyError, IndexError):
+            out = ()
+        # map stops at the shorter input, so a missing table shows as a short tuple
+        if len(out) == len(questions):
+            return out
         return tuple(self.answer(j, x) for j, x in enumerate(questions))
 
     @staticmethod
@@ -103,6 +120,9 @@ class Game:
     def _validate(self) -> None:
         if len(self.answer_alphabets) != self.k:
             raise SchemaError("question and answer alphabets disagree on player count")
+        for alphabet in (*self.question_alphabets, *self.answer_alphabets):
+            if isinstance(alphabet, str) or not isinstance(alphabet, Sequence):
+                raise SchemaError(f"alphabet {alphabet!r} is not a sequence of symbols")
         if len(self.support) != len(self.weights):
             raise SchemaError("support and weights must have equal length")
         if not self.support:
@@ -129,6 +149,17 @@ class Game:
         weights = list(self.weights)
         scale = math.lcm(*(w.denominator for w in weights))
         return scale, [w.numerator * (scale // w.denominator) for w in weights]
+
+    def coded_support(self) -> tuple[int, Sequence[int], list[Sequence[int]]]:
+        """The support as exact_value's search reads it: (scale, weights,
+        positions), with weights the ints of scaled_weights() and
+        positions[j][i] the position of support tuple i's question to player
+        j in question_domain(j), both in support order."""
+        scale, weights = self.scaled_weights()
+        places = [{q: pos for pos, q in enumerate(self.question_domain(j))}
+                  for j in range(self.k)]
+        return scale, list(weights), [[place[x[j]] for x in self.support]
+                                      for j, place in enumerate(places)]
 
     def acceptance(self) -> list[frozenset[tuple[int, ...]]]:
         """Per support tuple, in support order, the answer combinations the
@@ -204,59 +235,70 @@ def search_domains(game: Game, budget: int) -> list[list]:
 class _StrategySearch:
     """Shared machinery for the two exact_value phases.
 
-    A cell is a pair (player, question); a joint strategy is an assignment of
-    an answer index to every cell.  Weights are the ints of
-    game.scaled_weights().  A support tuple's weight counts as lost at the
-    first of its cells whose assigned answers no accepted answer combination
-    starts with; nodes counts the depths the search visits, leaves included.
+    A cell is a pair (player, question), numbered offsets[player] + the
+    question's position in the player's domain; a joint strategy is an
+    assignment of an answer index to every cell.  The support is read as
+    Game.coded_support gives it: an int weight per tuple, from
+    game.scaled_weights(), and per player a list of question positions, so
+    no question tuple is hashed.  A support tuple's weight counts as lost at
+    the first of its cells whose assigned answers no accepted answer
+    combination starts with; nodes counts the depths the search visits,
+    leaves included.
     """
 
     def __init__(self, game: Game, budget: int):
         self.domains = search_domains(game, budget)
         self.k = game.k
-        self.support = list(game.support)
-        self.scale, weights = game.scaled_weights()
-        self.weights = list(weights)
+        self.scale, self.weights, self.positions = game.coded_support()
         self.total = sum(self.weights)
         self.nodes = 0
         self.answers = [list(a) for a in game.answer_alphabets]
         self.sizes = [len(a) for a in self.answers]
+        self.offsets = list(itertools.accumulate(map(len, self.domains), initial=0))
+        self.player = [j for j, domain in enumerate(self.domains) for _ in domain]
         self._accept = game.acceptance()
 
-    def cells_lex(self) -> list[tuple[int, object]]:
-        return [(j, q) for j in range(self.k) for q in self.domains[j]]
+    def cells_lex(self) -> range:
+        return range(len(self.player))
 
-    def cells_by_first_use(self) -> list[tuple[int, object]]:
-        out, seen = [], set()
-        for x in self.support:
-            for j in range(self.k):
-                cell = (j, x[j])
-                if cell not in seen:
-                    seen.add(cell)
-                    out.append(cell)
-        return out
+    def cells_by_first_use(self) -> list[int]:
+        """The cells in the order the support tuples first use them, players
+        ascending within a tuple."""
+        uses = []
+        for j, (offset, column) in enumerate(zip(self.offsets, self.positions)):
+            # walked backwards, so the first use is the one written last
+            first = dict(zip(reversed(column), range(len(column) - 1, -1, -1)))
+            uses.extend((i, j, offset + pos) for pos, i in first.items())
+        return [cell for _, _, cell in sorted(uses)]
 
-    def _losses(self, cells: list[tuple[int, object]]):
+    def _losses(self, cells: Sequence[int]):
         """Where each support tuple's weight is lost, for one cell order.
 
-        Returns two per-cell lists.  static[c][pos] is the weight lost by
-        answering pos at cell c whatever was answered before: tuples whose
-        first cell is c and that accept no combination starting with pos.
-        checks[c] lists, per set of earlier cells of tuples with a later cell
-        at c, a getter of the answers at those cells and a table {answers:
-        weight lost by each pos at c}; a table holds only answers that some
-        accepted combination starts with and that leave some pos with none.
+        Returns two per-depth lists.  static[c][pos] is the weight lost by
+        answering pos at depth c whatever was answered before: tuples whose
+        first cell is at c and that accept no combination starting with pos.
+        checks[c] lists, per set of earlier depths of tuples with a later
+        cell at c, a getter of the answers at those depths and a table
+        {answers: weight lost by each pos at c}; a table holds only answers
+        that some accepted combination starts with and that leave some pos
+        with none.
         """
-        cell_index = {c: i for i, c in enumerate(cells)}
-        sizes_at = [self.sizes[j] for j, _ in cells]
+        depth = [0] * len(cells)
+        for c, cell in enumerate(cells):
+            depth[cell] = c
+        # per player, the depth of each question position
+        depth_of = [depth[lo:hi] for lo, hi in itertools.pairwise(self.offsets)]
+        # per player, the depth of each tuple's cell
+        columns = [list(map(d.__getitem__, column))
+                   for d, column in zip(depth_of, self.positions)]
+        sizes_at = [self.sizes[self.player[cell]] for cell in cells]
         static = [[0] * s for s in sizes_at]
+        # weight of the tuples that accept nothing, lost at their first depth
+        dead = [0] * len(cells)
         checks: list[dict] = [{} for _ in cells]
-        for x, w, acc in zip(self.support, self.weights, self._accept):
-            by_player = [cell_index[(j, x[j])] for j in range(self.k)]
+        for by_player, w, acc in zip(zip(*columns), self.weights, self._accept):
             if not acc:
-                # lost whatever is answered: one entry, at its first cell
-                c = min(by_player)
-                static[c] = [lost + w for lost in static[c]]
+                dead[min(by_player)] += w
                 continue
             order = sorted(range(self.k), key=by_player.__getitem__)
             at = [by_player[j] for j in order]
@@ -280,11 +322,12 @@ class _StrategySearch:
                         for pos in range(size):
                             if pos not in ok:
                                 vec[pos] += w
+        static = [[lost + d for lost in vec] if d else vec for vec, d in zip(static, dead)]
         checks = [[(operator.itemgetter(*prev), tables)
                    for prev, tables in groups.items() if tables] for groups in checks]
         return static, checks
 
-    def run(self, cells: list[tuple[int, object]], cutoff: Fraction,
+    def run(self, cells: Sequence[int], cutoff: Fraction,
             stop_at_cutoff: bool) -> tuple[Fraction, list[int] | None]:
         """Branch and bound over the given cell order.
 
@@ -343,10 +386,11 @@ class _StrategySearch:
         self.nodes += nodes
         return best, best_assign
 
-    def strategy_from(self, cells: list[tuple[int, object]], assign: list[int]) -> Strategy:
+    def strategy_from(self, cells: Sequence[int], assign: list[int]) -> Strategy:
         tables: list[dict] = [dict() for _ in range(self.k)]
-        for (j, q), pos in zip(cells, assign):
-            tables[j][q] = self.answers[j][pos]
+        for cell, pos in zip(cells, assign):
+            j = self.player[cell]
+            tables[j][self.domains[j][cell - self.offsets[j]]] = self.answers[j][pos]
         return Strategy.from_tables(tables)
 
 
@@ -385,8 +429,17 @@ def _always_reject(x: tuple, a: tuple) -> bool:
     return False
 
 
+def _refuse_oversize(size: int, n: int) -> None:
+    """BudgetExceededError, before anything is built, when size**n exceeds
+    PRESET_SUPPORT_BUDGET."""
+    if reason := oversize(size, n, PRESET_SUPPORT_BUDGET):
+        raise BudgetExceededError(reason)
+
+
 def unit_tuples(q: int) -> tuple[tuple[int, ...], ...]:
-    """The q question tuples (1,0,..,0), (0,1,0,..,0), .., (0,..,0,1)."""
+    """The q question tuples (1,0,..,0), (0,1,0,..,0), .., (0,..,0,1); their
+    q**2 entries are refused past PRESET_SUPPORT_BUDGET."""
+    _refuse_oversize(q, 2)
     return tuple(tuple(1 if j == s else 0 for j in range(q)) for s in range(q))
 
 
@@ -397,10 +450,12 @@ def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]
     elements x_1 .. x_k and the last r players receive g * x_1 + x_2 + ..
     + x_k, one per additive generator g.  For GF(2) with k = 2 this is the
     even-parity triple support.  Requires k >= 2, which makes the projected
-    graph complete multipartite and in particular connected.
+    graph complete multipartite and in particular connected.  Its |F|**k
+    tuples are refused past PRESET_SUPPORT_BUDGET.
     """
     if k < 2:
         raise ValueError("the grid question set needs k >= 2")
+    _refuse_oversize(len(field.elements), k)
     gens = field.additive_generators()
     support = []
     for x in itertools.product(field.elements, repeat=k):

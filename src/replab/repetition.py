@@ -15,14 +15,22 @@ materialised until something iterates it.  repeat refuses, with
 codec.oversize's reason, a round count whose repeated support or any
 repeated alphabet exceeds the budget.  A repeated weight is the product
 of its rounds' scaled base ints over the base scale to the n-th power, so no
-Fraction is multiplied.  Likewise its acceptance tables are the products of
-its rounds' base tables, so the exact_value search never calls the repeated
-predicate; evaluate still does, for an independent re-check.
+Fraction is multiplied.  Likewise the tables the exact_value search reads
+are round-by-round products of the base game's: the acceptance tables, and
+the coded support (each tuple's weight and each player's question position),
+so the search never calls the repeated predicate or forms a question tuple.
+evaluate still walks the question tuples and calls the predicate, for an
+independent re-check.  The repeated predicate asks the base predicate once
+per distinct round, through a memo bounded at PREDICATE_MEMO entries: a
+round recurs in many repeated tuples, and a product strategy often answers
+it alike each time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -31,6 +39,8 @@ from .errors import BudgetExceededError
 from .games import Game, Strategy
 
 DEFAULT_REPEAT_BUDGET = 1 << 22
+# distinct base rounds a repeated predicate remembers the base verdict of
+PREDICATE_MEMO = 1 << 14
 
 
 class _RoundMap(Sequence):
@@ -65,6 +75,8 @@ class RepeatedGame(Game):
             return math.prod(map(base_ints.__getitem__, w))
 
         self._scaled = scale, _RoundMap(weight, self.rounds)
+        # the base predicate once per distinct (questions, answers) round
+        base_predicate = functools.lru_cache(maxsize=PREDICATE_MEMO)(base.predicate)
         super().__init__(
             question_alphabets=[ProductTuples(a, n) for a in base.question_alphabets],
             answer_alphabets=[ProductTuples(a, n) for a in base.answer_alphabets],
@@ -72,7 +84,7 @@ class RepeatedGame(Game):
             support=_RoundMap(lambda w: tuple(zip(*map(support.__getitem__, w))),
                               self.rounds),
             weights=_RoundMap(lambda w: Fraction(weight(w), scale), self.rounds),
-            predicate=lambda x, a: all(map(base.predicate, zip(*x), zip(*a))),
+            predicate=lambda x, a: all(map(base_predicate, zip(*x), zip(*a))),
             predicate_spec=None,
             validate=False,
         )
@@ -80,6 +92,25 @@ class RepeatedGame(Game):
     def scaled_weights(self) -> tuple[int, Sequence[int]]:
         """The base scale to the n-th power, over lazy products of base ints."""
         return self._scaled
+
+    def coded_support(self) -> tuple[int, Sequence[int], list[Sequence[int]]]:
+        """The round-by-round product of the base game's coded support, as
+        acceptance builds its tables: each pass adds one round as the most
+        significant digit, multiplying the weights and adding the round's
+        base position times the base domain size to the power of the rounds
+        so far.  The positions are int arrays, so no int object is kept per
+        tuple."""
+        _, base_weights, base_positions = self.base.coded_support()
+        radices = [len(self.base.question_domain(j)) for j in range(self.k)]
+        weights = [1]
+        positions = [array("q", [0]) for _ in range(self.k)]
+        place = [1] * self.k
+        for _ in range(self.n):
+            weights = [prev * w for w in base_weights for prev in weights]
+            positions = [array("q", [prev + b * p for b in base for prev in codes])
+                         for codes, base, p in zip(positions, base_positions, place)]
+            place = [p * r for p, r in zip(place, radices)]
+        return self._scaled[0], weights, positions
 
     def acceptance(self) -> list[frozenset[tuple[int, ...]]]:
         """The round-by-round product of the base tables: a repeated answer's

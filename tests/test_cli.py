@@ -293,6 +293,34 @@ def test_malformed_game_file_is_a_clean_error(tmp_path, capsys, doc):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "--no-cache"], ["value", "--repeat", "2", "--no-cache"],
+    ["verify", "val-bound"], ["fuzz-prop34", "--n", "2"],
+], ids=["value", "value-repeat", "val-bound", "fuzz-prop34"])
+def test_scalar_answer_alphabet_is_a_schema_error(tmp_path, capsys, argv):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_two_player_doc(answer_alphabets=[0, [0, 1]])))
+    code, out, err = run(capsys, argv + ["--game", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: alphabet 0 is not a sequence of symbols\n"
+
+
+def test_oversize_preset_support_is_refused_before_it_is_built():
+    # 3**30 support tuples: refused with exit 3 before any is built.  The
+    # child caps its own address space, so a preset that builds them anyway
+    # fails there rather than taking the host's memory.
+    limit = 1 << 30
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from replab.cli import main\n"
+            "sys.exit(main(['value', '--preset', 'grid', '--p', '3', '--k', '30', "
+            "'--no-cache']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: 3**30 points exceed the budget 4194304\n"
+
+
 def test_value_budget_exceeded(capsys):
     code, _, err = run(capsys, ["value", "--preset", "anticorr",
                                 "--budget", "10", "--no-cache"])

@@ -92,6 +92,27 @@ def test_strategy_answers():
         s.answer(1, 5)
 
 
+def test_strategy_answers_matches_the_per_player_answers():
+    tables = [{(0, 1): (1, 0), (1, 1): (0, 0)}, {(1, 0): (1, 1)}, {(0, 0): (0, 1)}]
+    s = Strategy.from_tables(tables)
+    questions = ((1, 1), (1, 0), (0, 0))
+    assert s.answers(questions) == tuple(s.answer(j, x) for j, x in enumerate(questions))
+    assert s.answers(questions) == ((0, 0), (1, 1), (0, 1))
+
+
+def test_strategy_answers_refuses_a_missing_question():
+    s = Strategy.from_tables([{0: "x", 1: "y"}, {0: "z"}])
+    with pytest.raises(IncompleteStrategyError, match="player 1 has no answer for question 1"):
+        s.answers((0, 1))
+
+
+def test_strategy_answers_refuses_fewer_tables_than_players():
+    # mapping over two tables and three questions stops after two answers
+    s = Strategy.from_tables([{0: "x"}, {0: "z"}])
+    with pytest.raises(IncompleteStrategyError, match="player 2 has no answer for question 0"):
+        s.answers((0, 0, 0))
+
+
 # -- game validation -----------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
+from replab import forbidden, structures
 from replab.errors import BudgetExceededError
 from replab.games import (Game, Strategy, evaluate, exact_value, game_from_json,
                           preset_game)
@@ -299,6 +300,68 @@ def test_exact_value_calls_the_repeated_predicate_only_to_recheck():
     game.predicate = lambda x, a: calls.append(x) or predicate(x, a)
     assert exact_value(game).value == Fraction(2, 3)
     assert calls == list(game.support)
+
+
+def _ghz_answer_game():
+    support = structures.ghz_support()
+    record = forbidden.compute_eq(list(support), 1)
+    return forbidden.build_answer_game(((0, 1),) * 3, support, 1, record.witness)
+
+
+def _unequal_file_game():
+    # a game file with weights 1/2, 1/3, 1/6 and a table predicate
+    return game_from_json({
+        "k": 2, "question_alphabets": [[1, 0], [0, 1]], "answer_alphabets": [[0, 1], [0, 1]],
+        "support": [{"x": [0, 0], "weight": "1/2"}, {"x": [1, 1], "weight": "1/3"},
+                    {"x": [0, 1], "weight": "1/6"}],
+        "predicate": {"type": "table", "accepts": [[0, 0], [0, 3], [1, 1], [2, 2]]}})
+
+
+@pytest.mark.parametrize("make_base,n", [
+    (lambda: preset_game("anticorr", q=3), 1),
+    (lambda: preset_game("anticorr", q=3), 2),
+    (lambda: preset_game("anticorr", q=3), 3),
+    (lambda: preset_game("grid", p=2, k=2), 2),
+    (_ghz_answer_game, 2),
+    (_unequal_file_game, 2),
+], ids=["anticorr3-1", "anticorr3-2", "anticorr3-3", "grid2-2", "answer-game", "file-unequal"])
+def test_coded_support_matches_the_materialised_support(make_base, n):
+    game = repeat(make_base(), n)
+    scale, weights, positions = game.coded_support()
+    expected_scale, expected_weights = game.scaled_weights()
+    assert (scale, list(weights)) == (expected_scale, list(expected_weights))
+    support = list(game.support)
+    for j in range(game.k):
+        domain = game.question_domain(j)
+        assert list(positions[j]) == [domain.index(x[j]) for x in support]
+
+
+def test_exact_value_does_not_walk_the_repeated_support():
+    # the search reads coded_support and the re-check walks the rounds, so
+    # neither iterates the lazy support of question tuples
+    game = repeat(preset_game("anticorr", q=3), 2)
+    expected = exact_value(game)
+
+    class Unwalkable(type(game.support)):
+        def __iter__(self):
+            raise AssertionError("the repeated support was iterated")
+
+    game.support = Unwalkable(game.support.f, game.rounds)
+    with pytest.raises(AssertionError, match="iterated"):
+        list(game.support)
+    assert exact_value(game) == expected
+
+
+def test_repeated_predicate_calls_the_base_predicate_once_per_round():
+    calls = []
+    base = preset_game("anticorr", q=3)
+    strategy = independent_strategy(exact_value(base).strategy, 3)
+    predicate = base.predicate
+    base.predicate = lambda x, a: calls.append((x, a)) or predicate(x, a)
+    game = repeat(base, 3)
+    # 27 repeated tuples, twice, but 3 distinct rounds under this strategy
+    assert evaluate(game, strategy) == evaluate(game, strategy) == Fraction(8, 27)
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_repeat_validation():
