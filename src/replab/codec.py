@@ -9,8 +9,10 @@ universes, the digits of field elements and the answer tuples of game
 files; to_jsonable and from_jsonable carry nested tuples to JSON lists and
 back.  A TupleCodec is itself the lazy sequence of its tuples in code
 order, so a product universe is a codec and nothing else.  oversize states
-why a product universe exceeds a budget; callers raise on its reason.  This
-module imports nothing from replab, so every other module can use it.
+why a product universe exceeds a budget; callers raise on its reason, as
+on TUPLE_BUDGET for a preset question set and a repeated support or
+alphabet.  This module imports nothing from replab, so every other module
+can use it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
+
+TUPLE_BUDGET = 1 << 22
 
 
 def power_exceeds(base: int, exp: int, budget: int) -> bool:

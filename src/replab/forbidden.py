@@ -26,9 +26,10 @@ e(s)_i = s and e(s)_m = phi_m(s).  consistent_maps finds the maps by a
 small backtrack, cached per support and per set of allowed images, and
 the search below runs a DFS over the rounds m != i that narrows each edge
 slot s, starting at the points whose coordinate i is s, to the points
-whose coordinate m is phi_m(s).  A coordinate at which the point set
-misses some symbol is passed over before any search: a product
-strategy's winning set misses one at every coordinate.  On the whole
+whose coordinate m is phi_m(s), on an explicit stack rather than
+Python's.  A coordinate at which the point set misses some symbol is
+passed over before any search: a product strategy's winning set misses
+one at every coordinate.  On the whole
 n-fold support no branch is dead.  Each coordinate's configurations are
 sorted into the order of a DFS over the cells (player j, symbol v),
 player-major with symbols sorted, each cell's row of symbols read by rank
@@ -37,9 +38,10 @@ deterministic.
 
 forbidden_family presents the configurations as one more structure family
 on the point codes, and compute_eq solves it by StructureFamily.solve, the
-path of the line, square, corner and grid densities, within a point budget
-and a configuration budget.  The answer game over a free set takes its
-predicate from games.answer_game_predicate, which game files name.
+path of the line, square, corner and grid densities, within its point
+budget.  DEFAULT_CONFIG_BUDGET bounds the maps and the configurations that
+one search holds.  The answer game over a free set takes its predicate
+from games.answer_game_predicate, which game files name.
 
 The family's symmetries come from the support.  A player permutation pi
 with a symbol bijection per player that maps Q onto Q relabels the support
@@ -64,8 +66,8 @@ from .errors import BudgetExceededError
 from .games import Game, Strategy, answer_game_predicate
 from .records import DensityRecord
 from .repetition import RepeatedGame
-from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, StructureFamily, index_maps,
-                     swap_and_cycle)
+from .search import (DEFAULT_POINT_BUDGET, ENUMERATION_BUDGET, ForbiddenHypergraph,
+                     StructureFamily, index_maps, swap_and_cycle)
 
 DEFAULT_CONFIG_BUDGET = 10**6
 # candidate images that one support_symmetries call may try
@@ -178,18 +180,17 @@ def _search_witnesses(support: Sequence[tuple], n: int,
 
     Coordinates ascending.  At coordinate i, slot s starts at the points
     whose coordinate i is s; a coordinate where some slot starts empty holds
-    no configuration.  A DFS over the rounds m != i picks one consistent map
-    phi for each, among those taking every slot s to a symbol phi(s) that
-    some point of the slot shows at coordinate m, and narrows slot s to
-    those points.  After the last round each slot holds one point.  A
+    no configuration.  A DFS over the rounds m != i, on an explicit stack,
+    picks one consistent map phi for each, among those taking every slot s
+    to a symbol phi(s) that some point of the slot shows at coordinate m,
+    and narrows slot s to those points.  Once each slot holds one point,
+    the configuration stands when each round's column is consistent.  A
     coordinate's configurations are sorted into the order of a DFS over the
     cells (player j, symbol v), player-major with symbols sorted, each
     cell's row read by symbol rank with the last round most significant;
     then duplicates of point sets found at earlier coordinates are dropped.
     """
     q = len(support)
-    if len(pts) < q:
-        return
     # at[m][t] = mask of the positions (into pts) of the points whose
     # coordinate m is t
     at = [[0] * q for _ in range(n)]
@@ -197,8 +198,6 @@ def _search_witnesses(support: Sequence[tuple], n: int,
         for row, t in zip(at, w):
             row[t] |= 1 << pos
     coordinates = [i for i in range(n) if all(at[i])]
-    if not coordinates:
-        return
     support_key = tuple(map(tuple, support))
     # the sort key reads each cell (j, v) off its first slot s, through the
     # symbol rank of support[t][j] for each support index t
@@ -214,30 +213,33 @@ def _search_witnesses(support: Sequence[tuple], n: int,
     count = 0
 
     for i in coordinates:
-        rounds = [row for m, row in enumerate(at) if m != i]
         found = []
-
-        def dfs(depth: int, slots: list[int]) -> None:
-            nonlocal count
-            if depth == len(rounds):
-                if any(c & (c - 1) for c in slots):
+        # (depth, slots) states, the next one to visit last; a state's
+        # children are pushed in reverse, so they are visited in map order
+        stack = [(0, at[i])]
+        while stack:
+            depth, slots = stack.pop()
+            if any(c & (c - 1) for c in slots):
+                if depth == n - 1:
                     raise AssertionError("complete assignment must pin each edge")
-                edges = tuple(pts[c.bit_length() - 1] for c in slots)
-                if frozenset(edges) not in seen:
-                    count += 1
-                    if count > DEFAULT_CONFIG_BUDGET:
-                        raise BudgetExceededError(
-                            f"more than {DEFAULT_CONFIG_BUDGET} forbidden configurations")
-                    found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])],
-                                  edges))
-                return
-            row = rounds[depth]
-            domains = tuple(sum(1 << t for t, points in enumerate(row) if c & points)
-                            for c in slots)
-            for phi in consistent_maps(support_key, domains):
-                dfs(depth + 1, [c & row[t] for c, t in zip(slots, phi)])
-
-        dfs(0, at[i])
+                # the rounds m != i in order: depth d maps round d, or d + 1 past i
+                row = at[depth + (depth >= i)]
+                domains = tuple(sum(1 << t for t, points in enumerate(row) if c & points)
+                                for c in slots)
+                stack += [(depth + 1, [c & row[t] for c, t in zip(slots, phi)])
+                          for phi in reversed(consistent_maps(support_key, domains))]
+                continue
+            # one point per slot: each round left has one map to try, its column
+            edges = tuple(pts[c.bit_length() - 1] for c in slots)
+            if frozenset(edges) in seen or (depth < n - 1 and not all(
+                    consistent_maps(support_key, tuple(1 << t for t in column))
+                    for column in set(zip(*edges)))):
+                continue
+            count += 1
+            if count > DEFAULT_CONFIG_BUDGET:
+                raise BudgetExceededError(
+                    f"more than {DEFAULT_CONFIG_BUDGET} forbidden configurations")
+            found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])], edges))
         found.sort()
         for _, edges in found:
             witness = ForbiddenWitness(coordinate=i, edges=edges)
@@ -253,24 +255,15 @@ def find_forbidden(support: Sequence[tuple], n: int,
     """First forbidden configuration inside points, or None if free.
     Raises ValueError for a point that is not an n-tuple over the support
     indices."""
-    for witness in _search_witnesses(support, n, _checked_points(len(support), n, points)):
-        return witness
-    return None
+    return next(enumerate_forbidden(support, n, points), None)
 
 
 def enumerate_forbidden(support: Sequence[tuple], n: int,
-                        points: Sequence[Sequence[int]] | None = None,
-                        point_budget: int = DEFAULT_POINT_BUDGET) -> Iterator[ForbiddenWitness]:
-    """All forbidden configurations with points drawn from the given set
-    (default: the whole n-fold support), deduplicated as point sets.
-    Raises ValueError for a point that is not an n-tuple over the support
-    indices."""
-    q = len(support)
-    if points is None:
-        if reason := oversize(q, n, point_budget):
-            raise BudgetExceededError(reason)
-        points = ProductTuples(range(q), n)
-    return _search_witnesses(support, n, _checked_points(q, n, points))
+                        points: Sequence[Sequence[int]]) -> Iterator[ForbiddenWitness]:
+    """All forbidden configurations with points drawn from the given set,
+    deduplicated as point sets.  Raises ValueError for a point that is not
+    an n-tuple over the support indices."""
+    return _search_witnesses(support, n, _checked_points(len(support), n, points))
 
 
 def support_symmetries(support: Sequence[tuple],
@@ -374,12 +367,11 @@ def support_symmetries(support: Sequence[tuple],
 
 
 def forbidden_family(support: Sequence[tuple], n: int,
-                     point_budget: int = DEFAULT_POINT_BUDGET,
-                     config_budget: int = DEFAULT_CONFIG_BUDGET) -> StructureFamily:
+                     point_budget: int = ENUMERATION_BUDGET) -> StructureFamily:
     """The forbidden configurations of the n-fold support as a structure
     family on the codes of ProductTuples(range(q), n).  Raises
     BudgetExceededError when codec.oversize rejects the q**n points under
-    point_budget, and while enumerating more than config_budget of them."""
+    point_budget."""
     q = len(support)
     if reason := oversize(q, n, point_budget):
         raise BudgetExceededError(reason)
@@ -387,11 +379,7 @@ def forbidden_family(support: Sequence[tuple], n: int,
     code = universe.encode
 
     def enumerate_configurations() -> Iterator[tuple[int, ...]]:
-        for count, witness in enumerate(enumerate_forbidden(support, n,
-                                                            point_budget=point_budget), 1):
-            if count > config_budget:
-                raise BudgetExceededError(
-                    f"more than {config_budget} forbidden configurations")
+        for witness in enumerate_forbidden(support, n, universe):
             yield tuple(sorted(code(e) for e in witness.edges))
 
     def symmetries() -> list[tuple[int, ...]]:
@@ -414,29 +402,26 @@ def forbidden_family(support: Sequence[tuple], n: int,
     )
 
 
-def forbidden_hypergraph(support: Sequence[tuple], n: int,
-                         point_budget: int = DEFAULT_POINT_BUDGET,
-                         config_budget: int = DEFAULT_CONFIG_BUDGET) -> ForbiddenHypergraph:
+def forbidden_hypergraph(support: Sequence[tuple], n: int) -> ForbiddenHypergraph:
     """The hypergraph on the n-fold support whose edges are the forbidden
     configurations; free sets of this hypergraph are exactly the
     configuration-free subsets."""
-    return forbidden_family(support, n, point_budget, config_budget).to_hypergraph()
+    return forbidden_family(support, n).to_hypergraph()
 
 
 def compute_eq(support: Sequence[tuple], n: int, *,
-               point_budget: int = DEFAULT_POINT_BUDGET,
-               config_budget: int = DEFAULT_CONFIG_BUDGET) -> DensityRecord:
+               point_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
     """Maximum density of a forbidden-configuration-free subset of the
     n-fold support, with its sorted extremal witness: forbidden_family,
-    solved and re-checked like every structure family, within its budgets.
-    A one-symbol support's single point is itself a configuration, so only
-    the empty set is free."""
+    built and solved within point_budget points and re-checked like every
+    structure family.  A one-symbol support's single point is itself a
+    configuration, so only the empty set is free."""
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
     if not support:
         raise ValueError("the support must be non-empty")
-    record = forbidden_family(support, n, point_budget, config_budget).solve(point_budget)
+    record = forbidden_family(support, n, point_budget).solve(point_budget)
     record.witness.sort()
     return record
 
@@ -503,9 +488,10 @@ def strategy_from_witness(support: Sequence[tuple], n: int) -> Strategy:
 
 def winning_points(game: RepeatedGame, strategy: Strategy) -> list[tuple[int, ...]]:
     """Index vectors of the repeated support tuples on which the strategy
-    wins."""
-    return [w for w, x in zip(game.rounds, game.support)
-            if game.predicate(x, strategy.answers(x))]
+    wins, in one walk of the rounds, as RepeatedGame.probability."""
+    questions = game.support.f
+    return [w for w in game.rounds
+            if game.predicate(x := questions(w), strategy.answers(x))]
 
 
 def check_winning_set_free(game: RepeatedGame, strategy: Strategy) -> bool:

@@ -37,7 +37,7 @@ predicate on each, and reads neither the coded support nor the tables, so
 the re-check shares nothing the search read, and a fault there shows up as
 a mismatch.
 The presets' question supports (unit_tuples, grid_question_set), refused
-past PRESET_SUPPORT_BUDGET before they are built, and the answer game's
+past codec.TUPLE_BUDGET before they are built, and the answer game's
 predicate live here.
 """
 
@@ -50,14 +50,11 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import TupleCodec, from_jsonable, oversize, to_jsonable
+from .codec import TUPLE_BUDGET, TupleCodec, from_jsonable, oversize, to_jsonable
 from .errors import BudgetExceededError, IncompleteStrategyError, SchemaError
 from .fields import FiniteField
 
 DEFAULT_STRATEGY_BUDGET = 10**8
-# the most support tuples a preset question set is built with, as for the
-# default budget of repeat
-PRESET_SUPPORT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True, eq=True)
@@ -431,14 +428,14 @@ def _always_reject(x: tuple, a: tuple) -> bool:
 
 def _refuse_oversize(size: int, n: int) -> None:
     """BudgetExceededError, before anything is built, when size**n exceeds
-    PRESET_SUPPORT_BUDGET."""
-    if reason := oversize(size, n, PRESET_SUPPORT_BUDGET):
+    TUPLE_BUDGET."""
+    if reason := oversize(size, n, TUPLE_BUDGET):
         raise BudgetExceededError(reason)
 
 
 def unit_tuples(q: int) -> tuple[tuple[int, ...], ...]:
     """The q question tuples (1,0,..,0), (0,1,0,..,0), .., (0,..,0,1); their
-    q**2 entries are refused past PRESET_SUPPORT_BUDGET."""
+    q**2 entries are refused past TUPLE_BUDGET."""
     _refuse_oversize(q, 2)
     return tuple(tuple(1 if j == s else 0 for j in range(q)) for s in range(q))
 
@@ -451,7 +448,7 @@ def grid_question_set(field: FiniteField, k: int) -> tuple[tuple[int, ...], ...]
     + x_k, one per additive generator g.  For GF(2) with k = 2 this is the
     even-parity triple support.  Requires k >= 2, which makes the projected
     graph complete multipartite and in particular connected.  Its |F|**k
-    tuples are refused past PRESET_SUPPORT_BUDGET.
+    tuples are refused past TUPLE_BUDGET.
     """
     if k < 2:
         raise ValueError("the grid question set needs k >= 2")

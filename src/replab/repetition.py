@@ -13,9 +13,9 @@ ProductTuples(range(q), n), the index vectors of its base rounds, and its
 support and weights are maps over them; nothing of size alphabet**n is
 materialised until something iterates it.  repeat refuses, with
 codec.oversize's reason, a round count whose repeated support or any
-repeated alphabet exceeds the budget.  A repeated weight is the product
-of its rounds' scaled base ints over the base scale to the n-th power, so no
-Fraction is multiplied.  Likewise the tables the exact_value search reads
+repeated alphabet exceeds codec.TUPLE_BUDGET.  A repeated weight is the
+product of its rounds' scaled base ints over the base scale to the n-th
+power, so no Fraction is multiplied.  Likewise the tables the exact_value search reads
 are round-by-round products of the base game's: the acceptance tables, and
 the coded support (each tuple's weight and each player's question position),
 so the search never calls the repeated predicate or forms a question tuple.
@@ -34,11 +34,10 @@ from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .codec import ProductTuples, oversize
+from .codec import TUPLE_BUDGET, ProductTuples, oversize
 from .errors import BudgetExceededError
 from .games import Game, Strategy
 
-DEFAULT_REPEAT_BUDGET = 1 << 22
 # distinct base rounds a repeated predicate remembers the base verdict of
 PREDICATE_MEMO = 1 << 14
 
@@ -147,18 +146,18 @@ class RepeatedGame(Game):
         return f"RepeatedGame(base={self.base!r}, n={self.n})"
 
 
-def repeat(game: Game, n: int, budget: int = DEFAULT_REPEAT_BUDGET) -> RepeatedGame:
+def repeat(game: Game, n: int) -> RepeatedGame:
     """The n-fold repetition of game.
 
     Construction is lazy, but refuses instances whose support or any single
-    alphabet codec.oversize rejects under budget, since every consumer of
-    the result eventually walks those sequences.
+    alphabet codec.oversize rejects under TUPLE_BUDGET, since every consumer
+    of the result eventually walks those sequences.
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
     for size in map(len, (game.support, *game.question_alphabets,
                            *game.answer_alphabets)):
-        if reason := oversize(size, n, budget):
+        if reason := oversize(size, n, TUPLE_BUDGET):
             raise BudgetExceededError(reason)
     return RepeatedGame(game, n)
 

@@ -54,6 +54,10 @@ Its solve() is the one path of every density: max_free on its hypergraph,
 made into a DensityRecord.  Its check() is the one check of a density
 witness, run by solve() and by --recheck, against a fresh enumeration.
 
+A family is built, enumerated and exported on at most ENUMERATION_BUDGET
+points, and solved on at most solve()'s budget, DEFAULT_POINT_BUDGET by
+default, which solve() checks before it enumerates anything.
+
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
 the WCNF equals size - max_free.
@@ -72,6 +76,7 @@ from .errors import BudgetExceededError
 from .records import DensityRecord
 
 DEFAULT_POINT_BUDGET = 128
+ENUMERATION_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,9 @@ class StructureFamily:
 
     def solve(self, budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
         """The exact density, by max_free within budget points, with its
-        witness in the universe's native points, passed by check()."""
+        witness in the universe's native points, passed by check().  A
+        universe past budget is refused before any enumeration."""
+        _refuse_past_solver_budget(len(self), budget)
         size, chosen = max_free(self.to_hypergraph(), budget)
         record = DensityRecord(
             family=self.name, params=dict(self.params), value=Fraction(size, len(self)),
@@ -404,6 +411,14 @@ class _BranchAndBound:
         return child is not None and self.search(*child, stab)
 
 
+def _refuse_past_solver_budget(size: int, budget: int) -> None:
+    """BudgetExceededError when size points exceed the solver budget."""
+    if size > budget:
+        raise BudgetExceededError(
+            f"{size} points exceed the solver budget {budget}; "
+            "use export_wcnf and an external MaxSAT solver")
+
+
 def max_free(h: ForbiddenHypergraph,
              budget: int = DEFAULT_POINT_BUDGET) -> tuple[int, tuple[int, ...]]:
     """Exact maximum free-set size and its lexicographically first witness.
@@ -413,10 +428,7 @@ def max_free(h: ForbiddenHypergraph,
     branch orbitally under the group of h's generators (see the module
     docstring); the witness does not depend on the generators.
     """
-    if h.size > budget:
-        raise BudgetExceededError(
-            f"{h.size} points exceed the solver budget {budget}; "
-            "use export_wcnf and an external MaxSAT solver")
+    _refuse_past_solver_budget(h.size, budget)
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
     bb = _BranchAndBound(h.size, edge_masks)
     group = _generated(h.size, h.generators)

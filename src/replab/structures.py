@@ -17,8 +17,9 @@ index is its code.  The universe is range(q)**n for lines, and for the
 vector families ProductTuples(ProductTuples(range(order), n), k), so a
 k-tuple of vectors has index sum(code(v_j) * (order**n)**j) with player 0
 least significant.  Each family refuses, with codec.oversize's reason, a
-universe of more points or coordinates than its point budget: q**n over n
-coordinates for lines, order**(k*n) over k*n for the vector families.
+universe of more points or coordinates than search.ENUMERATION_BUDGET:
+q**n over n coordinates for lines, order**(k*n) over k*n for the vector
+families.
 
 Each family also supplies generators of a symmetry group, and max_free
 branches orbitally under the whole group they generate: S_n x S_q for lines
@@ -26,8 +27,9 @@ branches orbitally under the whole group they generate: S_n x S_q for lines
 vector families (see _vector_symmetries).  They are built only when the
 family is solved.
 
-r_line, r_square, r_corner and r_grid solve a family within the solver's
-point budget by StructureFamily.solve, as forbidden.compute_eq does.
+r_line, r_square, r_corner and r_grid are family(...).solve(): the family
+is built, and StructureFamily.solve refuses it past the solver's point
+budget before enumerating a configuration, as for forbidden.compute_eq.
 
 The paper's equivalences are point bijections that carry every configuration
 of a family onto a forbidden configuration of a repeated question support,
@@ -53,10 +55,8 @@ from .fields import FiniteField
 from .games import grid_question_set
 from .records import DensityRecord
 # max_free is re-exported: callers reach the solver through this module too
-from .search import (DEFAULT_POINT_BUDGET, StructureFamily, index_maps, max_free,
-                     swap_and_cycle)
-
-WITNESS_MATERIALISE_LIMIT = 4096
+from .search import (DEFAULT_POINT_BUDGET, ENUMERATION_BUDGET, StructureFamily, index_maps,
+                     max_free, swap_and_cycle)
 
 
 # -- combinatorial lines -------------------------------------------------------
@@ -65,7 +65,7 @@ WITNESS_MATERIALISE_LIMIT = 4096
 _STAR = object()
 
 
-def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
+def lines(q: int, n: int) -> StructureFamily:
     """Combinatorial lines in range(q)**n.
 
     Its symmetries are S_n on the coordinates and S_q on the symbols, one
@@ -74,7 +74,7 @@ def lines(q: int, n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> Stru
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
-    if reason := oversize(q, n, point_budget):
+    if reason := oversize(q, n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
     universe = ProductTuples(range(q), n)
     code = universe.encode
@@ -139,12 +139,12 @@ def _vector_symmetries(universe: ProductTuples, n: int,
     return index_maps(universe, maps)
 
 
-def squares(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
+def squares(n: int) -> StructureFamily:
     """Axis-aligned squares with a common side vector in F_2**n x F_2**n,
     which are exactly the grids of GF(2) with k = 2."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return replace(grids(FiniteField(2), 2, n, point_budget),
+    return replace(grids(FiniteField(2), 2, n),
                    name="square", params={"n": n})
 
 
@@ -175,11 +175,11 @@ def _cosets(field: FiniteField, d) -> list[tuple[int, ...]]:
     return cosets
 
 
-def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
+def corners(n: int) -> StructureFamily:
     """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if reason := oversize(4, n, point_budget):
+    if reason := oversize(4, n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
     field = FiniteField(2)
     universe = _vector_universe(2, 2, n)
@@ -205,8 +205,7 @@ def corners(n: int, point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureF
     )
 
 
-def grids(field: FiniteField, k: int, n: int,
-          point_budget: int = DEFAULT_POINT_BUDGET * 32) -> StructureFamily:
+def grids(field: FiniteField, k: int, n: int) -> StructureFamily:
     """Grids {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} with d != 0.
 
     A grid is a product of k cosets of the line F*d, one per player, and
@@ -220,7 +219,7 @@ def grids(field: FiniteField, k: int, n: int,
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     order = field.order
-    if reason := oversize(order, k * n, point_budget):
+    if reason := oversize(order, k * n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
     universe = _vector_universe(order, k, n)
     vectors = universe.alphabets[0]
@@ -280,7 +279,7 @@ def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
                 f"2**{n} has more than {digits} digits, the integer string limit")
         size = math.comb(n, n // 2)
         witness = None
-        if 2**n <= WITNESS_MATERIALISE_LIMIT:
+        if 2**n <= ENUMERATION_BUDGET:
             # the middle layer: no two points of equal weight are comparable,
             # so no line fits inside it
             witness = [w for w in ProductTuples(range(2), n) if sum(w) == n // 2]
@@ -295,22 +294,22 @@ def r_line(q: int, n: int, method: str = "auto") -> DensityRecord:
             witness=witness,
             method="closed-form",
         )
-    return lines(q, n, point_budget=DEFAULT_POINT_BUDGET).solve()
+    return lines(q, n).solve()
 
 
 def r_square(n: int) -> DensityRecord:
     """Maximum density of a square-free subset of F_2**n x F_2**n."""
-    return squares(n, point_budget=DEFAULT_POINT_BUDGET).solve()
+    return squares(n).solve()
 
 
 def r_corner(n: int) -> DensityRecord:
     """Maximum density of a corner-free subset of F_2**n x F_2**n."""
-    return corners(n, point_budget=DEFAULT_POINT_BUDGET).solve()
+    return corners(n).solve()
 
 
 def r_grid(field: FiniteField, k: int, n: int) -> DensityRecord:
     """Maximum density of a grid-free subset of (F**n)**k."""
-    return grids(field, k, n, point_budget=DEFAULT_POINT_BUDGET).solve()
+    return grids(field, k, n).solve()
 
 
 # -- the point bijections of the paper's equivalences ----------------------------

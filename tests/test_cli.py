@@ -5,15 +5,21 @@ point; everything else calls main() in-process for speed.
 """
 
 import argparse
+import contextlib
+import copy
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 import oracles
@@ -303,6 +309,71 @@ def test_scalar_answer_alphabet_is_a_schema_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv + ["--game", str(path)])
     assert (code, out) == (2, "")
     assert err == "error: alphabet 0 is not a sequence of symbols\n"
+
+
+FUZZ_DOCS = [json.loads(json.dumps(game_to_json(preset_game(name, **params))))
+             for name, params in (("anticorr", {"q": 3}), ("unitvec", {"q": 3}),
+                                  ("ghz", {}), ("grid", {"p": 3, "k": 2}))]
+FUZZ_ARGV = [["value", "--no-cache"], ["value", "--repeat", "2", "--no-cache"],
+             ["verify", "thm-answer-game"], ["verify", "val-bound"],
+             ["fuzz-prop34", "--trials", "4"]]
+
+
+def _slots(doc, path=()):
+    """The path, as keys and indices, of every value inside doc."""
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_game_files(draw):
+    """A preset's game file with one to three mutations: a key or entry
+    dropped, two values swapped, or a JSON scalar where a list goes."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        kind = draw(st.sampled_from(["drop", "swap", "scalar"]))
+        if kind == "scalar":
+            slots = [path for path in slots if isinstance(_at(doc, path), list)]
+        if not slots:
+            continue
+        path = draw(st.sampled_from(slots))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "scalar":
+            parent[key] = draw(st.sampled_from([0, 1, -1, 7, 1.5, "0", "1/2", None, True]))
+        else:
+            # neither value may hold the other
+            others = [p for p in slots if path[:len(p)] != p and p[:len(path)] != path]
+            if others:
+                other = draw(st.sampled_from(others))
+                other_parent = _at(doc, other[:-1])
+                parent[key], other_parent[other[-1]] = other_parent[other[-1]], parent[key]
+    return doc
+
+
+@settings(max_examples=30, derandomize=True)
+@given(mutated_game_files())
+def test_mutated_game_files_end_in_an_exit_code(doc):
+    # every request ends in a report or a mapped exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "game.json"
+        path.write_text(json.dumps(doc))
+        for argv in FUZZ_ARGV:
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                code = main(argv + ["--game", str(path)])
+            assert code in range(5), argv
 
 
 def test_oversize_preset_support_is_refused_before_it_is_built():
@@ -654,6 +725,25 @@ def test_eqn_refuses_a_cached_record_over_the_budget(tmp_path, capsys):
     assert err == "error: 13**2 points exceed the budget 128\n"
     code, out, _ = run(capsys, argv + ["--point-budget", "200"])
     assert code == 0 and "status:        cached" in out
+
+
+def test_eqn_runs_past_the_recursion_limit(capsys):
+    # the configuration search takes one DFS level per round: 1,000 rounds
+    # of a one-symbol support used to end in a RecursionError traceback
+    code, out, err = run(capsys, ["eqn", "--preset", "unitvec", "--q", "1", "--n", "1000",
+                                  "--point-budget", "1000", "--no-cache"])
+    assert (code, err) == (0, "")
+    assert "value:         0/1" in out and "witness:       []" in out
+
+
+def test_density_refusal_names_the_solver_budget(capsys):
+    code, out, err = run(capsys, ["density", "square", "--n", "4", "--no-cache"])
+    assert (code, out) == (3, "")
+    assert err == ("error: 256 points exceed the solver budget 128; "
+                   "use export_wcnf and an external MaxSAT solver\n")
+    # one point is within the solver budget, however many coordinates
+    code, out, _ = run(capsys, ["density", "line", "--q", "1", "--n", "200", "--no-cache"])
+    assert code == 0 and "value:         0/1" in out
 
 
 def test_eqn_with_a_large_support_group_finishes():

@@ -28,10 +28,16 @@ from replab.games import (Strategy, evaluate, exact_value, game_from_json, game_
 from replab.codec import ProductTuples, TupleCodec
 from replab.records import DensityRecord
 from replab.repetition import repeat
+from replab.rng import SplitMix64
 from replab.structures import ghz_support
 
 UNIT3 = list(unit_tuples(3))
 GHZ = list(ghz_support())
+
+
+def _enumerate_all(support, n):
+    """enumerate_forbidden over the whole n-fold support."""
+    return enumerate_forbidden(support, n, ProductTuples(range(len(support)), n))
 
 
 # -- codecs and helpers -----------------------------------------------------------
@@ -99,15 +105,15 @@ def test_witness_is_valid_rejects_defects():
     (list(unit_tuples(2)), 3),
 ])
 def test_enumerate_matches_naive_on_full_support(support, n):
-    engine = {w.point_set() for w in enumerate_forbidden(support, n)}
+    engine = {w.point_set() for w in _enumerate_all(support, n)}
     naive = oracles.naive_forbidden(support, n, ProductTuples(range(len(support)), n))
     assert engine == naive
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_forbidden(UNIT3, 2))) == 7
-    assert len(list(enumerate_forbidden(GHZ, 1))) == 1
-    assert len(list(enumerate_forbidden(GHZ, 2))) == 12
+    assert len(list(_enumerate_all(UNIT3, 2))) == 7
+    assert len(list(_enumerate_all(GHZ, 1))) == 1
+    assert len(list(_enumerate_all(GHZ, 2))) == 12
 
 
 @st.composite
@@ -179,14 +185,13 @@ SUPPORTS = {"unit3": UNIT3, "ghz": GHZ, "unit4": list(unit_tuples(4)),
 
 @pytest.mark.parametrize("name,n", sorted(ENUMERATION_SHA256))
 def test_enumeration_order_is_pinned(name, n):
-    found = [(w.coordinate, w.edges) for w in enumerate_forbidden(SUPPORTS[name], n)]
+    found = [(w.coordinate, w.edges) for w in _enumerate_all(SUPPORTS[name], n)]
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert digest == ENUMERATION_SHA256[(name, n)]
 
 
 def test_enumeration_order_past_the_default_point_budget():
-    found = [(w.coordinate, w.edges)
-             for w in enumerate_forbidden(UNIT3, 5, point_budget=3**5)]
+    found = [(w.coordinate, w.edges) for w in _enumerate_all(UNIT3, 5)]
     assert len(found) == 4**5 - 3**5
     digest = hashlib.sha256(repr(found).encode()).hexdigest()
     assert digest == "e8707fb0d57c3bc91460c26a16457a2b4e58d38a43cc2d5d594dfc00e7f862d1"
@@ -237,12 +242,34 @@ def test_searches_past_the_configuration_budget_are_refused(monkeypatch):
         find_forbidden(support, 2, list(ProductTuples(range(4), 2)))
     # coordinate 0 of unit(3) at n = 5 holds 4**4 configurations
     with pytest.raises(BudgetExceededError, match="^more than 100 forbidden configurations$"):
-        next(enumerate_forbidden(UNIT3, 5, point_budget=3**5))
+        next(_enumerate_all(UNIT3, 5))
 
 
 def test_enumerate_point_budget():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_forbidden(UNIT3, 5))
+    # a family is built on at most search.ENUMERATION_BUDGET = 4,096 points
+    assert len(forbidden_family(UNIT3, 7)) == 3**7
+    with pytest.raises(BudgetExceededError, match=r"^3\*\*8 points exceed the budget 4096$"):
+        forbidden_family(UNIT3, 8)
+
+
+def test_forbidden_family_builds_past_the_solver_budget_by_default():
+    # 243 points, past the solver's 128: built and enumerated, never solved
+    family = forbidden_family(UNIT3, 5)
+    assert len(family) == 3**5
+    assert len(list(family.configurations())) == 4**5 - 3**5
+
+
+def test_one_symbol_search_runs_past_the_recursion_limit():
+    # one round per DFS level: 1,000 rounds used to overflow Python's stack
+    record = compute_eq(list(unit_tuples(1)), 1000, point_budget=1000)
+    assert (record.value, record.witness) == (Fraction(0), [])
+    assert len(list(forbidden_family(list(unit_tuples(1)), 4096).configurations())) == 1
+
+
+def test_configuration_search_runs_past_the_recursion_limit():
+    n = 1200
+    found = find_forbidden([(0, 1), (1, 0)], n, [(0,) * n, (1,) * n])
+    assert found == ForbiddenWitness(coordinate=0, edges=((0,) * n, (1,) * n))
 
 
 # -- compute_eq ---------------------------------------------------------------------
@@ -317,9 +344,10 @@ def test_witness_checks_are_kept_under_python_O():
     assert "AssertionError: found configuration failed witness_is_valid" in proc.stderr
 
 
-def test_compute_eq_refuses_when_config_budget_is_tiny():
-    with pytest.raises(BudgetExceededError):
-        compute_eq(UNIT3, 2, config_budget=1)
+def test_compute_eq_refuses_when_config_budget_is_tiny(monkeypatch):
+    monkeypatch.setattr(forbidden, "DEFAULT_CONFIG_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="^more than 1 "):
+        compute_eq(UNIT3, 2)
 
 
 def test_compute_eq_validation():
@@ -329,16 +357,17 @@ def test_compute_eq_validation():
         compute_eq(UNIT3, 2, point_budget=4)
 
 
-def test_forbidden_hypergraph_edges():
+def test_forbidden_hypergraph_edges(monkeypatch):
     hyper = forbidden_hypergraph(UNIT3, 2)
     assert hyper.size == 9
     assert len(hyper.edges) == 7
     code = TupleCodec([range(3)] * 2).encode
     codes = {tuple(sorted(code(e) for e in w.edges))
-             for w in enumerate_forbidden(UNIT3, 2)}
+             for w in _enumerate_all(UNIT3, 2)}
     assert set(hyper.edges) == codes
-    with pytest.raises(BudgetExceededError):
-        forbidden_hypergraph(UNIT3, 2, config_budget=3)
+    monkeypatch.setattr(forbidden, "DEFAULT_CONFIG_BUDGET", 3)
+    with pytest.raises(BudgetExceededError, match="^more than 3 forbidden configurations$"):
+        forbidden_hypergraph(UNIT3, 2)
 
 
 def test_one_round_family_has_no_generators():
@@ -428,6 +457,34 @@ def test_witness_strategy_wins_exactly_on_the_witness():
             assert evaluate(rep, strat) == rec.value
             assert sorted(winning_points(rep, strat)) == rec.witness
             assert check_winning_set_free(rep, strat)
+
+
+def _seeded_strategy(game, seed):
+    rng = SplitMix64(seed)
+    return Strategy.from_tables(
+        [{x: rng.choice(game.answer_alphabets[j]) for x in game.question_domain(j)}
+         for j in range(game.k)])
+
+
+def _answer_game(support, n):
+    rec = compute_eq(support, n)
+    return build_answer_game(((0, 1),) * 3, support, n, rec.witness)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda n=n: (repeat(preset_game("anticorr", q=3), n), []),
+                   id=f"anticorr3-{n}") for n in (1, 2, 3)),
+    pytest.param(lambda: (repeat(_answer_game(UNIT3, 2), 2), [strategy_from_witness(UNIT3, 2)]),
+                 id="answer-game-unit3-2"),
+])
+def test_winning_points_are_those_the_support_wins(make):
+    # one walk of the rounds gives the points that pairing each index
+    # vector with its support tuple gives
+    game, strategies = make()
+    for strategy in strategies + [_seeded_strategy(game, seed) for seed in range(4)]:
+        expected = [w for w, x in zip(game.rounds, game.support)
+                    if game.predicate(x, strategy.answers(x))]
+        assert winning_points(game, strategy) == expected
 
 
 def test_single_shot_answer_game_value_below_one():

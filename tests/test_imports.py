@@ -130,3 +130,56 @@ def test_every_export_has_a_caller():
     callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     referenced = set().union(*map(_references, callers))
     assert sorted(exports - referenced - WRITES_CLI_INPUT) == []
+
+
+def _budget_parameters(path: Path) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of each parameter of a function in
+    path that has a default and a name ending in budget.  position is the
+    index of the positional argument a call passes it as, not counting a
+    method's self or cls, and None for a keyword-only parameter."""
+    found = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if in_class and positional and positional[0].arg in ("self", "cls"):
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                found.extend((child.name, a.arg, positional.index(a)) for a in defaulted
+                             if a.arg.endswith("budget"))
+                found.extend((child.name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None and a.arg.endswith("budget"))
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(_tree(path), False)
+    return found
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword or by position."""
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_budget_parameter_is_set_by_a_caller():
+    # a budget with a default that no caller sets is a second meaning of
+    # the budget that nothing uses
+    callers = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in callers:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [f"{path.name}:{function}({param})" for path in MODULES
+             for function, param, position in _budget_parameters(path)
+             if not any(_passes(call, param, position) for call in calls.get(function, []))]
+    assert unset == []

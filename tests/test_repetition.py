@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
-from replab import forbidden, structures
+from replab import forbidden, repetition, structures
 from replab.errors import BudgetExceededError
 from replab.games import (Game, Strategy, evaluate, exact_value, game_from_json,
                           preset_game)
@@ -364,7 +364,7 @@ def test_repeated_predicate_calls_the_base_predicate_once_per_round():
     assert len(calls) == len(set(calls)) == 3
 
 
-def test_repeat_validation():
+def test_repeat_validation(monkeypatch):
     base = _base_game()
     with pytest.raises(ValueError):
         repeat(base, 0)
@@ -373,9 +373,10 @@ def test_repeat_validation():
     assert repeat(base, 1).n == 1
     # one question, one answer: only the round count can exceed the budget
     trivial = Game(((0,),), ((0,),), ((0,),), (Fraction(1),), lambda x, a: True)
-    assert len(repeat(trivial, 8, budget=8).support) == 1
-    with pytest.raises(BudgetExceededError):
-        repeat(trivial, 9, budget=8)
+    monkeypatch.setattr(repetition, "TUPLE_BUDGET", 8)
+    assert len(repeat(trivial, 8).support) == 1
+    with pytest.raises(BudgetExceededError, match="^9 coordinates exceed the budget 8$"):
+        repeat(trivial, 9)
 
 
 def test_repeat_value_matches_materialised_product():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from replab import search
 from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
 from replab.forbidden import compute_eq, find_forbidden, forbidden_family
@@ -122,6 +123,25 @@ def test_grids_of_gf2_are_squares():
         assert list(g.universe) == list(s.universe)
         assert set(g.configurations()) == set(s.configurations())
         assert g.generators == s.generators
+
+
+@pytest.mark.parametrize("solve,size", [
+    (lambda: r_square(4), 256),
+    (lambda: r_grid(F3, 1, 7), 2187),
+    (lambda: r_line(3, 5), 243),
+], ids=["square-4", "grid-GF3-1-7", "line-3-5"])
+def test_solve_refuses_past_the_solver_budget_before_enumerating(solve, size, monkeypatch):
+    # the family is built under the enumeration budget; solve() refuses it
+    # before a configuration is enumerated or the solver runs
+    def unreachable(*args):
+        raise AssertionError("enumerated past the solver budget")
+
+    monkeypatch.setattr(search.StructureFamily, "configurations", unreachable)
+    monkeypatch.setattr(search, "max_free", unreachable)
+    with pytest.raises(BudgetExceededError) as refused:
+        solve()
+    assert str(refused.value) == (f"{size} points exceed the solver budget 128; "
+                                  "use export_wcnf and an external MaxSAT solver")
 
 
 def test_family_budgets():
