@@ -18,16 +18,18 @@ whenever the base game's value is below one, and the maximum density of a
 configuration-free subset of the repeated support bounds every repeated
 value from above.
 
-The configurations are built round by round.  Call a map phi of the
-support indices consistent when each player's symbol of Q[phi(s)] depends
-only on their symbol of Q[s].  A configuration pinned at coordinate i is
-then exactly one consistent map phi_m for each other round m, with
-e(s)_i = s and e(s)_m = phi_m(s).  consistent_maps finds the maps by a
-small backtrack, cached per support and per set of allowed images, and
-the search below runs a DFS over the rounds m != i that narrows each edge
-slot s, starting at the points whose coordinate i is s, to the points
-whose coordinate m is phi_m(s), on an explicit stack rather than
-Python's.  A coordinate at which the point set misses some symbol is
+The configurations are built round by round, on one rule: a player who
+sees two questions alike sees their images alike.  With agree[s][u] the
+mask of the players whose symbols of Q[s] and Q[u] are equal, a map phi
+of the support indices is consistent when agree[s][u] lies within
+agree[phi(s)][phi(u)] for all s and u.  A configuration pinned at
+coordinate i is then exactly one consistent map phi_m for each other
+round m, with e(s)_i = s and e(s)_m = phi_m(s).  consistent_maps finds
+the maps by a small backtrack, cached per support and per set of allowed
+images, and the search below runs a DFS over the rounds m != i that
+narrows each edge slot s, starting at the points whose coordinate i is s,
+to the points whose coordinate m is phi_m(s), on an explicit stack rather
+than Python's.  A coordinate at which the point set misses some symbol is
 passed over before any search: a product strategy's winning set misses
 one at every coordinate.  On the whole
 n-fold support no branch is dead.  Each coordinate's configurations are
@@ -43,9 +45,11 @@ budget.  DEFAULT_CONFIG_BUDGET bounds the maps and the configurations that
 one search holds.  The answer game over a free set takes its predicate
 from games.answer_game_predicate, which game files name.
 
-The family's symmetries come from the support.  A player permutation pi
-with a symbol bijection per player that maps Q onto Q relabels the support
-indices by a permutation tau.  tau applied in every round maps forbidden
+The family's symmetries come from the support, by the same rule with
+equality for inclusion.  A player permutation pi with a symbol bijection
+per player that maps Q onto Q relabels the support indices by a
+permutation tau, exactly when pi maps each agree[s][u] onto
+agree[tau(s)][tau(u)].  tau applied in every round maps forbidden
 configurations onto forbidden configurations; so does tau applied in round
 0 alone when pi is the identity, and so does any permutation of the rounds.
 support_symmetries finds generators of each kind of tau by a bounded search
@@ -56,7 +60,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, defaultdict
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -121,29 +126,26 @@ def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness
     return True
 
 
-def _checked_points(q: int, n: int, points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The distinct points as tuples, in first-seen order; ValueError naming
-    the first one that is not an n-tuple over range(q)."""
-    pts = [tuple(p) for p in points]
-    for p in pts:
-        if len(p) != n or not all(isinstance(v, int) and 0 <= v < q for v in p):
-            raise ValueError(f"point {p!r} is not a {n}-tuple over range({q})")
-    return list(dict.fromkeys(pts))
+@functools.lru_cache(maxsize=1024)
+def _agreement(support: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
+    """agree[s][u], the mask of the players j with support[s][j] == support[u][j]."""
+    bits = [1 << j for j in range(len(support[0]))]
+    return tuple(tuple(sum(itertools.compress(bits, map(operator.eq, x, y))) for y in support)
+                 for x in support)
 
 
 @functools.lru_cache(maxsize=1024)
 def consistent_maps(support: tuple[tuple, ...],
                     domains: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The consistent maps of the support indices that take each s into the
-    mask domains[s], as image tuples: the maps phi under which each player's
-    symbol of support[phi(s)] depends only on their symbol of support[s].
-    A backtrack over s ascending keeps an image t while it agrees with the
-    symbol maps that the images of 0..s-1 fix.  Raises BudgetExceededError
-    past DEFAULT_CONFIG_BUDGET maps: at n >= 2 each map into the full
-    domains gives a configuration of the n-fold support at coordinate 0."""
-    q, k = len(support), len(support[0])
+    mask domains[s], as image tuples in lexicographic order: a backtrack
+    over s ascending keeps an image t while agree[s][u] lies within
+    agree[t][phi(u)] for every u < s.  Raises BudgetExceededError past
+    DEFAULT_CONFIG_BUDGET maps: at n >= 2 each map into the full domains
+    gives a configuration of the n-fold support at coordinate 0."""
+    q = len(support)
+    agree = _agreement(support)
     targets = [[t for t in range(q) if mask >> t & 1] for mask in domains]
-    sigma: list[dict] = [{} for _ in range(k)]
     image: list[int] = []
     found: list[tuple[int, ...]] = []
 
@@ -154,29 +156,25 @@ def consistent_maps(support: tuple[tuple, ...],
                     f"more than {DEFAULT_CONFIG_BUDGET} consistent maps of the support")
             found.append(tuple(image))
             return
-        x = support[s]
+        row = agree[s]
         for t in targets[s]:
-            y = support[t]
-            if all(sig.get(a, b) == b for sig, a, b in zip(sigma, x, y)):
-                fixed = [j for j in range(k) if x[j] not in sigma[j]]
-                for j in fixed:
-                    sigma[j][x[j]] = y[j]
+            image_row = agree[t]
+            if all(row[u] & ~image_row[v] == 0 for u, v in enumerate(image)):
                 image.append(t)
                 extend(s + 1)
                 image.pop()
-                for j in fixed:
-                    del sigma[j][x[j]]
 
     extend(0)
     return tuple(found)
 
 
-def _search_witnesses(support: Sequence[tuple], n: int,
-                      pts: Sequence[tuple[int, ...]]) -> Iterator[ForbiddenWitness]:
-    """Yield forbidden configurations inside the given distinct points,
-    n-tuples over range(len(support)).  Raises BudgetExceededError once
-    more than DEFAULT_CONFIG_BUDGET of them are found, since each
-    coordinate's are held for sorting.
+def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int, ...]]
+                      ) -> Iterator[tuple[ForbiddenWitness, tuple[int, ...]]]:
+    """Yield the forbidden configurations inside the given distinct points,
+    n-tuples over range(len(support)), each with the positions in pts of
+    its edges.  Raises BudgetExceededError once more than
+    DEFAULT_CONFIG_BUDGET of them are found, since each coordinate's are
+    held for sorting.
 
     Coordinates ascending.  At coordinate i, slot s starts at the points
     whose coordinate i is s; a coordinate where some slot starts empty holds
@@ -203,13 +201,9 @@ def _search_witnesses(support: Sequence[tuple], n: int,
     # symbol rank of support[t][j] for each support index t
     cells = []
     for j, symbols in enumerate(player_symbols(support)):
-        rank = {x: r for r, x in enumerate(symbols)}
-        first = {}
-        for s, x in enumerate(support):
-            first.setdefault(x[j], s)
-        cells += [([rank[x[j]] for x in support], first[v]) for v in symbols]
+        ranks = [symbols.index(x[j]) for x in support]
+        cells += [(ranks, ranks.index(r)) for r in range(len(symbols))]
     seen: set[frozenset] = set()
-    allowed = frozenset(pts)
     count = 0
 
     for i in coordinates:
@@ -230,8 +224,9 @@ def _search_witnesses(support: Sequence[tuple], n: int,
                           for phi in reversed(consistent_maps(support_key, domains))]
                 continue
             # one point per slot: each round left has one map to try, its column
-            edges = tuple(pts[c.bit_length() - 1] for c in slots)
-            if frozenset(edges) in seen or (depth < n - 1 and not all(
+            positions = tuple(c.bit_length() - 1 for c in slots)
+            edges = tuple(map(pts.__getitem__, positions))
+            if frozenset(positions) in seen or (depth < n - 1 and not all(
                     consistent_maps(support_key, tuple(1 << t for t in column))
                     for column in set(zip(*edges)))):
                 continue
@@ -239,15 +234,15 @@ def _search_witnesses(support: Sequence[tuple], n: int,
             if count > DEFAULT_CONFIG_BUDGET:
                 raise BudgetExceededError(
                     f"more than {DEFAULT_CONFIG_BUDGET} forbidden configurations")
-            found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])], edges))
+            found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])],
+                          edges, positions))
         found.sort()
-        for _, edges in found:
+        for _, edges, positions in found:
             witness = ForbiddenWitness(coordinate=i, edges=edges)
-            points = witness.point_set()
-            seen.add(points)
-            if not (points <= allowed and witness_is_valid(support, n, witness)):
+            seen.add(frozenset(positions))
+            if not witness_is_valid(support, n, witness):
                 raise AssertionError("found configuration failed witness_is_valid")
-            yield witness
+            yield witness, positions
 
 
 def find_forbidden(support: Sequence[tuple], n: int,
@@ -261,9 +256,16 @@ def find_forbidden(support: Sequence[tuple], n: int,
 def enumerate_forbidden(support: Sequence[tuple], n: int,
                         points: Sequence[Sequence[int]]) -> Iterator[ForbiddenWitness]:
     """All forbidden configurations with points drawn from the given set,
-    deduplicated as point sets.  Raises ValueError for a point that is not
-    an n-tuple over the support indices."""
-    return _search_witnesses(support, n, _checked_points(len(support), n, points))
+    deduplicated as point sets.  Raises ValueError for an empty support and
+    for a point that is not an n-tuple over the support indices."""
+    if not support:
+        raise ValueError("the support must be non-empty")
+    q = len(support)
+    pts = [tuple(p) for p in points]
+    for p in pts:
+        if len(p) != n or not all(isinstance(v, int) and 0 <= v < q for v in p):
+            raise ValueError(f"point {p!r} is not a {n}-tuple over range({q})")
+    return (witness for witness, _ in _search_witnesses(support, n, list(dict.fromkeys(pts))))
 
 
 def support_symmetries(support: Sequence[tuple],
@@ -273,114 +275,111 @@ def support_symmetries(support: Sequence[tuple],
     bijections sigma_j: support[tau(s)][pi(j)] = sigma_j(support[s][j]) for
     every s and j.
 
-    The search runs up the stabiliser chain of the points q-1, .., 0: at
-    level l it backtracks for one tau that fixes the points below l and
-    takes l to u, for each u > l that the generators found so far do not
-    already take l to.  So it finds generators of the whole group without
-    listing the group, whose order may be q!.  After SYMMETRY_SEARCH_STEPS
-    candidate images it stops with the generators found by then, which
-    still generate such relabellings.
+    A backtrack over s ascending keeps an image t while each player j keeps
+    a candidate pi(j) that agrees on t and tau(u) exactly where j agrees on
+    s and u, for every u < s.  It runs up the stabiliser chain of the points
+    q-1, .., 0: at level l it backtracks for one tau that fixes the points
+    below l and takes l to u, for each u > l that the generators found so
+    far do not already take l to.  So it finds generators of the whole
+    group without listing the group, whose order may be q!.  After
+    SYMMETRY_SEARCH_STEPS candidate images it stops with the generators
+    found by then, which still generate such relabellings.
     """
     q, k = len(support), len(support[0])
-    classes = [[x[j] for x in support] for j in range(k)]
-    sizes = [Counter(c) for c in classes]
+    agree = _agreement(tuple(map(tuple, support)))
+    sizes = [Counter(x[j] for x in support) for j in range(k)]
     # a point and its image show classes of the same sizes
-    profile = list(zip(*[[size[sym] for sym in c] for size, c in zip(sizes, classes)]))
+    profile = [tuple(size[sym] for size, sym in zip(sizes, x)) for x in support]
     if same_players:
-        start = [{j} for j in range(k)]
+        start = [1 << j for j in range(k)]
     else:
-        profile = [sorted(p) for p in profile]
         shapes = [sorted(size.values()) for size in sizes]
-        start = [{j2 for j2 in range(k) if shapes[j2] == shapes[j]} for j in range(k)]
+        profile = [sorted(p) for p in profile]
+        start = [sum(1 << j2 for j2 in range(k) if shapes[j2] == shapes[j]) for j in range(k)]
     steps = SYMMETRY_SEARCH_STEPS
     used = [False] * q
 
-    def narrow(cands: list[set], opens: list, first_image: list[dict], t: int) -> list[set]:
-        # pi(j) = j2 survives the pair (s, t) when s and t both open a new
-        # class, or rejoin classes opened at the same position; any two
-        # players' candidate sets stay equal or disjoint
-        by_open = defaultdict(set)
-        for j2, (f, c) in enumerate(zip(first_image, classes)):
-            by_open[f.get(c[t])].add(j2)
-        return [cand & by_open[o] for cand, o in zip(cands, opens)]
+    def narrow(cands: list[int], s: int, t: int, tau: Sequence[int]) -> list[int]:
+        # pi(j) = j2 survives (s, t) when j agrees on s and u exactly where j2
+        # agrees on t and tau(u), u < s; candidate masks stay equal or disjoint
+        image_row = agree[t]
+        for a, v in zip(agree[s], tau):
+            b = image_row[v]
+            if a | b:
+                cands = [c & (b if a >> j & 1 else ~b) for j, c in enumerate(cands)]
+                if not all(cands):
+                    break
+        return cands
 
-    def opened(first: list[dict], s: int, t: int) -> list[dict]:
-        return [f if c[t] in f else {**f, c[t]: s} for f, c in zip(first, classes)]
-
-    def extend(tau: list[int], cands: list[set], first: list[dict],
-               first_image: list[dict], targets) -> tuple[int, ...] | None:
-        # cands[j] holds the players pi(j) may still be; first[j] maps each
-        # player-j symbol of the points so far to the first position that
-        # shows it, first_image[j] the same on the images
+    def extend(tau: list[int], cands: list[int], targets) -> tuple[int, ...] | None:
+        # cands[j] is the mask of the players pi(j) may still be
         nonlocal steps
         s = len(tau)
         if s == q:
-            # pi must be a bijection: as candidate sets are equal or
+            # pi must be a bijection: as candidate masks are equal or
             # disjoint, each must have as many members as players hold it
-            count = Counter(map(frozenset, cands))
-            return tuple(tau) if all(count[frozenset(c)] == len(c) for c in cands) else None
-        opens = [f.get(c[s]) for f, c in zip(first, classes)]
-        first_next = opened(first, s, s)
+            count = Counter(cands)
+            return tuple(tau) if all(count[c] == c.bit_count() for c in cands) else None
         for t in targets:
             if used[t] or profile[t] != profile[s] or steps <= 0:
                 continue
             steps -= 1
-            narrowed = narrow(cands, opens, first_image, t)
+            narrowed = narrow(cands, s, t, tau)
             if not all(narrowed):
                 continue
             used[t] = True
-            found = extend(tau + [t], narrowed, first_next, opened(first_image, s, t), range(q))
+            found = extend(tau + [t], narrowed, range(q))
             used[t] = False
             if found is not None:
                 return found
         return None
 
-    # the state after fixing the points 0 .. l-1, for each level l that
-    # leaves a point to move
-    fixed = [(start, [{} for _ in range(k)])]
+    # the candidate masks after fixing the points 0 .. l-1, for each level l
+    # that leaves a point to move
+    fixed = [start]
     for s in range(q - 2):
-        cands, first = fixed[-1]
-        opens = [f.get(c[s]) for f, c in zip(first, classes)]
-        fixed.append((narrow(cands, opens, first, s), opened(first, s, s)))
+        fixed.append(narrow(fixed[-1], s, s, range(s)))
     gens: list[tuple[int, ...]] = []
     for level in reversed(range(q - 1)):
         used[:] = [v < level for v in range(q)]
-        cands, first = fixed[level]
         orbit = {level}
         for u in range(level + 1, q):
             if u in orbit:
                 continue
-            tau = extend(list(range(level)), cands, first, first, (u,))
+            tau = extend(list(range(level)), fixed[level], (u,))
             if tau is None:
                 if steps <= 0:
                     return gens
                 continue
             gens.append(tau)
             frontier = list(orbit)
-            while frontier:
-                v = frontier.pop()
-                for g in gens:
-                    if g[v] not in orbit:
-                        orbit.add(g[v])
-                        frontier.append(g[v])
+            for v in frontier:
+                reached = {g[v] for g in gens} - orbit
+                orbit |= reached
+                frontier += reached
     return gens
 
 
 def forbidden_family(support: Sequence[tuple], n: int,
                      point_budget: int = ENUMERATION_BUDGET) -> StructureFamily:
     """The forbidden configurations of the n-fold support as a structure
-    family on the codes of ProductTuples(range(q), n).  Raises
-    BudgetExceededError when codec.oversize rejects the q**n points under
-    point_budget."""
+    family on the codes of ProductTuples(range(q), n).  Raises ValueError
+    for n < 1 or an empty support, and BudgetExceededError when
+    codec.oversize rejects the q**n points under point_budget."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("repetition count must be >= 1")
+    if not support:
+        raise ValueError("the support must be non-empty")
     q = len(support)
     if reason := oversize(q, n, point_budget):
         raise BudgetExceededError(reason)
     universe = ProductTuples(range(q), n)
-    code = universe.encode
 
     def enumerate_configurations() -> Iterator[tuple[int, ...]]:
-        for witness in enumerate_forbidden(support, n, universe):
-            yield tuple(sorted(code(e) for e in witness.edges))
+        # a point's position in the code-ordered universe is its code
+        for _, positions in _search_witnesses(support, n, list(universe)):
+            yield tuple(sorted(positions))
 
     def symmetries() -> list[tuple[int, ...]]:
         if n == 1:
@@ -416,11 +415,6 @@ def compute_eq(support: Sequence[tuple], n: int, *,
     built and solved within point_budget points and re-checked like every
     structure family.  A one-symbol support's single point is itself a
     configuration, so only the empty set is free."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("repetition count must be >= 1")
-    if not support:
-        raise ValueError("the support must be non-empty")
     record = forbidden_family(support, n, point_budget).solve(point_budget)
     record.witness.sort()
     return record

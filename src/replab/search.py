@@ -22,7 +22,9 @@ degrees only where the packing does not prune.  The search branches on the
 undecided point of maximum alive degree (lowest index on ties), exclude
 first: the first dive is then the greedy free set that drops the most
 constrained point until no edge is left, which on dense instances already
-meets the root bound.
+meets the root bound.  The states wait on an explicit stack, not Python's,
+each node's children pushed in reverse order of visit, so a search as deep
+as the point count cannot overflow the interpreter's stack.
 
 Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  max_free holds the group of the
@@ -312,7 +314,7 @@ class _BranchAndBound:
     module docstring; every alive edge keeps an undecided point, and each
     state carries its group.  found is the largest free set seen and best
     its size; a search ends once best reaches stop.  include_first is set
-    for the witness phase.  nodes counts search calls."""
+    for the witness phase.  nodes counts the states visited."""
 
     def __init__(self, size: int, edge_masks: list[int]):
         self.edge_masks = edge_masks
@@ -381,34 +383,38 @@ class _BranchAndBound:
         in two steps: the packing prunes many nodes alone, and the degrees,
         which also pick the branching point, are computed only where it
         does not."""
-        self.nodes += 1
-        free = selected.bit_count() + undecided.bit_count()
-        if free - self.packing(undecided, alive) <= self.best:
-            return False
-        if not alive:
-            self.found = selected | undecided
-            self.best = self.found.bit_count()
-            return self.best >= self.stop
-        degrees = self.degrees(undecided, alive)
-        if free - self.cover(degrees, alive) <= self.best:
-            return False
-        v = list(_select(undecided, count()))[degrees.index(max(degrees))]
-        if group.trivial:
-            orbit, killed, stab = 1 << v, self.inc[v], group
-        else:
-            orbit, stab = group.orbit(v), group.stabiliser(v)
-            killed = 0
-            for through in _select(orbit, self.inc):
-                killed |= through
-        if self.include_first and not group.trivial:
-            child = self.include(v, selected, undecided, alive)
-            if child is not None and self.search(*child, stab):
-                return True
-            return self.search(selected, undecided & ~orbit, alive & ~killed, group)
-        if self.search(selected, undecided & ~orbit, alive & ~killed, group):
-            return True
-        child = self.include(v, selected, undecided, alive)
-        return child is not None and self.search(*child, stab)
+        packing, degrees, cover, include = self.packing, self.degrees, self.cover, self.include
+        stack = [(selected, undecided, alive, group)]
+        while stack:
+            selected, undecided, alive, group = stack.pop()
+            self.nodes += 1
+            free = selected.bit_count() + undecided.bit_count()
+            if free - packing(undecided, alive) <= self.best:
+                continue
+            if not alive:
+                self.found = selected | undecided
+                self.best = self.found.bit_count()
+                if self.best >= self.stop:
+                    return True
+                continue
+            degree = degrees(undecided, alive)
+            if free - cover(degree, alive) <= self.best:
+                continue
+            v = list(_select(undecided, count()))[degree.index(max(degree))]
+            if group.trivial:
+                orbit, killed, stab = 1 << v, self.inc[v], group
+            else:
+                orbit, stab = group.orbit(v), group.stabiliser(v)
+                killed = 0
+                for through in _select(orbit, self.inc):
+                    killed |= through
+            children = [(selected, undecided & ~orbit, alive & ~killed, group)]
+            child = include(v, selected, undecided, alive)
+            if child is not None:
+                # visited first under include_first, if the group is not trivial
+                children.insert(self.include_first and not group.trivial, (*child, stab))
+            stack += children
+        return False
 
 
 def _refuse_past_solver_budget(size: int, budget: int) -> None:

@@ -162,8 +162,7 @@ def support_and_domains(draw):
 def test_consistent_maps_match_naive(case):
     support, domains = case
     maps = consistent_maps(tuple(support), domains)
-    assert len(set(maps)) == len(maps)
-    assert set(maps) == oracles.naive_consistent_maps(support, domains)
+    assert list(maps) == sorted(oracles.naive_consistent_maps(support, domains))
 
 
 # sha256 of repr([(w.coordinate, w.edges), ..]) from enumerate_forbidden:
@@ -226,6 +225,9 @@ def test_points_must_hold_ints():
     # build_answer_game reads its points through int(); the search does not
     with pytest.raises(ValueError, match=re.escape("(1.0,)")):
         find_forbidden(UNIT3, 1, [(0,), (1.0,), (2,)])
+    # checked before the points are deduplicated, so an unhashable one too
+    with pytest.raises(ValueError, match=re.escape("([0],)")):
+        find_forbidden(UNIT3, 1, [(0,), ([0],), (2,)])
 
 
 def test_repeated_points_count_once():
@@ -348,6 +350,19 @@ def test_compute_eq_refuses_when_config_budget_is_tiny(monkeypatch):
     monkeypatch.setattr(forbidden, "DEFAULT_CONFIG_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="^more than 1 "):
         compute_eq(UNIT3, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: forbidden_hypergraph([], 2),
+    lambda: list(enumerate_forbidden([], 1, [])),
+    lambda: find_forbidden([], 2, []),
+    lambda: forbidden_family(UNIT3, 0),
+], ids=["hypergraph-empty-support", "enumerate-empty-support", "find-empty-support",
+        "family-no-rounds"])
+def test_families_and_searches_check_their_arguments(call):
+    with pytest.raises(ValueError, match="^(the support must be non-empty|"
+                                         "repetition count must be >= 1)$"):
+        call()
 
 
 def test_compute_eq_validation():

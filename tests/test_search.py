@@ -1,5 +1,6 @@
 """Exact free-set solver, orbital branching, and the WCNF export."""
 
+import inspect
 import json
 import math
 import os
@@ -75,6 +76,19 @@ def test_max_free_budget():
     with pytest.raises(BudgetExceededError):
         max_free(h)
     assert max_free(h, budget=200)[0] == 199
+
+
+def test_max_free_runs_past_the_recursion_limit():
+    # 100 disjoint pairs: the search branches once per pair, which took one
+    # Python frame per branching decision when it recursed
+    pairs = 100
+    h = ForbiddenHypergraph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert max_free(h, budget=2 * pairs) == (pairs, tuple(range(0, 2 * pairs, 2)))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_max_free_prefers_lexicographically_first_witness():
