@@ -9,10 +9,15 @@ every reported value is exact.
 
 exact_value runs a two-phase branch and bound over the joint strategy space:
 phase one finds the optimal winning probability, pruning a branch as soon as
-the weight already lost makes the incumbent unbeatable; phase two re-walks
-the space in canonical order (players ascending, questions in alphabet
-order, answers in alphabet order) and returns the first strategy attaining
-the optimum, which is therefore the lexicographically first maximiser.
+the weight already lost makes the incumbent unbeatable, and stopping at the
+first leaf that reaches Game.value_bound, an upper bound on the value: 1 for
+a plain game, the base game's value for a repeated one (repetition module).
+An optimum above the bound raises AssertionError; a bound below the optimum
+that some leaf reaches exactly cannot show, so the bound is trusted as the
+pruning is.  Phase two re-walks the space in canonical order (players
+ascending, questions in alphabet order, answers in alphabet order) and
+returns the first strategy attaining the optimum, which is therefore the
+lexicographically first maximiser.
 
 The search reads ints only.  Per support tuple, Game.coded_support gives
 its weight over one common denominator (Game.scaled_weights), turned back
@@ -172,6 +177,12 @@ class Game:
         scale, ints = self.scaled_weights()
         return Fraction(sum(w for x, w in zip(self.support, ints) if event(x)), scale)
 
+    def value_bound(self, budget: int) -> Fraction:
+        """An upper bound on the game's value, at which exact_value's phase
+        one stops: 1 for a plain game.  budget bounds any search the bound
+        itself needs."""
+        return Fraction(1)
+
     def question_domain(self, player: int) -> list:
         """Questions player may receive, in alphabet order."""
         seen = {x[player] for x in self.support}
@@ -325,14 +336,15 @@ class _StrategySearch:
         return static, checks
 
     def run(self, cells: Sequence[int], cutoff: Fraction,
-            stop_at_cutoff: bool) -> tuple[Fraction, list[int] | None]:
+            stop: Fraction) -> tuple[Fraction, list[int] | None]:
         """Branch and bound over the given cell order.
 
-        Prunes any branch whose lost weight exceeds total - cutoff.  With
-        stop_at_cutoff the first surviving leaf is returned (its value is
-        then exactly cutoff when cutoff is the optimum); otherwise the
-        incumbent is raised as better leaves appear, branches that cannot
-        beat it are pruned, and the final best value is returned.
+        Prunes any branch whose lost weight exceeds total - cutoff.  The
+        incumbent is raised as better leaves appear and branches that cannot
+        beat it are pruned; the search ends at the first leaf worth at least
+        stop, or once every branch is pruned.  Returns the best value with
+        its assignment, None when no leaf reaches cutoff.  With stop =
+        cutoff = the optimum, that is the first leaf attaining it.
         """
         ncells = len(cells)
         static, checks = self._losses(cells)
@@ -352,9 +364,9 @@ class _StrategySearch:
             nodes += 1
             if ci == ncells:
                 best_assign = assign.copy()
-                if stop_at_cutoff:
-                    break
                 best = Fraction(self.total - so_far, self.scale)
+                if best >= stop:
+                    break
                 slack = so_far - 1
             else:
                 extra = static[ci]
@@ -398,14 +410,20 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
     alphabet order, answers compared by alphabet position.  Raises
     BudgetExceededError as search_domains does.
     """
+    # built first, so that its budget refusal comes before any work,
+    # a repeated game's base solve included
     search = _StrategySearch(game, budget)
+    bound = game.value_bound(budget)
     # phase one: optimum value, over a cell order that completes support
-    # tuples early so losses prune aggressively
-    optimum, _ = search.run(search.cells_by_first_use(), Fraction(0), stop_at_cutoff=False)
+    # tuples early so losses prune aggressively, ending at a leaf that
+    # reaches the bound
+    optimum, _ = search.run(search.cells_by_first_use(), Fraction(0), bound)
+    # explicit raises, not asserts, so that python -O keeps the checks
+    if optimum > bound:
+        raise AssertionError("phase one must not exceed the value bound")
     # phase two: first leaf in canonical order reaching the optimum
     cells = search.cells_lex()
-    _, assign = search.run(cells, optimum, stop_at_cutoff=True)
-    # explicit raises, not asserts, so that python -O keeps the check
+    _, assign = search.run(cells, optimum, optimum)
     if assign is None:
         raise AssertionError("phase two must rediscover the optimum")
     strategy = search.strategy_from(cells, assign)

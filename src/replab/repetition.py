@@ -19,6 +19,12 @@ power, so no Fraction is multiplied.  Likewise the tables the exact_value search
 are round-by-round products of the base game's: the acceptance tables, and
 the coded support (each tuple's weight and each player's question position),
 so the search never calls the repeated predicate or forms a question tuple.
+A repeated game's value_bound is the base game's value, which exact_value's
+phase one stops at.  The repeated support is the full product of base rounds
+under product weights, so val(G^n) <= val(G): fix the questions of every
+round but one, and each player's answers in that round depend on their own
+question in it alone, a strategy of G, which wins that round, and so every
+round, with probability at most val(G); average over the fixed rounds.
 evaluate still walks the question tuples and calls the predicate, for an
 independent re-check.  The repeated predicate asks the base predicate once
 per distinct round, through a memo bounded at PREDICATE_MEMO entries: a
@@ -36,7 +42,7 @@ from fractions import Fraction
 
 from .codec import TUPLE_BUDGET, ProductTuples, oversize
 from .errors import BudgetExceededError
-from .games import Game, Strategy
+from .games import Game, Strategy, exact_value
 
 # distinct base rounds a repeated predicate remembers the base verdict of
 PREDICATE_MEMO = 1 << 14
@@ -136,6 +142,11 @@ class RepeatedGame(Game):
         questions, (scale, weights) = self.support.f, self._scaled
         weight = weights.f
         return Fraction(sum(weight(w) for w in self.rounds if event(questions(w))), scale)
+
+    def value_bound(self, budget: int) -> Fraction:
+        """The base game's value, which no repetition exceeds (see the
+        module docstring); one exact_value of the base game under budget."""
+        return exact_value(self.base, budget).value
 
     def question_domain(self, player: int) -> list:
         """The n-fold product of the base domain: the repeated support is the

@@ -398,6 +398,13 @@ def test_value_budget_exceeded(capsys):
     assert code == 3 and err.startswith("error:")
 
 
+def test_value_repeat_over_budget_exits_3(capsys):
+    refused = (3, "", "error: strategy space exceeds budget 100000000; "
+                      "raise the budget to force the search\n")
+    assert run(capsys, ["value", "--preset", "anticorr", "--q", "3",
+                        "--repeat", "3", "--no-cache"]) == refused
+
+
 def test_value_table_work_over_budget_exits_3(capsys):
     argv = ["value", "--preset", "grid", "--p", "3", "--k", "2", "--no-cache"]
     code, out, _ = run(capsys, argv + ["--budget", "9"])

@@ -194,9 +194,11 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
     second = dict(first)
     second[(0, 0)] = (1, 1)
     assert result.strategy.tables == (first, second, second)
-    # search calls over both phases; a change to this count is a change to
-    # the search, not noise
-    assert [s.nodes for s in searches] == [20265]
+    # nodes per search over both phases, in construction order: the
+    # repeated game's, whose phase one stops at the base value 2/3, then
+    # the base game's; a change to these counts is a change to the search,
+    # not noise
+    assert [s.nodes for s in searches] == [906, 25]
 
 
 @pytest.mark.parametrize("solve,nodes", [
@@ -233,12 +235,15 @@ def test_untabled_game_value():
 
 @pytest.mark.parametrize("patch, message", [
     ("orig = g._StrategySearch.run\n"
-     "g._StrategySearch.run = lambda self, cells, cutoff, stop_at_cutoff: "
-     "(orig(self, cells, cutoff, stop_at_cutoff)[0], None)\n",
+     "g._StrategySearch.run = lambda self, cells, cutoff, stop: "
+     "(orig(self, cells, cutoff, stop)[0], None)\n",
      "phase two must rediscover the optimum"),
     ("g.evaluate = lambda game, strategy: -1\n",
      "reconstructed strategy must attain the optimum"),
-], ids=["phase-two", "re-evaluation"])
+    # below the value 2/3, and below the first leaf phase one reaches
+    ("g.Game.value_bound = lambda self, budget: g.Fraction(1, 2)\n",
+     "phase one must not exceed the value bound"),
+], ids=["phase-two", "re-evaluation", "value-bound"])
 def test_value_checks_are_kept_under_python_O(patch, message):
     # the independent checks must not be asserts, which -O strips
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -8,12 +8,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
 import oracles
-from replab import forbidden, repetition, structures
+from replab import forbidden, games, repetition, structures
 from replab.errors import BudgetExceededError
 from replab.games import (Game, Strategy, evaluate, exact_value, game_from_json,
                           preset_game)
@@ -117,8 +117,8 @@ def test_oversize_boundary():
 
 
 def _base_game():
-    # 2 players, value strictly between 0 and 1: win when answers agree on
-    # question (0, 0), disagree otherwise
+    # 2 players, value 1: win when answers agree on question (0, 0),
+    # disagree otherwise
     def predicate(x, a):
         return (a[0] == a[1]) == (x == (0, 0))
 
@@ -148,6 +148,12 @@ def unequal_base_games(draw):
                                 min_size=len(support) - 1, max_size=len(support) - 1)))
     weights = [Fraction(hi - lo, d) for lo, hi in zip([0, *cuts], [*cuts, d])]
     accepts = draw(st.sets(st.tuples(st.sampled_from(support), st.sampled_from(BIT_PAIRS))))
+    return _bit_game(support, weights, accepts)
+
+
+def _bit_game(support, weights, accepts) -> Game:
+    """A 2-player bit game that accepts the (questions, answers) pairs in
+    accepts."""
     return Game(((0, 1), (0, 1)), ((0, 1), (0, 1)), support, weights,
                 lambda x, a: (x, a) in accepts)
 
@@ -379,28 +385,62 @@ def test_repeat_validation(monkeypatch):
         repeat(trivial, 9)
 
 
-def test_repeat_value_matches_materialised_product():
-    base = _base_game()
-    lazy = repeat(base, 2)
+def _dense_product(base: Game, n: int) -> Game:
+    """The n-fold repetition of base written out as a plain Game, with its
+    alphabets in the little-endian order of the repeated game's."""
 
-    pairs = [(x0, x1) for x1 in (0, 1) for x0 in (0, 1)]  # little-endian order
+    def little_endian(alphabet):
+        return [tuple(reversed(t)) for t in itertools.product(alphabet, repeat=n)]
+
     support, weights = [], []
-    for r1 in range(3):
-        for r0 in range(3):
-            x0, x1 = base.support[r0], base.support[r1]
-            support.append(tuple((x0[j], x1[j]) for j in range(2)))
-            weights.append(Fraction(1, 9))
+    for rounds in itertools.product(range(len(base.support)), repeat=n):
+        xs = [base.support[r] for r in rounds]
+        support.append(tuple(zip(*xs)))
+        weights.append(math.prod(base.weights[r] for r in rounds))
 
     def predicate(x, a):
-        return all(base.predicate(tuple(x[j][i] for j in range(2)),
-                                  tuple(a[j][i] for j in range(2)))
-                   for i in range(2))
+        return all(base.predicate(tuple(xj[i] for xj in x), tuple(aj[i] for aj in a))
+                   for i in range(n))
 
-    dense = Game((pairs, pairs), (pairs, pairs), support, weights, predicate)
-    lazy_result = exact_value(lazy)
-    dense_result = exact_value(dense)
-    assert lazy_result.value == dense_result.value
-    assert lazy_result.strategy == dense_result.strategy
+    return Game(list(map(little_endian, base.question_alphabets)),
+                list(map(little_endian, base.answer_alphabets)),
+                support, weights, predicate)
+
+
+@given(unequal_base_games())
+@example(_base_game())
+# value 2/3, also of the square: phase one stops at the base value
+@example(_bit_game(((1, 0), (0, 0), (0, 1)), [Fraction(1, 3)] * 3,
+                   {((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 0))}))
+# value 2/5, of the square 6/25: no leaf reaches the bound
+@example(_bit_game(((0, 0), (1, 0), (0, 1), (1, 1)),
+                   [Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), Fraction(1, 5)],
+                   {((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 1))}))
+def test_repeat_value_matches_the_dense_product(base):
+    # the repeated game's phase one stops at a leaf worth the base value;
+    # the plain game gets bound 1 and runs the full phase one
+    lazy = exact_value(repeat(base, 2))
+    dense = exact_value(_dense_product(base, 2))
+    assert lazy.value == dense.value
+    assert lazy.strategy == dense.strategy
+    assert lazy.value <= exact_value(base).value
+
+
+def test_over_budget_repeat_never_builds_the_base_search(monkeypatch):
+    # the repeated search refuses its strategy space before value_bound
+    # solves the base game
+    built = []
+
+    class RecordedSearch(games._StrategySearch):
+        def __init__(self, game, budget):
+            built.append(game)
+            super().__init__(game, budget)
+
+    monkeypatch.setattr(games, "_StrategySearch", RecordedSearch)
+    game = repeat(preset_game("anticorr", q=3), 3)
+    with pytest.raises(BudgetExceededError, match="^strategy space exceeds budget"):
+        exact_value(game)
+    assert built == [game]
 
 
 @given(st.integers(0, 2**32 - 1))
