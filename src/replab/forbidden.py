@@ -482,10 +482,13 @@ def strategy_from_witness(support: Sequence[tuple], n: int) -> Strategy:
 
 def winning_points(game: RepeatedGame, strategy: Strategy) -> list[tuple[int, ...]]:
     """Index vectors of the repeated support tuples on which the strategy
-    wins, in one walk of the rounds, as RepeatedGame.probability."""
-    questions = game.support.f
-    return [w for w in game.rounds
-            if game.predicate(x := questions(w), strategy.answers(x))]
+    wins, in code order.  They come from the column walk evaluate reads
+    (RepeatedGame.walk), in itertools.product order, so only the winners
+    are sorted back, last round most significant."""
+    _, _, wins = game.walk(strategy)
+    points = itertools.product(range(len(game.base.support)), repeat=game.n)
+    return sorted(itertools.compress(points, wins),
+                  key=operator.itemgetter(slice(None, None, -1)))
 
 
 def check_winning_set_free(game: RepeatedGame, strategy: Strategy) -> bool:

@@ -37,10 +37,12 @@ or forming a question tuple.  The search is a loop over per-depth arrays, so
 its depth is bounded by memory, not by Python's recursion limit.  The
 strategy found is re-checked by attains, which a value record's --recheck
 also runs: every answer lies in its player's alphabet, and evaluate gives
-the value.  evaluate walks the question tuples of the support and calls the
-predicate on each, and reads neither the coded support nor the tables, so
-the re-check shares nothing the search read, and a fault there shows up as
-a mismatch.
+the value.  evaluate sums the weights of the support tuples that Game.walk
+says the strategy wins: a plain game calls the predicate on each question
+tuple of its support, and a repeated game walks products of its base
+game's columns (repetition module).  Neither reads the coded support or
+the tables, so the re-check shares nothing the search read, and a fault
+there shows up as a mismatch.
 The presets' question supports (unit_tuples, grid_question_set), refused
 past codec.TUPLE_BUDGET before they are built, and the answer game's
 predicate live here.
@@ -171,11 +173,13 @@ class Game:
         return [frozenset(combo for combo, a in zip(positions, answers) if self.predicate(x, a))
                 for x in self.support]
 
-    def probability(self, event: Callable[[tuple], bool]) -> Fraction:
-        """The total weight of the support tuples for which event holds: the
-        ints of scaled_weights() summed, as one Fraction."""
+    def walk(self, strategy: Strategy) -> tuple[int, Iterable[int], Iterable[bool]]:
+        """The support as evaluate reads it: (scale, weights, wins), with
+        weights the ints of scaled_weights() and wins whether the predicate
+        accepts the strategy's answers, both in support order.  A missing
+        answer raises IncompleteStrategyError as the walk reaches it."""
         scale, ints = self.scaled_weights()
-        return Fraction(sum(w for x, w in zip(self.support, ints) if event(x)), scale)
+        return scale, ints, (self.predicate(x, strategy.answers(x)) for x in self.support)
 
     def value_bound(self, budget: int) -> Fraction:
         """An upper bound on the game's value, at which exact_value's phase
@@ -201,8 +205,10 @@ class GameValue:
 def evaluate(game: Game, strategy: Strategy) -> Fraction:
     """Exact winning probability of a product strategy: the game's scaled
     int weights summed over the support tuples its predicate accepts, as one
-    Fraction.  It calls the predicate, never the search's acceptance tables."""
-    return game.probability(lambda x: game.predicate(x, strategy.answers(x)))
+    Fraction.  It reads Game.walk, never the search's coded support or
+    acceptance tables."""
+    scale, weights, wins = game.walk(strategy)
+    return Fraction(sum(itertools.compress(weights, wins)), scale)
 
 
 def attains(game: Game, strategy: Strategy, value: Fraction) -> bool:

@@ -25,23 +25,36 @@ under product weights, so val(G^n) <= val(G): fix the questions of every
 round but one, and each player's answers in that round depend on their own
 question in it alone, a strategy of G, which wins that round, and so every
 round, with probability at most val(G); average over the fixed rounds.
-evaluate still walks the question tuples and calls the predicate, for an
-independent re-check.  The repeated predicate asks the base predicate once
-per distinct round, through a memo bounded at PREDICATE_MEMO entries: a
-round recurs in many repeated tuples, and a product strategy often answers
-it alike each time.
+evaluate and forbidden.winning_points re-check a strategy through
+RepeatedGame.walk, one column walk of the rounds made of itertools products
+and C-level maps, with no Python frame per repeated tuple.  Per player, the
+question tuples are the n-fold product of the player's column of the base
+support, and the answers their lookups in the player's table.  A tuple wins
+when the base predicate accepts every round, its answers zipped per round
+as the repeated predicate zips them, and weighs the product of its rounds'
+base ints.  The walk runs in itertools.product order, the last round
+fastest: a sum does not see the order, and winning_points sorts only its
+winners back.  It reads the base support, weights and predicate and the
+strategy's tables, never coded_support or acceptance, so the re-check stays
+independent of what the search read.  Before walking, it checks that each
+table answers every question of the n-fold base domain, all of which the
+full product of rounds asks.  The base predicate is asked once per distinct
+round, through a memo bounded at PREDICATE_MEMO entries that the walk and
+the repeated predicate share: a round recurs in many repeated tuples, and a
+product strategy often answers it alike each time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .codec import TUPLE_BUDGET, ProductTuples, oversize
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, IncompleteStrategyError
 from .games import Game, Strategy, exact_value
 
 # distinct base rounds a repeated predicate remembers the base verdict of
@@ -81,7 +94,8 @@ class RepeatedGame(Game):
 
         self._scaled = scale, _RoundMap(weight, self.rounds)
         # the base predicate once per distinct (questions, answers) round
-        base_predicate = functools.lru_cache(maxsize=PREDICATE_MEMO)(base.predicate)
+        self._round_predicate = base_predicate = functools.lru_cache(
+            maxsize=PREDICATE_MEMO)(base.predicate)
         super().__init__(
             question_alphabets=[ProductTuples(a, n) for a in base.question_alphabets],
             answer_alphabets=[ProductTuples(a, n) for a in base.answer_alphabets],
@@ -136,12 +150,30 @@ class RepeatedGame(Game):
             place = [p * r for p, r in zip(place, radices)]
         return tables
 
-    def probability(self, event) -> Fraction:
-        """One walk of the rounds: each index vector is decoded once, and its
-        weight multiplied out only when event holds for its support tuple."""
-        questions, (scale, weights) = self.support.f, self._scaled
-        weight = weights.f
-        return Fraction(sum(weight(w) for w in self.rounds if event(questions(w))), scale)
+    def walk(self, strategy: Strategy) -> tuple[int, Iterator[int], Iterator[bool]]:
+        """The column walk of the module docstring, in itertools.product
+        order (the last round fastest), not the codec's.  Raises
+        IncompleteStrategyError, before walking, naming the first player
+        whose table misses a question of the n-fold base domain."""
+        base, n = self.base, self.n
+        tables = strategy.tables
+        for j in range(self.k):
+            domain = base.question_domain(j)
+            table = tables[j] if j < len(tables) else {}
+            missing = next(itertools.filterfalse(
+                table.__contains__, itertools.product(domain, repeat=n)), None)
+            if missing is not None:
+                raise IncompleteStrategyError(
+                    f"player {j} has no answer for question {missing!r}")
+        columns = zip(*base.support)
+        answers = [map(table.__getitem__, itertools.product(column, repeat=n))
+                   for table, column in zip(tables, columns)]
+        wins = map(all, map(map, itertools.repeat(self._round_predicate),
+                            itertools.product(base.support, repeat=n),
+                            map(zip, *answers)))
+        base_scale, base_ints = base.scaled_weights()
+        weights = map(math.prod, itertools.product(base_ints, repeat=n))
+        return base_scale ** n, weights, wins
 
     def value_bound(self, budget: int) -> Fraction:
         """The base game's value, which no repetition exceeds (see the

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from replab import forbidden, games, repetition, structures
-from replab.errors import BudgetExceededError
+from replab.errors import BudgetExceededError, IncompleteStrategyError
 from replab.games import (Game, Strategy, evaluate, exact_value, game_from_json,
                           preset_game)
 from replab.codec import ProductTuples, TupleCodec, oversize, power_exceeds
@@ -158,17 +158,51 @@ def _bit_game(support, weights, accepts) -> Game:
                 lambda x, a: (x, a) in accepts)
 
 
-@given(unequal_base_games(), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt):
+@given(unequal_base_games(), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt, wrong_length):
+    # evaluate and winning_points against the oracle and the walk of the
+    # repeated predicate over the support, for a random strategy, not a
+    # product of base strategies; with wrong_length, one player's answers
+    # all hold n - 1 or n + 1 rounds, which both walks truncate as zip does
+    # and attains refuses
     game = repeat(base, n)
     scale, ints = game.scaled_weights()
     assert [Fraction(i, scale) for i in ints] == [
         math.prod(ws) for ws in itertools.product(base.weights, repeat=n)]
     rng = random.Random(salt)
-    strategy = Strategy.from_tables([
-        {q: rng.choice(list(game.answer_alphabets[j])) for q in game.question_domain(j)}
-        for j in range(game.k)])
-    assert evaluate(game, strategy) == oracles.repeated_win_probability(base, n, strategy)
+    short = rng.randrange(game.k) if wrong_length else None
+
+    def answer(j):
+        rounds = rng.choice([n - 1, n + 1]) if j == short else n
+        return tuple(rng.choice(base.answer_alphabets[j]) for _ in range(rounds))
+
+    strategy = Strategy.from_tables([{q: answer(j) for q in game.question_domain(j)}
+                                     for j in range(game.k)])
+    wins = [game.predicate(x, strategy.answers(x)) for x in game.support]
+    value = evaluate(game, strategy)
+    assert forbidden.winning_points(game, strategy) == list(itertools.compress(game.rounds, wins))
+    assert value == sum(itertools.compress(game.weights, wins))
+    if wrong_length:
+        assert not games.attains(game, strategy, value)
+    else:
+        assert value == oracles.repeated_win_probability(base, n, strategy)
+
+
+@pytest.mark.parametrize("consumer", [evaluate, forbidden.winning_points],
+                         ids=["evaluate", "winning_points"])
+def test_the_column_walk_refuses_incomplete_strategies(consumer):
+    game = repeat(preset_game("anticorr", q=3), 3)
+    strategy = independent_strategy(exact_value(game.base).strategy, 3)
+    tables = [dict(t) for t in strategy.tables]
+    del tables[1][(1, 1, 1)]
+    with pytest.raises(IncompleteStrategyError,
+                       match=r"^player 1 has no answer for question \(1, 1, 1\)$"):
+        consumer(game, Strategy(tuple(tables)))
+    with pytest.raises(IncompleteStrategyError,
+                       match=r"^player 2 has no answer for question \(0, 0, 0\)$"):
+        consumer(game, Strategy(strategy.tables[:2]))
+    # a table past the last player is ignored
+    assert consumer(game, Strategy((*strategy.tables, {}))) == consumer(game, strategy)
 
 
 def test_repeated_game_shape():
@@ -242,20 +276,27 @@ def test_repeated_predicate_requires_all_rounds():
         assert game.predicate(x, strategy.answers(x)) == all(per_round)
 
 
-def test_evaluate_walks_the_rounds_once(monkeypatch):
-    # one decode of each round index vector, and the predicate still called
-    # on every support tuple in order
-    game = repeat(preset_game("anticorr", q=3), 3)
-    strategy = independent_strategy(exact_value(game.base).strategy, 3)
-    walks, calls = [], []
-    walk = TupleCodec.__iter__
-    monkeypatch.setattr(TupleCodec, "__iter__", lambda self: walks.append(self) or walk(self))
-    predicate = game.predicate
-    game.predicate = lambda x, a: calls.append(x) or predicate(x, a)
-    assert evaluate(game, strategy) == Fraction(2, 3) ** 3
-    assert walks == [game.rounds]
-    monkeypatch.undo()
-    assert calls == list(game.support)
+def _raise(*args):
+    raise AssertionError("the re-check read what the search reads")
+
+
+@pytest.mark.parametrize("make_base,n", [
+    (lambda: preset_game("anticorr", q=3), 3),
+    (_unequal_base_game, 3),
+    (lambda: preset_game("grid", p=2, k=2), 2),
+], ids=["anticorr3", "unequal", "grid2"])
+def test_the_recheck_reads_neither_the_coded_support_nor_the_tables(monkeypatch, make_base, n):
+    # evaluate and winning_points walk the base columns, so a fault in what
+    # the search reads cannot agree with itself
+    game = repeat(make_base(), n)
+    strategy = independent_strategy(exact_value(game.base).strategy, n)
+    value = oracles.repeated_win_probability(game.base, n, strategy)
+    points = [w for w, x in zip(game.rounds, game.support)
+              if game.predicate(x, strategy.answers(x))]
+    monkeypatch.setattr(repetition.RepeatedGame, "coded_support", _raise)
+    monkeypatch.setattr(repetition.RepeatedGame, "acceptance", _raise)
+    assert evaluate(game, strategy) == value
+    assert forbidden.winning_points(game, strategy) == points
 
 
 @pytest.mark.parametrize("name,params,n", [
@@ -297,15 +338,20 @@ def test_product_tables_match_the_predicate_on_table_games(case):
     assert Game.acceptance(game) == game.acceptance()
 
 
-def test_exact_value_calls_the_repeated_predicate_only_to_recheck():
-    # the search reads the product tables; evaluate's re-check is the one
-    # walk of the repeated predicate
-    game = repeat(preset_game("anticorr", q=3), 2)
-    calls = []
-    predicate = game.predicate
-    game.predicate = lambda x, a: calls.append(x) or predicate(x, a)
-    assert exact_value(game).value == Fraction(2, 3)
-    assert calls == list(game.support)
+def test_a_faulty_table_fails_the_recheck(monkeypatch):
+    # one product table wrongly accepts every answer combination: the
+    # search trusts it, and the re-check, which never reads it, refuses
+    # the strategy found
+    acceptance = repetition.RepeatedGame.acceptance
+
+    def faulty(self):
+        tables = acceptance(self)
+        tables[1] = frozenset(itertools.product(*(range(len(a)) for a in self.answer_alphabets)))
+        return tables
+
+    monkeypatch.setattr(repetition.RepeatedGame, "acceptance", faulty)
+    with pytest.raises(AssertionError, match="^reconstructed strategy must attain the optimum$"):
+        exact_value(repeat(preset_game("anticorr", q=3), 2))
 
 
 def _ghz_answer_game():
@@ -343,19 +389,30 @@ def test_coded_support_matches_the_materialised_support(make_base, n):
 
 
 def test_exact_value_does_not_walk_the_repeated_support():
-    # the search reads coded_support and the re-check walks the rounds, so
-    # neither iterates the lazy support of question tuples
+    # the search reads coded_support and the re-check walks the base
+    # columns, so neither iterates the lazy support, weights or rounds
     game = repeat(preset_game("anticorr", q=3), 2)
     expected = exact_value(game)
+    points = forbidden.winning_points(game, expected.strategy)
 
     class Unwalkable(type(game.support)):
         def __iter__(self):
-            raise AssertionError("the repeated support was iterated")
+            raise AssertionError("the repeated support or weights were iterated")
 
-    game.support = Unwalkable(game.support.f, game.rounds)
-    with pytest.raises(AssertionError, match="iterated"):
-        list(game.support)
+    class UnwalkableRounds(type(game.rounds)):
+        def __iter__(self):
+            raise AssertionError("the repeated rounds were iterated")
+
+    rounds = UnwalkableRounds(range(3), 2)
+    game.rounds = rounds
+    game.support = Unwalkable(game.support.f, rounds)
+    game.weights = Unwalkable(game.weights.f, rounds)
+    for lazy in (game.support, game.weights, game.rounds):
+        with pytest.raises(AssertionError, match="iterated"):
+            list(lazy)
     assert exact_value(game) == expected
+    assert evaluate(game, expected.strategy) == expected.value
+    assert forbidden.winning_points(game, expected.strategy) == points
 
 
 def test_repeated_predicate_calls_the_base_predicate_once_per_round():
