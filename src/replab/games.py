@@ -29,11 +29,14 @@ each of the tuple's cells in search order, which answers so far no accepted
 combination starts with, and counts the tuple's weight as lost at the first
 cell where that happens.  A lost prefix loses under every completion, so the
 optimum and the lex-first strategy are those of scoring each tuple at its
-last cell.  A game builds its tables by calling the predicate on support x
-answer combinations, which counts against the same budget as the strategy
-space; a repeated game builds its tables and its coded support as
-round-by-round products of its base game's, without calling the predicate
-or forming a question tuple.  The search is a loop over per-depth arrays, so
+last cell.  A predicate that lists the answer tuples it accepts on a
+support tuple (an accepted method, which the answer game's and a game
+file's table predicates have) gives the tables straight from those lists;
+any other is called on support x answer combinations.  Either way the
+table work counts against the same budget as the strategy space.  A
+repeated game builds its tables and its coded support as round-by-round
+products of its base game's, without calling the predicate or forming a
+question tuple.  The search is a loop over per-depth arrays, so
 its depth is bounded by memory, not by Python's recursion limit.  The
 strategy found is re-checked by attains, which a value record's --recheck
 also runs: every answer lies in its player's alphabet, and evaluate gives
@@ -50,6 +53,7 @@ predicate live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -167,10 +171,26 @@ class Game:
 
     def acceptance(self) -> list[frozenset[tuple[int, ...]]]:
         """Per support tuple, in support order, the answer combinations the
-        predicate accepts, each a tuple of per-player answer positions."""
-        positions = TupleCodec([range(len(a)) for a in self.answer_alphabets])
-        answers = TupleCodec(self.answer_alphabets)
-        return [frozenset(combo for combo, a in zip(positions, answers) if self.predicate(x, a))
+        predicate accepts, each a tuple of per-player answer positions.
+
+        A predicate with an accepted(x) method, listing the answer tuples it
+        accepts on x, is read through it: a listed answer stands for every
+        position of its alphabet that holds it, and for none when it lies
+        outside.  Any other predicate is called on every combination."""
+        accepted = getattr(self.predicate, "accepted", None)
+        if accepted is None:
+            positions = TupleCodec([range(len(a)) for a in self.answer_alphabets])
+            answers = TupleCodec(self.answer_alphabets)
+            return [frozenset(combo for combo, a in zip(positions, answers)
+                              if self.predicate(x, a))
+                    for x in self.support]
+        places: list[dict] = [{} for _ in self.answer_alphabets]
+        for place, alphabet in zip(places, self.answer_alphabets):
+            for pos, a in enumerate(alphabet):
+                place.setdefault(a, []).append(pos)
+        return [frozenset(itertools.chain.from_iterable(
+                    itertools.product(*(place.get(a, ()) for place, a in zip(places, answers)))
+                    for answers in accepted(x)))
                 for x in self.support]
 
     def walk(self, strategy: Strategy) -> tuple[int, Iterable[int], Iterable[bool]]:
@@ -495,7 +515,14 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
     """Predicate of the answer game: every player names the same coordinate
     i and a full question vector; the named vectors must assemble to a point
     of the free set whose coordinate-i column is the question actually
-    asked."""
+    asked.
+
+    Its accepted(x) lists the answer tuples it accepts on support tuple x,
+    for Game.acceptance: for each free point w of n support indices and
+    each round i with support[w[i]] == x, player j answers (i, (support[
+    w[0]][j], .., support[w[n-1]][j])).  The lists are built on the first
+    call, so a malformed game is refused by Game's checks before they are.
+    """
     support_pos = {tuple(x): s for s, x in enumerate(support)}
     wset = {tuple(int(v) for v in w) for w in free_points}
 
@@ -513,7 +540,31 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
             return False
         return tuple(aj[1][i0] for aj in a) == tuple(x)
 
+    def listed():
+        for w in wset:
+            if len(w) == n and all(s in range(len(support)) for s in w):
+                # per player, their question in each round
+                rows = tuple(zip(*(support[s] for s in w)))
+                for i, s in enumerate(w):
+                    yield s, tuple((i, row) for row in rows)
+
+    predicate.accepted = _accepted_by_support(support_pos, listed)
     return predicate
+
+
+def _accepted_by_support(support_pos: Mapping[tuple, int],
+                         listed: Callable[[], Iterable[tuple[int, tuple]]]):
+    """A predicate's accepted(x): the answer tuples that listed() pairs with
+    x's index in support_pos, none for a tuple outside it.  listed() runs
+    once, on the first call."""
+    @functools.cache
+    def by_index() -> dict[int, tuple[tuple, ...]]:
+        groups: dict[int, list[tuple]] = {}
+        for s, answers in listed():
+            groups.setdefault(s, []).append(answers)
+        return {s: tuple(group) for s, group in groups.items()}
+
+    return lambda x: by_index().get(support_pos.get(tuple(x)), ())
 
 
 # each built-in game family's parameters, with their defaults
@@ -654,6 +705,15 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
             except ValueError:
                 return False
 
+        def listed():
+            for xi, ai in accepts:
+                a = answers.decode(ai)
+                # encode keeps the last position of a repeated symbol, so an
+                # entry naming an earlier one is never matched
+                if encode(a) == ai:
+                    yield xi, a
+
+        table_predicate.accepted = _accepted_by_support(support_pos, listed)
         return table_predicate
     if ptype == "preset":
         name = spec.get("name")

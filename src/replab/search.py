@@ -208,11 +208,7 @@ def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
     Deliberately independent of max_free's bookkeeping: pass a freshly
     enumerated edge family to guard against solver bugs.
     """
-    chosen = set(points)
-    for edge in edges:
-        if all(v in chosen for v in edge):
-            return False
-    return True
+    return not any(map(set(points).issuperset, edges))
 
 
 class _Group:

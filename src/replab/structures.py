@@ -62,9 +62,6 @@ from .search import (DEFAULT_POINT_BUDGET, ENUMERATION_BUDGET, StructureFamily, 
 # -- combinatorial lines -------------------------------------------------------
 
 
-_STAR = object()
-
-
 def lines(q: int, n: int) -> StructureFamily:
     """Combinatorial lines in range(q)**n.
 
@@ -77,20 +74,22 @@ def lines(q: int, n: int) -> StructureFamily:
     if reason := oversize(q, n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
     universe = ProductTuples(range(q), n)
-    code = universe.encode
 
     def enumerate_lines() -> Iterator[tuple[int, ...]]:
         if q == 1:  # every template names the single point
             yield (0,)
             return
         # with q >= 2 a line's varying coordinates are its template's stars,
-        # so distinct templates give distinct lines
-        alphabet = list(range(q)) + [_STAR]
-        for template in itertools.product(alphabet, repeat=n):
-            if _STAR not in template:
-                continue
-            yield tuple(sorted(code(tuple(v if sym is _STAR else sym for sym in template))
-                               for v in range(q)))
+        # so distinct templates give distinct lines.  Symbol q is the star.
+        # A point's code sums its symbols times their place values, so the
+        # line's codes run from base, the fixed symbols' sum, in steps of
+        # the stars' place values.
+        places = [q**i for i in range(n)]
+        for template in itertools.product(range(q + 1), repeat=n):
+            step = sum(place for sym, place in zip(template, places) if sym == q)
+            if step:
+                base = sum(sym * place for sym, place in zip(template, places) if sym < q)
+                yield tuple(range(base, base + q * step, step))
 
     def symmetries() -> list[tuple[int, ...]]:
         coordinates = [lambda w, s=s: tuple(w[i] for i in s) for s in swap_and_cycle(n)]

@@ -37,6 +37,17 @@ def brute_force_value(game):
     return best, best_tables
 
 
+def brute_force_acceptance(game):
+    """Per support tuple, in support order, the answer position tuples
+    whose answers the predicate accepts, as a frozenset, by calling the
+    predicate on every combination of positions."""
+    alphabets = [list(a) for a in game.answer_alphabets]
+    combos = list(itertools.product(*(range(len(a)) for a in alphabets)))
+    return [frozenset(combo for combo in combos
+                      if game.predicate(x, tuple(a[pos] for a, pos in zip(alphabets, combo))))
+            for x in game.support]
+
+
 def repeated_win_probability(base, n, strategy):
     """Winning probability of a strategy for the n-fold repetition of base.
 

@@ -26,10 +26,11 @@ from replab.forbidden import (ForbiddenWitness, build_answer_game,
 from replab.games import (Strategy, evaluate, exact_value, game_from_json, game_to_json,
                           preset_game, unit_tuples)
 from replab.codec import ProductTuples, TupleCodec
+from replab.fields import FiniteField
 from replab.records import DensityRecord
 from replab.repetition import repeat
 from replab.rng import SplitMix64
-from replab.structures import ghz_support
+from replab.structures import ghz_support, grid_question_set
 
 UNIT3 = list(unit_tuples(3))
 GHZ = list(ghz_support())
@@ -500,6 +501,92 @@ def test_winning_points_are_those_the_support_wins(make):
         expected = [w for w, x in zip(game.rounds, game.support)
                     if game.predicate(x, strategy.answers(x))]
         assert winning_points(game, strategy) == expected
+
+
+GRID3 = list(grid_question_set(FiniteField(3), 2))
+
+
+@pytest.mark.parametrize("alphabets, support, n", [
+    *((((0, 1),) * 3, UNIT3, n) for n in (1, 2, 3)),
+    *((((0, 1),) * 3, GHZ, n) for n in (1, 2)),
+    (((0, 1, 2),) * 3, GRID3, 1),
+], ids=["unitvec3-1", "unitvec3-2", "unitvec3-3", "ghz-1", "ghz-2", "grid-gf3-1"])
+def test_answer_game_tables_are_the_accepted_answers(alphabets, support, n):
+    # the tables are read from the answers the predicate lists, not found
+    # by calling it; calling it on every combination gives the same sets
+    rec = compute_eq(support, n)
+    game = build_answer_game(alphabets, support, n, rec.witness)
+    assert game.acceptance() == oracles.brute_force_acceptance(game)
+
+
+def _answer_game_doc(support, n):
+    return json.loads(json.dumps(game_to_json(_answer_game(support, n))))
+
+
+def _edit_answers(j, edit):
+    def apply(doc):
+        edit(doc["answer_alphabets"][j])
+    return apply
+
+
+def _add_points(*points):
+    def apply(doc):
+        doc["predicate"]["params"]["witness"].extend(map(list, points))
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_answers(1, list.reverse),
+    _edit_answers(2, lambda answers: answers.pop(3)),
+    _edit_answers(0, lambda answers: answers.insert(0, answers[5])),
+    _add_points((0,), (1, 0, 2)),
+    _add_points((-1, 0), (0, -3)),
+    _add_points((3, 0), (1, 4)),
+], ids=["reordered-answers", "missing-answer", "duplicated-answer",
+        "witness-wrong-length", "witness-negative-index", "witness-index-past-q"])
+def test_answer_game_file_tables_are_the_accepted_answers(edit):
+    doc = _answer_game_doc(UNIT3, 2)
+    edit(doc)
+    game = game_from_json(doc)
+    assert game.acceptance() == oracles.brute_force_acceptance(game)
+
+
+@st.composite
+def answer_game_files(draw):
+    """An answer-game file over UNIT3 or GHZ: each answer alphabet
+    shuffled, then left whole, cut by one answer or given one answer
+    twice, and a witness of the free set plus random points, some of the
+    wrong length or with indices outside range(q)."""
+    support, n = draw(st.sampled_from([(UNIT3, 1), (UNIT3, 2), (GHZ, 1), (GHZ, 2)]))
+    doc = _answer_game_doc(support, n)
+    for answers in doc["answer_alphabets"]:
+        answers[:] = draw(st.permutations(answers))
+        pos = draw(st.integers(0, len(answers) - 1))
+        edit = draw(st.sampled_from(["keep", "drop", "repeat"]))
+        if edit == "drop":
+            del answers[pos]
+        elif edit == "repeat":
+            answers.insert(draw(st.integers(0, len(answers))), answers[pos])
+    point = st.lists(st.integers(-1, len(support)), min_size=n - 1, max_size=n + 1)
+    doc["predicate"]["params"]["witness"] += draw(st.lists(point, max_size=6))
+    return game_from_json(doc)
+
+
+@given(answer_game_files())
+def test_edited_answer_game_files_list_the_accepted_answers(game):
+    assert game.acceptance() == oracles.brute_force_acceptance(game)
+
+
+def test_a_faulty_answer_list_fails_the_recheck():
+    # the ghz answer game lists every answer combination on one support
+    # tuple: the search trusts the list, and the re-check, which calls the
+    # predicate, refuses the strategy found
+    game = _answer_game(GHZ, 2)
+    accepted = game.predicate.accepted
+    every = list(TupleCodec(game.answer_alphabets))
+    game.predicate.accepted = lambda x: every if x == game.support[1] else accepted(x)
+    with pytest.raises(AssertionError, match="^reconstructed strategy must attain the optimum$"):
+        exact_value(game)
 
 
 def test_single_shot_answer_game_value_below_one():

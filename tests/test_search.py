@@ -59,6 +59,13 @@ def test_verify_free():
     assert verify_free([0, 2], edges)
     assert verify_free([], edges)
     assert not verify_free([2, 3], edges)
+    # edges as lists or as a one-pass generator, points as an iterator
+    assert not verify_free([3, 2], [[0, 1], [2, 3]])
+    assert verify_free(iter([0, 2]), (list(e) for e in edges))
+    assert not verify_free(iter([3, 2, 0]), (e for e in edges))
+    assert verify_free([], iter([]))
+    # an empty edge lies inside every point set, the empty one included
+    assert not verify_free([], [()])
 
 
 # -- the exact solver ---------------------------------------------------------------

@@ -101,6 +101,10 @@ CONFIGURATION_SHA256 = {
     ("grid", 2, 1, 3, 2): "9186aebe6a6ab4292a2f9e008dcac25710e0a17b92348eb3d5aca8e88504a4ea",
     ("square", 3): "406031a83f7b828d4f5261921e5c844878f1cb10d78c4539bcebee2e0f4aa397",
     ("corner", 3): "f732291696ba86789ddf336712b5f204e7bf3e1663740809a6f7912a19ee0744",
+    ("line", 2, 7): "5399753f3cbaf2ce565dbc1ec526d725e455d6cda2d17a12cd3213cafa65f90e",
+    ("line", 3, 4): "d97dd21463bc71ef9dcc5ee431c30abc064dad534f3e3c086abc57c3f607ab0a",
+    ("line", 4, 3): "2df152b4b02b335c3fa836757e0bb826a5209f1eac3f2a495f93eb9ea8fcb75d",
+    ("line", 1, 3): "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
 }
 
 
@@ -111,7 +115,7 @@ def test_configuration_order_is_pinned(case):
         p, r, k, n = params
         family = grids(FiniteField(p, r), k, n)
     else:
-        family = {"square": squares, "corner": corners}[name](*params)
+        family = {"square": squares, "corner": corners, "line": lines}[name](*params)
     digest = hashlib.sha256(repr(list(family.configurations())).encode()).hexdigest()
     assert digest == CONFIGURATION_SHA256[case]
 
