@@ -29,23 +29,22 @@ each of the tuple's cells in search order, which answers so far no accepted
 combination starts with, and counts the tuple's weight as lost at the first
 cell where that happens.  A lost prefix loses under every completion, so the
 optimum and the lex-first strategy are those of scoring each tuple at its
-last cell.  A predicate that lists the answer tuples it accepts on a
-support tuple (an accepted method, which the answer game's and a game
-file's table predicates have) gives the tables straight from those lists;
-any other is called on support x answer combinations.  Either way the
-table work counts against the same budget as the strategy space.  A
-repeated game builds its tables and its coded support as round-by-round
-products of its base game's, without calling the predicate or forming a
-question tuple.  The search is a loop over per-depth arrays, so
+last cell.  A predicate that lists the answer tuples it accepts on a support
+tuple (an accepted method, which the answer game's predicate has) gives the
+tables straight from those lists; any other is called on support x answer
+combinations.  Either way the table work counts against the same budget as
+the strategy space.  A repeated game builds its tables and its coded support
+as round-by-round products of its base game's, without calling the predicate
+or forming a question tuple.  The search is a loop over per-depth arrays, so
 its depth is bounded by memory, not by Python's recursion limit.  The
 strategy found is re-checked by attains, which a value record's --recheck
 also runs: every answer lies in its player's alphabet, and evaluate gives
 the value.  evaluate sums the weights of the support tuples that Game.walk
 says the strategy wins: a plain game calls the predicate on each question
-tuple of its support, and a repeated game walks products of its base
-game's columns (repetition module).  Neither reads the coded support or
-the tables, so the re-check shares nothing the search read, and a fault
-there shows up as a mismatch.
+tuple of its support, and a repeated game walks products of its base game's
+columns (repetition module).  Neither reads the coded support or the tables,
+so the re-check shares nothing the search read, and a fault there shows up
+as a mismatch.
 The presets' question supports (unit_tuples, grid_question_set), refused
 past codec.TUPLE_BUDGET before they are built, and the answer game's
 predicate live here.
@@ -540,31 +539,19 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
             return False
         return tuple(aj[1][i0] for aj in a) == tuple(x)
 
-    def listed():
+    @functools.cache
+    def by_index() -> dict[int, list[tuple]]:
+        groups: dict[int, list[tuple]] = {}
         for w in wset:
             if len(w) == n and all(s in range(len(support)) for s in w):
                 # per player, their question in each round
                 rows = tuple(zip(*(support[s] for s in w)))
                 for i, s in enumerate(w):
-                    yield s, tuple((i, row) for row in rows)
+                    groups.setdefault(s, []).append(tuple((i, row) for row in rows))
+        return groups
 
-    predicate.accepted = _accepted_by_support(support_pos, listed)
+    predicate.accepted = lambda x: by_index().get(support_pos.get(tuple(x)), ())
     return predicate
-
-
-def _accepted_by_support(support_pos: Mapping[tuple, int],
-                         listed: Callable[[], Iterable[tuple[int, tuple]]]):
-    """A predicate's accepted(x): the answer tuples that listed() pairs with
-    x's index in support_pos, none for a tuple outside it.  listed() runs
-    once, on the first call."""
-    @functools.cache
-    def by_index() -> dict[int, tuple[tuple, ...]]:
-        groups: dict[int, list[tuple]] = {}
-        for s, answers in listed():
-            groups.setdefault(s, []).append(answers)
-        return {s: tuple(group) for s, group in groups.items()}
-
-    return lambda x: by_index().get(support_pos.get(tuple(x)), ())
 
 
 # each built-in game family's parameters, with their defaults
@@ -705,15 +692,6 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
             except ValueError:
                 return False
 
-        def listed():
-            for xi, ai in accepts:
-                a = answers.decode(ai)
-                # encode keeps the last position of a repeated symbol, so an
-                # entry naming an earlier one is never matched
-                if encode(a) == ai:
-                    yield xi, a
-
-        table_predicate.accepted = _accepted_by_support(support_pos, listed)
         return table_predicate
     if ptype == "preset":
         name = spec.get("name")

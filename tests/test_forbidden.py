@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
@@ -523,32 +523,11 @@ def _answer_game_doc(support, n):
     return json.loads(json.dumps(game_to_json(_answer_game(support, n))))
 
 
-def _edit_answers(j, edit):
-    def apply(doc):
-        edit(doc["answer_alphabets"][j])
-    return apply
-
-
-def _add_points(*points):
-    def apply(doc):
-        doc["predicate"]["params"]["witness"].extend(map(list, points))
-    return apply
-
-
-@pytest.mark.parametrize("edit", [
-    _edit_answers(1, list.reverse),
-    _edit_answers(2, lambda answers: answers.pop(3)),
-    _edit_answers(0, lambda answers: answers.insert(0, answers[5])),
-    _add_points((0,), (1, 0, 2)),
-    _add_points((-1, 0), (0, -3)),
-    _add_points((3, 0), (1, 4)),
-], ids=["reordered-answers", "missing-answer", "duplicated-answer",
-        "witness-wrong-length", "witness-negative-index", "witness-index-past-q"])
-def test_answer_game_file_tables_are_the_accepted_answers(edit):
+def _unit3_file(edit):
+    """The UNIT3 n = 2 answer-game file after edit(answer alphabets, witness)."""
     doc = _answer_game_doc(UNIT3, 2)
-    edit(doc)
-    game = game_from_json(doc)
-    assert game.acceptance() == oracles.brute_force_acceptance(game)
+    edit(doc["answer_alphabets"], doc["predicate"]["params"]["witness"])
+    return doc
 
 
 @st.composite
@@ -569,11 +548,20 @@ def answer_game_files(draw):
             answers.insert(draw(st.integers(0, len(answers))), answers[pos])
     point = st.lists(st.integers(-1, len(support)), min_size=n - 1, max_size=n + 1)
     doc["predicate"]["params"]["witness"] += draw(st.lists(point, max_size=6))
-    return game_from_json(doc)
+    return doc
 
 
 @given(answer_game_files())
-def test_edited_answer_game_files_list_the_accepted_answers(game):
+# reordered answers, a missing answer and a duplicated answer
+@example(_unit3_file(lambda answers, witness: answers[1].reverse()))
+@example(_unit3_file(lambda answers, witness: answers[2].pop(3)))
+@example(_unit3_file(lambda answers, witness: answers[0].insert(0, answers[0][5])))
+# witness points of the wrong length, with a negative index, with an index >= q
+@example(_unit3_file(lambda answers, witness: witness.extend([[0], [1, 0, 2]])))
+@example(_unit3_file(lambda answers, witness: witness.extend([[-1, 0], [0, -3]])))
+@example(_unit3_file(lambda answers, witness: witness.extend([[3, 0], [1, 4]])))
+def test_edited_answer_game_files_list_the_accepted_answers(doc):
+    game = game_from_json(doc)
     assert game.acceptance() == oracles.brute_force_acceptance(game)
 
 

@@ -383,31 +383,6 @@ def test_game_from_json_rejects_malformed():
         game_from_json(bad_table)
 
 
-@st.composite
-def table_files(draw):
-    """A 3-player game file with a random table predicate.  An answer
-    alphabet may hold a symbol twice, and 1 next to True, which equals it."""
-    triples = list(itertools.product((0, 1), repeat=3))
-    support = draw(st.lists(st.sampled_from(triples), unique=True, min_size=1, max_size=4))
-    answers = [draw(st.sampled_from([[0], [0, 1], [0, 1, 0], [1, True, 2]])) for _ in range(3)]
-    combos = len(answers[0]) * len(answers[1]) * len(answers[2])
-    accepts = draw(st.sets(st.tuples(st.integers(0, len(support) - 1),
-                                     st.integers(0, combos - 1))))
-    return game_from_json({
-        "k": 3, "question_alphabets": [[0, 1]] * 3, "answer_alphabets": answers,
-        "support": [{"x": list(x), "weight": f"1/{len(support)}"} for x in support],
-        "predicate": {"type": "table", "accepts": sorted(map(list, accepts))}})
-
-
-@given(table_files())
-def test_table_predicate_lists_the_accepted_answers(game):
-    # the predicate matches an answer by the last position of its symbol,
-    # so an entry naming an earlier one accepts nothing, and the tables
-    # read from the listed answers agree with calling it on every
-    # combination
-    assert game.acceptance() == oracles.brute_force_acceptance(game)
-
-
 def test_untabulatable_predicate_refused():
     big = tuple(range(1 << 13))
     g = Game(((0,), (0,)), (big, big), ((0, 0),), (Fraction(1),),
