@@ -31,18 +31,17 @@ narrows each edge slot s, starting at the points whose coordinate i is s,
 to the points whose coordinate m is phi_m(s), on an explicit stack rather
 than Python's.  A coordinate at which the point set misses some symbol is
 passed over before any search: a product strategy's winning set misses
-one at every coordinate.  On the whole
-n-fold support no branch is dead.  Each coordinate's configurations are
-sorted into the order of a DFS over the cells (player j, symbol v),
-player-major with symbols sorted, each cell's row of symbols read by rank
-with the last round most significant, so enumeration order is
-deterministic.
+one at every coordinate.  On the whole n-fold support no branch is dead.
+Each configuration is yielded as the search pins it, so the order is the
+order of construction: coordinates ascending, then at each round m the
+consistent maps phi_m in lexicographic order.
 
 forbidden_family presents the configurations as one more structure family
 on the point codes, and compute_eq solves it by StructureFamily.solve, the
 path of the line, square, corner and grid densities, within its point
-budget.  DEFAULT_CONFIG_BUDGET bounds the maps and the configurations that
-one search holds.  The answer game over a free set takes its predicate
+budget.  DEFAULT_CONFIG_BUDGET bounds the maps of one backtrack and the
+point sets that one search keeps to drop a configuration found again at a
+later coordinate.  The answer game over a free set takes its predicate
 from games.answer_game_predicate, which game files name.
 
 The family's symmetries come from the support, by the same rule with
@@ -87,9 +86,6 @@ class ForbiddenWitness:
     coordinate: int
     edges: tuple[tuple[int, ...], ...]
 
-    def point_set(self) -> frozenset:
-        return frozenset(self.edges)
-
 
 def player_symbols(support: Sequence[tuple]) -> list[list]:
     """Per player, the sorted distinct symbols occurring in the support."""
@@ -97,15 +93,9 @@ def player_symbols(support: Sequence[tuple]) -> list[list]:
     return [sorted({x[j] for x in support}) for j in range(k)]
 
 
-def _row(support: Sequence[tuple], w: Sequence[int], j: int) -> tuple:
-    """Player j's view of the point w: their question in each round."""
-    return tuple(support[v][j] for v in w)
-
-
 def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness) -> bool:
     """Check the defining conditions of a forbidden configuration."""
     q = len(support)
-    k = len(support[0])
     i = witness.coordinate
     if not 0 <= i < n:
         return False
@@ -116,11 +106,12 @@ def witness_is_valid(support: Sequence[tuple], n: int, witness: ForbiddenWitness
             return False
         if e[i] != s:
             return False
-    for j in range(k):
+    # per player, their column of the support: column[v] is their symbol of
+    # support[v], so the point e shows them column[e[0]], .., column[e[n-1]]
+    for column in zip(*support):
         by_symbol: dict = {}
-        for s, e in enumerate(witness.edges):
-            row = _row(support, e, j)
-            sym = support[s][j]
+        for sym, e in zip(column, witness.edges):
+            row = tuple(map(column.__getitem__, e))
             if by_symbol.setdefault(sym, row) != row:
                 return False
     return True
@@ -172,21 +163,19 @@ def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int,
                       ) -> Iterator[tuple[ForbiddenWitness, tuple[int, ...]]]:
     """Yield the forbidden configurations inside the given distinct points,
     n-tuples over range(len(support)), each with the positions in pts of
-    its edges.  Raises BudgetExceededError once more than
-    DEFAULT_CONFIG_BUDGET of them are found, since each coordinate's are
-    held for sorting.
+    its edges, in the order they are built: coordinates ascending, then the
+    consistent maps of each round m != i in lexicographic order, round by
+    round.  Raises BudgetExceededError once more than DEFAULT_CONFIG_BUDGET
+    of them are found, since the point set of each is kept to drop it when
+    a later coordinate finds it again.
 
-    Coordinates ascending.  At coordinate i, slot s starts at the points
-    whose coordinate i is s; a coordinate where some slot starts empty holds
-    no configuration.  A DFS over the rounds m != i, on an explicit stack,
-    picks one consistent map phi for each, among those taking every slot s
-    to a symbol phi(s) that some point of the slot shows at coordinate m,
-    and narrows slot s to those points.  Once each slot holds one point,
-    the configuration stands when each round's column is consistent.  A
-    coordinate's configurations are sorted into the order of a DFS over the
-    cells (player j, symbol v), player-major with symbols sorted, each
-    cell's row read by symbol rank with the last round most significant;
-    then duplicates of point sets found at earlier coordinates are dropped.
+    At coordinate i, slot s starts at the points whose coordinate i is s; a
+    coordinate where some slot starts empty holds no configuration.  A DFS
+    over the rounds m != i, on an explicit stack, picks one consistent map
+    phi for each, among those taking every slot s to a symbol phi(s) that
+    some point of the slot shows at coordinate m, and narrows slot s to
+    those points.  Once each slot holds one point, the configuration stands
+    when each round's column is consistent.
     """
     q = len(support)
     # at[m][t] = mask of the positions (into pts) of the points whose
@@ -197,17 +186,9 @@ def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int,
             row[t] |= 1 << pos
     coordinates = [i for i in range(n) if all(at[i])]
     support_key = tuple(map(tuple, support))
-    # the sort key reads each cell (j, v) off its first slot s, through the
-    # symbol rank of support[t][j] for each support index t
-    cells = []
-    for j, symbols in enumerate(player_symbols(support)):
-        ranks = [symbols.index(x[j]) for x in support]
-        cells += [(ranks, ranks.index(r)) for r in range(len(symbols))]
     seen: set[frozenset] = set()
-    count = 0
 
     for i in coordinates:
-        found = []
         # (depth, slots) states, the next one to visit last; a state's
         # children are pushed in reverse, so they are visited in map order
         stack = [(0, at[i])]
@@ -225,21 +206,17 @@ def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int,
                 continue
             # one point per slot: each round left has one map to try, its column
             positions = tuple(c.bit_length() - 1 for c in slots)
+            chosen = frozenset(positions)
             edges = tuple(map(pts.__getitem__, positions))
-            if frozenset(positions) in seen or (depth < n - 1 and not all(
+            if chosen in seen or (depth < n - 1 and not all(
                     consistent_maps(support_key, tuple(1 << t for t in column))
                     for column in set(zip(*edges)))):
                 continue
-            count += 1
-            if count > DEFAULT_CONFIG_BUDGET:
+            if len(seen) == DEFAULT_CONFIG_BUDGET:
                 raise BudgetExceededError(
                     f"more than {DEFAULT_CONFIG_BUDGET} forbidden configurations")
-            found.append(([ranks[v] for ranks, s in cells for v in reversed(edges[s])],
-                          edges, positions))
-        found.sort()
-        for _, edges, positions in found:
+            seen.add(chosen)
             witness = ForbiddenWitness(coordinate=i, edges=edges)
-            seen.add(frozenset(positions))
             if not witness_is_valid(support, n, witness):
                 raise AssertionError("found configuration failed witness_is_valid")
             yield witness, positions

@@ -95,41 +95,50 @@ class Strategy:
         return Strategy(tuple(dict(t) for t in tables))
 
 
+def _alphabet(symbols) -> tuple:
+    """symbols as a tuple, or SchemaError unless they are a sequence (not a
+    string) of hashable symbols."""
+    if isinstance(symbols, str) or not isinstance(symbols, Sequence):
+        raise SchemaError(f"alphabet {symbols!r} is not a sequence of symbols")
+    for sym in symbols:
+        try:
+            hash(sym)
+        except TypeError:
+            raise SchemaError(f"alphabet symbol {sym!r} is not hashable") from None
+    return tuple(symbols)
+
+
 class Game:
     """A finite k-player game.
 
-    question_alphabets / answer_alphabets: one ordered alphabet per player.
-    support: distinct question k-tuples with positive rational weights
-    summing to one.  predicate(x, a) decides whether answer tuple a wins on
-    question tuple x; it must be total on support x answer tuples.
+    question_alphabets / answer_alphabets: one ordered alphabet of hashable
+    symbols per player.  support: distinct question k-tuples with positive
+    rational weights summing to one.  predicate(x, a) decides whether answer
+    tuple a wins on question tuple x; it must be total on support x answer
+    tuples.
 
-    Alphabets, support and weights may be arbitrary sequences; repeated games
-    pass lazy sequences so that nothing of size alphabet**n is materialised
-    up front.  predicate_spec optionally carries a JSON-serialisable
-    description of the predicate for round-tripping through game files.
+    The constructor validates its input and stores it as tuples; a repeated
+    game (repetition module) sets lazy sequences of its own instead, so
+    that nothing of size alphabet**n is materialised up front.
+    predicate_spec optionally carries a JSON-serialisable description of the
+    predicate for round-tripping through game files.
     """
 
     def __init__(self, question_alphabets, answer_alphabets, support, weights,
                  predicate: Callable[[tuple, tuple], bool],
-                 predicate_spec: dict | None = None, validate: bool = True):
-        self.question_alphabets = tuple(
-            tuple(a) if isinstance(a, (list, tuple)) else a for a in question_alphabets)
-        self.answer_alphabets = tuple(
-            tuple(a) if isinstance(a, (list, tuple)) else a for a in answer_alphabets)
-        self.support = tuple(tuple(x) for x in support) if isinstance(support, (list, tuple)) else support
-        self.weights = tuple(Fraction(w) for w in weights) if isinstance(weights, (list, tuple)) else weights
+                 predicate_spec: dict | None = None):
+        self.question_alphabets = tuple(map(_alphabet, question_alphabets))
+        self.answer_alphabets = tuple(map(_alphabet, answer_alphabets))
+        self.support = tuple(map(tuple, support))
+        self.weights = tuple(map(Fraction, weights))
         self.predicate = predicate
         self.predicate_spec = predicate_spec
         self.k = len(self.question_alphabets)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if len(self.answer_alphabets) != self.k:
             raise SchemaError("question and answer alphabets disagree on player count")
-        for alphabet in (*self.question_alphabets, *self.answer_alphabets):
-            if isinstance(alphabet, str) or not isinstance(alphabet, Sequence):
-                raise SchemaError(f"alphabet {alphabet!r} is not a sequence of symbols")
         if len(self.support) != len(self.weights):
             raise SchemaError("support and weights must have equal length")
         if not self.support:

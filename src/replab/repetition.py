@@ -84,6 +84,7 @@ class RepeatedGame(Game):
     def __init__(self, base: Game, n: int):
         self.base = base
         self.n = n
+        self.k = base.k
         self.rounds = ProductTuples(range(len(base.support)), n)
         support = base.support
         base_scale, base_ints = base.scaled_weights()
@@ -96,17 +97,14 @@ class RepeatedGame(Game):
         # the base predicate once per distinct (questions, answers) round
         self._round_predicate = base_predicate = functools.lru_cache(
             maxsize=PREDICATE_MEMO)(base.predicate)
-        super().__init__(
-            question_alphabets=[ProductTuples(a, n) for a in base.question_alphabets],
-            answer_alphabets=[ProductTuples(a, n) for a in base.answer_alphabets],
-            # per player, the transpose of the rounds' base support tuples
-            support=_RoundMap(lambda w: tuple(zip(*map(support.__getitem__, w))),
-                              self.rounds),
-            weights=_RoundMap(lambda w: Fraction(weight(w), scale), self.rounds),
-            predicate=lambda x, a: all(map(base_predicate, zip(*x), zip(*a))),
-            predicate_spec=None,
-            validate=False,
-        )
+        self.question_alphabets = tuple(ProductTuples(a, n) for a in base.question_alphabets)
+        self.answer_alphabets = tuple(ProductTuples(a, n) for a in base.answer_alphabets)
+        # per player, the transpose of the rounds' base support tuples
+        self.support = _RoundMap(lambda w: tuple(zip(*map(support.__getitem__, w))),
+                                 self.rounds)
+        self.weights = _RoundMap(lambda w: Fraction(weight(w), scale), self.rounds)
+        self.predicate = lambda x, a: all(map(base_predicate, zip(*x), zip(*a)))
+        self.predicate_spec = None
 
     def scaled_weights(self) -> tuple[int, Sequence[int]]:
         """The base scale to the n-th power, over lazy products of base ints."""

@@ -311,6 +311,21 @@ def test_scalar_answer_alphabet_is_a_schema_error(tmp_path, capsys, argv):
     assert err == "error: alphabet 0 is not a sequence of symbols\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "--no-cache"], ["value", "--repeat", "2", "--no-cache"],
+    ["verify", "val-bound"], ["fuzz-prop34", "--n", "2"],
+], ids=["value", "value-repeat", "val-bound", "fuzz-prop34"])
+@pytest.mark.parametrize("field", ["question_alphabets", "answer_alphabets"])
+def test_unhashable_alphabet_symbol_is_a_schema_error(tmp_path, capsys, argv, field):
+    # a JSON object is no symbol: refused with the game file, before any
+    # codec hashes the alphabet
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_two_player_doc(**{field: [[0, 1, {}], [0, 1]]})))
+    code, out, err = run(capsys, argv + ["--game", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: alphabet symbol {} is not hashable\n"
+
+
 FUZZ_DOCS = [json.loads(json.dumps(game_to_json(preset_game(name, **params))))
              for name, params in (("anticorr", {"q": 3}), ("unitvec", {"q": 3}),
                                   ("ghz", {}), ("grid", {"p": 3, "k": 2}))]
@@ -337,7 +352,8 @@ def _at(doc, path):
 @st.composite
 def mutated_game_files(draw):
     """A preset's game file with one to three mutations: a key or entry
-    dropped, two values swapped, or a JSON scalar where a list goes."""
+    dropped, two values swapped, or a JSON scalar or an empty object where
+    a list goes."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
@@ -351,7 +367,7 @@ def mutated_game_files(draw):
         if kind == "drop":
             del parent[key]
         elif kind == "scalar":
-            parent[key] = draw(st.sampled_from([0, 1, -1, 7, 1.5, "0", "1/2", None, True]))
+            parent[key] = draw(st.sampled_from([0, 1, -1, 7, 1.5, "0", "1/2", None, True, {}]))
         else:
             # neither value may hold the other
             others = [p for p in slots if path[:len(p)] != p and p[:len(path)] != path]

@@ -1,6 +1,7 @@
 """The package's module graph: every import sits at module level, no module
 imports another's private name, the modules' imports of each other form no
-cycle, and every name the package exports has a caller outside the tests."""
+cycle, and every name the package exports or defines as a function or
+method has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -123,13 +124,18 @@ def _references(path: Path) -> set[str]:
 
 
 def test_every_export_has_a_caller():
+    # the package exports, and every function and method the package
+    # defines, nested ones too; a dunder method is called by the language
     init = SRC / "__init__.py"
     exports = {alias.asname or alias.name for node in _tree(init).body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = {node.name for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
     callers = [p for p in MODULES if p != init]
     callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     referenced = set().union(*map(_references, callers))
-    assert sorted(exports - referenced - WRITES_CLI_INPUT) == []
+    assert sorted((exports | defined) - referenced - WRITES_CLI_INPUT) == []
 
 
 def _budget_parameters(path: Path) -> list[tuple[str, str, int | None]]:
