@@ -201,13 +201,13 @@ class Game:
                     for answers in accepted(x)))
                 for x in self.support]
 
-    def walk(self, strategy: Strategy) -> tuple[int, Iterable[int], Iterable[bool]]:
-        """The support as evaluate reads it: (scale, weights, wins), with
-        weights the ints of scaled_weights() and wins whether the predicate
-        accepts the strategy's answers, both in support order.  A missing
-        answer raises IncompleteStrategyError as the walk reaches it."""
+    def walk(self, strategy: Strategy) -> tuple[int, Iterable[tuple], Iterable[bool]]:
+        """The support as evaluate reads it: (scale, factors, wins), with
+        factors the 1-tuples of scaled_weights()'s ints and wins whether the
+        predicate accepts the strategy's answers, both in support order.  A
+        missing answer raises IncompleteStrategyError as the walk reaches it."""
         scale, ints = self.scaled_weights()
-        return scale, ints, (self.predicate(x, strategy.answers(x)) for x in self.support)
+        return scale, zip(ints), (self.predicate(x, strategy.answers(x)) for x in self.support)
 
     def value_bound(self, budget: int) -> Fraction:
         """An upper bound on the game's value, at which exact_value's phase
@@ -232,11 +232,11 @@ class GameValue:
 
 def evaluate(game: Game, strategy: Strategy) -> Fraction:
     """Exact winning probability of a product strategy: the game's scaled
-    int weights summed over the support tuples its predicate accepts, as one
-    Fraction.  It reads Game.walk, never the search's coded support or
-    acceptance tables."""
-    scale, weights, wins = game.walk(strategy)
-    return Fraction(sum(itertools.compress(weights, wins)), scale)
+    int weights, products of Game.walk's factors, summed over the support
+    tuples its predicate accepts, as one Fraction.  It reads Game.walk,
+    never the search's coded support or acceptance tables."""
+    scale, factors, wins = game.walk(strategy)
+    return Fraction(sum(map(math.prod, itertools.compress(factors, wins))), scale)
 
 
 def attains(game: Game, strategy: Strategy, value: Fraction) -> bool:

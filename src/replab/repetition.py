@@ -31,17 +31,18 @@ and C-level maps, with no Python frame per repeated tuple.  Per player, the
 question tuples are the n-fold product of the player's column of the base
 support, and the answers their lookups in the player's table.  A tuple wins
 when the base predicate accepts every round, its answers zipped per round
-as the repeated predicate zips them, and weighs the product of its rounds'
-base ints.  The walk runs in itertools.product order, the last round
-fastest: a sum does not see the order, and winning_points sorts only its
-winners back.  It reads the base support, weights and predicate and the
-strategy's tables, never coded_support or acceptance, so the re-check stays
-independent of what the search read.  Before walking, it checks that each
-table answers every question of the n-fold base domain, all of which the
-full product of rounds asks.  The base predicate is asked once per distinct
-round, through a memo bounded at PREDICATE_MEMO entries that the walk and
-the repeated predicate share: a round recurs in many repeated tuples, and a
-product strategy often answers it alike each time.
+as the repeated predicate zips them, and its weight's factors are its
+rounds' base ints, which evaluate multiplies out for the winners alone.
+The walk runs in itertools.product order, the last round fastest: a sum
+does not see the order, and winning_points sorts only its winners back.  It
+reads the base support, weights and predicate and the strategy's tables,
+never coded_support or acceptance, so the re-check stays independent of
+what the search read.  Before walking, it checks that each table answers
+every question of the n-fold base domain, all of which the full product of
+rounds asks.  The base predicate is asked once per distinct round, through
+a memo bounded at PREDICATE_MEMO entries that the walk and the repeated
+predicate share: a round recurs in many repeated tuples, and a product
+strategy often answers it alike each time.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class RepeatedGame(Game):
             place = [p * r for p, r in zip(place, radices)]
         return tables
 
-    def walk(self, strategy: Strategy) -> tuple[int, Iterator[int], Iterator[bool]]:
+    def walk(self, strategy: Strategy) -> tuple[int, Iterator[tuple], Iterator[bool]]:
         """The column walk of the module docstring, in itertools.product
         order (the last round fastest), not the codec's.  Raises
         IncompleteStrategyError, before walking, naming the first player
@@ -170,8 +171,7 @@ class RepeatedGame(Game):
                             itertools.product(base.support, repeat=n),
                             map(zip, *answers)))
         base_scale, base_ints = base.scaled_weights()
-        weights = map(math.prod, itertools.product(base_ints, repeat=n))
-        return base_scale ** n, weights, wins
+        return base_scale ** n, itertools.product(base_ints, repeat=n), wins
 
     def value_bound(self, budget: int) -> Fraction:
         """The base game's value, which no repetition exceeds (see the

@@ -1,12 +1,14 @@
 """Exact maximum configuration-free subsets of small hypergraphs.
 
 A ForbiddenHypergraph has points 0..size-1 and a family of edges (point
-subsets).  A set of points is free when it contains no edge entirely.
-max_free computes the exact maximum size of a free set together with the
-lexicographically first maximum witness, by one branch and bound over
-bitmask states (selected points, undecided points, alive edges); an edge is
-alive while none of its points is excluded, and inc[v] is the mask of the
-edges through point v.
+subsets).  A set of points is free when it contains no edge entirely.  Its
+edges are cleaned in one bulk pass of C-level maps, each generator checked
+in another, and the solver's edge masks and point incidences built in one
+loop over the edges.  max_free computes the exact maximum size of a free
+set together with the lexicographically first maximum witness, by one
+branch and bound over bitmask states (selected points, undecided points,
+alive edges); an edge is alive while none of its points is excluded, and
+inc[v] is the mask of the edges through point v.
 
 Including v is unit propagation: every alive edge through v whose only
 undecided point is u forces u out, and the branch fails when such an edge
@@ -70,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import ProductTuples, from_jsonable
@@ -96,26 +98,22 @@ class ForbiddenHypergraph:
 
     def __init__(self, size: int, edges: Iterable[Sequence[int]],
                  generators: Iterable[Sequence[int]] = ()):
-        object.__setattr__(self, "size", int(size))
-        seen = set()
-        cleaned = []
-        for edge in edges:
-            e = tuple(sorted(set(int(v) for v in edge)))
+        object.__setattr__(self, "size", size := int(size))
+        seen = dict.fromkeys(map(tuple, map(sorted, map(set, map(map, repeat(int), edges)))))
+        for e in seen:
             if not e:
                 raise ValueError("empty edge")
-            if not all(0 <= v < size for v in e):
+            if e[0] < 0 or e[-1] >= size:
                 raise ValueError(f"edge {e} out of range for size {size}")
-            if e not in seen:
-                seen.add(e)
-                cleaned.append(e)
-        object.__setattr__(self, "edges", tuple(cleaned))
-        gens = tuple(tuple(int(v) for v in g) for g in generators)
+        object.__setattr__(self, "edges", tuple(seen))
+        gens = tuple(map(tuple, map(map, repeat(int), generators)))
         for g in gens:
-            if sorted(g) != list(range(self.size)):
+            if sorted(g) != list(range(size)):
                 raise ValueError("generator is not a permutation of the points")
             # a permutation maps the distinct edges onto as many distinct
             # sets, so it preserves the family when each image is an edge
-            if not seen.issuperset(tuple(sorted(map(g.__getitem__, e))) for e in cleaned):
+            images = map(tuple, map(sorted, map(map, repeat(g.__getitem__), seen)))
+            if not all(map(seen.__contains__, images)):
                 raise ValueError("generator does not preserve the edge family")
         object.__setattr__(self, "generators", gens)
 
@@ -197,9 +195,13 @@ def swap_and_cycle(m: int) -> list[tuple[int, ...]]:
 
 
 def index_maps(universe: ProductTuples, maps) -> list[tuple[int, ...]]:
-    """The index permutation of each point map of the universe."""
-    code = universe.encode
-    return [tuple(code(f(point)) for point in universe) for f in maps]
+    """The index permutation of each point map of the universe; ValueError
+    for a map that takes a point outside it."""
+    index = dict(zip(universe, count()))
+    try:
+        return [tuple(map(index.__getitem__, map(f, index))) for f in maps]
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]!r} is not a point of the universe") from None
 
 
 def verify_free(points: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
@@ -312,12 +314,13 @@ class _BranchAndBound:
     its size; a search ends once best reaches stop.  include_first is set
     for the witness phase.  nodes counts the states visited."""
 
-    def __init__(self, size: int, edge_masks: list[int]):
-        self.edge_masks = edge_masks
-        self.inc = [0] * size
-        for i, m in enumerate(edge_masks):
-            for v in _select(m, count()):
-                self.inc[v] |= 1 << i
+    def __init__(self, size: int, edges: Iterable[Sequence[int]]):
+        self.edge_masks = masks = []
+        self.inc = inc = [0] * size
+        for i, e in enumerate(edges):
+            masks.append(sum(map((1).__lshift__, e)))
+            for v in e:
+                inc[v] |= 1 << i
         self.nodes = 0
         self.best = 0
         self.found = 0
@@ -431,10 +434,9 @@ def max_free(h: ForbiddenHypergraph,
     docstring); the witness does not depend on the generators.
     """
     _refuse_past_solver_budget(h.size, budget)
-    edge_masks = [sum(1 << v for v in e) for e in h.edges]
-    bb = _BranchAndBound(h.size, edge_masks)
+    bb = _BranchAndBound(h.size, h.edges)
     group = _generated(h.size, h.generators)
-    root = (0, (1 << h.size) - 1, (1 << len(edge_masks)) - 1)
+    root = (0, (1 << h.size) - 1, (1 << len(h.edges)) - 1)
     bb.stop = bb.bound(*root)
     bb.search(*root, group)
     optimum = bb.best

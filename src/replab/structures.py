@@ -161,17 +161,11 @@ def _translation(field: FiniteField, d) -> list[int]:
 
 def _cosets(field: FiniteField, d) -> list[tuple[int, ...]]:
     """The cosets {x + a*d : a in F} of the line through d, as sorted
-    vector codes, in order of their least codes."""
+    vector codes, in order of their least codes: each is kept at the x that
+    is least among its images."""
     shifts = [_translation(field, field.vec_scale(a, d)) for a in field.elements[1:]]
-    covered = bytearray(len(shifts[0]))
-    cosets = []
-    for x, done in enumerate(covered):
-        if not done:
-            coset = tuple(sorted([x] + [shift[x] for shift in shifts]))
-            for y in coset:
-                covered[y] = 1
-            cosets.append(coset)
-    return cosets
+    return [tuple(sorted(coset)) for coset in zip(range(len(shifts[0])), *shifts)
+            if coset[0] == min(coset)]
 
 
 def corners(n: int) -> StructureFamily:
@@ -231,12 +225,14 @@ def grids(field: FiniteField, k: int, n: int) -> StructureFamily:
 
     def enumerate_grids() -> Iterator[tuple[int, ...]]:
         for d in monic:
-            # a product's first coset is player k-1's, the most significant
-            for chosen in itertools.product(_cosets(field, d), repeat=k):
-                grid = [0]
-                for coset in chosen:
-                    grid = [g * size + v for g in grid for v in coset]
-                yield tuple(grid)
+            # player k-1's coset first, the most significant, and each later
+            # player's varying fastest, as in itertools.product
+            cosets = _cosets(field, d)
+            products = cosets
+            for _ in range(k - 1):
+                products = [tuple([g * size + v for g in grid for v in coset])
+                             for grid in products for coset in cosets]
+            yield from products
 
     return StructureFamily(
         name="grid",

@@ -144,6 +144,36 @@ def naive_max_free(size, edges):
     return best_size, best
 
 
+def per_edge_hypergraph(size, edges, generators):
+    """The (edges, generators) a hypergraph keeps, cleaned and checked one
+    point at a time: each edge sorted with its repeats dropped, kept at its
+    first occurrence, and every generator a permutation of range(size) that
+    maps each kept edge onto a kept edge.  Raises ValueError for an empty
+    edge, a point outside range(size) or a generator that fails."""
+    seen = set()
+    cleaned = []
+    for edge in edges:
+        e = tuple(sorted(set(int(v) for v in edge)))
+        if not e:
+            raise ValueError("empty edge")
+        for v in e:
+            if not 0 <= v < size:
+                raise ValueError(f"point {v} out of range")
+        if e not in seen:
+            seen.add(e)
+            cleaned.append(e)
+    gens = []
+    for g in generators:
+        g = tuple(int(v) for v in g)
+        if sorted(g) != list(range(size)):
+            raise ValueError("not a permutation")
+        for e in cleaned:
+            if tuple(sorted(g[v] for v in e)) not in seen:
+                raise ValueError("an edge maps onto a non-edge")
+        gens.append(g)
+    return tuple(cleaned), tuple(gens)
+
+
 def naive_free_density(universe, config_point_sets):
     """Exact maximum free density of a universe by subset enumeration.
 

@@ -10,18 +10,19 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
 import oracles
 from replab import search
+from replab.codec import ProductTuples
 from replab.errors import BudgetExceededError
 from replab.fields import FiniteField
 from replab.forbidden import forbidden_family
 from replab.games import preset_game, unit_tuples
 from replab.records import DensityRecord
-from replab.search import ForbiddenHypergraph, export_wcnf, max_free, verify_free
+from replab.search import ForbiddenHypergraph, export_wcnf, index_maps, max_free, verify_free
 from replab.structures import (corners, ghz_support, grid_question_set, grids, lines,
                                squares)
 
@@ -52,6 +53,56 @@ def test_hypergraph_rejects_bad_generators():
     # reversal maps (0,1) <-> (1,2): preserved
     h = ForbiddenHypergraph(3, edges, generators=[(2, 1, 0)])
     assert h.generators == ((2, 1, 0),)
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """A size with edges and generators as a caller may pass them: points
+    unsorted, repeated or out of range, edges repeated or empty, and
+    generators that are permutations of the points or any point lists."""
+    size = draw(st.integers(1, 6))
+    wild = draw(st.booleans())  # may hold empty edges and points out of range
+    points = st.integers(-1, size) if wild else st.integers(0, size - 1)
+    edges = draw(st.lists(st.lists(points, min_size=not wild, max_size=4), max_size=6))
+    if draw(st.booleans()):  # images of the edges under a permutation are edges too
+        perm = draw(st.permutations(range(size)))
+        edges += [[perm[v] for v in e if 0 <= v < size] or [0] for e in edges]
+    else:
+        perm = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    return size, edges, [perm] if draw(st.booleans()) else []
+
+
+@given(raw_hypergraphs())
+@example((4, [(3, 1), (0, 2)], []))  # unsorted edges
+@example((4, [(2, 2, 0), (1, 1)], []))  # repeated points
+@example((4, [(0, 1), (1, 0), (0, 1)], []))  # repeated edges
+@example((3, [(0,), ()], []))  # an empty edge
+@example((3, [(0, 1), (-1, 0)], []))  # a negative point
+@example((3, [(0, 1), (1, 3)], []))  # a point past the last
+@example((3, [(0, 1)], [(0, 0, 1)]))  # not a permutation
+@example((3, [(0, 1), (1, 2)], [(1, 0, 2)]))  # maps (1, 2) onto the non-edge (0, 2)
+@example((3, [(0, 1), (1, 2)], [(2, 1, 0)]))  # preserves the family
+def test_hypergraph_matches_the_per_edge_oracle(case):
+    size, edges, generators = case
+    try:
+        expected = oracles.per_edge_hypergraph(size, edges, generators)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ForbiddenHypergraph(size, edges, generators)
+        return
+    h = ForbiddenHypergraph(size, edges, generators)
+    assert (h.edges, h.generators) == expected
+    bb = search._BranchAndBound(size, h.edges)
+    assert bb.edge_masks == [sum(1 << v for v in e) for e in h.edges]
+    assert bb.inc == [sum(1 << i for i, e in enumerate(h.edges) if v in e)
+                      for v in range(size)]
+
+
+def test_index_maps_refuses_a_map_that_leaves_the_universe():
+    universe = ProductTuples(range(2), 2)
+    assert index_maps(universe, [lambda w: w[::-1]]) == [(0, 2, 1, 3)]
+    with pytest.raises(ValueError, match=r"^\(2, 0\) is not a point of the universe$"):
+        index_maps(universe, [lambda w: w[::-1], lambda w: (w[0] + 1, w[1])])
 
 
 def test_verify_free():
@@ -145,7 +196,7 @@ def test_bound_is_sound_and_tightens_packing(h, data):
     # holds the largest free extension, found by brute force over the
     # undecided points with each decided point forbidden by a unit edge
     size = h.size
-    bb = search._BranchAndBound(size, [sum(1 << v for v in e) for e in h.edges])
+    bb = search._BranchAndBound(size, h.edges)
     selected, undecided, alive = 0, (1 << size) - 1, (1 << len(h.edges)) - 1
     for v in data.draw(st.permutations(range(size))) + [None]:
         if v is not None and not undecided >> v & 1:
