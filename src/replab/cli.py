@@ -32,7 +32,7 @@ against a fresh recomputation of its cheap certificate.  Every flag is read
 by its command, and a mode flag refuses the flags it leaves idle
 (_IDLE_UNDER): --game refuses --preset and its parameters, --no-cache refuses
 --recheck and --cache-dir, and --wcnf, which writes the instance and stops,
-refuses the cache flags, --emit-witness and --method.
+refuses the cache flags, --emit-witness, --method and --point-budget.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input (invalid
 parameters, a refused flag, a cache file that is not JSON or not a record,
@@ -67,7 +67,8 @@ PARAM_HELP = {"q": "symbol count (players of anticorr, unitvec)", "p": "field ch
 
 # (mode flag, what it does, the flags it leaves idle), by dest
 _IDLE_UNDER = (("wcnf", "only writes the instance",
-                ("recheck", "no_cache", "cache_dir", "emit_witness", "method")),
+                ("recheck", "no_cache", "cache_dir", "emit_witness", "method",
+                 "point_budget")),
                ("no_cache", "skips the cache", ("recheck", "cache_dir")),
                ("game", "reads the game from a file", ("preset", *PARAM_HELP)))
 
@@ -237,10 +238,8 @@ def cmd_value(args) -> int:
 
 def _density_command(args, kind: str, params: dict, make_family, compute,
                      before_report=None) -> int:
-    """density and eqn: write make_family() as WCNF, or report the cached or
-    computed record of compute(), after before_report(record) if given."""
-    if args.wcnf:
-        return _write_wcnf(args, make_family())
+    """density and eqn: report the cached or computed record of compute(),
+    after before_report(record) if given."""
     # a witness is checked against the family; a closed form is recomputed
     record, status = _with_cache(
         args, kind, params, DensityRecord, compute,
@@ -253,6 +252,8 @@ def _density_command(args, kind: str, params: dict, make_family, compute,
 
 def cmd_density(args) -> int:
     params = args.params(args)
+    if args.wcnf:
+        return _write_wcnf(args, args.structure_family(**params))
     return _density_command(args, "density", dict(params, family=args.family),
                             lambda: args.structure_family(**params),
                             lambda: args.solve(**params))
@@ -293,9 +294,12 @@ def _add_density(sub) -> None:
 def cmd_eqn(args) -> int:
     game, label, params = _preset_game(args)
     support, n = list(game.support), args.n
+    if args.wcnf:  # the export is built within the enumeration budget, not solved
+        return _write_wcnf(args, forbidden.forbidden_family(support, n))
+    budget = DEFAULT_POINT_BUDGET if args.point_budget is None else args.point_budget
     # the cache key omits the budget, so refuse before the lookup: a record
     # stored under a larger --point-budget is not served under this one
-    if reason := oversize(len(support), n, args.point_budget):
+    if reason := oversize(len(support), n, budget):
         raise BudgetExceededError(reason)
 
     def emit_witness(record: DensityRecord) -> None:
@@ -310,8 +314,8 @@ def cmd_eqn(args) -> int:
 
     return _density_command(
         args, "eqn", dict(params, preset=label, n=n),
-        lambda: forbidden.forbidden_family(support, n, args.point_budget),
-        lambda: forbidden.compute_eq(support, n, point_budget=args.point_budget),
+        lambda: forbidden.forbidden_family(support, n, budget),
+        lambda: forbidden.compute_eq(support, n, point_budget=budget),
         emit_witness if args.emit_witness else None)
 
 
@@ -571,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=PRESETS)
     _add_params(p, **dict.fromkeys(PARAM_HELP))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument("--point-budget", type=int,
+                   help=f"solver budget in points (default: {DEFAULT_POINT_BUDGET})")
     p.add_argument("--emit-witness", default=None, help="write the witness JSON here")
     p.add_argument("--wcnf", default=None,
                    help="write the instance as WCNF instead of solving")

@@ -42,9 +42,11 @@ also runs: every answer lies in its player's alphabet, and evaluate gives
 the value.  evaluate sums the weights of the support tuples that Game.walk
 says the strategy wins: a plain game calls the predicate on each question
 tuple of its support, and a repeated game walks products of its base game's
-columns (repetition module).  Neither reads the coded support or the tables,
-so the re-check shares nothing the search read, and a fault there shows up
-as a mismatch.
+columns (repetition module).  Both read the strategy through
+Strategy.columns, which checks every table against the player's questions
+before the first lookup, so a missing answer is refused in one place by one
+rule.  Neither walk reads the coded support or the tables, so the re-check
+shares nothing the search read, and a fault there shows up as a mismatch.
 The presets' question supports (unit_tuples, grid_question_set), refused
 past codec.TUPLE_BUDGET before they are built, and the answer game's
 predicate live here.
@@ -56,7 +58,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,22 +75,18 @@ class Strategy:
 
     tables: tuple[Mapping, ...]
 
-    def answer(self, player: int, question):
-        try:
-            return self.tables[player][question]
-        except (KeyError, IndexError):
-            raise IncompleteStrategyError(
-                f"player {player} has no answer for question {question!r}") from None
-
-    def answers(self, questions: Sequence) -> tuple:
-        try:
-            out = tuple(map(operator.getitem, self.tables, questions))
-        except (KeyError, IndexError):
-            out = ()
-        # map stops at the shorter input, so a missing table shows as a short tuple
-        if len(out) == len(questions):
-            return out
-        return tuple(self.answer(j, x) for j, x in enumerate(questions))
+    def columns(self, domains: Sequence[Iterable], questions: Sequence[Iterable]) -> list[Iterator]:
+        """Per player j, the lazy lookups of questions[j] in their table.
+        Raises IncompleteStrategyError, before any lookup, naming the first
+        player whose table misses a question of domains[j], and the first
+        such question; a missing table counts as empty, and tables past the
+        last domain are ignored."""
+        tables = [*self.tables, *[{}] * (len(domains) - len(self.tables))]
+        for j, (table, domain) in enumerate(zip(tables, domains)):
+            for missing in itertools.filterfalse(table.__contains__, domain):
+                raise IncompleteStrategyError(
+                    f"player {j} has no answer for question {missing!r}")
+        return [map(table.__getitem__, column) for table, column in zip(tables, questions)]
 
     @staticmethod
     def from_tables(tables: Sequence[Mapping]) -> "Strategy":
@@ -204,10 +202,14 @@ class Game:
     def walk(self, strategy: Strategy) -> tuple[int, Iterable[tuple], Iterable[bool]]:
         """The support as evaluate reads it: (scale, factors, wins), with
         factors the 1-tuples of scaled_weights()'s ints and wins whether the
-        predicate accepts the strategy's answers, both in support order.  A
-        missing answer raises IncompleteStrategyError as the walk reaches it."""
+        predicate accepts the strategy's answers, both in support order.
+        The answers are Strategy.columns of the support's own columns, so a
+        missing answer raises IncompleteStrategyError before the walk."""
         scale, ints = self.scaled_weights()
-        return scale, zip(ints), (self.predicate(x, strategy.answers(x)) for x in self.support)
+        columns = list(zip(*self.support))
+        # a game of no players has no column to zip, and answers () to its one tuple
+        answers = zip(*strategy.columns(columns, columns)) if self.k else [()]
+        return scale, zip(ints), map(self.predicate, self.support, answers)
 
     def value_bound(self, budget: int) -> Fraction:
         """An upper bound on the game's value, at which exact_value's phase
@@ -711,8 +713,6 @@ def predicate_from_spec(spec: dict, question_alphabets, answer_alphabets,
             return _anticorr_predicate
         if name == "allreject":
             return _always_reject
-        if name == "allaccept":
-            return lambda x, a: True
         if name == "answer-game":
             if "n" not in params:
                 raise SchemaError("the answer-game preset needs params.n")
@@ -762,15 +762,12 @@ def game_from_json(doc: dict) -> Game:
 
 
 def strategy_to_json(game: Game, strategy: Strategy) -> dict:
-    """Per-player answer tables keyed by question, in alphabet order."""
-    players = []
-    for j in range(game.k):
-        entries = []
-        for q in game.question_domain(j):
-            entries.append({"question": to_jsonable(q),
-                            "answer": to_jsonable(strategy.tables[j][q])})
-        players.append(entries)
-    return {"players": players}
+    """Per-player answer tables keyed by question, in alphabet order;
+    IncompleteStrategyError if a table misses a question."""
+    domains = [game.question_domain(j) for j in range(game.k)]
+    return {"players": [[{"question": to_jsonable(q), "answer": to_jsonable(a)}
+                         for q, a in zip(domain, answers)]
+                        for domain, answers in zip(domains, strategy.columns(domains, domains))]}
 
 
 def strategy_from_json(doc: dict) -> Strategy:

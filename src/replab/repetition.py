@@ -37,12 +37,13 @@ The walk runs in itertools.product order, the last round fastest: a sum
 does not see the order, and winning_points sorts only its winners back.  It
 reads the base support, weights and predicate and the strategy's tables,
 never coded_support or acceptance, so the re-check stays independent of
-what the search read.  Before walking, it checks that each table answers
-every question of the n-fold base domain, all of which the full product of
-rounds asks.  The base predicate is asked once per distinct round, through
-a memo bounded at PREDICATE_MEMO entries that the walk and the repeated
-predicate share: a round recurs in many repeated tuples, and a product
-strategy often answers it alike each time.
+what the search read.  It reads the tables through Strategy.columns, as a
+plain game's walk does, with the n-fold base domains as the domains: the
+full product of rounds asks every question of them, so a table that misses
+one is refused before the walk.  The base predicate is asked once per
+distinct round, through a memo bounded at PREDICATE_MEMO entries that the
+walk and the repeated predicate share: a round recurs in many repeated
+tuples, and a product strategy often answers it alike each time.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .codec import TUPLE_BUDGET, ProductTuples, oversize
-from .errors import BudgetExceededError, IncompleteStrategyError
+from .errors import BudgetExceededError
 from .games import Game, Strategy, exact_value
 
 # distinct base rounds a repeated predicate remembers the base verdict of
@@ -151,22 +152,13 @@ class RepeatedGame(Game):
 
     def walk(self, strategy: Strategy) -> tuple[int, Iterator[tuple], Iterator[bool]]:
         """The column walk of the module docstring, in itertools.product
-        order (the last round fastest), not the codec's.  Raises
-        IncompleteStrategyError, before walking, naming the first player
-        whose table misses a question of the n-fold base domain."""
+        order (the last round fastest), not the codec's.  Strategy.columns
+        raises IncompleteStrategyError, before walking, naming the first
+        player whose table misses a question of the n-fold base domain."""
         base, n = self.base, self.n
-        tables = strategy.tables
-        for j in range(self.k):
-            domain = base.question_domain(j)
-            table = tables[j] if j < len(tables) else {}
-            missing = next(itertools.filterfalse(
-                table.__contains__, itertools.product(domain, repeat=n)), None)
-            if missing is not None:
-                raise IncompleteStrategyError(
-                    f"player {j} has no answer for question {missing!r}")
-        columns = zip(*base.support)
-        answers = [map(table.__getitem__, itertools.product(column, repeat=n))
-                   for table, column in zip(tables, columns)]
+        answers = strategy.columns(
+            [itertools.product(base.question_domain(j), repeat=n) for j in range(self.k)],
+            [itertools.product(column, repeat=n) for column in zip(*base.support)])
         wins = map(all, map(map, itertools.repeat(self._round_predicate),
                             itertools.product(base.support, repeat=n),
                             map(zip, *answers)))

@@ -287,9 +287,11 @@ def _two_player_doc(**fields):
     _two_player_doc(predicate={"type": "table", "accepts": [[2, 0]]}),
     _two_player_doc(support=[], answer_alphabets=[[[0, [0]]], [[0, [0]]]],
                     predicate={"type": "preset", "name": "answer-game", "params": {"n": 1}}),
+    # a preset predicate that game_to_json never writes
+    _two_player_doc(predicate={"type": "preset", "name": "allaccept"}),
 ], ids=["support-int", "question-alphabets-int", "table-accepts-int",
         "answer-game-no-n", "answer-game-params-int", "answer-game-int-answers",
-        "table-entry-outside", "answer-game-empty-support"])
+        "table-entry-outside", "answer-game-empty-support", "preset-allaccept"])
 def test_malformed_game_file_is_a_clean_error(tmp_path, capsys, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
@@ -646,6 +648,22 @@ def test_eqn_wcnf_matches_brute_force(tmp_path, capsys):
     assert oracles.wcnf_optimum(header, clauses) == 9 - 6
 
 
+def test_eqn_wcnf_exports_past_the_solver_budget(tmp_path, capsys):
+    # the export is for instances the solver refuses: unitvec(3) at n = 5
+    # has 243 points, past the solver's 128, and its configurations are the
+    # combinatorial lines of [3]^5
+    eqn, line = tmp_path / "eqn.wcnf", tmp_path / "line.wcnf"
+    code, out, _ = run(capsys, ["eqn", "--preset", "unitvec", "--q", "3", "--n", "5",
+                                "--wcnf", str(eqn)])
+    assert (code, out) == (0, f"wrote WCNF: 243 points, 781 hard clauses -> {eqn}\n")
+    code, _, _ = run(capsys, ["density", "line", "--q", "3", "--n", "5", "--wcnf", str(line)])
+    assert code == 0
+    (header, eqn_clauses), (line_header, line_clauses) = (
+        oracles.parse_wcnf(path.read_text()) for path in (eqn, line))
+    assert header == line_header == (243, 243 + 781, 244)
+    assert sorted(eqn_clauses) == sorted(line_clauses)
+
+
 @pytest.mark.parametrize("request_", [
     "density square --n 2",
     "eqn --preset unitvec --q 3 --n 2",
@@ -671,10 +689,11 @@ WCNF_CACHE_FLAGS = ["--recheck", "--no-cache", "--cache-dir {tmp}/cache"]
 @pytest.mark.parametrize("request_,flag", [
     *[("density square --n 1", flag) for flag in WCNF_CACHE_FLAGS],
     *[("eqn --preset unitvec --q 3 --n 2", flag)
-      for flag in WCNF_CACHE_FLAGS + ["--emit-witness {tmp}/w.json"]],
+      for flag in WCNF_CACHE_FLAGS + ["--emit-witness {tmp}/w.json", "--point-budget 300"]],
     ("density line --q 3 --n 2", "--method search"),
 ], ids=["density-recheck", "density-no-cache", "density-cache-dir",
-        "eqn-recheck", "eqn-no-cache", "eqn-cache-dir", "eqn-emit-witness", "line-method"])
+        "eqn-recheck", "eqn-no-cache", "eqn-cache-dir", "eqn-emit-witness",
+        "eqn-point-budget", "line-method"])
 def test_wcnf_refuses_the_flags_it_would_ignore(tmp_path, capsys, request_, flag):
     # nothing is written: not the WCNF file, the witness or a cache
     argv = request_.split() + ["--wcnf", str(tmp_path / "out.wcnf")]

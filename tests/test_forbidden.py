@@ -503,7 +503,7 @@ def test_winning_points_are_those_the_support_wins(make):
     game, strategies = make()
     for strategy in strategies + [_seeded_strategy(game, seed) for seed in range(4)]:
         expected = [w for w, x in zip(game.rounds, game.support)
-                    if game.predicate(x, strategy.answers(x))]
+                    if game.predicate(x, tuple(t[q] for t, q in zip(strategy.tables, x)))]
         assert winning_points(game, strategy) == expected
 
 

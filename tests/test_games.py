@@ -85,32 +85,57 @@ def random_three_player_games(draw):
 
 
 def test_strategy_answers():
-    s = Strategy.from_tables([{0: "x", 1: "y"}, {0: "z"}])
-    assert s.answer(0, 1) == "y"
-    assert s.answers((1, 0)) == ("y", "z")
-    with pytest.raises(IncompleteStrategyError):
-        s.answer(1, 5)
+    # Strategy.columns looks each player's questions up in their own table,
+    # lazily and in the order given, and ignores tables past the domains
+    s = Strategy.from_tables([{0: "x", 1: "y"}, {0: "z"}, {0: "w"}])
+    columns = s.columns([[0, 1], [0]], [[1, 0, 1], [0, 0]])
+    assert [list(c) for c in columns] == [["y", "x", "y"], ["z", "z"]]
 
 
 def test_strategy_answers_matches_the_per_player_answers():
     tables = [{(0, 1): (1, 0), (1, 1): (0, 0)}, {(1, 0): (1, 1)}, {(0, 0): (0, 1)}]
     s = Strategy.from_tables(tables)
-    questions = ((1, 1), (1, 0), (0, 0))
-    assert s.answers(questions) == tuple(s.answer(j, x) for j, x in enumerate(questions))
-    assert s.answers(questions) == ((0, 0), (1, 1), (0, 1))
+    questions = [[(1, 1), (0, 1)], [(1, 0)], [(0, 0)]]
+    columns = [list(c) for c in s.columns(questions, questions)]
+    assert columns == [[tables[j][q] for q in qs] for j, qs in enumerate(questions)]
+    assert columns == [[(0, 0), (1, 0)], [(1, 1)], [(0, 1)]]
+    # evaluate zips the support's columns back into per-tuple answers: here
+    # only the second tuple's answers win
+    game = Game([[(0, 1), (1, 1)], [(1, 0)], [(0, 0)]], [[(0, 0), (1, 0)], [(1, 1)], [(0, 1)]],
+                [((1, 1), (1, 0), (0, 0)), ((0, 1), (1, 0), (0, 0))], [Fraction(1, 2)] * 2,
+                lambda x, a: a == ((1, 0), (1, 1), (0, 1)))
+    assert evaluate(game, s) == Fraction(1, 2)
 
 
 def test_strategy_answers_refuses_a_missing_question():
     s = Strategy.from_tables([{0: "x", 1: "y"}, {0: "z"}])
-    with pytest.raises(IncompleteStrategyError, match="player 1 has no answer for question 1"):
-        s.answers((0, 1))
+
+    def unread():
+        raise AssertionError("a question was looked up before the check")
+        yield
+
+    # the check runs over the domains, before any question is read
+    with pytest.raises(IncompleteStrategyError, match="^player 1 has no answer for question 1$"):
+        s.columns([[0, 1], [0, 1]], [unread(), unread()])
+    game = Game([(0, 1), (0, 1)], [("x", "y"), ("z",)], [(0, 0), (1, 1)],
+                [Fraction(1, 2)] * 2, lambda x, a: True)
+    with pytest.raises(IncompleteStrategyError, match="^player 1 has no answer for question 1$"):
+        evaluate(game, s)
 
 
 def test_strategy_answers_refuses_fewer_tables_than_players():
-    # mapping over two tables and three questions stops after two answers
+    # a missing table counts as empty
     s = Strategy.from_tables([{0: "x"}, {0: "z"}])
-    with pytest.raises(IncompleteStrategyError, match="player 2 has no answer for question 0"):
-        s.answers((0, 0, 0))
+    with pytest.raises(IncompleteStrategyError, match="^player 2 has no answer for question 0$"):
+        s.columns([[0]] * 3, [[0]] * 3)
+    with pytest.raises(IncompleteStrategyError, match="^player 2 has no answer for question 0$"):
+        evaluate(preset_game("anticorr", q=3), Strategy.from_tables([{0: 0, 1: 0}] * 2))
+
+
+def test_a_game_of_no_players_answers_its_one_tuple():
+    game = Game([], [], [()], [Fraction(1)], lambda x, a: (x, a) == ((), ()))
+    assert evaluate(game, Strategy(())) == 1
+    assert games.attains(game, exact_value(game).strategy, Fraction(1))
 
 
 # -- game validation -----------------------------------------------------------
@@ -398,6 +423,14 @@ def test_strategy_json_round_trip():
     assert back == strategy
     with pytest.raises(SchemaError):
         strategy_from_json({"nope": 1})
+
+
+def test_strategy_to_json_refuses_an_incomplete_strategy():
+    g = preset_game("anticorr", q=3)
+    tables = [dict(t) for t in exact_value(g).strategy.tables]
+    del tables[2][1]
+    with pytest.raises(IncompleteStrategyError, match="^player 2 has no answer for question 1$"):
+        strategy_to_json(g, Strategy(tuple(tables)))
 
 
 def test_parse_fraction():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -178,7 +179,8 @@ def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt, wrong
 
     strategy = Strategy.from_tables([{q: answer(j) for q in game.question_domain(j)}
                                      for j in range(game.k)])
-    wins = [game.predicate(x, strategy.answers(x)) for x in game.support]
+    wins = [game.predicate(x, tuple(t[q] for t, q in zip(strategy.tables, x)))
+            for x in game.support]
     value = evaluate(game, strategy)
     assert forbidden.winning_points(game, strategy) == list(itertools.compress(game.rounds, wins))
     assert value == sum(itertools.compress(game.weights, wins))
@@ -188,20 +190,35 @@ def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt, wrong
         assert value == oracles.repeated_win_probability(base, n, strategy)
 
 
-@pytest.mark.parametrize("consumer", [evaluate, forbidden.winning_points],
-                         ids=["evaluate", "winning_points"])
-def test_the_column_walk_refuses_incomplete_strategies(consumer):
-    game = repeat(preset_game("anticorr", q=3), 3)
-    strategy = independent_strategy(exact_value(game.base).strategy, 3)
+@pytest.mark.parametrize("consumer,n", [
+    (evaluate, 3), (forbidden.winning_points, 3), (evaluate, None),
+], ids=["evaluate", "winning_points", "evaluate-plain"])
+def test_the_column_walk_refuses_incomplete_strategies(consumer, n):
+    # a repeated game's walk and a plain game's read the tables alike;
+    # n None is the plain base game
+    base = preset_game("anticorr", q=3)
+    strategy = exact_value(base).strategy
+    if n is not None:
+        strategy = independent_strategy(strategy, n)
     tables = [dict(t) for t in strategy.tables]
-    del tables[1][(1, 1, 1)]
+    one, zero = ((1,) * n, (0,) * n) if n else (1, 0)
+    del tables[1][one]
+    incomplete = [Strategy(tuple(tables)), Strategy(strategy.tables[:2])]
+    def asked(x, a):
+        raise AssertionError("the predicate was asked before the refusal")
+
+    # the refusal comes before the predicate is asked about any tuple
+    predicate, base.predicate = base.predicate, asked
+    game = base if n is None else repeat(base, n)
     with pytest.raises(IncompleteStrategyError,
-                       match=r"^player 1 has no answer for question \(1, 1, 1\)$"):
-        consumer(game, Strategy(tuple(tables)))
+                       match=rf"^player 1 has no answer for question {re.escape(repr(one))}$"):
+        consumer(game, incomplete[0])
     with pytest.raises(IncompleteStrategyError,
-                       match=r"^player 2 has no answer for question \(0, 0, 0\)$"):
-        consumer(game, Strategy(strategy.tables[:2]))
+                       match=rf"^player 2 has no answer for question {re.escape(repr(zero))}$"):
+        consumer(game, incomplete[1])
     # a table past the last player is ignored
+    base.predicate = predicate
+    game = base if n is None else repeat(base, n)
     assert consumer(game, Strategy((*strategy.tables, {}))) == consumer(game, strategy)
 
 
@@ -268,12 +285,13 @@ def test_repeated_predicate_requires_all_rounds():
     ])
     for c in range(len(game.support)):
         x = game.support[c]
+        a = tuple(strategy.tables[j][x[j]] for j in range(base.k))
         per_round = []
         for i in range(2):
             xi = tuple(x[j][i] for j in range(base.k))
-            ai = tuple(strategy.answers(x)[j][i] for j in range(base.k))
+            ai = tuple(a[j][i] for j in range(base.k))
             per_round.append(base.predicate(xi, ai))
-        assert game.predicate(x, strategy.answers(x)) == all(per_round)
+        assert game.predicate(x, a) == all(per_round)
 
 
 def _raise(*args):
@@ -292,7 +310,7 @@ def test_the_recheck_reads_neither_the_coded_support_nor_the_tables(monkeypatch,
     strategy = independent_strategy(exact_value(game.base).strategy, n)
     value = oracles.repeated_win_probability(game.base, n, strategy)
     points = [w for w, x in zip(game.rounds, game.support)
-              if game.predicate(x, strategy.answers(x))]
+              if game.predicate(x, tuple(t[q] for t, q in zip(strategy.tables, x)))]
     monkeypatch.setattr(repetition.RepeatedGame, "coded_support", _raise)
     monkeypatch.setattr(repetition.RepeatedGame, "acceptance", _raise)
     assert evaluate(game, strategy) == value
