@@ -503,15 +503,11 @@ def _add_verify(sub) -> None:
 # -- fuzz ----------------------------------------------------------------------
 
 
-def _random_strategy(game: Game, rng: SplitMix64):
-    tables = []
-    for j in range(game.k):
-        answers = list(game.answer_alphabets[j])
-        table = {}
-        for q in game.question_domain(j):
-            table[q] = answers[rng.below(len(answers))]
-        tables.append(table)
-    return Strategy.from_tables(tables)
+def _random_strategy(domains: list[list], answers: list[list], rng: SplitMix64) -> Strategy:
+    """Each player's table answers each question of their domain with an
+    answer drawn by rng, players and questions in order."""
+    return Strategy(tuple({q: alphabet[rng.below(len(alphabet))] for q in domain}
+                          for domain, alphabet in zip(domains, answers)))
 
 
 def cmd_fuzz(args) -> int:
@@ -520,12 +516,14 @@ def cmd_fuzz(args) -> int:
     base, label, params = _load_game(args)
     _value_below_one(base, label, "fuzz-prop34", args.budget)
     game = repeat(base, args.n)
+    domains = [game.question_domain(j) for j in range(game.k)]
+    answers = list(map(list, game.answer_alphabets))
     root = SplitMix64(args.seed)
     violations = 0
     first_bad = None
     for trial in range(args.trials):
         rng = root.split()
-        strategy = _random_strategy(game, rng)
+        strategy = _random_strategy(domains, answers, rng)
         if not forbidden.check_winning_set_free(game, strategy):
             violations += 1
             if first_bad is None:

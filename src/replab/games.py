@@ -532,7 +532,10 @@ def answer_game_predicate(support: Sequence[tuple], n: int,
     each round i with support[w[i]] == x, player j answers (i, (support[
     w[0]][j], .., support[w[n-1]][j])).  The lists are built on the first
     call, so a malformed game is refused by Game's checks before they are.
+    A support of no players is refused: there is no player to name i.
     """
+    if not all(map(len, support)):
+        raise ValueError("an answer game needs at least one player")
     support_pos = {tuple(x): s for s, x in enumerate(support)}
     wset = {tuple(int(v) for v in w) for w in free_points}
 

@@ -184,10 +184,13 @@ def repeat(game: Game, n: int) -> RepeatedGame:
 
     Construction is lazy, but refuses instances whose support or any single
     alphabet codec.oversize rejects under TUPLE_BUDGET, since every consumer
-    of the result eventually walks those sequences.
+    of the result eventually walks those sequences, and a game of no
+    players, whose rounds have no column to zip.
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
+    if not game.k:
+        raise ValueError("a game of no players cannot be repeated")
     for size in map(len, (game.support, *game.question_alphabets,
                            *game.answer_alphabets)):
         if reason := oversize(size, n, TUPLE_BUDGET):

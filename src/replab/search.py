@@ -10,10 +10,10 @@ branch and bound over bitmask states (selected points, undecided points,
 alive edges); an edge is alive while none of its points is excluded, and
 inc[v] is the mask of the edges through point v.
 
-Including v is unit propagation: every alive edge through v whose only
-undecided point is u forces u out, and the branch fails when such an edge
-has no undecided point left.  Excluding v kills the edges in inc[v].  The
-bound is |selected| + |undecided| minus a lower bound on the undecided
+Including points is unit propagation: every alive edge through them whose
+only undecided point is u forces u out, and the branch fails when such an
+edge has no undecided point left.  Excluding v kills the edges in inc[v].
+The bound is |selected| + |undecided| minus a lower bound on the undecided
 points that a free extension must exclude, the larger of two: a greedy
 packing of pairwise disjoint undecided edge parts, taken smallest first,
 since each packed part must lose a point; and a hitting-set count, the
@@ -24,9 +24,26 @@ degrees only where the packing does not prune.  The search branches on the
 undecided point of maximum alive degree (lowest index on ties), exclude
 first: the first dive is then the greedy free set that drops the most
 constrained point until no edge is left, which on dense instances already
-meets the root bound.  The states wait on an explicit stack, not Python's,
-each node's children pushed in reverse order of visit, so a search as deep
-as the point count cannot overflow the interpreter's stack.
+meets the root bound.
+
+A node whose packing is tight, |selected| + |undecided| - packing = best
++ 1, includes every undecided point outside the packed parts at once, and
+does so again while the packing stays tight; an include that fails prunes
+the node, and the rule adds no node.  It is hardening from MaxSAT
+(Ansotegui, Bonet, Gabas and Levy, CP 2012) with the packing as the lower
+bound (Li, Manya and Planes, JAIR 2007), and it is sound: a free extension
+above best keeps at least best + 1 points, so it drops at most packing
+undecided points, and as each packed part loses one, it drops one point of
+each part and none outside them.  The rule fires only under the trivial
+group.  The packed parts follow the edge order, so the points it fixes need
+not be a union of orbits, and a group kept past them could carry a fixed
+point into the orbit that an exclude child excludes, killing edges through
+a selected point.  Deep nodes and most witness-phase searches have the
+trivial group.
+
+The states wait on an explicit stack, not Python's, each node's children
+pushed in reverse order of visit, so a search as deep as the point count
+cannot overflow the interpreter's stack.
 
 Symmetry enters by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  max_free holds the group of the
@@ -327,13 +344,16 @@ class _BranchAndBound:
         self.stop = 0
         self.include_first = False
 
-    def include(self, v: int, selected: int, undecided: int,
+    def include(self, points: int, selected: int, undecided: int,
                 alive: int) -> tuple[int, int, int] | None:
-        """State after including v and propagating; None when an edge
-        through v is fully selected."""
-        bit = 1 << v
-        undecided &= ~bit
-        through = alive & self.inc[v]
+        """State after including the points of the mask points, all of
+        them undecided, and propagating; None when an edge through them is
+        fully selected."""
+        undecided &= ~points
+        through = 0
+        for edges in _select(points, self.inc):
+            through |= edges
+        through &= alive
         while through:
             low = through & -through
             rest = self.edge_masks[low.bit_length() - 1] & undecided
@@ -343,15 +363,16 @@ class _BranchAndBound:
                 undecided &= ~rest
                 alive &= ~self.inc[rest.bit_length() - 1]
             through &= alive & ~low
-        return selected | bit, undecided, alive
+        return selected | points, undecided, alive
 
     def degrees(self, undecided: int, alive: int) -> list[int]:
         """The alive degree of each undecided point, in index order."""
         return list(map(int.bit_count, map(alive.__and__, _select(undecided, self.inc))))
 
-    def packing(self, undecided: int, alive: int) -> int:
-        """The packing count of the module docstring: a greedy packing of
-        pairwise disjoint undecided parts of the alive edges, smallest first."""
+    def packing(self, undecided: int, alive: int) -> tuple[int, int]:
+        """The packing count of the module docstring, a greedy packing of
+        pairwise disjoint undecided parts of the alive edges, smallest
+        first, with the mask of the packed parts' union."""
         parts = sorted(map(undecided.__and__, _select(alive, self.edge_masks)),
                        key=int.bit_count)
         used = packed = 0
@@ -359,7 +380,26 @@ class _BranchAndBound:
             if not part & used:
                 used |= part
                 packed += 1
-        return packed
+        return packed, used
+
+    def harden(self, selected: int, undecided: int, alive: int,
+               trivial: bool) -> tuple[int, int, int, int] | None:
+        """The state after the tight-packing rule of the module docstring,
+        which fires only when trivial (the node's group is), applied until
+        it stops firing, with its free count; None when the packing prunes
+        the state or an include of the rule fails."""
+        while True:
+            free = selected.bit_count() + undecided.bit_count()
+            packed, used = self.packing(undecided, alive)
+            if free - packed <= self.best:
+                return None
+            outside = undecided & ~used
+            if not (trivial and outside and free - packed == self.best + 1):
+                return selected, undecided, alive, free
+            state = self.include(outside, selected, undecided, alive)
+            if state is None:
+                return None
+            selected, undecided, alive = state
 
     @staticmethod
     def cover(degrees: list[int], alive: int) -> int:
@@ -373,23 +413,24 @@ class _BranchAndBound:
         |selected| + |undecided| minus the larger of the packing and the
         hitting-set counts."""
         return (selected.bit_count() + undecided.bit_count()
-                - max(self.packing(undecided, alive),
+                - max(self.packing(undecided, alive)[0],
                       self.cover(self.degrees(undecided, alive), alive)))
 
     def search(self, selected: int, undecided: int, alive: int, group: _Group) -> bool:
         """Raise best/found to the largest free extension of the state above
         best; True once a free set of stop points is found.  This is bound()
-        in two steps: the packing prunes many nodes alone, and the degrees,
-        which also pick the branching point, are computed only where it
-        does not."""
-        packing, degrees, cover, include = self.packing, self.degrees, self.cover, self.include
+        in two steps: harden prunes many nodes by the packing alone, and
+        the degrees, which also pick the branching point, are computed only
+        where it does not."""
+        harden, degrees, cover, include = self.harden, self.degrees, self.cover, self.include
         stack = [(selected, undecided, alive, group)]
         while stack:
             selected, undecided, alive, group = stack.pop()
             self.nodes += 1
-            free = selected.bit_count() + undecided.bit_count()
-            if free - packing(undecided, alive) <= self.best:
+            node = harden(selected, undecided, alive, group.trivial)
+            if node is None:
                 continue
+            selected, undecided, alive, free = node
             if not alive:
                 self.found = selected | undecided
                 self.best = self.found.bit_count()
@@ -408,7 +449,7 @@ class _BranchAndBound:
                 for through in _select(orbit, self.inc):
                     killed |= through
             children = [(selected, undecided & ~orbit, alive & ~killed, group)]
-            child = include(v, selected, undecided, alive)
+            child = include(1 << v, selected, undecided, alive)
             if child is not None:
                 # visited first under include_first, if the group is not trivial
                 children.insert(self.include_first and not group.trivial, (*child, stab))
@@ -452,7 +493,7 @@ def max_free(h: ForbiddenHypergraph,
         if not undecided & bit:
             continue
         stab = group.stabiliser(v)
-        child = bb.include(v, selected, undecided, alive)
+        child = bb.include(bit, selected, undecided, alive)
         if child is not None and not bb.found & bit:
             bb.best = optimum - 1
             if not bb.search(*child, stab):

@@ -161,11 +161,31 @@ def _translation(field: FiniteField, d) -> list[int]:
 
 def _cosets(field: FiniteField, d) -> list[tuple[int, ...]]:
     """The cosets {x + a*d : a in F} of the line through d, as sorted
-    vector codes, in order of their least codes: each is kept at the x that
-    is least among its images."""
-    shifts = [_translation(field, field.vec_scale(a, d)) for a in field.elements[1:]]
-    return [tuple(sorted(coset)) for coset in zip(range(len(shifts[0])), *shifts)
-            if coset[0] == min(coset)]
+    vector codes, in order of their least codes.
+
+    Over characteristic 2 a translation is an XOR of codes, so the line's
+    codes are a space of bit vectors.  A point is least in its coset when it
+    has no top bit of a non-zero code of the line, and the coset is then the
+    point XOR each of the line's codes, in their sorted order: two codes
+    first differ at the top bit of their XOR, which the point lacks.
+
+    Otherwise each coset is kept at the point that is least among its
+    images, and only the additive generators' multiples g*d are tabulated:
+    the element c + j*g (c < g, 0 < j < p) translates by c + (j-1)*g, then
+    by g*d, one table looked up in another."""
+    order, points = field.order, range(field.order ** len(d))
+    if field.p == 2:
+        line = sorted(sum(v * order**m for m, v in enumerate(field.vec_scale(a, d)))
+                      for a in field.elements)
+        tops = sum({1 << (code.bit_length() - 1) for code in line[1:]})
+        return [tuple(map(x.__xor__, line)) for x in itertools.filterfalse(tops.__and__, points)]
+    shifts = [points]
+    for g in field.additive_generators():
+        table = _translation(field, field.vec_scale(g, d))
+        block = len(shifts)
+        for _ in range(field.p - 1):
+            shifts += [list(map(table.__getitem__, s)) for s in shifts[-block:]]
+    return [tuple(sorted(coset)) for coset in zip(*shifts) if coset[0] == min(coset)]
 
 
 def corners(n: int) -> StructureFamily:
@@ -183,11 +203,11 @@ def corners(n: int) -> StructureFamily:
         # (x, y, d) -> corner is injective: the apex (x, y) is the unique
         # point sharing its first component with one point and its second
         # with the other, and d is the difference, so no deduplication needed
-        for d in vectors[1:]:
-            shift = _translation(field, d)
+        # over GF(2) a vector's translation by d is an XOR with d's code
+        for d in range(1, size):
             for x in range(size):
                 for y in range(size):
-                    yield tuple(sorted((x + y * size, shift[x] + y * size, x + shift[y] * size)))
+                    yield tuple(sorted((x + y * size, (x ^ d) + y * size, x + (y ^ d) * size)))
 
     return StructureFamily(
         name="corner",

@@ -460,6 +460,39 @@ def test_value_searches_more_cells_than_python_can_recurse(tmp_path, capsys):
     assert code == 0 and "value:         1/1" in out
 
 
+def _no_player_game(tmp_path):
+    """A game file of no players: one empty support tuple, accepted."""
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({
+        "k": 0, "question_alphabets": [], "answer_alphabets": [],
+        "support": [{"x": [], "weight": "1"}],
+        "predicate": {"type": "table", "accepts": [[0, 0]]},
+    }))
+    return path
+
+
+def test_a_game_of_no_players_is_not_repeated(tmp_path, capsys):
+    path = _no_player_game(tmp_path)
+    code, out, _ = run(capsys, ["value", "--game", str(path), "--no-cache"])
+    assert code == 0 and "value:         1/1" in out
+    code, out, err = run(capsys, ["value", "--game", str(path), "--repeat", "2", "--no-cache"])
+    assert (code, out, err) == (2, "", "error: a game of no players cannot be repeated\n")
+
+
+def test_a_game_of_no_players_has_no_answer_game(tmp_path, capsys):
+    path = _no_player_game(tmp_path)
+    code, out, err = run(capsys, ["verify", "thm-answer-game", "--game", str(path)])
+    assert (code, out, err) == (2, "", "error: an answer game needs at least one player\n")
+    # nor does a game file that names the answer-game predicate
+    doc = json.loads(path.read_text())
+    doc["predicate"] = {"type": "preset", "name": "answer-game",
+                        "params": {"n": 1, "witness": [[0]]}}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["value", "--game", str(path), "--no-cache"])
+    assert (code, out) == (2, "")
+    assert err == "error: malformed game document: an answer game needs at least one player\n"
+
+
 # -- density ------------------------------------------------------------------
 
 

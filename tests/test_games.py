@@ -227,11 +227,11 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
 
 
 @pytest.mark.parametrize("solve,nodes", [
-    (lambda: compute_eq(list(grid_question_set(FiniteField(3), 2)), 2), 770),
-    (lambda: compute_eq(list(unit_tuples(4)), 3), 180),
-    (lambda: r_grid(FiniteField(3), 1, 3), 331),
-    (lambda: r_grid(FiniteField(5), 1, 2), 1908),
-    (lambda: r_line(3, 4), 749),
+    (lambda: compute_eq(list(grid_question_set(FiniteField(3), 2)), 2), 412),
+    (lambda: compute_eq(list(unit_tuples(4)), 3), 112),
+    (lambda: r_grid(FiniteField(3), 1, 3), 233),
+    (lambda: r_grid(FiniteField(5), 1, 2), 786),
+    (lambda: r_line(3, 4), 377),
 ], ids=["grid(GF3,k=2)", "unitvec(4)", "r_grid(GF3,1,3)", "r_grid(GF5,1,2)", "r_line(3,4)"])
 def test_compute_eq_node_count(monkeypatch, solve, nodes):
     searches = []

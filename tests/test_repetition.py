@@ -449,6 +449,8 @@ def test_repeat_validation(monkeypatch):
     base = _base_game()
     with pytest.raises(ValueError):
         repeat(base, 0)
+    with pytest.raises(ValueError, match="^a game of no players cannot be repeated$"):
+        repeat(Game([], [], [()], [Fraction(1)], lambda x, a: True), 2)
     with pytest.raises(BudgetExceededError):
         repeat(base, 50)
     assert repeat(base, 1).n == 1

@@ -176,6 +176,39 @@ def test_max_free_matches_naive(h):
     assert verify_free(witness, h.edges)
 
 
+@st.composite
+def dense_hypergraphs(draw):
+    """Up to 20 edges of 2 to 4 points on at most 12 points: dense enough
+    that the packing bound is often tight once an incumbent is found."""
+    size = draw(st.integers(4, 12))
+    edges = draw(st.lists(st.sets(st.integers(0, size - 1), min_size=2, max_size=4),
+                          max_size=20))
+    return ForbiddenHypergraph(size, edges)
+
+
+@given(dense_hypergraphs())
+# a rule that also fired one point of slack above tight would fix points
+# that the lex-first witness (0, 1, 3) leaves out
+@example(ForbiddenHypergraph(6, [(0, 3, 4), (1, 5), (1, 2), (2, 5), (0, 2, 4), (0, 2, 3)]))
+def test_max_free_matches_naive_on_dense_hypergraphs(h):
+    assert max_free(h) == oracles.naive_max_free(h.size, h.edges)
+
+
+def test_tight_packing_includes_every_point_outside_the_packed_parts():
+    # the packed parts {0, 1} and {2, 3} leave 6 - 2 = 4 = best + 1 points:
+    # an extension of 4 points takes 4 and 5, whose edges force out 1 and
+    # 3, and then 0 and 2, all at the root without branching
+    bb = search._BranchAndBound(6, [(0, 1), (2, 3), (1, 4), (3, 5)])
+    bb.best, bb.stop = 3, 4
+    assert bb.search(0, 0b111111, 0b1111, search._Group([]))
+    assert (bb.found, bb.nodes) == (0b110101, 1)
+    # one point of slack: the rule does not fire, and the search branches
+    bb = search._BranchAndBound(6, [(0, 1), (2, 3), (1, 4), (3, 5)])
+    bb.best, bb.stop = 2, 4
+    assert bb.search(0, 0b111111, 0b1111, search._Group([]))
+    assert bb.found.bit_count() == 4 and bb.nodes == 3
+
+
 def _packing_bound(bb, selected, undecided, alive):
     """|selected| + |undecided| minus a greedy packing of disjoint undecided
     parts of the alive edges, smallest first: the bound without degrees."""
@@ -209,7 +242,8 @@ def test_bound_is_sound_and_tightens_packing(h, data):
         assert largest <= bound <= _packing_bound(bb, selected, undecided, alive)
         if v is None:
             break
-        child = bb.include(v, selected, undecided, alive) if data.draw(st.booleans()) else None
+        take = data.draw(st.booleans())
+        child = bb.include(1 << v, selected, undecided, alive) if take else None
         if child is None:
             undecided &= ~(1 << v)
             alive &= ~bb.inc[v]
