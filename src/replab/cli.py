@@ -46,6 +46,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 
 from . import forbidden, structures
@@ -159,10 +160,16 @@ def _with_cache(args, kind: str, params: dict, record_type, compute, verify):
 
 
 def _emit(args, record: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(record, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    """Print the report: the one write to stdout.  If the reader has closed
+    the pipe, stdout is pointed at os.devnull, so that the flush at exit
+    cannot fail again, and the command goes on to its own exit code."""
+    try:
+        print(json.dumps(record, sort_keys=True, indent=2) if args.json
+              else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _open_output(path: str):

@@ -255,8 +255,6 @@ def search_domains(game: Game, budget: int) -> list[list]:
     """Each player's question domain, once exact_value's search over them is
     within budget: BudgetExceededError when the joint strategy space, or the
     support size times the answer combinations (the table work), exceeds it."""
-    if not game.support:
-        raise ValueError("cannot solve a game with empty support")
     domains = [game.question_domain(j) for j in range(game.k)]
     sizes = [len(a) for a in game.answer_alphabets]
     space = 1

@@ -8,7 +8,8 @@ a configuration-free set:
                      running the active coordinates through 0..q-1 together.
   squares(n)         {x, x+d} x {y, y+d} in pairs of F_2**n vectors, d != 0;
                      built as the grids of GF(2) with k = 2.
-  corners(n)         {(x,y), (x+d,y), (x,y+d)} in the same universe, d != 0.
+  corners(n)         {(x,y), (x+d,y), (x,y+d)} in the same universe, d != 0;
+                     built as the 3-subsets of the squares.
   grids(field, k, n) {(x_1 + a_1 d, .., x_k + a_k d) : a in F**k} in k-tuples
                      of F**n vectors, d != 0.
 
@@ -117,7 +118,7 @@ def _vector_universe(order: int, k: int, n: int) -> ProductTuples:
 def _vector_symmetries(universe: ProductTuples, n: int,
                        field: FiniteField) -> list[tuple[int, ...]]:
     """Index permutations generating a symmetry group of a vector family:
-    each maps a grid, or a corner, onto another one.
+    each maps a grid onto another one.
 
     They translate player 0's first coordinate by each additive generator of
     the field, swap and cycle the players, swap and cycle the coordinates of
@@ -189,33 +190,24 @@ def _cosets(field: FiniteField, d) -> list[tuple[int, ...]]:
 
 
 def corners(n: int) -> StructureFamily:
-    """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """Corners {(x,y), (x+d,y), (x,y+d)} with d != 0 in F_2**n x F_2**n,
+    which are exactly the 3-subsets of the squares.
+
+    Over GF(2), x + d + d = x, so the square {x, x+d} x {y, y+d} with one
+    point left out is the corner whose apex is the point opposite the
+    missing one, with step d.  A corner's apex and step fix its square, so
+    no corner comes out twice, and the 3-subsets of a square's sorted
+    points come out sorted.  A point map that carries squares onto squares
+    carries their 3-subsets along, so the family keeps the squares'
+    universe and symmetry group.
+    """
+    # the refusal counts a corner universe as 4**n points, where squares
+    # would say 2**(2n); squares refuses n < 1
     if reason := oversize(4, n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
-    field = FiniteField(2)
-    universe = _vector_universe(2, 2, n)
-    vectors = universe.alphabets[0]
-    size = len(vectors)
-
-    def enumerate_corners() -> Iterator[tuple[int, ...]]:
-        # (x, y, d) -> corner is injective: the apex (x, y) is the unique
-        # point sharing its first component with one point and its second
-        # with the other, and d is the difference, so no deduplication needed
-        # over GF(2) a vector's translation by d is an XOR with d's code
-        for d in range(1, size):
-            for x in range(size):
-                for y in range(size):
-                    yield tuple(sorted((x + y * size, (x ^ d) + y * size, x + (y ^ d) * size)))
-
-    return StructureFamily(
-        name="corner",
-        params={"n": n},
-        universe=universe,
-        _enumerate=enumerate_corners,
-        _symmetries=lambda: _vector_symmetries(universe, n, field),
-    )
+    square = squares(n)
+    return replace(square, name="corner", _enumerate=lambda: (
+        corner for s in square.configurations() for corner in itertools.combinations(s, 3)))
 
 
 def grids(field: FiniteField, k: int, n: int) -> StructureFamily:

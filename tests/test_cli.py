@@ -5,6 +5,7 @@ point; everything else calls main() in-process for speed.
 """
 
 import argparse
+import ast
 import contextlib
 import copy
 import io
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import pytest
 
 import oracles
-from replab import forbidden, structures
+from replab import cli, forbidden, structures
 from replab.cli import main
 from replab.games import Game, game_to_json, preset_game, unit_tuples
 from replab.search import export_wcnf
@@ -1099,6 +1100,61 @@ def test_fuzz_reports_a_violation_and_exits_1(capsys, monkeypatch, json_flag):
         assert set(payload["counterexample"]["strategy"]) == {"players"}
     else:
         assert "violations:  3" in out
+
+
+# -- a closed stdout --------------------------------------------------------------
+
+
+def _run_into_a_closed_pipe(args):
+    """Run python with args, its stdout a pipe whose reader is closed before
+    the child starts, so that every write to it fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=_child_env(), timeout=60)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--preset", "anticorr", "--q", "3", "--no-cache"],
+    ["eqn", "--preset", "unitvec", "--q", "3", "--n", "2", "--no-cache", "--json"],
+], ids=["value", "eqn-json"])
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    proc = _run_into_a_closed_pipe(["-m", "replab", *argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_closed_stdout_keeps_the_exit_code_of_a_failed_check():
+    # the report goes nowhere, but the violations still fail the command
+    code = ("import sys\n"
+            "from replab import forbidden\n"
+            "from replab.cli import main\n"
+            "forbidden.check_winning_set_free = lambda game, strategy: False\n"
+            "sys.exit(main(['fuzz-prop34', '--preset', 'anticorr', '--q', '3', '--n', '2',"
+            " '--trials', '3']))\n")
+    proc = _run_into_a_closed_pipe(["-c", code])
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_only_emit_writes_to_stdout():
+    # _emit is the one stdout writer, the one that survives a closed pipe:
+    # every other print in the CLI goes to stderr, and no other code
+    # touches sys.stdout
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    emit = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    inside = set(map(id, ast.walk(emit)))
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert any(id(node) in inside for node in prints)
+    stray = [node.lineno for node in prints if id(node) not in inside
+             and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                         for kw in node.keywords)]
+    stray += [node.lineno for node in ast.walk(tree) if id(node) not in inside
+              and isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"]
+    assert stray == []
 
 
 # -- parser ---------------------------------------------------------------------

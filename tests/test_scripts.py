@@ -28,8 +28,3 @@ def test_density_survey_squares_are_gf2_grids():
         rows[family, params] = (value, witness, universe)
     for n in (1, 2):
         assert rows["square", f"n={n}"] == rows["grid", f"k=2, n={n}, p=2, r=1"]
-
-
-def test_repetition_experiment_skips_over_budget_solves():
-    out = run_script("repetition_experiment.py", "--rounds", "1", "--budget", "1000")
-    assert "skipped (budget)" in out

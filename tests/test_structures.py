@@ -57,11 +57,13 @@ def test_square_counts():
     assert len(list(squares(2).configurations())) == 12
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_corners_match_naive(n):
+    # from n = 3 on the squares have several directions d
     family = corners(n)
     assert _config_point_sets(family) == oracles.naive_corners(n)
-    # corner parameters are injective: 16**... no dedup can collapse them
+    # a corner lies in one square: each square's four 3-subsets are distinct
+    # corners, so none is listed twice
     assert len(list(family.configurations())) == 4**n * (2**n - 1)
 
 
@@ -100,7 +102,7 @@ CONFIGURATION_SHA256 = {
     ("grid", 2, 3, 1, 2): "1850913068ad859062d2d8f4e1d04144539d9a0979c16ce9d877ee4f319895fb",
     ("grid", 2, 1, 3, 2): "9186aebe6a6ab4292a2f9e008dcac25710e0a17b92348eb3d5aca8e88504a4ea",
     ("square", 3): "406031a83f7b828d4f5261921e5c844878f1cb10d78c4539bcebee2e0f4aa397",
-    ("corner", 3): "f732291696ba86789ddf336712b5f204e7bf3e1663740809a6f7912a19ee0744",
+    ("corner", 3): "7a0c3bb9d7a59bb1d8a40f1d28c2a526d6b27be9e38d231e9198cf8425141284",
     ("line", 2, 7): "5399753f3cbaf2ce565dbc1ec526d725e455d6cda2d17a12cd3213cafa65f90e",
     ("line", 3, 4): "d97dd21463bc71ef9dcc5ee431c30abc064dad534f3e3c086abc57c3f607ab0a",
     ("line", 4, 3): "2df152b4b02b335c3fa836757e0bb826a5209f1eac3f2a495f93eb9ea8fcb75d",
@@ -155,8 +157,11 @@ def test_family_budgets():
         squares(7)
     with pytest.raises(ValueError):
         lines(0, 1)
-    with pytest.raises(ValueError):
+    # corners are built from squares but keep their own refusals
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
         corners(0)
+    with pytest.raises(BudgetExceededError, match=r"^4\*\*7 points exceed the budget 4096$"):
+        corners(7)
     # squares(n) are grids with k = 2, but the caller never gives a k
     with pytest.raises(ValueError, match=r"^need n >= 1$"):
         squares(0)
