@@ -51,7 +51,6 @@ import sys
 
 from . import forbidden, structures
 from .cache import ResultsCache, canonical_key
-from .codec import oversize
 from .errors import BudgetExceededError, ReplabError, SchemaError
 from .fields import FiniteField
 from .games import (DEFAULT_STRATEGY_BUDGET, PRESETS, Game, Strategy, attains, evaluate,
@@ -61,7 +60,8 @@ from .games import (DEFAULT_STRATEGY_BUDGET, PRESETS, Game, Strategy, attains, e
 from .records import DensityRecord, ValueRecord, fraction_str
 from .repetition import independent_strategy, repeat
 from .rng import SplitMix64
-from .search import DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf
+from .search import (DEFAULT_POINT_BUDGET, ForbiddenHypergraph, export_wcnf,
+                     refuse_past_solver_budget)
 
 PARAM_HELP = {"q": "symbol count (players of anticorr, unitvec)", "p": "field characteristic",
               "r": "field extension degree", "k": "free player count"}
@@ -301,13 +301,13 @@ def _add_density(sub) -> None:
 def cmd_eqn(args) -> int:
     game, label, params = _preset_game(args)
     support, n = list(game.support), args.n
+    family = forbidden.forbidden_family(support, n)
     if args.wcnf:  # the export is built within the enumeration budget, not solved
-        return _write_wcnf(args, forbidden.forbidden_family(support, n))
+        return _write_wcnf(args, family)
     budget = DEFAULT_POINT_BUDGET if args.point_budget is None else args.point_budget
     # the cache key omits the budget, so refuse before the lookup: a record
     # stored under a larger --point-budget is not served under this one
-    if reason := oversize(len(support), n, budget):
-        raise BudgetExceededError(reason)
+    refuse_past_solver_budget(len(family), budget)
 
     def emit_witness(record: DensityRecord) -> None:
         payload = {
@@ -321,7 +321,7 @@ def cmd_eqn(args) -> int:
 
     return _density_command(
         args, "eqn", dict(params, preset=label, n=n),
-        lambda: forbidden.forbidden_family(support, n, budget),
+        lambda: family,
         lambda: forbidden.compute_eq(support, n, point_budget=budget),
         emit_witness if args.emit_witness else None)
 

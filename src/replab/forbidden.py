@@ -37,9 +37,9 @@ order of construction: coordinates ascending, then at each round m the
 consistent maps phi_m in lexicographic order.
 
 forbidden_family presents the configurations as one more structure family
-on the point codes, and compute_eq solves it by StructureFamily.solve, the
-path of the line, square, corner and grid densities, within its point
-budget.  DEFAULT_CONFIG_BUDGET bounds the maps of one backtrack and the
+on the point codes, built and refused like the line, square, corner and
+grid families, and compute_eq solves it by StructureFamily.solve, as they
+are.  DEFAULT_CONFIG_BUDGET bounds the maps of one backtrack and the
 point sets that one search keeps to drop a configuration found again at a
 later coordinate.  The answer game over a free set takes its predicate
 from games.answer_game_predicate, which game files name.
@@ -159,7 +159,20 @@ def consistent_maps(support: tuple[tuple, ...],
     return tuple(found)
 
 
-def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int, ...]]
+def _checked_support(support: Iterable[Sequence]) -> tuple[tuple, ...]:
+    """The support as a tuple of tuples, refused with ValueError unless it
+    is non-empty and holds distinct tuples of one length."""
+    support = tuple(map(tuple, support))
+    if not support:
+        raise ValueError("the support must be non-empty")
+    if len(set(map(len, support))) != 1:
+        raise ValueError("the support tuples must all have one length")
+    if len(set(support)) != len(support):
+        raise ValueError("the support tuples must be distinct")
+    return support
+
+
+def _search_witnesses(support: tuple[tuple, ...], n: int, pts: Sequence[tuple[int, ...]]
                       ) -> Iterator[tuple[ForbiddenWitness, tuple[int, ...]]]:
     """Yield the forbidden configurations inside the given distinct points,
     n-tuples over range(len(support)), each with the positions in pts of
@@ -185,7 +198,6 @@ def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int,
         for row, t in zip(at, w):
             row[t] |= 1 << pos
     coordinates = [i for i in range(n) if all(at[i])]
-    support_key = tuple(map(tuple, support))
     seen: set[frozenset] = set()
 
     for i in coordinates:
@@ -202,14 +214,14 @@ def _search_witnesses(support: Sequence[tuple], n: int, pts: Sequence[tuple[int,
                 domains = tuple(sum(1 << t for t, points in enumerate(row) if c & points)
                                 for c in slots)
                 stack += [(depth + 1, [c & row[t] for c, t in zip(slots, phi)])
-                          for phi in reversed(consistent_maps(support_key, domains))]
+                          for phi in reversed(consistent_maps(support, domains))]
                 continue
             # one point per slot: each round left has one map to try, its column
             positions = tuple(c.bit_length() - 1 for c in slots)
             chosen = frozenset(positions)
             edges = tuple(map(pts.__getitem__, positions))
             if chosen in seen or (depth < n - 1 and not all(
-                    consistent_maps(support_key, tuple(1 << t for t in column))
+                    consistent_maps(support, tuple(1 << t for t in column))
                     for column in set(zip(*edges)))):
                 continue
             if len(seen) == DEFAULT_CONFIG_BUDGET:
@@ -233,10 +245,9 @@ def find_forbidden(support: Sequence[tuple], n: int,
 def enumerate_forbidden(support: Sequence[tuple], n: int,
                         points: Sequence[Sequence[int]]) -> Iterator[ForbiddenWitness]:
     """All forbidden configurations with points drawn from the given set,
-    deduplicated as point sets.  Raises ValueError for an empty support and
-    for a point that is not an n-tuple over the support indices."""
-    if not support:
-        raise ValueError("the support must be non-empty")
+    deduplicated as point sets.  Raises ValueError for a malformed support
+    and for a point that is not an n-tuple over the support indices."""
+    support = _checked_support(support)
     q = len(support)
     pts = [tuple(p) for p in points]
     for p in pts:
@@ -337,19 +348,17 @@ def support_symmetries(support: Sequence[tuple],
     return gens
 
 
-def forbidden_family(support: Sequence[tuple], n: int,
-                     point_budget: int = ENUMERATION_BUDGET) -> StructureFamily:
+def forbidden_family(support: Sequence[tuple], n: int) -> StructureFamily:
     """The forbidden configurations of the n-fold support as a structure
     family on the codes of ProductTuples(range(q), n).  Raises ValueError
-    for n < 1 or an empty support, and BudgetExceededError when
-    codec.oversize rejects the q**n points under point_budget."""
+    for n < 1 or a malformed support, and BudgetExceededError when
+    codec.oversize rejects the q**n points under ENUMERATION_BUDGET."""
     n = int(n)
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    if not support:
-        raise ValueError("the support must be non-empty")
+    support = _checked_support(support)
     q = len(support)
-    if reason := oversize(q, n, point_budget):
+    if reason := oversize(q, n, ENUMERATION_BUDGET):
         raise BudgetExceededError(reason)
     universe = ProductTuples(range(q), n)
 
@@ -389,10 +398,10 @@ def compute_eq(support: Sequence[tuple], n: int, *,
                point_budget: int = DEFAULT_POINT_BUDGET) -> DensityRecord:
     """Maximum density of a forbidden-configuration-free subset of the
     n-fold support, with its sorted extremal witness: forbidden_family,
-    built and solved within point_budget points and re-checked like every
-    structure family.  A one-symbol support's single point is itself a
-    configuration, so only the empty set is free."""
-    record = forbidden_family(support, n, point_budget).solve(point_budget)
+    solved by StructureFamily.solve within point_budget points and
+    re-checked like every structure family.  A one-symbol support's single
+    point is itself a configuration, so only the empty set is free."""
+    record = forbidden_family(support, n).solve(point_budget)
     record.witness.sort()
     return record
 

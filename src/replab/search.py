@@ -77,7 +77,7 @@ witness, run by solve() and by --recheck, against a fresh enumeration.
 
 A family is built, enumerated and exported on at most ENUMERATION_BUDGET
 points, and solved on at most solve()'s budget, DEFAULT_POINT_BUDGET by
-default, which solve() checks before it enumerates anything.
+default: refuse_past_solver_budget refuses more before any enumeration.
 
 For instances beyond the solver budget, export_wcnf emits the instance in
 weighted partial MaxSAT (WCNF) form for an external solver: the optimum of
@@ -172,7 +172,7 @@ class StructureFamily:
         """The exact density, by max_free within budget points, with its
         witness in the universe's native points, passed by check().  A
         universe past budget is refused before any enumeration."""
-        _refuse_past_solver_budget(len(self), budget)
+        refuse_past_solver_budget(len(self), budget)
         size, chosen = max_free(self.to_hypergraph(), budget)
         record = DensityRecord(
             family=self.name, params=dict(self.params), value=Fraction(size, len(self)),
@@ -457,8 +457,8 @@ class _BranchAndBound:
         return False
 
 
-def _refuse_past_solver_budget(size: int, budget: int) -> None:
-    """BudgetExceededError when size points exceed the solver budget."""
+def refuse_past_solver_budget(size: int, budget: int) -> None:
+    """The one refusal of an instance of size points past the solver budget."""
     if size > budget:
         raise BudgetExceededError(
             f"{size} points exceed the solver budget {budget}; "
@@ -474,7 +474,7 @@ def max_free(h: ForbiddenHypergraph,
     branch orbitally under the group of h's generators (see the module
     docstring); the witness does not depend on the generators.
     """
-    _refuse_past_solver_budget(h.size, budget)
+    refuse_past_solver_budget(h.size, budget)
     bb = _BranchAndBound(h.size, h.edges)
     group = _generated(h.size, h.generators)
     root = (0, (1 << h.size) - 1, (1 << len(h.edges)) - 1)

@@ -788,7 +788,8 @@ def test_eqn_point_budget_reaches_the_solver(capsys):
     assert code == 0 and "value:         12/13" in out
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
-    assert err == "error: 13**2 points exceed the budget 128\n"
+    assert err == ("error: 169 points exceed the solver budget 128; "
+                   "use export_wcnf and an external MaxSAT solver\n")
 
 
 def test_eqn_refuses_a_cached_record_over_the_budget(tmp_path, capsys):
@@ -798,7 +799,8 @@ def test_eqn_refuses_a_cached_record_over_the_budget(tmp_path, capsys):
     assert code == 0 and "status:        computed" in out
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
-    assert err == "error: 13**2 points exceed the budget 128\n"
+    assert err == ("error: 169 points exceed the solver budget 128; "
+                   "use export_wcnf and an external MaxSAT solver\n")
     code, out, _ = run(capsys, argv + ["--point-budget", "200"])
     assert code == 0 and "status:        cached" in out
 
@@ -807,7 +809,7 @@ def test_eqn_runs_past_the_recursion_limit(capsys):
     # the configuration search takes one DFS level per round: 1,000 rounds
     # of a one-symbol support used to end in a RecursionError traceback
     code, out, err = run(capsys, ["eqn", "--preset", "unitvec", "--q", "1", "--n", "1000",
-                                  "--point-budget", "1000", "--no-cache"])
+                                  "--no-cache"])
     assert (code, err) == (0, "")
     assert "value:         0/1" in out and "witness:       []" in out
 
@@ -820,6 +822,36 @@ def test_density_refusal_names_the_solver_budget(capsys):
     # one point is within the solver budget, however many coordinates
     code, out, _ = run(capsys, ["density", "line", "--q", "1", "--n", "200", "--no-cache"])
     assert code == 0 and "value:         0/1" in out
+
+
+def _value_or_refusal(capsys, argv):
+    """Exit code, reported value (or stdout when refused) and stderr."""
+    code, out, err = run(capsys, argv + ["--no-cache", "--json"])
+    return code, json.loads(out)["value"] if code == 0 else out, err
+
+
+@pytest.mark.parametrize("eqn,density,ns", [
+    (["--preset", "unitvec", "--q", "1"], ["line", "--q", "1"], (129, 4097)),
+    (["--preset", "unitvec", "--q", "3"], ["line", "--q", "3"], (4, 5, 8)),
+    (["--preset", "unitvec", "--q", "4"], ["line", "--q", "4"], (3, 4, 7)),
+    (["--preset", "ghz"], ["square"], (2, 4, 7)),
+    (["--preset", "grid", "--p", "3", "--k", "2"], ["grid", "--p", "3", "--k", "2"], (2, 3, 4)),
+], ids=["unitvec1-line", "unitvec3-line", "unitvec4-line", "ghz-square", "grid3-grid3"])
+def test_eqn_and_density_treat_one_instance_alike(capsys, eqn, density, ns):
+    # E_Q(n) of these supports is the family's density (verify dhj, square,
+    # grid): within the solver budget, past it and past the enumeration
+    # budget, both commands give the same value or the same refusal
+    seen = []
+    for n in ns:
+        (code, value, err), other = (_value_or_refusal(capsys, [command, *argv, "--n", str(n)])
+                                     for command, argv in (("eqn", eqn), ("density", density)))
+        assert (code, value) == other[:2]
+        # a vector family counts k*n coordinates, so past the enumeration
+        # budget it writes the same point count in another base
+        if density[0] == "line" or code == 0 or "solver" in err:
+            assert err == other[2]
+        seen.append("solved" if code == 0 else "solver" if "solver" in err else "built")
+    assert seen[0] == "solved" and seen[-1] == "built" and set(seen[1:-1]) <= {"solver"}
 
 
 def test_eqn_with_a_large_support_group_finishes():

@@ -268,7 +268,7 @@ def test_forbidden_family_builds_past_the_solver_budget_by_default():
 
 def test_one_symbol_search_runs_past_the_recursion_limit():
     # one round per DFS level: 1,000 rounds used to overflow Python's stack
-    record = compute_eq(list(unit_tuples(1)), 1000, point_budget=1000)
+    record = compute_eq(list(unit_tuples(1)), 1000)
     assert (record.value, record.witness) == (Fraction(0), [])
     assert len(list(forbidden_family(list(unit_tuples(1)), 4096).configurations())) == 1
 
@@ -320,8 +320,11 @@ def test_compute_eq_one_symbol_support(n):
 
 
 def test_compute_eq_one_symbol_support_refuses_coordinates_past_the_budget():
-    with pytest.raises(BudgetExceededError, match="^129 coordinates exceed the budget 128$"):
-        compute_eq(list(unit_tuples(1)), 129)
+    # one point is within the solver budget, however many rounds: the family,
+    # like r_line(1, n), is refused only past the enumeration budget
+    assert compute_eq(list(unit_tuples(1)), 129).value == 0
+    with pytest.raises(BudgetExceededError, match="^4097 coordinates exceed the budget 4096$"):
+        compute_eq(list(unit_tuples(1)), 4097)
 
 
 def test_compute_eq_matches_naive_oracle():
@@ -370,6 +373,20 @@ def test_families_and_searches_check_their_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("support,message", [
+    ([(0, 0), (1,)], "the support tuples must all have one length"),
+    ([(0, 1), (1, 0, 2)], "the support tuples must all have one length"),
+    ([(0,), (0,)], "the support tuples must be distinct"),
+], ids=["ragged-short", "ragged-long", "repeated"])
+def test_malformed_supports_are_refused(support, message):
+    # a ragged support used to end in an IndexError or a value, and a
+    # repeated tuple, which Game refuses, in a value and a configuration
+    for call in (lambda: compute_eq(support, 1), lambda: compute_eq(support, 2),
+                 lambda: find_forbidden(support, 2, [(0, 0), (1, 1)])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_compute_eq_validation():
     with pytest.raises(ValueError):
         compute_eq(UNIT3, 0)
@@ -412,6 +429,29 @@ def test_support_symmetries_generate_every_relabelling(support, same_players):
     gens = support_symmetries(support, same_players=same_players)
     assert oracles.generated_group(gens, len(support)) == oracles.naive_support_relabellings(
         support, same_players)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 8])
+@given(small_supports(), st.booleans())
+def test_capped_symmetry_search_stays_in_the_group(cap, support, same_players):
+    # stopped after cap candidate images, the search still returns
+    # relabellings, perhaps fewer generators than the whole group needs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forbidden, "SYMMETRY_SEARCH_STEPS", cap)
+        gens = support_symmetries(support, same_players=same_players)
+    assert oracles.generated_group(gens, len(support)) <= oracles.naive_support_relabellings(
+        support, same_players)
+
+
+@pytest.mark.parametrize("support,n", [
+    (GHZ, 2), (list(grid_question_set(FiniteField(3), 2)), 2), (list(unit_tuples(4)), 3),
+], ids=["ghz", "grid-gf3-k2", "unitvec4"])
+def test_capped_symmetry_search_keeps_the_solve(monkeypatch, support, n):
+    # the group only prunes the search: fewer generators, same value and witness
+    expected = compute_eq(support, n)
+    for cap in (0, 3):
+        monkeypatch.setattr(forbidden, "SYMMETRY_SEARCH_STEPS", cap)
+        assert compute_eq(support, n) == expected
 
 
 def test_projected_graph_connectivity():

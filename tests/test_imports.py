@@ -189,3 +189,18 @@ def test_every_budget_parameter_is_set_by_a_caller():
              for function, param, position in _budget_parameters(path)
              if not any(_passes(call, param, position) for call in calls.get(function, []))]
     assert unset == []
+
+
+BUILD_BUDGETS = {"ENUMERATION_BUDGET", "TUPLE_BUDGET"}
+
+
+def test_every_build_budget_is_a_module_constant():
+    # oversize decides what is built; a caller's solver budget must not
+    calls = [(path, node) for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "oversize"]
+    budgets = [(f"{path.name}:{node.lineno}", next(
+        (k.value for k in node.keywords if k.arg == "budget"),
+        node.args[2] if len(node.args) > 2 else None)) for path, node in calls]
+    assert calls
+    assert [where for where, budget in budgets
+            if getattr(budget, "id", None) not in BUILD_BUDGETS] == []
