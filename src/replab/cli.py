@@ -100,6 +100,18 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help="re-verify cached records instead of trusting them")
 
 
+def _budget(text: str) -> int:
+    """The value of a --budget or --point-budget flag: an int of at least
+    0, or a malformed parameter, which argparse refuses with exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget is at least 0, got {value}")
+    return value
+
+
 def _add_params(parser: argparse.ArgumentParser, /, **defaults) -> None:
     """An int flag per parameter; a default of None means not given."""
     for name, default in defaults.items():
@@ -500,7 +512,7 @@ def _add_verify(sub) -> None:
                        ("thm-answer-game", cmd_thm_answer_game)):
         c = checks.add_parser(name, help="a repeated game's value against E_Q(n)")
         _add_game_source(c)
-        c.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+        c.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
         c.set_defaults(func=func)
     for c in checks.choices.values():
         c.add_argument("--n", default="1", help="round count or range like 1..2")
@@ -570,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="exact value of a (repeated) game")
     _add_game_source(p)
     p.add_argument("--repeat", type=int, default=1, help="repetition count")
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
     _add_cache_flags(p)
     p.set_defaults(func=cmd_value)
 
@@ -580,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=PRESETS)
     _add_params(p, **dict.fromkeys(PARAM_HELP))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point-budget", type=int,
+    p.add_argument("--point-budget", type=_budget,
                    help=f"solver budget in points (default: {DEFAULT_POINT_BUDGET})")
     p.add_argument("--emit-witness", default=None, help="write the witness JSON here")
     p.add_argument("--wcnf", default=None,
@@ -603,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
     _add_json_flag(p)
     p.set_defaults(func=cmd_fuzz)
 

@@ -29,7 +29,14 @@ each of the tuple's cells in search order, which answers so far no accepted
 combination starts with, and counts the tuple's weight as lost at the first
 cell where that happens.  A lost prefix loses under every completion, so the
 optimum and the lex-first strategy are those of scoring each tuple at its
-last cell.  A predicate that lists the answer tuples it accepts on a support
+last cell.  It also looks ahead, as the partial forward checking of Max-CSP
+does (Freuder & Wallace, Partial constraint satisfaction, AI 58, 1992): a
+tuple's check at a later cell is released once its earlier cells are all
+answered, and a branch is bounded by the weight lost so far plus, for every
+cell further down the order, the least weight that any answer there loses
+under the checks released so far.  Each tuple counts at one cell at most,
+so no completion loses less than that bound, and only node counts depend on
+it.  A predicate that lists the answer tuples it accepts on a support
 tuple (an accepted method, which the answer game's predicate has) gives the
 tables straight from those lists; any other is called on support x answer
 combinations.  Either way the table work counts against the same budget as
@@ -319,11 +326,13 @@ class _StrategySearch:
         Returns two per-depth lists.  static[c][pos] is the weight lost by
         answering pos at depth c whatever was answered before: tuples whose
         first cell is at c and that accept no combination starting with pos.
-        checks[c] lists, per set of earlier depths of tuples with a later
-        cell at c, a getter of the answers at those depths and a table
-        {answers: weight lost by each pos at c}; a table holds only answers
-        that some accepted combination starts with and that leave some pos
-        with none.
+        released[r] lists the checks that the answer at depth r releases,
+        as (c, getter, table): per later depth c and set of earlier depths
+        of tuples with a cell at c, r the largest of those earlier depths,
+        getter reads the answers at them and table maps those answers to
+        the weight lost by each pos at c.  A table holds only answers that
+        some accepted combination starts with and that leave some pos with
+        none, so a tuple's weight counts at one depth at most.
         """
         depth = [0] * len(cells)
         for c, cell in enumerate(cells):
@@ -337,7 +346,8 @@ class _StrategySearch:
         static = [[0] * s for s in sizes_at]
         # weight of the tuples that accept nothing, lost at their first depth
         dead = [0] * len(cells)
-        checks: list[dict] = [{} for _ in cells]
+        # per (later depth, earlier depths), the tables of its tuples
+        checks: dict[tuple, dict] = {}
         for by_player, w, acc in zip(zip(*columns), self.weights, self._accept):
             if not acc:
                 dead[min(by_player)] += w
@@ -357,7 +367,7 @@ class _StrategySearch:
                 for combo in acc:
                     allowed.setdefault(earlier(combo), set()).add(combo[order[s]])
                 size = sizes_at[at[s]]
-                tables = checks[at[s]].setdefault(tuple(at[:s]), {})
+                tables = checks.setdefault((at[s], tuple(at[:s])), {})
                 for key, ok in allowed.items():
                     if len(ok) < size:
                         vec = tables.setdefault(key, [0] * size)
@@ -365,28 +375,55 @@ class _StrategySearch:
                             if pos not in ok:
                                 vec[pos] += w
         static = [[lost + d for lost in vec] if d else vec for vec, d in zip(static, dead)]
-        checks = [[(operator.itemgetter(*prev), tables)
-                   for prev, tables in groups.items() if tables] for groups in checks]
-        return static, checks
+        released: list[list] = [[] for _ in cells]
+        for (c, prev), tables in checks.items():
+            if tables:
+                released[prev[-1]].append((c, operator.itemgetter(*prev), tables))
+        return static, released
 
     def run(self, cells: Sequence[int], cutoff: Fraction,
             stop: Fraction) -> tuple[Fraction, list[int] | None]:
         """Branch and bound over the given cell order.
 
-        Prunes any branch whose lost weight exceeds total - cutoff.  The
-        incumbent is raised as better leaves appear and branches that cannot
-        beat it are pruned; the search ends at the first leaf worth at least
-        stop, or once every branch is pruned.  Returns the best value with
-        its assignment, None when no leaf reaches cutoff.  With stop =
-        cutoff = the optimum, that is the first leaf attaining it.
+        Prunes any branch whose lost weight exceeds total - cutoff, counting
+        ahead: a branch at depth c has lost the weight before c, what its
+        answer at c loses, and at least the least loss of every later
+        depth.  The incumbent is raised as better leaves appear and
+        branches that cannot beat it are pruned; the search ends at the
+        first leaf worth at least stop, or once every branch is pruned.
+        Returns the best value with its assignment, None when no leaf
+        reaches cutoff.  With stop = cutoff = the optimum, that is the first
+        leaf attaining it.
+
+        cur[d] is depth d's loss vector so far: static[d] plus the checks
+        into d released by the answers assigned, each read at them.
+        Entering depth c adds those released at c - 1, logging each vector
+        and least entry it replaces, and backing up past c restores them in
+        reverse, since two checks released together may target one depth.
+        On entering c, cur[c] is the whole loss vector of its answers, and
+        a later depth's least entry can only grow, so the bound is sound:
+        _losses counts each tuple at one depth, and no check left to
+        release lowers any.
         """
         ncells = len(cells)
-        static, checks = self._losses(cells)
-        # per depth: the answer chosen, the weight lost before it, and its
-        # loss vector's (answer, loss) pairs not yet tried
+        # per depth: its loss vector so far, static at first, and that
+        # vector's least entry
+        cur, released = self._losses(cells)
+        low = list(map(min, cur))
+        # entering depth c releases the checks of depth c - 1
+        releases = [(), *released]
+        # per depth: the answer chosen, the weight lost before it, its loss
+        # vector's (answer, loss) pairs not yet tried, the sum of the least
+        # losses of the later depths and the log's length before its releases
         assign = [0] * ncells
         lost = [0] * ncells
         untried: list = [None] * ncells
+        ahead = [0] * ncells
+        marks = [0] * ncells
+        # (depth, vector, least entry) replaced by a release, in order
+        log: list[tuple] = []
+        # the least losses summed over depth ci and later ones
+        rest = sum(low)
         # the most weight a branch may lose and still be searched
         slack = self.total - int(cutoff * self.scale)
         best = cutoff
@@ -403,25 +440,35 @@ class _StrategySearch:
                     break
                 slack = so_far - 1
             else:
-                extra = static[ci]
-                for earlier, tables in checks[ci]:
-                    vec = tables.get(earlier(assign))
+                marks[ci] = len(log)
+                for c, earlier, table in releases[ci]:
+                    vec = table.get(earlier(assign))
                     if vec is not None:
-                        extra = list(map(operator.add, extra, vec))
+                        old, least = cur[c], low[c]
+                        log.append((c, old, least))
+                        cur[c] = new = list(map(operator.add, old, vec))
+                        low[c] = min(new)
+                        rest += low[c] - least
+                ahead[ci] = rest = rest - low[ci]
                 lost[ci] = so_far
-                untried[ci] = enumerate(extra)
+                untried[ci] = enumerate(cur[ci])
                 ci += 1
             # back up to the deepest depth with an answer left within slack
             while ci:
                 ci -= 1
                 so_far = lost[ci]
+                room = slack - so_far - ahead[ci]
                 for pos, more in untried[ci]:
-                    if so_far + more <= slack:
+                    if more <= room:
                         break
                 else:
+                    # undo depth ci's releases, the last first
+                    for _ in range(len(log) - marks[ci]):
+                        c, cur[c], low[c] = log.pop()
                     continue
                 assign[ci] = pos
                 so_far += more
+                rest = ahead[ci]
                 ci += 1
                 break
             else:

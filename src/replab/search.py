@@ -346,13 +346,17 @@ class _BranchAndBound:
 
     def include(self, points: int, selected: int, undecided: int,
                 alive: int) -> tuple[int, int, int] | None:
-        """State after including the points of the mask points, all of
-        them undecided, and propagating; None when an edge through them is
-        fully selected."""
+        """State after including the points of the non-empty mask points,
+        all of them undecided, and propagating; None when an edge through
+        them is fully selected.  A single point reads its edges from inc
+        directly."""
         undecided &= ~points
-        through = 0
-        for edges in _select(points, self.inc):
-            through |= edges
+        if points & (points - 1):
+            through = 0
+            for edges in _select(points, self.inc):
+                through |= edges
+        else:
+            through = self.inc[points.bit_length() - 1]
         through &= alive
         while through:
             low = through & -through

@@ -1056,6 +1056,16 @@ def test_verify_thm_answer_game_budget_skip(capsys):
     assert "full search skipped (budget)" in out
 
 
+def test_verify_thm_answer_game_full_search_at_two_rounds(capsys):
+    # with the strategy-space gate lifted, the repeated search proves the
+    # density at n = 2
+    code, out, _ = run(capsys, ["verify", "thm-answer-game", "--preset", "ghz",
+                                "--n", "2", "--budget", str(10**30)])
+    assert code == 0
+    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert "thm ghz n=2: full search value 3/4 = density 3/4" in out
+
+
 def test_verify_thm_answer_game_single_round_only(capsys):
     code, _, err = run(capsys, ["verify", "thm-answer-game", "--preset",
                                 "unitvec", "--n", "1..2"])

@@ -1,6 +1,7 @@
 """Every flag acts: each flag of each command, density family and verify
 check is read by the command, or a request that gives it is refused with
-exit 2.
+exit 2.  No budget flag takes a negative value: the parser refuses it with
+exit 2, as it does any malformed parameter.
 
 The walk takes the flags from the parser itself, so a flag added later is
 checked too.  A request is the leaf's smallest valid one with the flag
@@ -100,3 +101,26 @@ def test_every_flag_is_read_or_refused(tmp_path, capsys, monkeypatch, leaf, mode
         read |= reads
     capsys.readouterr()
     assert action.dest in read or codes[0] == 2, f"{argv} exits {codes} and never reads it"
+
+
+BUDGETS = [(leaf, action) for leaf, parser in LEAVES.items() for action in parser._actions
+           if action.dest.endswith("budget")]
+
+
+def test_every_command_that_searches_has_a_budget_flag():
+    assert sorted(leaf for leaf, _ in BUDGETS) == [
+        "eqn", "fuzz-prop34", "value", "verify thm-answer-game", "verify val-bound"]
+
+
+@pytest.mark.parametrize("leaf,action", BUDGETS, ids=[
+    f"{leaf} {action.option_strings[0]}" for leaf, action in BUDGETS])
+def test_no_budget_flag_takes_a_negative_value(tmp_path, capsys, monkeypatch, leaf, action):
+    monkeypatch.setenv("REPLAB_CACHE", str(tmp_path / "env-cache"))
+    flag = action.option_strings[0]
+    argv = leaf.split() + [word for item in BASE[leaf].items() for word in item] + [flag, "-1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: a budget is at least 0, got -1\n")
+    assert not (tmp_path / "env-cache").exists()

@@ -17,7 +17,7 @@ from replab.codec import TupleCodec
 from replab.errors import (BudgetExceededError, IncompleteStrategyError,
                            SchemaError)
 from replab.fields import FiniteField
-from replab.forbidden import compute_eq
+from replab.forbidden import build_answer_game, compute_eq
 from replab.games import (Game, Strategy, evaluate, exact_value,
                           game_from_json, game_to_json, parse_fraction,
                           predicate_from_spec, preset_game, strategy_from_json,
@@ -202,7 +202,8 @@ def test_three_player_exact_value_matches_brute_force(game):
     assert tuple(result.strategy.tables) == tables
 
 
-def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
+def _counted_searches(monkeypatch) -> list:
+    """The _StrategySearch objects built from now on, in construction order."""
     searches = []
 
     class CountedSearch(games._StrategySearch):
@@ -211,6 +212,16 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
             searches.append(self)
 
     monkeypatch.setattr(games, "_StrategySearch", CountedSearch)
+    return searches
+
+
+def _answer_game(support, n):
+    witness = [tuple(w) for w in compute_eq(support, n).witness]
+    return build_answer_game(((0, 1),) * len(support[0]), support, n, witness)
+
+
+def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
+    searches = _counted_searches(monkeypatch)
     result = exact_value(repeat(preset_game("anticorr", q=3), 2))
     assert result.value == Fraction(2, 3)
     # the lex-first optimal strategy: only players 1 and 2 answer (1, 1),
@@ -223,7 +234,47 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
     # repeated game's, whose phase one stops at the base value 2/3, then
     # the base game's; a change to these counts is a change to the search,
     # not noise
-    assert [s.nodes for s in searches] == [906, 25]
+    assert [s.nodes for s in searches] == [437, 25]
+
+
+@pytest.mark.parametrize("game,nodes", [
+    (lambda: preset_game("anticorr", q=4), 18),
+    (lambda: preset_game("anticorr", q=5), 22),
+    (lambda: _answer_game(list(unit_tuples(3)), 2), 31),
+    (lambda: _answer_game(list(preset_game("ghz").support), 2), 36),
+], ids=["anticorr(4)", "anticorr(5)", "answer-game(unitvec(3),2)", "answer-game(ghz,2)"])
+def test_exact_value_node_count(monkeypatch, game, nodes):
+    game = game()
+    searches = _counted_searches(monkeypatch)
+    exact_value(game)
+    # nodes over both phases; the look-ahead cuts those of anticorr(4) and
+    # (5), and leaves the single-shot answer games' as they were
+    assert [s.nodes for s in searches] == [nodes]
+
+
+def test_undo_restores_two_checks_released_together_in_reverse():
+    # in both phases' cell orders, two checks are released at one depth
+    # into one later depth (asserted below); backing up must restore that
+    # depth's loss vector and least entry to what they were before both.
+    # Undoing the releases in the order they were made gives 25/34.
+    support = [(1, 1, 1), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
+    raw = [Fraction(1), Fraction(1, 2), Fraction(2, 5), Fraction(3, 2)]
+    answer_alphabets = [(0,), (0, 1, 2), (0, 1, 2)]
+    accepts = [[0, 2], [0, 5], [0, 6], [0, 7], [2, 0], [2, 2], [2, 3], [2, 5],
+               [2, 8], [3, 0], [3, 3], [3, 5], [3, 6], [3, 8]]
+    spec = {"type": "table", "accepts": accepts}
+    alphabets = [(0, 1)] * 3
+    game = Game(alphabets, answer_alphabets, support, [w / sum(raw) for w in raw],
+                predicate_from_spec(spec, alphabets, answer_alphabets, support), spec)
+    search = games._StrategySearch(game, games.DEFAULT_STRATEGY_BUDGET)
+    for cells in (search.cells_by_first_use(), search.cells_lex()):
+        _, released = search._losses(cells)
+        targets = [[c for c, _, _ in checks] for checks in released]
+        assert any(len(set(t)) < len(t) for t in targets)
+    result = exact_value(game)
+    value, tables = oracles.brute_force_value(game)
+    assert result.value == value == Fraction(29, 34)
+    assert tuple(result.strategy.tables) == tables
 
 
 @pytest.mark.parametrize("solve,nodes", [
