@@ -7,17 +7,22 @@ player, no communication); the value of the game is the maximum winning
 probability over product strategies.  All probabilities are Fractions, so
 every reported value is exact.
 
-exact_value runs a two-phase branch and bound over the joint strategy space:
-phase one finds the optimal winning probability, pruning a branch as soon as
-the weight already lost makes the incumbent unbeatable, and stopping at the
-first leaf that reaches Game.value_bound, an upper bound on the value: 1 for
-a plain game, the base game's value for a repeated one (repetition module).
-An optimum above the bound raises AssertionError; a bound below the optimum
-that some leaf reaches exactly cannot show, so the bound is trusted as the
-pruning is.  Phase two re-walks the space in canonical order (players
-ascending, questions in alphabet order, answers in alphabet order) and
-returns the first strategy attaining the optimum, which is therefore the
-lexicographically first maximiser.
+exact_value runs a branch and bound over the joint strategy space, pruning
+a branch as soon as the weight already lost makes the incumbent unbeatable,
+and stopping at the first leaf that reaches Game.value_bound, an upper bound
+on the value: 1 for a plain game, the base game's value for a repeated one
+(repetition module).  Below 1, a lex probe runs first: the search in
+canonical order (players ascending, questions in alphabet order, answers in
+alphabet order) with the bound as its cutoff.  No leaf beats the bound, so
+the first leaf that reaches it is the lexicographically first maximiser,
+and a repeated game that keeps its base value is solved by that one walk.
+At bound 1, or when no leaf reaches the bound, two phases run: phase one
+finds the optimal winning probability over a cell order that completes
+support tuples early, and phase two re-walks the space in canonical order,
+on the probe's tables when it ran, and returns the first strategy attaining
+the optimum.  A leaf above the bound, in the probe or in phase one, raises
+AssertionError; a bound below the optimum that some leaf reaches exactly
+cannot show, so the bound is trusted as the pruning is.
 
 The search reads ints only.  Per support tuple, Game.coded_support gives
 its weight over one common denominator (Game.scaled_weights), turned back
@@ -40,16 +45,19 @@ it.  A predicate that lists the answer tuples it accepts on a support
 tuple (an accepted method, which the answer game's predicate has) gives the
 tables straight from those lists; any other is called on support x answer
 combinations.  Either way the table work counts against the same budget as
-the strategy space.  A repeated game builds its tables and its coded support
-as round-by-round products of its base game's, without calling the predicate
-or forming a question tuple.  The search is a loop over per-depth arrays, so
-its depth is bounded by memory, not by Python's recursion limit.  The
-strategy found is re-checked by attains, which a value record's --recheck
-also runs: every answer lies in its player's alphabet, and evaluate gives
-the value.  evaluate sums the weights of the support tuples that Game.walk
-says the strategy wins: a plain game calls the predicate on each question
-tuple of its support, and a repeated game walks products of its base game's
-columns (repetition module).  Both read the strategy through
+the strategy space.  A tuple that accepts no combination at all is settled
+before any search: every strategy loses its weight, so each search starts
+with that weight lost, and the tables hold only the other tuples.  A
+repeated game builds its tables and its coded support as round-by-round
+products of its base game's, without calling the predicate or forming a
+question tuple.  The search is a loop over per-depth arrays, so its depth
+is bounded by memory, not by Python's recursion limit.  The strategy found
+is re-checked by attains, which a value record's --recheck also runs: every
+answer lies in its player's alphabet, and evaluate gives the value.
+evaluate sums the weights of the support tuples that Game.walk says the
+strategy wins: a plain game calls the predicate on each question tuple of
+its support, and a repeated game walks products of its base game's columns
+(repetition module).  Both read the strategy through
 Strategy.columns, which checks every table against the player's questions
 before the first lookup, so a missing answer is refused in one place by one
 rule.  Neither walk reads the coded support or the tables, so the re-check
@@ -219,9 +227,10 @@ class Game:
         return scale, zip(ints), map(self.predicate, self.support, answers)
 
     def value_bound(self, budget: int) -> Fraction:
-        """An upper bound on the game's value, at which exact_value's phase
-        one stops: 1 for a plain game.  budget bounds any search the bound
-        itself needs."""
+        """An upper bound on the game's value, at which exact_value's
+        searches stop: 1 for a plain game.  Below 1, exact_value first
+        looks for a strategy in lex order that reaches it.  budget bounds
+        any search the bound itself needs."""
         return Fraction(1)
 
     def question_domain(self, player: int) -> list:
@@ -282,17 +291,19 @@ def search_domains(game: Game, budget: int) -> list[list]:
 
 
 class _StrategySearch:
-    """Shared machinery for the two exact_value phases.
+    """Shared machinery for exact_value's lex probe and two phases.
 
     A cell is a pair (player, question), numbered offsets[player] + the
     question's position in the player's domain; a joint strategy is an
     assignment of an answer index to every cell.  The support is read as
     Game.coded_support gives it: an int weight per tuple, from
     game.scaled_weights(), and per player a list of question positions, so
-    no question tuple is hashed.  A support tuple's weight counts as lost at
-    the first of its cells whose assigned answers no accepted answer
-    combination starts with; nodes counts the depths the search visits,
-    leaves included.
+    no question tuple is hashed.  The tuples whose acceptance table is empty
+    are settled here: every strategy loses them, and settled is their total
+    weight, which run counts as lost from the start.  Any other tuple's
+    weight counts as lost at the first of its cells whose assigned answers
+    no accepted answer combination starts with.  nodes counts the depths
+    the searches visit, leaves included.
     """
 
     def __init__(self, game: Game, budget: int):
@@ -305,7 +316,11 @@ class _StrategySearch:
         self.sizes = [len(a) for a in self.answers]
         self.offsets = list(itertools.accumulate(map(len, self.domains), initial=0))
         self.player = [j for j, domain in enumerate(self.domains) for _ in domain]
-        self._accept = game.acceptance()
+        accept = game.acceptance()
+        # the tuples that accept some combination; the others are settled
+        self._live = list(map(bool, accept))
+        self._accept = list(filter(None, accept))
+        self.settled = self.total - sum(itertools.compress(self.weights, self._live))
 
     def cells_lex(self) -> range:
         return range(len(self.player))
@@ -321,7 +336,11 @@ class _StrategySearch:
         return [cell for _, _, cell in sorted(uses)]
 
     def _losses(self, cells: Sequence[int]):
-        """Where each support tuple's weight is lost, for one cell order.
+        """Where each live support tuple's weight is lost, for one cell
+        order: the tuples that accept some combination, their positions,
+        weights and tables compressed before any depth is mapped, as the
+        settled ones lose the same weight at every depth.  exact_value
+        builds them once per cell order.
 
         Returns two per-depth lists.  static[c][pos] is the weight lost by
         answering pos at depth c whatever was answered before: tuples whose
@@ -339,19 +358,15 @@ class _StrategySearch:
             depth[cell] = c
         # per player, the depth of each question position
         depth_of = [depth[lo:hi] for lo, hi in itertools.pairwise(self.offsets)]
-        # per player, the depth of each tuple's cell
-        columns = [list(map(d.__getitem__, column))
+        # per player, the depth of each live tuple's cell
+        columns = [list(map(d.__getitem__, itertools.compress(column, self._live)))
                    for d, column in zip(depth_of, self.positions)]
         sizes_at = [self.sizes[self.player[cell]] for cell in cells]
         static = [[0] * s for s in sizes_at]
-        # weight of the tuples that accept nothing, lost at their first depth
-        dead = [0] * len(cells)
         # per (later depth, earlier depths), the tables of its tuples
         checks: dict[tuple, dict] = {}
-        for by_player, w, acc in zip(zip(*columns), self.weights, self._accept):
-            if not acc:
-                dead[min(by_player)] += w
-                continue
+        weights = itertools.compress(self.weights, self._live)
+        for by_player, w, acc in zip(zip(*columns), weights, self._accept):
             order = sorted(range(self.k), key=by_player.__getitem__)
             at = [by_player[j] for j in order]
             first = {combo[order[0]] for combo in acc}
@@ -374,26 +389,25 @@ class _StrategySearch:
                         for pos in range(size):
                             if pos not in ok:
                                 vec[pos] += w
-        static = [[lost + d for lost in vec] if d else vec for vec, d in zip(static, dead)]
         released: list[list] = [[] for _ in cells]
         for (c, prev), tables in checks.items():
             if tables:
                 released[prev[-1]].append((c, operator.itemgetter(*prev), tables))
         return static, released
 
-    def run(self, cells: Sequence[int], cutoff: Fraction,
+    def run(self, losses: tuple[list, list], cutoff: Fraction,
             stop: Fraction) -> tuple[Fraction, list[int] | None]:
-        """Branch and bound over the given cell order.
+        """Branch and bound over one cell order, given as its _losses tables.
 
         Prunes any branch whose lost weight exceeds total - cutoff, counting
-        ahead: a branch at depth c has lost the weight before c, what its
-        answer at c loses, and at least the least loss of every later
-        depth.  The incumbent is raised as better leaves appear and
-        branches that cannot beat it are pruned; the search ends at the
-        first leaf worth at least stop, or once every branch is pruned.
-        Returns the best value with its assignment, None when no leaf
-        reaches cutoff.  With stop = cutoff = the optimum, that is the first
-        leaf attaining it.
+        ahead: a branch at depth c has lost the settled weight and the
+        weight before c, what its answer at c loses, and at least the least
+        loss of every later depth.  The incumbent is raised as better leaves
+        appear and branches that cannot beat it are pruned; the search ends
+        at the first leaf worth at least stop, or once every branch is
+        pruned.  Returns the best value with its assignment, None when no
+        leaf reaches cutoff.  With stop = cutoff = the optimum, that is the
+        first leaf attaining it.
 
         cur[d] is depth d's loss vector so far: static[d] plus the checks
         into d released by the answers assigned, each read at them.
@@ -405,10 +419,12 @@ class _StrategySearch:
         _losses counts each tuple at one depth, and no check left to
         release lowers any.
         """
-        ncells = len(cells)
         # per depth: its loss vector so far, static at first, and that
-        # vector's least entry
-        cur, released = self._losses(cells)
+        # vector's least entry.  A run that ends short of stop has backed
+        # up past every depth and restored every vector, so exact_value's
+        # phase two can reuse the tables of a probe that found no leaf
+        cur, released = losses
+        ncells = len(cur)
         low = list(map(min, cur))
         # entering depth c releases the checks of depth c - 1
         releases = [(), *released]
@@ -429,7 +445,8 @@ class _StrategySearch:
         best = cutoff
         best_assign: list[int] | None = None
         nodes = 0
-        ci = so_far = 0
+        ci = 0
+        so_far = self.settled
         while True:
             # enter depth ci, having lost so_far
             nodes += 1
@@ -488,25 +505,42 @@ def exact_value(game: Game, budget: int = DEFAULT_STRATEGY_BUDGET) -> GameValue:
     """Exact game value and the lexicographically first optimal strategy.
 
     The strategy order is: players ascending, each player's questions in
-    alphabet order, answers compared by alphabet position.  Raises
-    BudgetExceededError as search_domains does.
+    alphabet order, answers compared by alphabet position.  When
+    game.value_bound is below 1, the lex probe searches that order for a
+    leaf reaching the bound and returns the first it finds; only when none
+    does, and always at bound 1, phase one finds the optimum in first-use
+    order and phase two the first leaf in lex order attaining it (module
+    docstring).  Each cell order's tables are built once, and phase one's
+    are dropped before phase two.  Raises BudgetExceededError as
+    search_domains does.
     """
     # built first, so that its budget refusal comes before any work,
     # a repeated game's base solve included
     search = _StrategySearch(game, budget)
     bound = game.value_bound(budget)
-    # phase one: optimum value, over a cell order that completes support
-    # tuples early so losses prune aggressively, ending at a leaf that
-    # reaches the bound
-    optimum, _ = search.run(search.cells_by_first_use(), Fraction(0), bound)
+    cells = search.cells_lex()
+    lex = assign = None
+    if bound < 1:
+        # the probe: no leaf beats the bound, so the first leaf in canonical
+        # order that reaches it is the lex-first optimum
+        lex = search._losses(cells)
+        optimum, assign = search.run(lex, bound, bound)
+    if assign is None:
+        # phase one: optimum value, over a cell order that completes support
+        # tuples early so losses prune aggressively, ending at a leaf that
+        # reaches the bound; its tables go before phase two builds or reuses
+        # the lex ones
+        optimum, _ = search.run(search._losses(search.cells_by_first_use()),
+                                Fraction(0), bound)
     # explicit raises, not asserts, so that python -O keeps the checks
     if optimum > bound:
         raise AssertionError("phase one must not exceed the value bound")
-    # phase two: first leaf in canonical order reaching the optimum
-    cells = search.cells_lex()
-    _, assign = search.run(cells, optimum, optimum)
     if assign is None:
-        raise AssertionError("phase two must rediscover the optimum")
+        # phase two: first leaf in canonical order reaching the optimum
+        _, assign = search.run(search._losses(cells) if lex is None else lex,
+                               optimum, optimum)
+        if assign is None:
+            raise AssertionError("phase two must rediscover the optimum")
     strategy = search.strategy_from(cells, assign)
     if not attains(game, strategy, optimum):
         raise AssertionError("reconstructed strategy must attain the optimum")

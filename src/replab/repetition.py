@@ -20,11 +20,12 @@ are round-by-round products of the base game's: the acceptance tables, and
 the coded support (each tuple's weight and each player's question position),
 so the search never calls the repeated predicate or forms a question tuple.
 A repeated game's value_bound is the base game's value, which exact_value's
-phase one stops at.  The repeated support is the full product of base rounds
-under product weights, so val(G^n) <= val(G): fix the questions of every
-round but one, and each player's answers in that round depend on their own
-question in it alone, a strategy of G, which wins that round, and so every
-round, with probability at most val(G); average over the fixed rounds.
+lex probe looks for before anything else runs.  The repeated support is the
+full product of base rounds under product weights, so val(G^n) <= val(G):
+fix the questions of every round but one, and each player's answers in that
+round depend on their own question in it alone, a strategy of G, which wins
+that round, and so every round, with probability at most val(G); average
+over the fixed rounds.
 evaluate and forbidden.winning_points re-check a strategy through
 RepeatedGame.walk, one column walk of the rounds made of itertools products
 and C-level maps, with no Python frame per repeated tuple.  Per player, the

@@ -203,13 +203,19 @@ def test_three_player_exact_value_matches_brute_force(game):
 
 
 def _counted_searches(monkeypatch) -> list:
-    """The _StrategySearch objects built from now on, in construction order."""
+    """The _StrategySearch objects built from now on, in construction order;
+    each counts in built the cell orders it has built tables for."""
     searches = []
 
     class CountedSearch(games._StrategySearch):
         def __init__(self, *args):
             super().__init__(*args)
+            self.built = 0
             searches.append(self)
+
+        def _losses(self, cells):
+            self.built += 1
+            return super()._losses(cells)
 
     monkeypatch.setattr(games, "_StrategySearch", CountedSearch)
     return searches
@@ -230,11 +236,32 @@ def test_repeated_anticorr_value_strategy_and_node_count(monkeypatch):
     second = dict(first)
     second[(0, 0)] = (1, 1)
     assert result.strategy.tables == (first, second, second)
-    # nodes per search over both phases, in construction order: the
-    # repeated game's, whose phase one stops at the base value 2/3, then
-    # the base game's; a change to these counts is a change to the search,
-    # not noise
-    assert [s.nodes for s in searches] == [437, 25]
+    # nodes and cell orders tabled per search, in construction order: the
+    # repeated game's, one lex probe that stops at the base value 2/3, then
+    # the base game's two phases; a change to these counts is a change to
+    # the search, not noise
+    assert [s.nodes for s in searches] == [70, 25]
+    assert [s.built for s in searches] == [1, 2]
+
+
+@pytest.mark.parametrize("game,nodes,built", [
+    (lambda: preset_game("anticorr", q=3), [25], [2]),
+    (lambda: repeat(preset_game("grid", p=3, k=2), 4), [244, 20], [1, 2]),
+    (lambda: repeat(_answer_game(list(unit_tuples(3)), 1), 2), [57, 22], [2, 2]),
+], ids=["anticorr(3)", "repeat(grid(p=3,k=2),4)", "repeat(answer-game(unitvec(3),1),2)"])
+def test_each_path_builds_each_cell_order_once(monkeypatch, game, nodes, built):
+    game = game()
+    searches = _counted_searches(monkeypatch)
+    exact_value(game)
+    # per search, in construction order (the repeated game's, then its base
+    # game's), the nodes and the cell orders tables were built for.  A plain
+    # game (bound 1) runs phase one and phase two.  A repeated game whose
+    # value is its base value ends in the lex probe: the bare grid question
+    # set settles every tuple, so its probe walks its 243 cells once.  The
+    # unitvec(3) answer game's square, 4/9 below 2/3, falls back to phase
+    # one, and phase two reuses the probe's lex tables
+    assert [s.nodes for s in searches] == nodes
+    assert [s.built for s in searches] == built
 
 
 @pytest.mark.parametrize("game,nodes", [
@@ -316,7 +343,7 @@ def test_untabled_game_value():
      "phase two must rediscover the optimum"),
     ("g.evaluate = lambda game, strategy: -1\n",
      "reconstructed strategy must attain the optimum"),
-    # below the value 2/3, and below the first leaf phase one reaches
+    # below the value 2/3, so the lex probe runs and ends at a leaf above it
     ("g.Game.value_bound = lambda self, budget: g.Fraction(1, 2)\n",
      "phase one must not exceed the value bound"),
 ], ids=["phase-two", "re-evaluation", "value-bound"])

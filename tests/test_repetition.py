@@ -493,9 +493,15 @@ def _dense_product(base: Game, n: int) -> Game:
 @example(_bit_game(((0, 0), (1, 0), (0, 1), (1, 1)),
                    [Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), Fraction(1, 5)],
                    {((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 1))}))
+# no tuple accepts anything: value 0, also of the square, every tuple settled
+# (a base with a tuple that accepts nothing keeps its value only at 0)
+@example(_bit_game(((0, 0), (1, 1)), [Fraction(1, 3), Fraction(2, 3)], set()))
+# value 1/2, of the square 1/4: (1, 1) accepts nothing and is settled in both
+@example(_bit_game(((0, 0), (1, 1)), [Fraction(1, 2)] * 2, {((0, 0), (1, 0))}))
 def test_repeat_value_matches_the_dense_product(base):
-    # the repeated game's phase one stops at a leaf worth the base value;
-    # the plain game gets bound 1 and runs the full phase one
+    # the repeated game's lex probe ends at a leaf worth the base value, or
+    # finds none and falls back to both phases; the plain game gets bound 1
+    # and runs both phases
     lazy = exact_value(repeat(base, 2))
     dense = exact_value(_dense_product(base, 2))
     assert lazy.value == dense.value
