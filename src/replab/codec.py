@@ -125,9 +125,8 @@ class TupleCodec(Sequence):
 
     def __contains__(self, item) -> bool:
         try:
-            self.encode(item)
-            return True
-        except (ValueError, TypeError):
+            return len(item) == self.n and all(map(dict.__contains__, self._pos, item))
+        except TypeError:
             return False
 
 

@@ -56,8 +56,10 @@ is re-checked by attains, which a value record's --recheck also runs: every
 answer lies in its player's alphabet, and evaluate gives the value.
 evaluate sums the weights of the support tuples that Game.walk says the
 strategy wins: a plain game calls the predicate on each question tuple of
-its support, and a repeated game walks products of its base game's columns
-(repetition module).  Both read the strategy through
+its support, and a repeated game decides its rounds from its base game's
+columns: in byte lanes, through one verdict table of the base predicate
+per game, or round by round for a small support or answers that do not fit
+the lanes (repetition module).  Both read the strategy through
 Strategy.columns, which checks every table against the player's questions
 before the first lookup, so a missing answer is refused in one place by one
 rule.  Neither walk reads the coded support or the tables, so the re-check

@@ -27,24 +27,38 @@ round depend on their own question in it alone, a strategy of G, which wins
 that round, and so every round, with probability at most val(G); average
 over the fixed rounds.
 evaluate and forbidden.winning_points re-check a strategy through
-RepeatedGame.walk, one column walk of the rounds made of itertools products
-and C-level maps, with no Python frame per repeated tuple.  Per player, the
-question tuples are the n-fold product of the player's column of the base
-support, and the answers their lookups in the player's table.  A tuple wins
-when the base predicate accepts every round, its answers zipped per round
-as the repeated predicate zips them, and its weight's factors are its
-rounds' base ints, which evaluate multiplies out for the winners alone.
-The walk runs in itertools.product order, the last round fastest: a sum
-does not see the order, and winning_points sorts only its winners back.  It
-reads the base support, weights and predicate and the strategy's tables,
-never coded_support or acceptance, so the re-check stays independent of
-what the search read.  It reads the tables through Strategy.columns, as a
-plain game's walk does, with the n-fold base domains as the domains: the
-full product of rounds asks every question of them, so a table that misses
-one is refused before the walk.  The base predicate is asked once per
-distinct round, through a memo bounded at PREDICATE_MEMO entries that the
-walk and the repeated predicate share: a round recurs in many repeated
-tuples, and a product strategy often answers it alike each time.
+RepeatedGame.walk, which gives each repeated tuple's win flag in
+itertools.product order, the last round fastest: a sum does not see the
+order, and winning_points sorts only its winners back.  A tuple wins when
+the base predicate accepts every round, its answers zipped per round as the
+repeated predicate zips them, and its weight's factors are its rounds' base
+ints, which evaluate multiplies out for the winners alone.  The walk reads
+the base support, weights and predicate and the strategy's tables, never
+coded_support or acceptance, so the re-check stays independent of what the
+search read.  It reads the tables through Strategy.columns, as a plain
+game's walk does, with the n-fold base domains as the domains: the full
+product of rounds asks every question of them, so a table that misses one
+is refused before the base predicate is asked anything.
+From LANE_MIN_TUPLES repeated tuples on, when a round's key s + q * c (s
+the round's base support index, c the TupleCodec code of its answer
+combination over the base answer alphabets) fits in a byte, the walk
+decides the rounds in byte lanes.  Each answer of a player's table becomes
+n bytes, its base answer positions round by round.  Pulled back along the
+player's column of the base support, one round at a time from the last,
+the answers form the player's lane, n bytes per repeated tuple in walk
+order, in about d**n joins for a base domain of d questions.  The support
+lane holds each round's base support index in the same layout; it and the
+lanes times their players' strides add up, as big ints and without a
+carry, to every round's key at once; one bytes.translate through
+a 256-byte verdict table, built once per game, decides every round, and
+the AND of the n round slices gives the flags.  An answer that is not an
+n-tuple over its player's base alphabet, a key past a byte or a smaller
+support takes the per-tuple walk, a column walk made of itertools products
+and C-level maps: per player, the question tuples are the n-fold product
+of the player's column of the base support, and the answers their lookups
+in the table.  Both ask the base predicate through one memo bounded at
+PREDICATE_MEMO entries, which the repeated predicate shares: the per-tuple
+walk once per distinct round, the verdict table once per entry.
 """
 
 from __future__ import annotations
@@ -52,16 +66,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .codec import TUPLE_BUDGET, ProductTuples, oversize
+from .codec import TUPLE_BUDGET, ProductTuples, TupleCodec, oversize
 from .errors import BudgetExceededError
 from .games import Game, Strategy, exact_value
 
 # distinct base rounds a repeated predicate remembers the base verdict of
 PREDICATE_MEMO = 1 << 14
+# repeated support size from which walk decides its rounds in byte lanes
+LANE_MIN_TUPLES = 64
 
 
 class _RoundMap(Sequence):
@@ -151,11 +168,87 @@ class RepeatedGame(Game):
             place = [p * r for p, r in zip(place, radices)]
         return tables
 
-    def walk(self, strategy: Strategy) -> tuple[int, Iterator[tuple], Iterator[bool]]:
-        """The column walk of the module docstring, in itertools.product
-        order (the last round fastest), not the codec's.  Strategy.columns
-        raises IncompleteStrategyError, before walking, naming the first
-        player whose table misses a question of the n-fold base domain."""
+    def walk(self, strategy: Strategy) -> tuple[int, Iterator[tuple], Iterable[int]]:
+        """The support as evaluate reads it, in itertools.product order (the
+        last round fastest), not the codec's: (scale, factors, wins), with
+        factors each tuple's rounds' base ints and wins its 0/1 flags.  The
+        byte lanes of the module docstring decide every round at once when
+        _lane_plan allows them and every answer read is an n-tuple over its
+        player's base alphabet; any other walk is _tuple_walk.  Either way
+        Strategy.columns raises IncompleteStrategyError, before the base
+        predicate is asked anything, naming the first player whose table
+        misses a question of the n-fold base domain."""
+        plan = self._lane_plan
+        if plan is None:
+            return self._tuple_walk(strategy)
+        n, size = self.n, len(self.support)
+        key, players = plan
+        answers = strategy.columns(
+            [itertools.product(domain, repeat=n) for domain, *_ in players],
+            [itertools.product(domain, repeat=n) for domain, *_ in players])
+        for column, (domain, place, pick, stride) in zip(answers, players):
+            column = list(column)
+            try:
+                if set(map(len, column)) != {n}:
+                    return self._tuple_walk(strategy)
+                codes = bytes(map(place.__getitem__, itertools.chain.from_iterable(column)))
+            except (KeyError, TypeError):
+                return self._tuple_walk(strategy)
+            # pull the answers back along the support column, last round first
+            blocks, d = [codes[i:i + n] for i in range(0, len(codes), n)], len(domain)
+            for _ in range(n):
+                blocks = [b"".join(pick(blocks[i:i + d])) for i in range(0, len(blocks), d)]
+            key += stride * int.from_bytes(blocks[0], "little")
+        verdicts = key.to_bytes(n * size, "little").translate(self._verdicts)
+        wins = functools.reduce(operator.and_, (int.from_bytes(verdicts[r::n], "little")
+                                               for r in range(n)))
+        base_scale, base_ints = self.base.scaled_weights()
+        return (base_scale ** n, itertools.product(base_ints, repeat=n),
+                wins.to_bytes(size, "little"))
+
+    @functools.cached_property
+    def _lane_plan(self) -> tuple[int, list[tuple]] | None:
+        """What the lanes read of the base game whatever the strategy, or
+        None when the walk goes per tuple: the support lane as an int, and
+        per player their base question domain, the positions of their base
+        answer alphabet, the getter of their column of the base support as
+        domain positions, and the stride of their answer position in a key.
+        It asks the base predicate nothing, so a refusal still comes first."""
+        base, n, q = self.base, self.n, len(self.base.support)
+        radices = [len(a) for a in base.answer_alphabets]
+        if q ** n < LANE_MIN_TUPLES or q * math.prod(radices) > 256:
+            return None
+        lane = bytearray(n * q ** n)
+        for r in range(n):
+            lane[r::n] = b"".join(bytes([s]) * q ** (n - 1 - r) for s in range(q)) * q ** r
+        players, stride = [], q
+        for j, (alphabet, radix) in enumerate(zip(base.answer_alphabets, radices)):
+            domain = base.question_domain(j)
+            where = {x: i for i, x in enumerate(domain)}
+            players.append((domain, {a: i for i, a in enumerate(alphabet)},
+                            operator.itemgetter(*[where[x[j]] for x in base.support]), stride))
+            stride *= radix
+        return int.from_bytes(lane, "little"), players
+
+    @functools.cached_property
+    def _verdicts(self) -> bytes:
+        """The lanes' verdict table: at key s + q * c, whether the base
+        predicate accepts base support tuple s under the answer combination
+        whose TupleCodec code over the base answer alphabets is c.  It asks
+        the round memo, so the base predicate once per entry at most."""
+        base, q = self.base, len(self.base.support)
+        table = bytearray(256)
+        for code, answers in enumerate(TupleCodec(base.answer_alphabets)):
+            for s, x in enumerate(base.support):
+                table[s + q * code] = bool(self._round_predicate(x, answers))
+        return bytes(table)
+
+    def _tuple_walk(self, strategy: Strategy) -> tuple[int, Iterator[tuple], Iterator[bool]]:
+        """The column walk of the module docstring, per repeated tuple, in
+        itertools.product order (the last round fastest), not the codec's.
+        Strategy.columns raises IncompleteStrategyError, before walking,
+        naming the first player whose table misses a question of the n-fold
+        base domain."""
         base, n = self.base, self.n
         answers = strategy.columns(
             [itertools.product(base.question_domain(j), repeat=n) for j in range(self.k)],

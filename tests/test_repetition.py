@@ -190,9 +190,75 @@ def test_scaled_weights_and_evaluate_match_the_product_walk(base, n, salt, wrong
         assert value == oracles.repeated_win_probability(base, n, strategy)
 
 
+@st.composite
+def lane_cases(draw):
+    """A 2- or 3-player bit-question base game that accepts a random set of
+    (questions, answers) pairs, a round count, and a random strategy for its
+    repetition.  Answer alphabets of up to 9 symbols make some round keys
+    exceed a byte; fault puts one answer of n - 1 or n + 1 rounds, or one
+    symbol outside its alphabet, into the strategy."""
+    k = draw(st.integers(2, 3))
+    questions = [(0, 1)] * k
+    answers = [tuple(range(draw(st.integers(1, 9)))) for _ in range(k)]
+    support = draw(st.permutations(list(itertools.product(*questions))))
+    # support sizes and round counts on both sides of LANE_MIN_TUPLES
+    q, n = draw(st.sampled_from([(1, 5), (2, 5), (3, 3), (4, 2), (4, 3), (3, 4),
+                                 (4, 4), (3, 5), (4, 5)]))
+    support = support[:q]
+    ints = draw(st.lists(st.integers(1, 3), min_size=len(support), max_size=len(support)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bias = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    accepts = {(x, a) for x in support for a in itertools.product(*answers)
+               if rng.random() < bias}
+    base = Game(questions, answers, support, [Fraction(i, sum(ints)) for i in ints],
+                lambda x, a: (x, a) in accepts)
+    tables = [{xs: tuple(rng.choice(answers[j]) for _ in range(n))
+               for xs in itertools.product(base.question_domain(j), repeat=n)}
+              for j in range(k)]
+    fault = draw(st.sampled_from([None, None, None, "short", "long", "outside"]))
+    if fault:
+        table = tables[rng.randrange(k)]
+        xs = rng.choice(list(table))
+        table[xs] = {"short": table[xs][:-1], "long": table[xs] + table[xs][:1],
+                     "outside": table[xs][:-1] + ("z",)}[fault]
+    return base, n, Strategy.from_tables(tables), fault
+
+
+@given(lane_cases())
+def test_the_lanes_match_the_tuple_walk(case):
+    # the byte lanes give the per-tuple walk's win flags, value and winning
+    # points, reading neither the coded support nor the tables; a faulty
+    # answer, a round key past a byte or a support below LANE_MIN_TUPLES
+    # takes the per-tuple walk itself
+    base, n, strategy, fault = case
+    game = repeat(base, n)
+    q = len(base.support)
+    lanes = (q ** n >= repetition.LANE_MIN_TUPLES
+             and q * math.prod(map(len, base.answer_alphabets)) <= 256)
+    game.coded_support = game.acceptance = _raise
+    tuple_walk, taken = game._tuple_walk, []
+    game._tuple_walk = lambda s: taken.append(s) or tuple_walk(s)
+    scale, factors, wins = game.walk(strategy)
+    assert taken == ([] if lanes and not fault else [strategy])
+    expected_scale, expected_factors, expected = tuple_walk(strategy)
+    expected = list(map(bool, expected))
+    factors = list(factors)
+    assert list(map(bool, wins)) == expected
+    assert (scale, factors) == (expected_scale, list(expected_factors))
+    value = Fraction(sum(map(math.prod, itertools.compress(factors, expected))), scale)
+    assert evaluate(game, strategy) == value
+    assert forbidden.winning_points(game, strategy) == sorted(
+        itertools.compress(itertools.product(range(q), repeat=n), expected),
+        key=lambda point: point[::-1])
+    if not fault:
+        assert value == oracles.repeated_win_probability(base, n, strategy)
+
+
 @pytest.mark.parametrize("consumer,n", [
     (evaluate, 3), (forbidden.winning_points, 3), (evaluate, None),
-], ids=["evaluate", "winning_points", "evaluate-plain"])
+    (evaluate, 4), (forbidden.winning_points, 4),
+], ids=["evaluate", "winning_points", "evaluate-plain", "evaluate-lanes",
+        "winning_points-lanes"])
 def test_the_column_walk_refuses_incomplete_strategies(consumer, n):
     # a repeated game's walk and a plain game's read the tables alike;
     # n None is the plain base game
@@ -443,6 +509,19 @@ def test_repeated_predicate_calls_the_base_predicate_once_per_round():
     # 27 repeated tuples, twice, but 3 distinct rounds under this strategy
     assert evaluate(game, strategy) == evaluate(game, strategy) == Fraction(8, 27)
     assert len(calls) == len(set(calls)) == 3
+
+
+def test_the_lanes_call_the_base_predicate_once_per_verdict():
+    calls = []
+    base = preset_game("anticorr", q=3)
+    strategy = independent_strategy(exact_value(base).strategy, 4)
+    predicate = base.predicate
+    base.predicate = lambda x, a: calls.append((x, a)) or predicate(x, a)
+    game = repeat(base, 4)
+    # 81 repeated tuples, twice, but one verdict table: 3 support tuples
+    # times 8 answer combinations
+    assert evaluate(game, strategy) == evaluate(game, strategy) == Fraction(16, 81)
+    assert len(calls) == len(set(calls)) == 24
 
 
 def test_repeat_validation(monkeypatch):
